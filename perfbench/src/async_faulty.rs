@@ -4,7 +4,8 @@
 
 use crate::checks::{check_run, report_digest};
 use crate::common::{
-    color_counts, decision_seed, set_decision_times, time_setups, Meters, Params, Samples,
+    color_counts, decision_seed, replay, set_decision_times, time_setup, Meters, Params, Samples,
+    World,
 };
 use crate::report::RunResult;
 use crate::stats::median;
@@ -14,8 +15,8 @@ use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
 use gossip_net::topology::Topology;
 use rfc_core::{
-    build_network_slots, collect_report, run_protocol_async, AgentSlot, Params as ProtocolParams,
-    Phase, PhaseSchedule, ProtocolCore, RunConfig, SCHEDULER_STREAM,
+    build_network_slots, run_protocol_async, AgentSlot, Params as ProtocolParams, PhaseSchedule,
+    ProtocolCore, RunConfig, SCHEDULER_STREAM,
 };
 use std::time::Instant;
 
@@ -23,9 +24,6 @@ use std::time::Instant;
 pub const N: usize = 4096;
 /// Tick-budget multiplier: `slack·n·q` ticks per phase.
 pub const SLACK: usize = 3;
-/// Set-up-only builds, half before the first decision and half after the
-/// last.
-const SETUPS: u64 = 21;
 /// Span names of the four async phases, in execution order.
 const PHASE_SPANS: [&str; 4] = [
     "network.async.commitment",
@@ -49,7 +47,7 @@ fn schedule(cfg: &RunConfig) -> PhaseSchedule {
 
 /// Build the network `run_protocol_async` builds: honest agents on the
 /// async schedule.
-fn build(cfg: &RunConfig, seed: u64) -> gossip_net::Network<rfc_core::Msg, AgentSlot> {
+fn build(cfg: &RunConfig, seed: u64) -> World {
     let schedule = schedule(cfg);
     let mut factory =
         move |id: AgentId, params: ProtocolParams, color: ColorId, rng: DetRng, topo: &Topology| {
@@ -58,7 +56,8 @@ fn build(cfg: &RunConfig, seed: u64) -> gossip_net::Network<rfc_core::Msg, Agent
     build_network_slots(cfg, seed, &mut factory)
 }
 
-/// Untraced run: `run_protocol_async` decisions until `p.seconds` pass.
+/// Untraced run: `run_protocol_async` decisions until `p.seconds` pass,
+/// each after one set-up-only build.
 pub fn timed(p: &Params) -> RunResult {
     let cfg = config(p.n);
     let ticks = schedule(&cfg).total_rounds();
@@ -67,10 +66,11 @@ pub fn timed(p: &Params) -> RunResult {
         rounds: ticks as f64,
         ..Samples::default()
     };
-    time_setups(&mut s, p.seed, 0..SETUPS / 2, |seed| build(&cfg, seed));
     let start = Instant::now();
     let mut i = 0;
     while i == 0 || start.elapsed().as_secs_f64() < p.seconds {
+        s.setup
+            .push(time_setup(p.seed, i, |seed| build(&cfg, seed)));
         let t = Instant::now();
         let r = run_protocol_async(&cfg, decision_seed(p.seed, i), SLACK);
         s.decision.push(t.elapsed().as_secs_f64());
@@ -80,7 +80,6 @@ pub fn timed(p: &Params) -> RunResult {
         i += 1;
     }
     s.wall = start.elapsed().as_secs_f64();
-    time_setups(&mut s, p.seed, SETUPS / 2..SETUPS, |seed| build(&cfg, seed));
     s.finish(&mut out);
     out
 }
@@ -120,6 +119,7 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
     };
 
     let mut meters = Vec::new();
+    let mut replica_secs = Vec::with_capacity(replicas);
     let root = tracer.span("trace", None, 0, |root| {
         for i in 0..k {
             let seed = decision_seed(p.seed, i as u64);
@@ -135,41 +135,31 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
             });
         }
         for i in 0..replicas {
-            let d = (k + i) as u64;
             let seed = decision_seed(p.seed, i as u64);
-            let mut net = tracer.span("runner.build", Some(root), d, |_| build(&cfg, seed));
             let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
-            for (phase, name) in Phase::COMMUNICATING.into_iter().zip(PHASE_SPANS) {
-                tracer.span(name, Some(root), d, |_| {
-                    net.enter_phase(phase.name());
-                    net.run_async(sched.phase_len, &mut scheduler);
-                });
-            }
-            tracer.span("engine.verify", Some(root), d, |_| net.finalize());
-            let r = tracer.span("runner.report", Some(root), d, |_| {
-                collect_report(&net, &cfg)
-            });
+            let d = (k + i) as u64;
+            let replayed = replay(
+                tracer,
+                root,
+                d,
+                &cfg,
+                &PHASE_SPANS,
+                || build(&cfg, seed),
+                |net| net.run_async(sched.phase_len, &mut scheduler),
+            );
             tracer.span("bench.check", Some(root), d, |_| {
-                out.tally
-                    .record(format_args!("replica {i}"), same(&r, i, "replica"));
+                out.tally.record(
+                    format_args!("replica {i}"),
+                    same(&replayed.report, i, "replica"),
+                )
             });
+            replica_secs.push(replayed.build_s + replayed.run_s);
         }
         root
     });
 
     let (spans, _) = tracer.snapshot();
     let real = durations(&spans, "asynchronous.run");
-    let replica_secs: Vec<f64> = (k..k + replicas)
-        .map(|d| {
-            spans
-                .iter()
-                .filter(|s| {
-                    s.decision == d as u64 && s.name != "bench.check" && s.parent == Some(root)
-                })
-                .map(|s| s.end - s.start)
-                .sum()
-        })
-        .collect();
     out.set("replica.decision_s", median(&replica_secs));
     out.set("trace.replicas", replicas as f64);
     Meters::finish(&meters, &mut out);

@@ -1,12 +1,13 @@
-//! Pieces every workload shares: parameters, seeds, the end-to-end
-//! metric arithmetic, meter summaries and the traced-run epilogue.
+//! Pieces every workload shares: parameters, seeds, set-up timing, the
+//! replayed decision of traced runs, the end-to-end metric arithmetic,
+//! meter summaries and the traced-run epilogue.
 
 use crate::report::{RunResult, PHASES};
 use crate::stats::{median, tail};
 use crate::trace::{self, Tracer};
 use gossip_net::rng::derive_seed;
-use rfc_core::RunReport;
-use std::ops::Range;
+use gossip_net::Network;
+use rfc_core::{collect_report, AgentSlot, Msg, Phase, RunConfig, RunReport};
 use std::time::Instant;
 
 /// What one run is asked to do.
@@ -42,21 +43,66 @@ pub fn color_counts(n: usize, fractions: &[f64]) -> Vec<usize> {
     counts
 }
 
-/// Time the set-up-only builds `range`: `build` gets each one's seed and
-/// returns the world, which is dropped after its clock stops. Runs call
-/// this before and after their measured section, so the set-up median
-/// spans the whole run.
-pub fn time_setups<W>(
-    s: &mut Samples,
-    master: u64,
-    range: Range<u64>,
-    mut build: impl FnMut(u64) -> W,
-) {
-    for j in range {
-        let t = Instant::now();
-        let world = build(setup_seed(master, j));
-        s.setup.push(t.elapsed().as_secs_f64());
-        drop(world);
+/// Time one set-up-only build, the `j`-th of the run: `build` gets its
+/// seed and returns the world, which is dropped after the clock stops.
+/// Workloads call this between decisions, all through the measured
+/// section, so set-ups run under the same conditions as the decisions.
+pub fn time_setup<W>(master: u64, j: u64, build: impl FnOnce(u64) -> W) -> f64 {
+    let t = Instant::now();
+    let world = build(setup_seed(master, j));
+    let secs = t.elapsed().as_secs_f64();
+    drop(world);
+    secs
+}
+
+/// The world every simulated workload builds.
+pub type World = Network<Msg, AgentSlot>;
+
+/// A decision replayed by [`replay`].
+pub struct Replayed {
+    /// The finished world.
+    pub world: World,
+    /// Its report.
+    pub report: RunReport,
+    /// Time in `build`, seconds.
+    pub build_s: f64,
+    /// Time from the end of the build to the end of the report, seconds.
+    pub run_s: f64,
+}
+
+/// Replay decision `d` through the public pieces an entry point
+/// composes, one span each under `root`: `build`, the four communicating
+/// phases (`run_phase` runs the phase just entered; spans named
+/// `phase_spans`), Verification (`Network::finalize`) and
+/// `collect_report`.
+pub fn replay(
+    tracer: &Tracer,
+    root: usize,
+    d: u64,
+    cfg: &RunConfig,
+    phase_spans: &[&'static str; 4],
+    build: impl FnOnce() -> World,
+    mut run_phase: impl FnMut(&mut World),
+) -> Replayed {
+    let t0 = Instant::now();
+    let mut world = tracer.span("runner.build", Some(root), d, |_| build());
+    let t1 = Instant::now();
+    for (phase, name) in Phase::COMMUNICATING.into_iter().zip(phase_spans) {
+        tracer.span(name, Some(root), d, |_| {
+            world.enter_phase(phase.name());
+            run_phase(&mut world);
+        });
+    }
+    tracer.span("engine.verify", Some(root), d, |_| world.finalize());
+    let report = tracer.span("runner.report", Some(root), d, |_| {
+        collect_report(&world, cfg)
+    });
+    let t2 = Instant::now();
+    Replayed {
+        world,
+        report,
+        build_s: (t1 - t0).as_secs_f64(),
+        run_s: (t2 - t1).as_secs_f64(),
     }
 }
 

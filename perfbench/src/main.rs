@@ -15,6 +15,7 @@ mod checks;
 mod common;
 mod mc_fair;
 mod node_session;
+mod pin;
 mod report;
 mod stats;
 mod sync_sharded;
@@ -228,7 +229,7 @@ mod tests {
     }
 
     /// The per-layer metrics that partition the traced wall clock.
-    const PARTITION: [&str; 23] = [
+    const PARTITION: [&str; 24] = [
         "runner.build_s",
         "runner.report_s",
         "staged.commitment_s",
@@ -236,6 +237,7 @@ mod tests {
         "staged.find_min_s",
         "staged.coherence_s",
         "staged.one_shard_s",
+        "staged.two_shard_s",
         "network.sync.commitment_s",
         "network.sync.voting_s",
         "network.sync.find_min_s",

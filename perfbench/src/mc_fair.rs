@@ -6,7 +6,7 @@
 
 use crate::checks::{check_fairness, check_run, report_digest};
 use crate::common::{
-    color_counts, decision_seed, set_decision_times, time_setups, Meters, Params, Samples,
+    color_counts, decision_seed, replay, set_decision_times, time_setup, Meters, Params, Samples,
 };
 use crate::report::RunResult;
 use crate::stats::{median, tail};
@@ -14,9 +14,7 @@ use crate::trace::{durations, Tracer};
 use experiments::run_trials_fold_with_scratch;
 use gossip_net::ids::ColorId;
 use gossip_net::rng::derive_seed;
-use rfc_core::{
-    build_network_slots, collect_report, honest_slot_factory, Phase, RunConfig, TrialArena,
-};
+use rfc_core::{build_network_slots, honest_slot_factory, RunConfig, TrialArena};
 use std::time::{Duration, Instant};
 
 /// Default number of agents.
@@ -25,9 +23,10 @@ pub const N: usize = 1024;
 const WORKERS: usize = 2;
 /// Initial color fractions.
 const FRACTIONS: [f64; 3] = [0.5, 0.3, 0.2];
-/// Set-up-only builds (one worker's arena build each), half before the
-/// fold and half after it.
-const SETUPS: u64 = 101;
+/// Each worker times one set-up-only build (one worker's arena build)
+/// before every `SETUP_EVERY`-th trial of the timed fold, while the
+/// other worker runs trials.
+const SETUP_EVERY: usize = 8;
 /// Trials offered to one timed fold; trials due after the deadline are
 /// skipped, and a fold that runs out before the deadline is followed by
 /// another.
@@ -51,6 +50,8 @@ pub fn config(n: usize) -> RunConfig {
 /// One finished trial.
 struct Trial {
     index: usize,
+    /// The set-up-only build timed before this trial, if any.
+    setup: Option<f64>,
     secs: f64,
     check: Result<(), String>,
     winner: Option<ColorId>,
@@ -63,6 +64,7 @@ struct Trial {
 fn trial(cfg: &RunConfig, index: usize, secs: f64, r: &rfc_core::RunReport) -> Trial {
     Trial {
         index,
+        setup: None,
         secs,
         check: check_run(r, cfg.n, cfg.params().total_rounds()),
         winner: r.outcome.winning_color(),
@@ -124,7 +126,6 @@ pub fn timed(p: &Params) -> RunResult {
         ..Samples::default()
     };
     let build = |seed| build_network_slots(&cfg, seed, &mut honest_slot_factory);
-    time_setups(&mut s, p.seed, 0..SETUPS / 2, build);
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(p.seconds);
     let mut trials = Vec::new();
@@ -139,16 +140,22 @@ pub fn timed(p: &Params) -> RunResult {
                 if !(first && i < WORKERS) && Instant::now() >= deadline {
                     return None;
                 }
+                let setup = (i % SETUP_EVERY == 0)
+                    .then(|| time_setup(p.seed, k * FOLD_TRIALS as u64 + i as u64, build));
                 let t = Instant::now();
                 let r = arena.run_protocol(&cfg, seed);
-                Some(trial(&cfg, i, t.elapsed().as_secs_f64(), &r))
+                let secs = t.elapsed().as_secs_f64();
+                Some(Trial {
+                    setup,
+                    ..trial(&cfg, i, secs, &r)
+                })
             },
         ));
         k += 1;
     }
     s.wall = start.elapsed().as_secs_f64();
-    time_setups(&mut s, p.seed, SETUPS / 2..SETUPS, build);
     for t in &trials {
+        s.setup.extend(t.setup);
         s.decision.push(t.secs);
         s.bits_per_agent.push(t.bits_per_agent);
         s.max_msg_bits.push(t.max_msg_bits);
@@ -180,6 +187,7 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
     tally(&mut out, &cfg, "untraced", &untraced);
 
     let mut traced_trials = Vec::new();
+    let mut replica_secs = Vec::with_capacity(replicas);
     let root = tracer.span("trace", None, 0, |root| {
         traced_trials = tracer.span("parallel.fold", Some(root), 0, |fold_id| {
             fold(k, master, |arena, i, seed| {
@@ -192,29 +200,27 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
         let digest_of: Vec<(usize, u64)> =
             traced_trials.iter().map(|t| (t.index, t.digest)).collect();
         for i in 0..replicas {
-            let d = (k + i) as u64;
             let seed = derive_seed(master, i as u64);
-            let mut net = tracer.span("runner.build", Some(root), d, |_| {
-                build_network_slots(&cfg, seed, &mut honest_slot_factory)
-            });
-            for (phase, name) in Phase::COMMUNICATING.into_iter().zip(PHASE_SPANS) {
-                tracer.span(name, Some(root), d, |_| {
-                    net.enter_phase(phase.name());
-                    net.run(q);
-                });
-            }
-            tracer.span("engine.verify", Some(root), d, |_| net.finalize());
-            let r = tracer.span("runner.report", Some(root), d, |_| {
-                collect_report(&net, &cfg)
-            });
+            let d = (k + i) as u64;
+            let replayed = replay(
+                tracer,
+                root,
+                d,
+                &cfg,
+                &PHASE_SPANS,
+                || build_network_slots(&cfg, seed, &mut honest_slot_factory),
+                |net| net.run(q),
+            );
             tracer.span("bench.check", Some(root), d, |_| {
+                let r = &replayed.report;
                 let real = digest_of.iter().find(|(j, _)| *j == i).map(|(_, dg)| *dg);
-                let check = check_run(&r, cfg.n, rounds).and_then(|()| match real {
-                    Some(dg) if dg == report_digest(&r) => Ok(()),
+                let check = check_run(r, cfg.n, rounds).and_then(|()| match real {
+                    Some(dg) if dg == report_digest(r) => Ok(()),
                     _ => Err("replica differs from TrialArena::run_protocol".to_string()),
                 });
                 out.tally.record(format_args!("replica {i}"), check);
             });
+            replica_secs.push(replayed.build_s + replayed.run_s);
         }
         root
     });
@@ -233,17 +239,6 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
         "parallel trials={} tail_percentile={pct:.2}",
         trial_secs.len()
     ));
-    let replica_secs: Vec<f64> = (k..k + replicas)
-        .map(|d| {
-            spans
-                .iter()
-                .filter(|s| {
-                    s.decision == d as u64 && s.name != "bench.check" && s.parent == Some(root)
-                })
-                .map(|s| s.end - s.start)
-                .sum()
-        })
-        .collect();
     out.set("replica.decision_s", median(&replica_secs));
     out.set("trace.replicas", replicas as f64);
     let meters: Vec<Meters> = traced_trials.iter().map(|t| t.meters).collect();

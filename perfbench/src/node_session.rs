@@ -2,10 +2,12 @@
 //! slack 3 (73 728 ticks). Both endpoints run in this process on two
 //! threads over one `UnixStream::pair()`, each calling `run_session`, as
 //! `run_loopback` does. No delay is injected: latency is processor time
-//! plus the socket round trips.
+//! plus the socket round trips. Both endpoints run on one CPU (see
+//! [`crate::pin`]).
 
 use crate::checks::check_session;
 use crate::common::{decision_seed, set_decision_times, setup_seed, Meters, Params, Samples};
+use crate::pin::Pinned;
 use crate::report::RunResult;
 use crate::tap::{tick_mix, Tap, TickMix};
 use crate::trace::{durations, Tracer};
@@ -20,9 +22,9 @@ use std::time::Instant;
 pub const N: usize = 256;
 /// Tick-budget multiplier.
 pub const SLACK: usize = 3;
-/// Set-up probes (endpoint build plus Hello handshake each), half before
-/// the first session and half after the last.
-const SETUPS: u64 = 101;
+/// Set-up probes (endpoint build plus Hello handshake each) after every
+/// session.
+const PROBES_PER_SESSION: u64 = 3;
 
 fn node_params(n: usize, seed: u64) -> NodeParams {
     NodeParams {
@@ -49,57 +51,67 @@ fn expect_ticks(n: usize) -> usize {
         .total_rounds()
 }
 
+/// Pin this thread, and so every endpoint thread it starts, to one CPU.
+/// A run that cannot pin is marked incorrect: it would time the host's
+/// scheduler rather than the session.
+fn pin_endpoints(out: &mut RunResult) -> Option<Pinned> {
+    match Pinned::highest() {
+        Ok(pin) => {
+            out.notes
+                .push(format!("endpoints pinned to cpu {}", pin.cpu));
+            Some(pin)
+        }
+        Err(e) => {
+            out.run_errors
+                .push(format!("cannot pin the endpoints to one CPU: {e}"));
+            None
+        }
+    }
+}
+
 /// Time one endpoint's set-up: `run_session` builds its half of the
-/// world and exchanges Hello with a peer played here, which hangs up
-/// right after the handshake, so the session ends at its first tick.
+/// world and exchanges Hello with a peer played here. The clock stops
+/// once the peer's Hello has been read in full. The peer then hangs up,
+/// so the session fails at its first tick.
 fn setup_probe(np: &NodeParams) -> Result<f64, String> {
     let (low, mut peer) = UnixStream::pair().map_err(|e| e.to_string())?;
-    let fingerprint = np.fingerprint();
+    let hello = Packet::Hello {
+        fingerprint: np.fingerprint(),
+        side: 1,
+    };
+    let hello_len = write_packet(&mut Vec::new(), &hello).map_err(|e| e.to_string())?;
     let handshake = std::thread::spawn(move || -> io::Result<()> {
         match read_packet(&mut peer)? {
-            Packet::Hello { .. } => write_packet(
-                &mut peer,
-                &Packet::Hello {
-                    fingerprint,
-                    side: 1,
-                },
-            )
-            .map(drop),
+            Packet::Hello { .. } => write_packet(&mut peer, &hello).map(drop),
             other => Err(io::Error::other(format!("expected Hello, got {other:?}"))),
         }
     });
+    let mut tap = Tap::new(low).watch_reads(hello_len as u64);
     let t = Instant::now();
-    let session = run_session(low, Side::Low, np);
-    let secs = t.elapsed().as_secs_f64();
+    let session = run_session(&mut tap, Side::Low, np);
     handshake
         .join()
         .map_err(|_| "handshake peer panicked".to_string())?
         .map_err(|e| e.to_string())?;
-    match session {
-        Err(_) => Ok(secs),
-        Ok(_) => Err("set-up probe ran a whole session".into()),
+    match (session, tap.reached) {
+        (Err(_), Some(done)) => Ok((done - t).as_secs_f64()),
+        (Err(e), None) => Err(format!("no Hello read from the peer: {e}")),
+        (Ok(_), _) => Err("set-up probe ran a whole session".into()),
     }
 }
 
 /// Untraced run: loopback sessions until `p.seconds` pass; each is
-/// checked against its peer and against `run_protocol_async`.
+/// checked against its peer and against `run_protocol_async`, and
+/// followed by a few set-up probes.
 pub fn timed(p: &Params) -> RunResult {
     let cfg = reference_config(p.n);
     let ticks = expect_ticks(p.n);
     let mut out = RunResult::default();
+    let _pin = pin_endpoints(&mut out);
     let mut s = Samples {
         rounds: ticks as f64,
         ..Samples::default()
     };
-    let probes = |range: std::ops::Range<u64>, s: &mut Samples, out: &mut RunResult| {
-        for j in range {
-            match setup_probe(&node_params(p.n, setup_seed(p.seed, j))) {
-                Ok(secs) => s.setup.push(secs),
-                Err(e) => out.run_errors.push(format!("set-up probe {j}: {e}")),
-            }
-        }
-    };
-    probes(0..SETUPS / 2, &mut s, &mut out);
     let mut wire_bytes = 0u64;
     let start = Instant::now();
     let mut i = 0;
@@ -116,10 +128,15 @@ pub fn timed(p: &Params) -> RunResult {
             check_session(&low, &high, &reference, p.n, ticks)
         });
         out.tally.record(format_args!("session {i}"), check);
+        for j in i * PROBES_PER_SESSION..(i + 1) * PROBES_PER_SESSION {
+            match setup_probe(&node_params(p.n, setup_seed(p.seed, j))) {
+                Ok(secs) => s.setup.push(secs),
+                Err(e) => out.run_errors.push(format!("set-up probe {j}: {e}")),
+            }
+        }
         i += 1;
     }
     s.wall = start.elapsed().as_secs_f64();
-    probes(SETUPS / 2..SETUPS, &mut s, &mut out);
     s.finish(&mut out);
     let sessions = s.decision.len().max(1) as f64;
     out.notes.push(format!(
@@ -185,6 +202,7 @@ pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
     let ticks = expect_ticks(p.n);
     let k = ((p.seconds / 2.0).round() as usize).max(2);
     let mut out = RunResult::default();
+    let _pin = pin_endpoints(&mut out);
 
     let mut untraced = Vec::with_capacity(k);
     for i in 0..k {

@@ -26,7 +26,7 @@ pub const PHASES: [(&str, &str); 4] = [
 /// Per-layer metrics, printed by every traced run (`--trace 1`), in the
 /// order of `BENCHMARK.json`. A layer that does no work on a workload
 /// reports 0 there.
-pub const PER_LAYER: [(&str, &str); 65] = [
+pub const PER_LAYER: [(&str, &str); 66] = [
     ("runner.build_s", "s"),
     ("runner.report_s", "s"),
     ("staged.commitment_s", "s"),
@@ -42,6 +42,7 @@ pub const PER_LAYER: [(&str, &str); 65] = [
     ("staged.resolve_s", "s"),
     ("staged.exchange_other_s", "s"),
     ("staged.one_shard_s", "s"),
+    ("staged.two_shard_s", "s"),
     ("staged.shard_efficiency", "ratio"),
     ("network.sync.commitment_s", "s"),
     ("network.sync.voting_s", "s"),

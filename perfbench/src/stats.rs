@@ -1,26 +1,15 @@
 //! Order statistics for timing samples.
 
-/// Ascending copy of `v` (NaN-free input assumed: every sample is a
-/// measured duration or count).
-fn sorted(v: &[f64]) -> Vec<f64> {
-    let mut s = v.to_vec();
-    s.sort_by(|a, b| a.total_cmp(b));
-    s
-}
+use rfc_stats::Quantiles;
 
-/// Median (mean of the two middle values for an even count); 0 for an
-/// empty sample.
+/// Median of `v` by `rfc_stats::Quantiles` (nearest rank, so the lower
+/// middle value of an even count); 0 for an empty sample.
 pub fn median(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
+    let mut q = Quantiles::new();
+    for &x in v {
+        q.add(x);
     }
-    let s = sorted(v);
-    let m = s.len() / 2;
-    if s.len() % 2 == 1 {
-        s[m]
-    } else {
-        (s[m - 1] + s[m]) / 2.0
-    }
+    q.median().unwrap_or(0.0)
 }
 
 /// Number of samples that must lie beyond a reported tail percentile.
@@ -32,18 +21,17 @@ pub const TAIL_BEYOND: usize = 10;
 /// `100·(N-10)/N`. A sample too small to have one reports its maximum
 /// at percentile 100, so callers must print the sample count beside it.
 pub fn tail(v: &[f64]) -> (f64, f64) {
-    if v.is_empty() {
-        return (0.0, 100.0);
-    }
-    let s = sorted(v);
+    let mut s = v.to_vec();
+    s.sort_by(|a, b| a.total_cmp(b));
     let n = s.len();
-    if n <= TAIL_BEYOND {
-        return (s[n - 1], 100.0);
+    match n {
+        0 => (0.0, 100.0),
+        _ if n <= TAIL_BEYOND => (s[n - 1], 100.0),
+        _ => (
+            s[n - TAIL_BEYOND - 1],
+            100.0 * (n - TAIL_BEYOND) as f64 / n as f64,
+        ),
     }
-    (
-        s[n - TAIL_BEYOND - 1],
-        100.0 * (n - TAIL_BEYOND) as f64 / n as f64,
-    )
 }
 
 #[cfg(test)]
@@ -53,7 +41,7 @@ mod tests {
     #[test]
     fn median_of_odd_and_even_samples() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.0);
         assert_eq!(median(&[]), 0.0);
     }
 

@@ -5,12 +5,14 @@
 //! → `collect_report`, which is what `run_protocol` composes.
 
 use crate::checks::{check_run, report_digest};
-use crate::common::{color_counts, decision_seed, time_setups, Meters, Params, Samples};
+use crate::common::{color_counts, decision_seed, replay, Meters, Params, Samples};
 use crate::report::RunResult;
-use crate::trace::{durations, Tracer};
+use crate::stats::median;
+use crate::trace::Tracer;
 use gossip_net::fault::Placement;
+use gossip_net::StageTimes;
 use rfc_core::{
-    build_network_slots, collect_report, drive_network, honest_slot_factory, Phase, RunConfig,
+    build_network_slots, collect_report, drive_network, honest_slot_factory, RunConfig,
 };
 use std::time::Instant;
 
@@ -18,9 +20,6 @@ use std::time::Instant;
 pub const N: usize = 65_536;
 /// Shards of the timed decisions.
 const SHARDS: usize = 2;
-/// Set-up-only builds, half before the first decision and half after the
-/// last; every decision's own build is a set-up sample too.
-const EXTRA_SETUPS: u64 = 2;
 /// Span names of the four staged phases, in execution order.
 const PHASE_SPANS: [&str; 4] = [
     "staged.commitment",
@@ -40,6 +39,7 @@ pub fn config(n: usize, shards: usize) -> RunConfig {
 }
 
 /// Untraced run: decisions back to back until `p.seconds` have passed.
+/// Each decision's own build is the run's set-up sample.
 pub fn timed(p: &Params) -> RunResult {
     let cfg = config(p.n, SHARDS);
     let rounds = cfg.params().total_rounds();
@@ -48,8 +48,6 @@ pub fn timed(p: &Params) -> RunResult {
         rounds: rounds as f64,
         ..Samples::default()
     };
-    let build = |seed| build_network_slots(&cfg, seed, &mut honest_slot_factory);
-    time_setups(&mut s, p.seed, 0..EXTRA_SETUPS / 2, build);
     let start = Instant::now();
     let mut i = 0;
     while i == 0 || start.elapsed().as_secs_f64() < p.seconds {
@@ -68,121 +66,115 @@ pub fn timed(p: &Params) -> RunResult {
         i += 1;
     }
     s.wall = start.elapsed().as_secs_f64();
-    time_setups(&mut s, p.seed, EXTRA_SETUPS / 2..EXTRA_SETUPS, build);
     s.finish(&mut out);
     out
 }
 
-/// Traced run: one untraced decision as the overhead baseline, the same
-/// decision traced phase by phase with the engine's stage clocks on, and
-/// the same decision on 1 shard for `staged.shard_efficiency`.
+/// Traced run, over one seed per 8 s of `p.seconds`. Each seed runs a
+/// decision on 1 shard and on 2 shards back to back, in alternating
+/// order and both with the stage clocks off, inside one span each around
+/// `drive_network`; the 2-shard one is also the untraced baseline. The
+/// same seed then runs again on 2 shards phase by phase with the stage
+/// clocks on.
 pub fn traced(p: &Params, tracer: &Tracer) -> RunResult {
-    let cfg = config(p.n, SHARDS);
-    let timed_cfg = RunConfig {
+    let two = config(p.n, SHARDS);
+    let one = config(p.n, 1);
+    let staged = RunConfig {
         time_stages: true,
-        ..cfg.clone()
+        ..two.clone()
     };
-    let one_cfg = config(p.n, 1);
-    let rounds = cfg.params().total_rounds();
-    let q = cfg.params().q;
-    let seed = decision_seed(p.seed, 0);
+    let rounds = two.params().total_rounds();
+    let q = two.params().q;
+    let seeds = ((p.seconds / 8.0).round() as u64).max(1);
     let mut out = RunResult::default();
 
-    let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
-    let t = Instant::now();
-    drive_network(&mut net, &cfg);
-    let baseline = collect_report(&net, &cfg);
-    let untraced = t.elapsed().as_secs_f64();
-    drop(net);
-    out.tally
-        .record("untraced decision", check_run(&baseline, p.n, rounds));
-    let digest = report_digest(&baseline);
-
-    let mut stage_times = None;
+    let mut efficiency = Vec::new();
+    let (mut untraced, mut traced, mut replicas) = (Vec::new(), Vec::new(), Vec::new());
+    let mut stages: Vec<StageTimes> = Vec::new();
     let mut meters = Vec::new();
     let root = tracer.span("trace", None, 0, |root| {
-        let mut net = tracer.span("runner.build", Some(root), 0, |_| {
-            build_network_slots(&timed_cfg, seed, &mut honest_slot_factory)
-        });
-        for (phase, name) in Phase::COMMUNICATING.into_iter().zip(PHASE_SPANS) {
-            tracer.span(name, Some(root), 0, |_| {
-                net.enter_phase(phase.name());
-                net.run_staged(q);
+        for i in 0..seeds {
+            let seed = decision_seed(p.seed, i);
+            // Drive time and digest of the 1-shard (index 0) and the
+            // 2-shard (index 1) decision.
+            let mut drive = [0.0; 2];
+            let mut digest = [0u64; 2];
+            let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let (cfg, span) = [(&one, "staged.one_shard"), (&two, "staged.two_shard")][side];
+                let d = 3 * i + side as u64;
+                let mut net = tracer.span("runner.build", Some(root), d, |_| {
+                    build_network_slots(cfg, seed, &mut honest_slot_factory)
+                });
+                let t0 = Instant::now();
+                tracer.span(span, Some(root), d, |_| drive_network(&mut net, cfg));
+                let t1 = Instant::now();
+                let r = tracer.span("runner.report", Some(root), d, |_| {
+                    collect_report(&net, cfg)
+                });
+                let t2 = Instant::now();
+                drive[side] = (t1 - t0).as_secs_f64();
+                if side == 1 {
+                    untraced.push((t2 - t0).as_secs_f64());
+                }
+                tracer.span("bench.check", Some(root), d, |_| {
+                    out.tally
+                        .record(format_args!("seed {i}, {span}"), check_run(&r, p.n, rounds));
+                    digest[side] = report_digest(&r);
+                });
+            }
+            efficiency.push(drive[0] / (SHARDS as f64 * drive[1]));
+            let d = 3 * i + 2;
+            let replayed = replay(
+                tracer,
+                root,
+                d,
+                &staged,
+                &PHASE_SPANS,
+                || build_network_slots(&staged, seed, &mut honest_slot_factory),
+                |net| net.run_staged(q),
+            );
+            tracer.span("bench.check", Some(root), d, |_| {
+                let r = &replayed.report;
+                let check = check_run(r, p.n, rounds).and_then(|()| {
+                    if digest[0] == digest[1] && report_digest(r) == digest[1] {
+                        Ok(())
+                    } else {
+                        Err("1-shard, 2-shard and traced reports differ".into())
+                    }
+                });
+                out.tally
+                    .record(format_args!("seed {i}, traced decision"), check);
+                meters.push(Meters::of(r));
             });
+            traced.push(replayed.run_s);
+            replicas.push(replayed.build_s + replayed.run_s);
+            stages.push(replayed.world.stage_times());
         }
-        tracer.span("engine.verify", Some(root), 0, |_| net.finalize());
-        let r = tracer.span("runner.report", Some(root), 0, |_| {
-            collect_report(&net, &timed_cfg)
-        });
-        stage_times = Some(net.stage_times());
-        tracer.span("bench.check", Some(root), 0, |_| {
-            let check = check_run(&r, p.n, rounds).and_then(|()| same_run(&r, digest));
-            out.tally.record("traced 2-shard decision", check);
-            meters.push(Meters::of(&r));
-        });
-        drop(net);
-
-        let mut net = tracer.span("runner.build", Some(root), 1, |_| {
-            build_network_slots(&one_cfg, seed, &mut honest_slot_factory)
-        });
-        tracer.span("staged.one_shard", Some(root), 1, |_| {
-            drive_network(&mut net, &one_cfg)
-        });
-        let r = tracer.span("runner.report", Some(root), 1, |_| {
-            collect_report(&net, &one_cfg)
-        });
-        tracer.span("bench.check", Some(root), 1, |_| {
-            let check = check_run(&r, p.n, rounds).and_then(|()| same_run(&r, digest));
-            out.tally.record("traced 1-shard decision", check);
-        });
-        drop(net);
         root
     });
 
-    let (spans, _) = tracer.snapshot();
-    let of_decision = |name: &str, d: u64| -> f64 {
-        spans
-            .iter()
-            .filter(|s| s.name == name && s.decision == d)
-            .map(|s| s.end - s.start)
-            .sum()
-    };
-    let phases: f64 = PHASE_SPANS.iter().map(|n| of_decision(n, 0)).sum();
-    let drive = phases + of_decision("engine.verify", 0);
-    let traced_decision = drive + of_decision("runner.report", 0);
-    let one_shard: f64 = durations(&spans, "staged.one_shard").iter().sum();
+    out.set("staged.shard_efficiency", median(&efficiency));
+    out.set("replica.decision_s", median(&replicas));
+    out.set("trace.replicas", seeds as f64);
+    out.notes.push(format!(
+        "staged.shard_efficiency per seed: {efficiency:.4?}"
+    ));
+    // Totals over the traced decisions, seconds.
+    let total = |f: fn(&StageTimes) -> u64| stages.iter().map(f).sum::<u64>() as f64 * 1e-6;
+    out.set("staged.plan_s", total(|t| t.plan_us));
+    out.set("staged.exchange_s", total(|t| t.exchange_us));
+    out.set("staged.apply_s", total(|t| t.apply_us));
+    out.set("staged.build_s", total(|t| t.build_us));
+    out.set("staged.meter_s", total(|t| t.meter_us));
+    out.set("staged.log_s", total(|t| t.log_us));
+    out.set("staged.resolve_s", total(|t| t.resolve_us));
     out.set(
-        "staged.shard_efficiency",
-        one_shard / (SHARDS as f64 * drive),
+        "staged.exchange_other_s",
+        total(|t| t.exchange_us) - total(|t| t.build_us + t.meter_us + t.log_us + t.resolve_us),
     );
-    out.set(
-        "replica.decision_s",
-        of_decision("runner.build", 0) + traced_decision,
-    );
-    out.set("trace.replicas", 1.0);
-    if let Some(st) = stage_times {
-        let us = |v: u64| v as f64 * 1e-6;
-        out.set("staged.plan_s", us(st.plan_us));
-        out.set("staged.exchange_s", us(st.exchange_us));
-        out.set("staged.apply_s", us(st.apply_us));
-        out.set("staged.build_s", us(st.build_us));
-        out.set("staged.meter_s", us(st.meter_us));
-        out.set("staged.log_s", us(st.log_us));
-        out.set("staged.resolve_s", us(st.resolve_us));
-        let subs = st.build_us + st.meter_us + st.log_us + st.resolve_us;
-        out.set("staged.exchange_other_s", us(st.exchange_us) - us(subs));
-    }
     Meters::finish(&meters, &mut out);
     crate::common::finish_trace(tracer, root, &mut out);
-    crate::common::set_decision_times(&mut out, &[traced_decision], &[untraced]);
+    crate::common::set_decision_times(&mut out, &traced, &untraced);
     out
-}
-
-/// The traced replay must be the same run as the untraced baseline.
-fn same_run(r: &rfc_core::RunReport, digest: u64) -> Result<(), String> {
-    if report_digest(r) == digest {
-        Ok(())
-    } else {
-        Err("report differs from the untraced decision with the same seed".into())
-    }
 }

@@ -6,6 +6,9 @@
 //! `write`/`flush`, counts calls and bytes, and keeps a copy of the bytes
 //! written so the packet mix can be decoded afterwards with
 //! `rfc_node::wire::read_packet`. The untraced run uses bare sockets.
+//! A tap can also note when the bytes read first reach a given count:
+//! the `node-session` set-up probe stops its clock there, once the
+//! peer's Hello has been read.
 
 use rfc_node::wire::{read_packet, Packet};
 use std::io::{self, Read, Write};
@@ -22,6 +25,8 @@ pub struct TapStats {
     pub reads: u64,
     /// Number of `write` calls.
     pub writes: u64,
+    /// Bytes read.
+    pub bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
 }
@@ -33,6 +38,10 @@ pub struct Tap<S> {
     pub stats: TapStats,
     /// Every byte written through the tap.
     pub written: Vec<u8>,
+    /// When the bytes read first reached the count given to
+    /// [`Tap::watch_reads`].
+    pub reached: Option<Instant>,
+    watch: Option<u64>,
 }
 
 impl<S> Tap<S> {
@@ -42,7 +51,15 @@ impl<S> Tap<S> {
             inner,
             stats: TapStats::default(),
             written: Vec::new(),
+            reached: None,
+            watch: None,
         }
+    }
+
+    /// Note in [`Tap::reached`] the instant the bytes read reach `len`.
+    pub fn watch_reads(mut self, len: u64) -> Self {
+        self.watch = Some(len);
+        self
     }
 }
 
@@ -52,6 +69,12 @@ impl<S: Read> Read for Tap<S> {
         let got = self.inner.read(buf);
         self.stats.read_wait += t.elapsed();
         self.stats.reads += 1;
+        if let Ok(k) = got {
+            self.stats.bytes_read += k as u64;
+            if self.reached.is_none() && self.watch.is_some_and(|w| self.stats.bytes_read >= w) {
+                self.reached = Some(Instant::now());
+            }
+        }
         got
     }
 }
@@ -132,11 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn tap_times_reads() {
-        let mut tap = Tap::new(io::Cursor::new(vec![1u8, 2, 3]));
-        let mut buf = [0u8; 3];
+    fn tap_times_reads_and_notes_the_watched_count() {
+        let mut tap = Tap::new(io::Cursor::new(vec![1u8, 2, 3, 4])).watch_reads(3);
+        let mut buf = [0u8; 2];
         tap.read_exact(&mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3]);
+        assert_eq!(buf, [1, 2]);
         assert!(tap.stats.reads >= 1);
+        assert_eq!(tap.reached, None, "2 of 3 watched bytes read");
+        tap.read_exact(&mut buf).unwrap();
+        assert_eq!(tap.stats.bytes_read, 4);
+        assert!(tap.reached.is_some());
     }
 }
