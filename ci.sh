@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 verify line plus the targets that must not
-# bitrot (benches, all seven examples, the experiment registry binary).
+# bitrot (benches, all eight examples, the experiment registry binary,
+# the benchmark package's self-test).
 #
 # Usage: ./ci.sh
 # Env:   PROPTEST_CASES — optional cap on property-test cases (the vendored
@@ -198,5 +199,13 @@ cargo run --release -q -p rfc-bench --bin rfc-bench -- gate BENCH_scale.json \
 #     cp target/BENCH_scale.fresh.json BENCH_scale.json
 cat target/bench-json/e14_0.json target/bench-json/e14_1.json target/bench-json/e16_0.json target/bench-json/e17_0.json target/bench-json/codec_0.json target/bench-json/serial_0.json > target/BENCH_scale.fresh.json
 echo "    wrote target/BENCH_scale.fresh.json (scale sweep + dispatch + intra-trial shard + instance-plane + codec + serial-section rows)"
+
+echo "==> benchmark self-test: perfbench at toy sizes (its own package, path deps on the workspace)"
+# perfbench is a standalone package outside the workspace, so the
+# workspace test run above never builds it: a workspace API change can
+# break the benchmark unnoticed. Its tests run every workload at toy n.
+# Known failure (ROADMAP): on a fast enough machine the 0.2 s toy
+# sync-sharded run reaches decision 549, which ends in Fail at n = 64.
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "CI OK"

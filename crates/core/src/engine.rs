@@ -389,25 +389,25 @@ impl ProtocolCore {
             return;
         }
         self.ensure_certificate();
-        let win = Shared::clone(self.min_cert.as_ref().expect("cert ensured"));
-
-        if !win.structurally_valid(self.params.n, self.params.m, self.params.q) {
-            self.fail(VerifyFailure::Structural);
-            return;
+        // Borrowed, not cloned: agreeing agents hold one shared winner,
+        // and a sharded Verification would put two refcount updates per
+        // agent on its one counter.
+        let win = self.min_cert.as_deref().expect("cert ensured");
+        let verdict = if !win.structurally_valid(self.params.n, self.params.m, self.params.q) {
+            Err(VerifyFailure::Structural)
+        } else if win.k != win.derived_k(self.params.m) {
+            Err(VerifyFailure::BadSum)
+        } else if let Err(e) = self.ledger.check_certificate(win) {
+            Err(VerifyFailure::Inconsistent(e))
+        } else if self.params.check_self_votes && !self.self_votes_consistent(win) {
+            Err(VerifyFailure::SelfVoteMismatch)
+        } else {
+            Ok(win.color)
+        };
+        match verdict {
+            Ok(color) => self.decided = Some(color),
+            Err(why) => self.fail(why),
         }
-        if win.k != win.derived_k(self.params.m) {
-            self.fail(VerifyFailure::BadSum);
-            return;
-        }
-        if let Err(e) = self.ledger.check_certificate(&win) {
-            self.fail(VerifyFailure::Inconsistent(e));
-            return;
-        }
-        if self.params.check_self_votes && !self.self_votes_consistent(&win) {
-            self.fail(VerifyFailure::SelfVoteMismatch);
-            return;
-        }
-        self.decided = Some(win.color);
     }
 
     /// Check the winner's vote set against this agent's *own* sent votes:

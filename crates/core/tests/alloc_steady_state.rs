@@ -24,6 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use rfc_core::params::Phase;
 use rfc_core::runner::{build_network_slots, honest_slot_factory, RunConfig};
@@ -82,6 +83,12 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// Serializes [`measure`] across the harness's test threads: the counter
+/// is process-wide, so a window armed for [`ALL_THREADS`] would also
+/// count a concurrent test's allocations, and a concurrent test would
+/// read them in its own window.
+static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
 /// Drive every communicating phase like `drive_network`, but measure the
 /// allocator inside each phase: rounds `[warmup, q)` must be silent.
 /// Returns per-phase `(name, allocs_after_warmup)`. `all_threads` picks
@@ -92,6 +99,7 @@ fn measure(
     staged: bool,
     all_threads: bool,
 ) -> Vec<(&'static str, u64)> {
+    let _serial = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let q = cfg.params().q;
     let warmup = 4.min(q);
     let mut net = build_network_slots(cfg, seed, &mut honest_slot_factory);
@@ -162,8 +170,8 @@ fn staged_single_shard_steady_state_rounds_are_zero_alloc() {
 #[test]
 fn staged_multi_shard_steady_state_allocs_are_dispatch_only() {
     // With real shards, the only allowed allocator traffic is the
-    // ScopedPool's job dispatch: one `Box<dyn FnOnce>` (plus a channel
-    // node) per spawned job, a *constant per round* that never grows
+    // ScopedPool's job dispatch: one `Box<dyn FnOnce>` per job handed
+    // to a worker, a *constant per round* that never grows
     // with rounds run or data volume. The agent-plane and ledger
     // buffers themselves must stay at their high-water mark, which is
     // what the generous-but-constant per-round ceiling pins.

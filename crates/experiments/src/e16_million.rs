@@ -258,6 +258,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                     (st.meter_us / 1000).to_string(),
                     (st.log_us / 1000).to_string(),
                     (st.resolve_us / 1000).to_string(),
+                    (st.pull_us / 1000).to_string(),
                     (st.apply_us / 1000).to_string(),
                     format!(
                         "{:.1}",
@@ -295,6 +296,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 "meter ms",
                 "log ms",
                 "resolve ms",
+                "pull ms",
                 "apply ms",
                 "meter+log %",
             ],
@@ -302,7 +304,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         for row in stage_rows {
             st.row(row);
         }
-        st.note("cumulative wall-clock per stage across the whole run; build/meter/log/resolve are sub-clocks of exchange (they need not sum to it — the remainder is reply production)");
+        st.note("cumulative wall-clock per stage across the whole run; build/meter/log/resolve/pull are sub-clocks of exchange (pull = on_pull handlers and reply metering; the small remainder is round bookkeeping)");
         st.note("meter+log % is the exchange share of the two formerly serial passes the sharded tally-merge and op-log scatter drained");
         tables.push(st);
     }
@@ -391,8 +393,8 @@ mod tests {
         // One breakdown row per main row, sub-clocks in range.
         assert_eq!(timed[1].rows.len(), timed[0].rows.len());
         for row in &timed[1].rows {
-            assert_eq!(row.len(), 10, "plan/exchange/build/meter/log/resolve/apply row");
-            let pct: f64 = row[9].parse().unwrap();
+            assert_eq!(row.len(), 11, "plan/exchange/build/meter/log/resolve/pull/apply row");
+            let pct: f64 = row[10].parse().unwrap();
             assert!((0.0..=100.0).contains(&pct), "bad meter+log %: {row:?}");
         }
     }

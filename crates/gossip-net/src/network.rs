@@ -160,7 +160,7 @@ impl Default for NetworkConfig {
 /// (see [`NetworkConfig::time_stages`]). `exchange_us` covers the
 /// exchange proper plus the pull-apply leg and op-log pass of the
 /// per-agent discipline — everything between the plan barrier and the
-/// final delivery fan-out — and is itself broken into the four
+/// final delivery fan-out — and is itself broken into the five
 /// sub-clocks below under [`RngDiscipline::PerAgent`] (the sequential
 /// discipline replays the monolithic engine in one interleaved pass, so
 /// its sub-clocks stay zero).
@@ -170,7 +170,7 @@ pub struct StageTimes {
     /// scatter of per-shard plan buffers into the flat op list).
     pub plan_us: u64,
     /// Everything between the plan barrier and the delivery fan-out
-    /// (the sum of the four sub-clocks, plus loose change like the
+    /// (the sum of the five sub-clocks, plus loose change like the
     /// `mem::take` bookkeeping the sub-clocks don't cover).
     pub exchange_us: u64,
     /// The sharded push/reply delivery stage.
@@ -184,16 +184,18 @@ pub struct StageTimes {
     /// Sub-clock of `exchange_us`: the op-log write (zero when
     /// [`NetworkConfig::record_ops`] is off).
     pub log_us: u64,
-    /// Sub-clock of `exchange_us`: mask/loss verdict resolution plus the
-    /// pull-apply leg (`on_pull` handlers and reply metering).
+    /// Sub-clock of `exchange_us`: mask/loss verdict resolution.
     pub resolve_us: u64,
+    /// Sub-clock of `exchange_us`: the pull-apply leg — `on_pull`
+    /// handlers, reply metering, and the reply slots they fill.
+    pub pull_us: u64,
 }
 
 impl StageTimes {
     /// Total time attributed to staged rounds, µs. The exchange
-    /// sub-clocks (`meter_us`, `build_us`, `log_us`, `resolve_us`) are
-    /// components *of* `exchange_us`, not additional time, so they do
-    /// not contribute here.
+    /// sub-clocks (`meter_us`, `build_us`, `log_us`, `resolve_us`,
+    /// `pull_us`) are components *of* `exchange_us`, not additional
+    /// time, so they do not contribute here.
     pub fn total_us(&self) -> u64 {
         self.plan_us + self.exchange_us + self.apply_us
     }
@@ -600,13 +602,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         for _ in 0..rounds {
             self.step();
         }
-    }
-
-    /// Run `rounds` rounds and then call [`Agent::finalize`] on every
-    /// active agent.
-    pub fn run_to_completion(&mut self, rounds: usize) {
-        self.run(rounds);
-        self.finalize();
     }
 
     /// Execute one synchronous round. Scenario events due this round are
@@ -1047,22 +1042,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         dropped
     }
 
-    /// Call [`Agent::finalize`] on every agent active **at finalization
-    /// time** — the survivor set: plan-active agents that are not
-    /// currently crashed. An agent that crashed and recovered before the
-    /// end is finalized; one still down is not.
-    pub fn finalize(&mut self) {
-        let ctx = RoundCtx {
-            round: self.round,
-            topology: &self.topology,
-        };
-        for id in 0..self.agents.len() {
-            if !self.fault_state.is_down(id as AgentId) {
-                self.agents[id].finalize(&ctx);
-            }
-        }
-    }
-
     /// Label the current metrics phase (see [`Metrics::enter_phase`]).
     pub fn enter_phase(&mut self, name: &str) {
         self.metrics.enter_phase(name);
@@ -1193,6 +1172,50 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         // next `begin_round` sets `current_p` unconditionally.
         self.metrics = metrics;
         self.oplog = oplog;
+    }
+}
+
+impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
+    /// Run `rounds` rounds and then call [`Agent::finalize`] on every
+    /// active agent.
+    pub fn run_to_completion(&mut self, rounds: usize) {
+        self.run(rounds);
+        self.finalize();
+    }
+
+    /// Call [`Agent::finalize`] on every agent active **at finalization
+    /// time** — the survivor set: plan-active agents that are not
+    /// currently crashed. An agent that crashed and recovered before the
+    /// end is finalized; one still down is not.
+    ///
+    /// Sharded like a staged round: at more than one effective thread
+    /// (see [`NetworkConfig::threads`]) contiguous agent ranges finalize
+    /// on the network's worker pool. `finalize` touches only its own
+    /// agent, so the result is the same for every thread count.
+    pub fn finalize(&mut self) {
+        let threads = self.effective_threads();
+        let Network { pool, agents, topology, fault_state, round, .. } = self;
+        let ctx = RoundCtx { round: *round, topology };
+        let fault_state: &FaultState = fault_state;
+        let finalize_range = |base: usize, part: &mut [A]| {
+            for (off, agent) in part.iter_mut().enumerate() {
+                if !fault_state.is_down((base + off) as AgentId) {
+                    agent.finalize(&ctx);
+                }
+            }
+        };
+        if threads <= 1 {
+            finalize_range(0, agents);
+            return;
+        }
+        let chunk = agents.len().div_ceil(threads);
+        let pool = staged::ensure_pool(pool, threads);
+        pool.scope(|scope| {
+            for (s, part) in agents.chunks_mut(chunk).enumerate() {
+                let finalize_range = &finalize_range;
+                scope.spawn(move || finalize_range(s * chunk, part));
+            }
+        });
     }
 }
 

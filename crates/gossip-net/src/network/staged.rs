@@ -96,6 +96,7 @@ use crate::bits::{atomic_set, BitSet};
 use crate::metrics::Tally;
 use crate::oplog::OpEvent;
 use crate::rng::loss_streams;
+use std::mem::MaybeUninit;
 
 /// Tuned default for [`NetworkConfig::shard_floor`]: below ~2048 agents
 /// per shard the per-round barrier/merge overhead of an extra shard
@@ -110,14 +111,15 @@ pub const MIN_AGENTS_PER_SHARD: usize = 2048;
 /// [`Network::reset_into`] trials, cleared) — the steady-state staged
 /// round allocates only when a high-water mark grows.
 ///
-/// Delivery verdicts live in [`BitSet`]s indexed by **op index** rather
-/// than as fields of the ledger entries. That keeps the entries at two
-/// words (struct-of-arrays: the cold verdict bits stop riding along on
-/// every entry copy), makes the sequential path's regroup permutation a
-/// no-op for the bits, and — because an op index names its bit globally
-/// — lets the parallel exchange shards resolve verdicts straight into
-/// the shared sets with relaxed atomic ORs (each bit written by exactly
-/// one shard; see [`crate::bits`]).
+/// Delivery verdicts live in [`BitSet`]s indexed by **ledger position**
+/// (the entry's index in its ledger) rather than as fields of the
+/// entries. That keeps the entries at two words (struct-of-arrays: the
+/// cold verdict bits stop riding along on every entry copy), and because
+/// a resolve shard owns the contiguous ledger range of its receivers, the
+/// parallel shards set their verdicts with relaxed atomic ORs into
+/// disjoint words — only the word at a range boundary is shared (see
+/// [`crate::bits`]). Op-indexed verdicts put every shard's bits in every
+/// word, and each OR then bounced a cache line between cores.
 #[derive(Debug)]
 pub struct StagedScratch<M> {
     /// Per-shard plan output, concatenated into `Network::ops` in shard
@@ -142,26 +144,36 @@ pub struct StagedScratch<M> {
     /// Scatter target for the sequential path's push regroup (swapped
     /// with `push_entries` after grouping; retained across rounds).
     push_scratch: Vec<PushEntry>,
+    /// The sequential path's push verdicts move here from op index to
+    /// ledger position during the regroup (swapped with
+    /// `push_delivered` after grouping).
+    push_delivered_scratch: BitSet,
     /// All pulls of the round, in op (= puller-id) order.
     pulls: Vec<PullRec>,
-    /// Reply slots aligned with `query_entries`, written by the
-    /// pull-apply shards (`PerAgent` only).
-    reply_out: Vec<Option<M>>,
-    /// Replies to deliver, aligned with `pulls`.
-    reply_inbox: Vec<Option<M>>,
-    /// Push delivery verdicts, by op index.
+    /// Reply slots, one per pull, at the pull's `qpos`: aligned with
+    /// `query_entries` and written by the pull-apply shards under
+    /// `PerAgent`, aligned with `pulls` under `Sequential`. The delivery
+    /// shards move each puller's reply straight out of its slot.
+    replies: Vec<Option<M>>,
+    /// Push delivery verdicts, by push-ledger position.
     push_delivered: BitSet,
-    /// Query delivery verdicts, by op index (`PerAgent` only).
+    /// Query delivery verdicts, by query-ledger position (`PerAgent`
+    /// only).
     query_delivered: BitSet,
     /// Pre-drawn reply transit coins, by op index of the pull
     /// (`PerAgent` only).
     reply_lost: BitSet,
-    /// Per-shard query histograms for the parallel ledger build
-    /// (`threads × n` cursors; turned into absolute scatter cursors by
-    /// the offset merge).
-    shard_qcounts: Vec<Vec<u32>>,
-    /// Per-shard push histograms (same life cycle as `shard_qcounts`).
-    shard_pcounts: Vec<Vec<u32>>,
+    /// Per-shard query histograms for the parallel ledger build, shard
+    /// `s` at `s * n..(s + 1) * n` (turned into absolute scatter cursors
+    /// by the offset merge).
+    shard_qcounts: Vec<u32>,
+    /// Per-shard push histograms (same layout and life cycle as
+    /// `shard_qcounts`).
+    shard_pcounts: Vec<u32>,
+    /// `(queries, pushes)` of shard `s`'s op range addressed to receiver
+    /// range `r`, at `s * threads + r` — what the sharded offset merge
+    /// needs to start each receiver range at its global offset.
+    shard_ranges: Vec<(u32, u32)>,
     /// Per-shard pull totals (sizes the contiguous `pulls` segments).
     shard_pulls: Vec<u32>,
     /// Per-shard undelivered counts from the parallel mask resolution,
@@ -176,7 +188,7 @@ pub struct StagedScratch<M> {
 }
 
 /// One push delivery: `from` pushed op `op`. The mask verdict lives in
-/// [`StagedScratch::push_delivered`] at bit `op`.
+/// [`StagedScratch::push_delivered`] at the entry's ledger position.
 #[derive(Debug, Clone, Copy)]
 struct PushEntry {
     from: AgentId,
@@ -184,17 +196,19 @@ struct PushEntry {
 }
 
 /// One pull-query delivery to a pullee (`PerAgent` only). The `on_pull`
-/// gate and the pre-drawn reply transit coin live in
-/// [`StagedScratch::query_delivered`] / [`StagedScratch::reply_lost`]
-/// at bit `op`.
+/// gate lives in [`StagedScratch::query_delivered`] at the entry's
+/// ledger position, the pre-drawn reply transit coin in
+/// [`StagedScratch::reply_lost`] at bit `op`.
 #[derive(Debug, Clone, Copy)]
 struct QueryEntry {
     puller: AgentId,
     op: u32,
 }
 
-/// One pull, in op order: `qpos` is the index of its query entry in the
-/// query ledger (`u32::MAX` under `Sequential`, which answers inline).
+/// One pull, in op order: `qpos` is its reply slot in
+/// [`StagedScratch::replies`] — the index of its query entry in the
+/// query ledger under `PerAgent`, its own index in `pulls` under
+/// `Sequential` (which answers inline).
 #[derive(Debug, Clone, Copy)]
 struct PullRec {
     puller: AgentId,
@@ -214,16 +228,17 @@ impl<M> StagedScratch<M> {
             push_off: Vec::new(),
             push_entries: Vec::new(),
             push_scratch: Vec::new(),
+            push_delivered_scratch: BitSet::new(),
             query_off: Vec::new(),
             query_entries: Vec::new(),
             pulls: Vec::new(),
-            reply_out: Vec::new(),
-            reply_inbox: Vec::new(),
+            replies: Vec::new(),
             push_delivered: BitSet::new(),
             query_delivered: BitSet::new(),
             reply_lost: BitSet::new(),
             shard_qcounts: Vec::new(),
             shard_pcounts: Vec::new(),
+            shard_ranges: Vec::new(),
             shard_pulls: Vec::new(),
             shard_undelivered: Vec::new(),
             shard_meters: Vec::new(),
@@ -244,20 +259,17 @@ impl<M> StagedScratch<M> {
         self.push_off.clear();
         self.push_entries.clear();
         self.push_scratch.clear();
+        self.push_delivered_scratch.reset(0);
         self.query_off.clear();
         self.query_entries.clear();
         self.pulls.clear();
-        self.reply_out.clear();
-        self.reply_inbox.clear();
+        self.replies.clear();
         self.push_delivered.reset(0);
         self.query_delivered.reset(0);
         self.reply_lost.reset(0);
-        for qc in &mut self.shard_qcounts {
-            qc.clear();
-        }
-        for pc in &mut self.shard_pcounts {
-            pc.clear();
-        }
+        self.shard_qcounts.clear();
+        self.shard_pcounts.clear();
+        self.shard_ranges.clear();
         self.shard_pulls.clear();
         self.shard_undelivered.clear();
         self.shard_meters.clear();
@@ -265,14 +277,15 @@ impl<M> StagedScratch<M> {
     }
 }
 
-/// A raw shared-mutable scatter target for the parallel counting-sort
-/// ledger build. Each shard writes through absolute cursors derived
-/// from the offset merge; the cursor ranges of distinct `(shard,
-/// receiver)` pairs are pairwise disjoint by construction, so no index
-/// is ever written twice and no read happens until the scope joins.
+/// A raw shared-mutable view for the sharded passes. Each shard touches
+/// only indices that no other shard of the same scope touches: the
+/// counting sort's absolute cursors (pairwise disjoint across `(shard,
+/// receiver)` pairs by construction), one receiver range of every
+/// shard's histogram in the offset merge, or the reply slots of its own
+/// pullers (every pull owns a distinct slot).
 struct SharedWriter<T>(*mut T);
-// SAFETY: the writer only ever *writes*, at indices the counting sort
-// proves disjoint across threads; T: Send carries the values across.
+// SAFETY: every access goes to an index no other thread touches during
+// the scope; T: Send carries the values across.
 unsafe impl<T: Send> Send for SharedWriter<T> {}
 unsafe impl<T: Send> Sync for SharedWriter<T> {}
 // Manual impls: a raw pointer is always copyable — the derive would
@@ -306,6 +319,24 @@ impl<T> SharedWriter<T> {
     unsafe fn write_block(&self, idx: usize, src: *const T, len: usize) {
         unsafe { std::ptr::copy_nonoverlapping(src, self.0.add(idx), len) }
     }
+
+    /// Move the element at `idx` out, leaving the slot logically
+    /// uninitialized.
+    ///
+    /// SAFETY: as for [`Self::write`]; the slot must be initialized, and
+    /// the owning buffer must not drop it again (set its length to 0
+    /// first).
+    unsafe fn read(&self, idx: usize) -> T {
+        unsafe { self.0.add(idx).read() }
+    }
+
+    /// The element at `idx`, for reading and writing in place.
+    ///
+    /// SAFETY: as for [`Self::write`], and the slot must be initialized.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, idx: usize) -> &mut T {
+        unsafe { &mut *self.0.add(idx) }
+    }
 }
 
 impl<M> Default for StagedScratch<M> {
@@ -320,7 +351,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// clamped by [`NetworkConfig::shard_floor`] so every shard keeps at
     /// least `shard_floor` agents (the per-agent discipline is
     /// thread-invariant, so the clamp is a pure throughput knob).
-    fn effective_threads(&self) -> usize {
+    pub(super) fn effective_threads(&self) -> usize {
         let n = self.agents.len();
         let t = if self.config.threads == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
@@ -354,7 +385,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             RngDiscipline::Sequential => self.exchange_sequential(round),
             RngDiscipline::PerAgent => {
                 self.exchange_per_agent(round, threads);
+                let tp = timed.then(std::time::Instant::now);
                 self.apply_pulls(round, threads);
+                if let Some(t) = tp {
+                    self.stage_times.pull_us += t.elapsed().as_micros() as u64;
+                }
                 let tl = timed.then(std::time::Instant::now);
                 self.log_round_ops(round, threads);
                 if let Some(t) = tl {
@@ -476,18 +511,26 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 let lo = base;
                 base += take;
                 scope.spawn(move || {
-                    buf.clear();
+                    // Fill owned buffers and put them back at the end:
+                    // the shards' `Vec` headers share a cache line in
+                    // `plan_bufs`/`plan_tmp`, and every push or drain
+                    // through the slot would write it.
+                    let mut out = std::mem::take(buf);
+                    let mut ops_of = std::mem::take(tmp);
+                    out.clear();
                     let ctx = RoundCtx { round, topology };
                     for (off, agent) in head.iter_mut().enumerate() {
                         let id = (lo + off) as AgentId;
                         if fault_state.is_down(id) {
                             continue;
                         }
-                        agent.act_multi(&ctx, tmp);
-                        for op in tmp.drain(..) {
-                            buf.push((id, op));
+                        agent.act_multi(&ctx, &mut ops_of);
+                        for op in ops_of.drain(..) {
+                            out.push((id, op));
                         }
                     }
+                    *buf = out;
+                    *tmp = ops_of;
                 });
             }
         });
@@ -542,7 +585,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// invocation is deferred to the apply stage.
     fn exchange_sequential(&mut self, round: usize) {
         self.staged.pulls.clear();
-        self.staged.reply_inbox.clear();
+        self.staged.replies.clear();
         let ops = std::mem::take(&mut self.ops);
         for (from, op) in &ops {
             if let Op::Pull { from: target, query } = op {
@@ -550,16 +593,16 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 self.staged.pulls.push(PullRec {
                     puller: *from,
                     pullee: *target,
-                    qpos: u32::MAX,
+                    qpos: self.staged.replies.len() as u32,
                 });
-                self.staged.reply_inbox.push(reply);
+                self.staged.replies.push(reply);
             }
         }
         // Pushes: metering contract first (send time, before any mask),
         // then the exact legacy gate — note the short-circuit: the loss
         // coin is drawn only for reachable, live receivers, precisely as
-        // `deliver_push` does. Verdicts go into the op-indexed bitset,
-        // which the regroup below permutes around for free.
+        // `deliver_push` does. Verdicts go in by op index here; the
+        // regroup below moves each to its entry's ledger position.
         self.staged.push_entries.clear();
         self.staged.push_entries.reserve(ops.len());
         self.staged.push_delivered.reset(ops.len());
@@ -623,9 +666,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let Network { pool, staged: st, metrics, env, .. } = self;
         let env: &SizeEnv = env;
         if threads <= 1 || n_ops < threads {
-            let mut tally = Tally::default();
-            tally_ops(ops, meter_queries, env, &mut tally);
-            metrics.record_bulk(&tally, 0);
+            metrics.record_bulk(&tally_ops(ops, meter_queries, env), 0);
             return;
         }
         let chunk = n_ops.div_ceil(threads).max(1);
@@ -640,7 +681,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || tally_ops(ops_range, meter_queries, env, tally));
+                scope.spawn(move || *tally = tally_ops(ops_range, meter_queries, env));
             }
         });
         for tally in st.meter_tallies.drain(..) {
@@ -698,8 +739,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         st.push_entries.resize(total_pushes, PushEntry { from: 0, op: 0 });
         st.pulls.clear();
         st.pulls.reserve(total_queries);
-        st.query_delivered.reset(ops.len());
-        st.push_delivered.reset(ops.len());
+        st.query_delivered.reset(total_queries);
+        st.push_delivered.reset(total_pushes);
         st.reply_lost.reset(ops.len());
 
         // Scatter; cursors start at the offsets, so each receiver's
@@ -768,11 +809,13 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     }
 
     /// Sharded ledger build. Stage A: each shard histograms its op
-    /// range. Stage B (sequential, `O(n·threads)`): the per-shard counts
-    /// are merged into the global CSR offsets and, in place, into
-    /// absolute scatter cursors — shard `s`'s cursor for receiver `v`
-    /// starts at `off[v] + Σ_{s' < s} counts[s'][v]`, so scatter
-    /// positions reproduce the sequential counting sort exactly. Stage
+    /// range, then sums its histogram over each receiver range. Stage B
+    /// (sharded over receiver ranges): the per-shard counts are merged
+    /// into the global CSR offsets and, in place, into absolute scatter
+    /// cursors — shard `s`'s cursor for receiver `v` starts at `off[v] +
+    /// Σ_{s' < s} counts[s'][v]`, so scatter positions reproduce the
+    /// sequential counting sort exactly; each receiver range starts
+    /// from the stage-A range sums of every range before it. Stage
     /// C: shards scatter their op ranges through those cursors
     /// ([`SharedWriter`]; positions pairwise disjoint by construction),
     /// write pull records into contiguous per-shard `pulls` segments
@@ -800,19 +843,25 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let pool = ensure_pool(pool, threads);
         let t_build = timed.then(std::time::Instant::now);
 
-        // Stage A: per-shard histograms over disjoint op ranges.
-        if st.shard_qcounts.len() < threads {
-            st.shard_qcounts.resize_with(threads, Vec::new);
+        // Stage A: per-shard histograms over disjoint op ranges, each
+        // summed over the receiver ranges stage B shards over.
+        let agents_chunk = n.div_ceil(threads).max(1);
+        if st.shard_qcounts.len() != threads * n {
+            st.shard_qcounts.clear();
+            st.shard_qcounts.resize(threads * n, 0);
+            st.shard_pcounts.clear();
+            st.shard_pcounts.resize(threads * n, 0);
         }
-        if st.shard_pcounts.len() < threads {
-            st.shard_pcounts.resize_with(threads, Vec::new);
-        }
+        st.shard_ranges.clear();
+        st.shard_ranges.resize(threads * threads, (0, 0));
         st.shard_pulls.clear();
         st.shard_pulls.resize(threads, 0);
         pool.scope(|scope| {
-            for (s, ((qc, pc), np)) in st.shard_qcounts[..threads]
-                .iter_mut()
-                .zip(st.shard_pcounts[..threads].iter_mut())
+            for (s, (((qc, pc), ranges), np)) in st
+                .shard_qcounts
+                .chunks_mut(n)
+                .zip(st.shard_pcounts.chunks_mut(n))
+                .zip(st.shard_ranges.chunks_mut(threads))
                 .zip(st.shard_pulls.iter_mut())
                 .enumerate()
             {
@@ -820,18 +869,14 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 let hi = (lo + chunk).min(n_ops);
                 if lo >= hi {
                     // Stage B still reads this shard's counters.
-                    qc.clear();
-                    qc.resize(n, 0);
-                    pc.clear();
-                    pc.resize(n, 0);
+                    qc.fill(0);
+                    pc.fill(0);
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
                 scope.spawn(move || {
-                    qc.clear();
-                    qc.resize(n, 0);
-                    pc.clear();
-                    pc.resize(n, 0);
+                    qc.fill(0);
+                    pc.fill(0);
                     let mut pulls = 0u32;
                     for (_, op) in ops_range {
                         match op {
@@ -843,65 +888,104 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                         }
                     }
                     *np = pulls;
+                    for ((q, p), range) in
+                        qc.chunks(agents_chunk).zip(pc.chunks(agents_chunk)).zip(ranges)
+                    {
+                        *range = (q.iter().sum(), p.iter().sum());
+                    }
                 });
             }
         });
 
-        // Stage B: offset merge; the per-shard histograms become the
-        // per-shard absolute scatter cursors in place.
-        st.query_off.clear();
+        // Stage B: offset merge, sharded over receiver ranges; the
+        // per-shard histograms become the per-shard absolute scatter
+        // cursors in place. The merge rewrites every offset, so the
+        // offset arrays need no serial zero-fill, only their length.
         st.query_off.resize(n + 1, 0);
-        st.push_off.clear();
         st.push_off.resize(n + 1, 0);
-        let mut qacc = 0u32;
-        let mut pacc = 0u32;
-        for v in 0..n {
-            st.query_off[v] = qacc;
-            st.push_off[v] = pacc;
-            for s in 0..threads {
-                let qc = &mut st.shard_qcounts[s][v];
-                let c = *qc;
-                *qc = qacc;
-                qacc += c;
-                let pc = &mut st.shard_pcounts[s][v];
-                let c = *pc;
-                *pc = pacc;
-                pacc += c;
-            }
+        let (total_queries, total_pushes) = st
+            .shard_ranges
+            .iter()
+            .fold((0usize, 0usize), |(q, p), &(rq, rp)| (q + rq as usize, p + rp as usize));
+        st.query_off[n] = total_queries as u32;
+        st.push_off[n] = total_pushes as u32;
+        {
+            let ranges = &st.shard_ranges[..];
+            let qcw = SharedWriter::new(&mut st.shard_qcounts);
+            let pcw = SharedWriter::new(&mut st.shard_pcounts);
+            pool.scope(|scope| {
+                for (r, (q_off, p_off)) in st.query_off[..n]
+                    .chunks_mut(agents_chunk)
+                    .zip(st.push_off[..n].chunks_mut(agents_chunk))
+                    .enumerate()
+                {
+                    scope.spawn(move || {
+                        // This range starts after every earlier range's
+                        // entries, over all shards.
+                        let (mut qacc, mut pacc) = (0u32, 0u32);
+                        for s in 0..threads {
+                            for &(q, p) in &ranges[s * threads..s * threads + r] {
+                                qacc += q;
+                                pacc += p;
+                            }
+                        }
+                        let lo = r * agents_chunk;
+                        for (v, (qo, po)) in (lo..).zip(q_off.iter_mut().zip(p_off.iter_mut())) {
+                            *qo = qacc;
+                            *po = pacc;
+                            for s in 0..threads {
+                                // SAFETY: receiver `v` belongs to this
+                                // job's range alone, so `s * n + v` is
+                                // touched by no other job; in bounds.
+                                let qc = unsafe { qcw.slot(s * n + v) };
+                                let c = *qc;
+                                *qc = qacc;
+                                qacc += c;
+                                let pc = unsafe { pcw.slot(s * n + v) };
+                                let c = *pc;
+                                *pc = pacc;
+                                pacc += c;
+                            }
+                        }
+                    });
+                }
+            });
         }
-        st.query_off[n] = qacc;
-        st.push_off[n] = pacc;
-        let total_queries = qacc as usize;
-        let total_pushes = pacc as usize;
         debug_assert_eq!(
             st.shard_pulls.iter().map(|&c| c as usize).sum::<usize>(),
             total_queries,
             "per-shard pull totals must cover the query ledger"
         );
 
-        // Stage C: scatter.
+        // Stage C: scatter, into reserved capacity — the counting sort
+        // writes every slot of the three arrays exactly once, so they
+        // need no serial zero-fill first.
         st.query_entries.clear();
-        st.query_entries.resize(total_queries, QueryEntry { puller: 0, op: 0 });
+        st.query_entries.reserve(total_queries);
         st.push_entries.clear();
-        st.push_entries.resize(total_pushes, PushEntry { from: 0, op: 0 });
+        st.push_entries.reserve(total_pushes);
         st.pulls.clear();
-        st.pulls.resize(total_queries, PullRec { puller: 0, pullee: 0, qpos: 0 });
-        st.query_delivered.reset(n_ops);
-        st.push_delivered.reset(n_ops);
+        st.pulls.reserve(total_queries);
+        st.query_delivered.reset(total_queries);
+        st.push_delivered.reset(total_pushes);
         st.reply_lost.reset(n_ops);
-        let qw = SharedWriter::new(&mut st.query_entries);
-        let pw = SharedWriter::new(&mut st.push_entries);
+        let qw = SharedWriter(st.query_entries.as_mut_ptr());
+        let pw = SharedWriter(st.push_entries.as_mut_ptr());
+        let lw = SharedWriter(st.pulls.as_mut_ptr());
         let reply_lost = st.reply_lost.as_atomic();
         pool.scope(|scope| {
-            let mut pulls_rest: &mut [PullRec] = &mut st.pulls;
-            for (s, ((qc, pc), &seg_len)) in st.shard_qcounts[..threads]
-                .iter_mut()
-                .zip(st.shard_pcounts[..threads].iter_mut())
+            let mut pulls_before = 0usize;
+            for (s, ((qc, pc), &seg_len)) in st
+                .shard_qcounts
+                .chunks_mut(n)
+                .zip(st.shard_pcounts.chunks_mut(n))
                 .zip(st.shard_pulls.iter())
                 .enumerate()
             {
-                let (seg, rest) = pulls_rest.split_at_mut(seg_len as usize);
-                pulls_rest = rest;
+                // This shard's pull records fill `seg..seg + seg_len`:
+                // contiguous segments in shard order are op order.
+                let seg = pulls_before;
+                pulls_before += seg_len as usize;
                 let lo = s * chunk;
                 let hi = (lo + chunk).min(n_ops);
                 if lo >= hi {
@@ -909,7 +993,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 }
                 let ops_range = &ops[lo..hi];
                 scope.spawn(move || {
-                    let mut seg = seg.iter_mut();
+                    let mut l = seg;
                     for (off, (from, op)) in ops_range.iter().enumerate() {
                         let i = lo + off;
                         match op {
@@ -919,16 +1003,17 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                                 *cursor += 1;
                                 // SAFETY: `pos` walks this shard's
                                 // disjoint cursor range of the
-                                // counting sort; in bounds of
-                                // `query_entries` by the offset merge.
+                                // counting sort, and `l` its own pull
+                                // segment; both within the reserved
+                                // capacity by the offset merge.
                                 unsafe {
                                     qw.write(
                                         pos as usize,
                                         QueryEntry { puller: *from, op: i as u32 },
                                     );
+                                    lw.write(l, PullRec { puller: *from, pullee: *target, qpos: pos });
                                 }
-                                *seg.next().expect("pull segment sized by its stage-A count") =
-                                    PullRec { puller: *from, pullee: *target, qpos: pos };
+                                l += 1;
                                 if p > 0.0 {
                                     let mut rng = loss_streams::per_agent(
                                         loss_seed,
@@ -955,9 +1040,17 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             }
                         }
                     }
+                    debug_assert_eq!(l, seg + seg_len as usize, "pull segment sized by its stage-A count");
                 });
             }
         });
+        // SAFETY: the scatter above initialized every slot below these
+        // lengths exactly once (the elements are `Copy`).
+        unsafe {
+            st.query_entries.set_len(total_queries);
+            st.push_entries.set_len(total_pushes);
+            st.pulls.set_len(total_queries);
+        }
 
         if let Some(t) = t_build {
             stage_times.build_us += t.elapsed().as_micros() as u64;
@@ -965,7 +1058,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let t_resolve = timed.then(std::time::Instant::now);
 
         // Stage D: mask/loss resolution over receiver ranges.
-        let agents_chunk = n.div_ceil(threads).max(1);
         st.shard_undelivered.clear();
         st.shard_undelivered.resize(threads, 0);
         {
@@ -1039,12 +1131,17 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         st.counts.copy_from_slice(&st.push_off);
         st.push_scratch.clear();
         st.push_scratch.resize(st.push_entries.len(), PushEntry { from: 0, op: 0 });
+        st.push_delivered_scratch.reset(st.push_entries.len());
         for e in &st.push_entries {
             let cursor = &mut st.counts[receiver(&self.ops, e)];
             st.push_scratch[*cursor as usize] = *e;
+            if st.push_delivered.get(e.op as usize) {
+                st.push_delivered_scratch.set(*cursor as usize);
+            }
             *cursor += 1;
         }
         std::mem::swap(&mut st.push_entries, &mut st.push_scratch);
+        std::mem::swap(&mut st.push_delivered, &mut st.push_delivered_scratch);
     }
 
     // ------------------------------------------------------------------
@@ -1053,14 +1150,15 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
 
     /// `PerAgent` apply, leg one: deliver every gated query to its
     /// pullee's `on_pull`, sharded over pullees. Produced replies are
-    /// metered into per-shard tallies (merged in shard order), written
-    /// into ledger-aligned slots, then gathered into the per-puller
-    /// inbox.
+    /// metered into per-shard tallies (merged in shard order) and
+    /// written into the ledger-aligned reply slots, where the delivery
+    /// shards pick them up by each pull's `qpos`.
     fn apply_pulls(&mut self, round: usize, threads: usize) {
         let n = self.agents.len();
         let Network { pool, agents, staged: st, topology, env, ops, metrics, .. } = self;
-        st.reply_out.clear();
-        st.reply_out.resize_with(st.query_entries.len(), || None);
+        let total = st.query_entries.len();
+        st.replies.clear();
+        st.replies.reserve(total);
         let topology: &Topology = topology;
         let env: &SizeEnv = env;
         let ops: &[(AgentId, Op<M>)] = ops;
@@ -1068,6 +1166,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let off = &st.query_off[..];
         let delivered = &st.query_delivered;
         let reply_lost = &st.reply_lost;
+        let slots = &mut st.replies.spare_capacity_mut()[..total];
         let chunk = n.div_ceil(threads);
         st.shard_meters.clear();
         if threads <= 1 {
@@ -1078,7 +1177,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 off,
                 delivered,
                 reply_lost,
-                &mut st.reply_out[..],
+                slots,
                 ops,
                 round,
                 topology,
@@ -1093,7 +1192,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             let pool = ensure_pool(pool, threads);
             pool.scope(|scope| {
                 let mut agents_rest: &mut [A] = agents;
-                let mut reply_rest: &mut [Option<M>] = &mut st.reply_out;
+                let mut reply_rest = slots;
                 let mut meters_rest: &mut [(Tally, u64)] = &mut st.shard_meters;
                 let mut consumed = off[0] as usize; // == 0
                 let mut lo = 0usize;
@@ -1127,15 +1226,13 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 }
             });
         }
+        // SAFETY: the pullee shards cover `0..total` (the query ledger's
+        // receiver ranges) and write every slot of their range.
+        unsafe { st.replies.set_len(total) };
         // Merge per-shard reply meters in shard order — exact, so the
         // totals equal single-threaded metering bit for bit.
         for (tally, undelivered) in st.shard_meters.drain(..) {
             metrics.record_bulk(&tally, undelivered);
-        }
-        // Gather replies into the per-puller inbox (pull/op order).
-        st.reply_inbox.clear();
-        for pull in &st.pulls {
-            st.reply_inbox.push(st.reply_out[pull.qpos as usize].take());
         }
     }
 
@@ -1159,8 +1256,12 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             // `shard_pulls` is only populated by the parallel ledger
             // build; the single-worker round appends directly.
             let st = &self.staged;
-            for (pull, reply) in st.pulls.iter().zip(&st.reply_inbox) {
-                let kind = if reply.is_some() { OpKind::Pull } else { OpKind::PullUnanswered };
+            for pull in &st.pulls {
+                let kind = if st.replies[pull.qpos as usize].is_some() {
+                    OpKind::Pull
+                } else {
+                    OpKind::PullUnanswered
+                };
                 self.oplog.record(round as u32, kind, pull.puller, pull.pullee);
             }
             for (from, op) in &self.ops {
@@ -1174,7 +1275,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let chunk = n_ops.div_ceil(threads).max(1); // = the ledger build's op chunking
         let Network { pool, staged: st, ops, oplog, .. } = self;
         let ops: &[(AgentId, Op<M>)] = ops;
-        let inbox: &[Option<M>] = &st.reply_inbox;
+        let pulls: &[PullRec] = &st.pulls;
+        let replies: &[Option<M>] = &st.replies;
         let pulls_total: usize = st.shard_pulls.iter().map(|&c| c as usize).sum();
         let w = SharedWriter::new(oplog.scatter_tail(n_ops));
         let pool = ensure_pool(pool, threads);
@@ -1200,9 +1302,9 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                         match op {
                             Op::Pull { from: target, .. } => {
                                 // `q` is this pull's global op-order
-                                // index, which is how `reply_inbox` is
+                                // index, which is how `pulls` is
                                 // aligned.
-                                let kind = if inbox[q].is_some() {
+                                let kind = if replies[pulls[q].qpos as usize].is_some() {
                                     OpKind::Pull
                                 } else {
                                     OpKind::PullUnanswered
@@ -1233,7 +1335,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     }
 
     /// Apply, final leg (both disciplines): deliver gated pushes to
-    /// `on_push` and gathered replies to `on_reply`, sharded over
+    /// `on_push` and each pull's reply slot to `on_reply`, sharded over
     /// receivers. Pushes of one receiver arrive in ledger (sender-id)
     /// order; each puller's single reply follows its pushes — handlers
     /// mutate only their own agent, so this matches the monolithic
@@ -1246,6 +1348,15 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let entries = &st.push_entries[..];
         let off = &st.push_off[..];
         let delivered = &st.push_delivered;
+        // Every pull owns a distinct reply slot (its `qpos`), so the
+        // puller shards move their replies out without a gather pass —
+        // reads only, so no two shards write one cache line. The buffer
+        // forgets its contents first: a panicking handler then leaks the
+        // replies not yet moved rather than dropping moved ones twice.
+        // SAFETY: shrinking the length only forgets the elements (a leak
+        // at worst); each is moved out exactly once below.
+        unsafe { st.replies.set_len(0) };
+        let replies = SharedWriter(st.replies.as_mut_ptr());
         let chunk = n.div_ceil(threads);
         if threads <= 1 {
             apply_delivery_chunk(
@@ -1255,7 +1366,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 off,
                 delivered,
                 &st.pulls[..],
-                &mut st.reply_inbox[..],
+                replies,
                 ops,
                 round,
                 topology,
@@ -1265,7 +1376,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
             pool.scope(|scope| {
                 let mut agents_rest: &mut [A] = agents;
                 let mut pulls_rest: &[PullRec] = &st.pulls;
-                let mut inbox_rest: &mut [Option<M>] = &mut st.reply_inbox;
                 let mut lo = 0usize;
                 while lo < n {
                     let hi = (lo + chunk).min(n);
@@ -1277,8 +1387,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     let k = pulls_rest.partition_point(|p| (p.puller as usize) < hi);
                     let (pulls_chunk, pr) = pulls_rest.split_at(k);
                     pulls_rest = pr;
-                    let (inbox_chunk, ir) = inbox_rest.split_at_mut(k);
-                    inbox_rest = ir;
                     let base = lo;
                     scope.spawn(move || {
                         apply_delivery_chunk(
@@ -1288,7 +1396,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             off,
                             delivered,
                             pulls_chunk,
-                            inbox_chunk,
+                            replies,
                             ops,
                             round,
                             topology,
@@ -1301,15 +1409,20 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     }
 }
 
-/// Get the network's persistent worker pool, (re)building it lazily if
-/// it does not exist yet or the configured thread count changed. The
-/// pool outlives rounds *and* trials — replacing a per-round
-/// `std::thread::scope` spawn/join with a channel send + condvar wait
-/// (`rfc-bench`'s `staged_spawn_overhead` row isolates the difference).
-fn ensure_pool(slot: &mut Option<crate::pool::ScopedPool>, threads: usize) -> &mut crate::pool::ScopedPool {
-    let rebuild = !matches!(slot, Some(p) if p.workers() == threads);
+/// Get the network's persistent worker pool for `threads >= 2` shards,
+/// (re)building it lazily if it does not exist yet or the configured
+/// thread count changed. The calling thread runs the last shard of every
+/// scope itself, so the pool holds `threads - 1` workers. The pool
+/// outlives rounds *and* trials — replacing a per-round
+/// `std::thread::scope` spawn/join with a job-slot hand-off (`rfc-bench`'s
+/// `staged_spawn_overhead` row isolates the difference).
+pub(super) fn ensure_pool(
+    slot: &mut Option<crate::pool::ScopedPool>,
+    threads: usize,
+) -> &mut crate::pool::ScopedPool {
+    let rebuild = !matches!(slot, Some(p) if p.workers() == threads - 1);
     if rebuild {
-        *slot = Some(crate::pool::ScopedPool::new(threads));
+        *slot = Some(crate::pool::ScopedPool::new(threads - 1));
     }
     slot.as_mut().expect("pool just ensured")
 }
@@ -1317,13 +1430,11 @@ fn ensure_pool(slot: &mut Option<crate::pool::ScopedPool>, threads: usize) -> &m
 /// Fold one contiguous op range into a send-time meter tally: every
 /// push, and (when `meter_queries`) every pull query, metered at its
 /// wire size. The shard decomposition is invisible to the result —
-/// tallies merged in shard order equal one op-order pass exactly.
-fn tally_ops<M: MsgSize>(
-    ops: &[(AgentId, Op<M>)],
-    meter_queries: bool,
-    env: &SizeEnv,
-    tally: &mut Tally,
-) {
+/// tallies merged in shard order equal one op-order pass exactly. The
+/// tally is a local, stored once by the caller: the shards' slots share
+/// a cache line.
+fn tally_ops<M: MsgSize>(ops: &[(AgentId, Op<M>)], meter_queries: bool, env: &SizeEnv) -> Tally {
+    let mut tally = Tally::default();
     for (_, op) in ops {
         match op {
             Op::Pull { query, .. } => {
@@ -1334,10 +1445,11 @@ fn tally_ops<M: MsgSize>(
             Op::Push { msg, .. } => tally.record(msg.size_bits(env)),
         }
     }
+    tally
 }
 
 /// Resolve masks and loss coins for the receivers `lo..hi` of both
-/// ledgers, setting op-indexed verdict bits and returning the range's
+/// ledgers, setting position-indexed verdict bits and returning the range's
 /// undelivered count. One loss stream per receiver per family per
 /// round, one draw per inbound entry (ledger order), drawn whether or
 /// not a mask already suppresses the delivery — the draws of one
@@ -1370,12 +1482,12 @@ fn resolve_masks_range(
             let down = fault_state.is_down(va);
             let mut rng = (p > 0.0)
                 .then(|| loss_streams::per_agent(loss_seed, loss_streams::QUERY, round, va));
-            for e in &q_entries[qlo..qhi] {
+            for (pos, e) in (qlo..).zip(&q_entries[qlo..qhi]) {
                 let lost = rng.as_mut().map(|r| r.chance(p)).unwrap_or(false);
                 let reachable = topology.connected(e.puller, va)
                     && !matches!(partition, Some(cut) if cut.blocks(e.puller, va));
                 if reachable && !down && !lost {
-                    atomic_set(query_delivered, e.op as usize);
+                    atomic_set(query_delivered, pos);
                 } else if meter_queries {
                     undelivered += 1;
                 }
@@ -1386,12 +1498,12 @@ fn resolve_masks_range(
             let down = fault_state.is_down(va);
             let mut rng = (p > 0.0)
                 .then(|| loss_streams::per_agent(loss_seed, loss_streams::PUSH, round, va));
-            for e in &p_entries[plo..phi] {
+            for (pos, e) in (plo..).zip(&p_entries[plo..phi]) {
                 let lost = rng.as_mut().map(|r| r.chance(p)).unwrap_or(false);
                 let reachable = topology.connected(e.from, va)
                     && !matches!(partition, Some(cut) if cut.blocks(e.from, va));
                 if reachable && !down && !lost {
-                    atomic_set(push_delivered, e.op as usize);
+                    atomic_set(push_delivered, pos);
                 } else {
                     undelivered += 1;
                 }
@@ -1412,7 +1524,7 @@ fn apply_pull_chunk<M: MsgSize, A: Agent<M>>(
     off: &[u32],
     delivered: &BitSet,
     reply_lost: &BitSet,
-    reply_out: &mut [Option<M>],
+    reply_out: &mut [MaybeUninit<Option<M>>],
     ops: &[(AgentId, Op<M>)],
     round: usize,
     topology: &Topology,
@@ -1428,30 +1540,33 @@ fn apply_pull_chunk<M: MsgSize, A: Agent<M>>(
         let hi = off[v + 1] as usize;
         for pos in lo..hi {
             let e = &entries[pos];
-            if !delivered.get(e.op as usize) {
-                continue;
-            }
-            let query = match &ops[e.op as usize].1 {
-                Op::Pull { query, .. } => query,
-                Op::Push { .. } => unreachable!("query ledger entry points at a push"),
-            };
-            let reply = agent.on_pull(e.puller, query, &ctx);
-            if let Some(msg) = reply {
-                // Metering contract: the reply went on the wire at
-                // production, whether or not it survives transit.
-                tally.record(msg.size_bits(env));
-                if reply_lost.get(e.op as usize) {
-                    undelivered += 1;
-                } else {
-                    reply_out[pos - e_base] = Some(msg);
+            let mut arrived = None;
+            if delivered.get(pos) {
+                let query = match &ops[e.op as usize].1 {
+                    Op::Pull { query, .. } => query,
+                    Op::Push { .. } => unreachable!("query ledger entry points at a push"),
+                };
+                if let Some(msg) = agent.on_pull(e.puller, query, &ctx) {
+                    // Metering contract: the reply went on the wire at
+                    // production, whether or not it survives transit.
+                    tally.record(msg.size_bits(env));
+                    if reply_lost.get(e.op as usize) {
+                        undelivered += 1;
+                    } else {
+                        arrived = Some(msg);
+                    }
                 }
             }
+            // Every slot is written, so the caller may mark the whole
+            // range initialized.
+            reply_out[pos - e_base].write(arrived);
         }
     }
     (tally, undelivered)
 }
 
-/// Deliver pushes and replies to one contiguous receiver shard.
+/// Deliver pushes and replies to one contiguous receiver shard
+/// (`pulls` are exactly the pulls of its agents).
 #[allow(clippy::too_many_arguments)]
 fn apply_delivery_chunk<M: MsgSize, A: Agent<M>>(
     agents: &mut [A],
@@ -1460,7 +1575,7 @@ fn apply_delivery_chunk<M: MsgSize, A: Agent<M>>(
     off: &[u32],
     delivered: &BitSet,
     pulls: &[PullRec],
-    inbox: &mut [Option<M>],
+    replies: SharedWriter<Option<M>>,
     ops: &[(AgentId, Op<M>)],
     round: usize,
     topology: &Topology,
@@ -1468,8 +1583,9 @@ fn apply_delivery_chunk<M: MsgSize, A: Agent<M>>(
     let ctx = RoundCtx { round, topology };
     for (local, agent) in agents.iter_mut().enumerate() {
         let v = base + local;
-        for e in &entries[off[v] as usize..off[v + 1] as usize] {
-            if !delivered.get(e.op as usize) {
+        let (lo, hi) = (off[v] as usize, off[v + 1] as usize);
+        for (pos, e) in (lo..hi).zip(&entries[lo..hi]) {
+            if !delivered.get(pos) {
                 continue;
             }
             let msg = match &ops[e.op as usize].1 {
@@ -1479,9 +1595,13 @@ fn apply_delivery_chunk<M: MsgSize, A: Agent<M>>(
             agent.on_push(e.from, msg, &ctx);
         }
     }
-    for (pull, slot) in pulls.iter().zip(inbox.iter_mut()) {
+    for pull in pulls {
         let local = pull.puller as usize - base;
-        agents[local].on_reply(pull.pullee, slot.take(), &ctx);
+        // SAFETY: `qpos` is this pull's own initialized slot below the
+        // buffer's former length, read by no other pull; the buffer's
+        // length is already 0.
+        let reply = unsafe { replies.read(pull.qpos as usize) };
+        agents[local].on_reply(pull.pullee, reply, &ctx);
     }
 }
 
