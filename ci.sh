@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 verify line plus the targets that must not
 # bitrot (benches, all eight examples, the experiment registry binary,
-# the benchmark package's self-test).
+# the perf gate over five BENCH_scale.json tables, the benchmark
+# package's self-test).
 #
 # Usage: ./ci.sh
 # Env:   PROPTEST_CASES — optional cap on property-test cases (the vendored
@@ -48,9 +49,6 @@ cargo build --benches
 echo "==> bench smoke: one-shot throughput run (round engine + trial fold)"
 cargo bench -p rfc-bench --bench throughput
 
-echo "==> bench smoke: dispatch head-to-head (boxed-dyn vs enum vs enum+arena)"
-cargo bench -p rfc-bench --bench dispatch
-
 echo "==> examples build (release)"
 cargo build --release --examples
 
@@ -63,16 +61,17 @@ cargo run --release -q -p experiments --bin rfc-experiments -- e15 --quick >/dev
 echo "==> staged-engine smoke: e16 --quick (intra-trial shard sweep + digest assert)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e16 --quick >/dev/null
 
-echo "==> staged-engine speedup: e16 sharded >= monolithic at n=4096 (needs >1 core)"
+echo "==> staged-engine speedup: e16 2 shards >= 1 shard at n=4096 (needs >1 core)"
 # The tentpole claim of the SoA/parallel-ledger work: with real cores,
 # two shards must beat one at n >= 4096 (below that the shard floor
-# falls back to the monolithic engine by design), and with >= 4 cores
-# four shards must too — the drained serial sections (sharded metering,
-# scattered op log, scattered plan concat) are what keeps the curve
-# from flattening. On a 1-core box the comparison is meaningless — all
-# rows time-slice the same core and the sharded ones pay dispatch
-# overhead — so it is skipped, documented here: the digest-equality
-# assertions inside e16 still run everywhere.
+# clamps these PerAgent rows to one shard by design), and with >= 4
+# cores four shards must too — the drained serial sections (sharded
+# metering, scattered op log, scattered plan concat) are what keeps the
+# curve from flattening. The 1-shard row is the same staged pipeline on
+# one shard, not the monolithic engine. On a 1-core box the comparison
+# is meaningless — all rows time-slice the same core and the sharded
+# ones pay dispatch overhead — so it is skipped, documented here: the
+# digest-equality assertions inside e16 still run everywhere.
 if [ "$(nproc)" -ge 2 ]; then
     shard_list="1,2"; threads=2
     if [ "$(nproc)" -ge 4 ]; then shard_list="1,2,4"; threads=4; fi
@@ -86,10 +85,10 @@ if [ "$(nproc)" -ge 2 ]; then
         exit 1
     fi
     if ! awk -v mono="$r1" -v sharded="$r2" 'BEGIN { exit !(sharded >= mono) }'; then
-        echo "FAIL: staged 2-shard run ($r2 rounds/s) is slower than monolithic ($r1 rounds/s) at n=4096" >&2
+        echo "FAIL: staged 2-shard run ($r2 rounds/s) is slower than the 1-shard run ($r1 rounds/s) at n=4096" >&2
         exit 1
     fi
-    echo "    speedup OK: n=4096 monolithic $r1 rounds/s -> 2 shards $r2 rounds/s"
+    echo "    speedup OK: n=4096 1 shard $r1 rounds/s -> 2 shards $r2 rounds/s"
     if [ "$(nproc)" -ge 4 ]; then
         r4=$(grep -oE '\["4096","[0-9]+","4","[^"]+","[0-9.]+"' target/e16-speedup/e16_0.json | sed -E 's/.*"([0-9.]+)"$/\1/')
         if [ -z "$r4" ]; then
@@ -97,10 +96,10 @@ if [ "$(nproc)" -ge 2 ]; then
             exit 1
         fi
         if ! awk -v mono="$r1" -v sharded="$r4" 'BEGIN { exit !(sharded >= mono) }'; then
-            echo "FAIL: staged 4-shard run ($r4 rounds/s) is slower than monolithic ($r1 rounds/s) at n=4096" >&2
+            echo "FAIL: staged 4-shard run ($r4 rounds/s) is slower than the 1-shard run ($r1 rounds/s) at n=4096" >&2
             exit 1
         fi
-        echo "    speedup OK: n=4096 monolithic $r1 rounds/s -> 4 shards $r4 rounds/s"
+        echo "    speedup OK: n=4096 1 shard $r1 rounds/s -> 4 shards $r4 rounds/s"
     else
         echo "    4-shard check skipped: $(nproc) core(s) < 4"
     fi
@@ -183,22 +182,22 @@ echo "==> perf gate: fresh throughput + ΔRSS vs committed BENCH_scale.json (tol
 # Override with RFC_GATE_TOLERANCE=0.35 ./ci.sh on a persistently noisy
 # machine.
 cargo run --release -q -p rfc-bench --bin rfc-bench -- gate BENCH_scale.json \
-    target/bench-json/e14_0.json target/bench-json/e14_1.json target/bench-json/e16_0.json \
+    target/bench-json/e14_0.json target/bench-json/e16_0.json \
     target/bench-json/e17_0.json target/bench-json/codec_0.json target/bench-json/serial_0.json \
-    target/bench-json2/e14_0.json target/bench-json2/e14_1.json target/bench-json2/e16_0.json \
+    target/bench-json2/e14_0.json target/bench-json2/e16_0.json \
     target/bench-json2/e17_0.json target/bench-json2/codec_0.json target/bench-json2/serial_0.json
 
-# Six JSON lines: the trial-level scale sweep (E14), the enum-vs-dyn
-# dispatch comparison (E14b), the intra-trial shard sweep (E16), the
-# instance-plane sweep (E17), the wire-codec throughput row (E18), and
-# the serial-section drain micro-bench (E19) — the perf trajectory
+# Five JSON lines: the trial-level scale sweep (E14), the intra-trial
+# shard sweep (E16), the instance-plane sweep (E17), the wire-codec
+# throughput row (E18), and the serial-section drain micro-bench (E19)
+# — the perf trajectory
 # tracked across PRs. The committed BENCH_scale.json is the gate's
 # baseline and is deliberately a *floor* (per-cell minimum over repeated
 # captures), so CI does NOT overwrite it; refresh it on purpose with the
 # line below when the floor genuinely moves:
 #     cp target/BENCH_scale.fresh.json BENCH_scale.json
-cat target/bench-json/e14_0.json target/bench-json/e14_1.json target/bench-json/e16_0.json target/bench-json/e17_0.json target/bench-json/codec_0.json target/bench-json/serial_0.json > target/BENCH_scale.fresh.json
-echo "    wrote target/BENCH_scale.fresh.json (scale sweep + dispatch + intra-trial shard + instance-plane + codec + serial-section rows)"
+cat target/bench-json/e14_0.json target/bench-json/e16_0.json target/bench-json/e17_0.json target/bench-json/codec_0.json target/bench-json/serial_0.json > target/BENCH_scale.fresh.json
+echo "    wrote target/BENCH_scale.fresh.json (scale sweep + intra-trial shard + instance-plane + codec + serial-section rows)"
 
 echo "==> benchmark self-test: perfbench at toy sizes (its own package, path deps on the workspace)"
 # perfbench is a standalone package outside the workspace, so the

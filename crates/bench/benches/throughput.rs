@@ -199,69 +199,6 @@ fn bench_intra_trial(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_soa_agent_plane(c: &mut Criterion) {
-    // The SoA agent plane head-to-head: the monomorphic slot
-    // representation (bitset flags, flat vote lanes, arena-reusable
-    // scratch) against the boxed-dyn escape hatch, which carries the
-    // same protocol state behind a vtable and per-trial allocations.
-    // Both arms produce bit-identical reports
-    // (crates/core/tests/dispatch_equivalence.rs); the ratio is pure
-    // layout + dispatch + allocation cost.
-    use rfc_core::runner::run_protocol_boxed;
-
-    let mut group = c.benchmark_group("soa_agent_plane_vs_boxed");
-    group.sample_size(10);
-    for n in [1024usize, 4096] {
-        let cfg = RunConfig::builder(n).gamma(3.0).colors(vec![n / 2, n / 2]).build();
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("soa_slots", n), &n, |b, _| {
-            b.iter(|| black_box(run_protocol(&cfg, 11).rounds))
-        });
-        group.bench_with_input(BenchmarkId::new("boxed_dyn", n), &n, |b, _| {
-            b.iter(|| black_box(run_protocol_boxed(&cfg, 11).rounds))
-        });
-    }
-    group.finish();
-}
-
-fn bench_ledger_build(c: &mut Criterion) {
-    // CSR delivery-ledger construction, sequential vs parallel: the
-    // staged engine's exchange stage builds per-round push/query CSR
-    // ledgers either in one pass (1 shard) or as per-shard segments
-    // merged by offset-prefix-sum (>1 shard). Whole-run wall time is
-    // the benchmark; the stage clock isolates the exchange share as a
-    // printed witness (plan/apply are identical code in both arms).
-    let mut group = c.benchmark_group("ledger_build_seq_vs_par");
-    group.sample_size(10);
-    let n = 8192usize;
-    let mut exchange_us = Vec::new();
-    for threads in [1usize, 4] {
-        let mut cfg = RunConfig::builder(n)
-            .gamma(3.0)
-            .colors(vec![n / 2, n / 2])
-            .sharded(threads)
-            .time_stages(true)
-            .build();
-        cfg.shard_floor = Some(0);
-        group.throughput(Throughput::Elements(n as u64));
-        let label = if threads == 1 { "sequential" } else { "parallel" };
-        group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, _| {
-            b.iter(|| black_box(run_protocol(&cfg, 11).rounds))
-        });
-        let st = run_protocol(&cfg, 11)
-            .stage_times
-            .expect("staged run with time_stages records stage clocks");
-        exchange_us.push((threads, st.exchange_us, st.total_us()));
-    }
-    group.finish();
-    for (threads, ex, total) in exchange_us {
-        println!(
-            "ledger-build witness: {threads} shard(s) — exchange {ex} µs of {total} µs total ({:.1}%)",
-            100.0 * ex as f64 / total.max(1) as f64
-        );
-    }
-}
-
 fn bench_serial_sections(c: &mut Criterion) {
     // The three per-round sections the staged engine drained, isolated
     // head-to-head at 1/2/4/8 shards: op-order metering vs per-shard
@@ -458,8 +395,6 @@ criterion_group!(
     bench_round_engine,
     bench_trial_fold,
     bench_intra_trial,
-    bench_soa_agent_plane,
-    bench_ledger_build,
     bench_serial_sections,
     bench_pool_spawn
 );

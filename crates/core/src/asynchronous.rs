@@ -21,21 +21,17 @@
 //! declared votes are never delivered and Verification can fail the run —
 //! the failure probability decays exponentially in `q` (measured in E12).
 //!
-//! Two drivers share the scheduler discipline:
-//!
-//! * [`run_protocol_async`] — the tick-driven arm: every operation
-//!   completes (pull round-trip included) inside its tick. This is the
-//!   deterministic-replay baseline all historical digests pin.
-//! * [`run_protocol_events`] — the event-driven arm
-//!   ([`gossip_net::network::Network::drive_events`]): messages travel
-//!   through a delivery queue with per-message delays drawn from
-//!   [`DELAY_STREAM`]. With `max_delay == 0` no delay draws are consumed
-//!   and the run is **bit-identical** to `run_protocol_async` (pinned by
-//!   `tests/event_runtime.rs`); with `max_delay > 0` replies can outlive
-//!   the phase budget, and the terminal
-//!   [`drain_in_flight`](gossip_net::network::Network::drain_in_flight)
-//!   keeps the metering contract honest (`messages_sent - undelivered`
-//!   == handler invocations, in-flight messages counted undelivered).
+//! One driver, [`run_protocol_events`], runs the scheduler on the event
+//! runtime ([`gossip_net::network::Network::drive_events`]): every
+//! message leg draws a delivery delay from [`DELAY_STREAM`], uniform in
+//! `[0, max_delay]` ticks. With `max_delay > 0` replies can outlive the
+//! phase budget, and the terminal
+//! [`drain_in_flight`](gossip_net::network::Network::drain_in_flight)
+//! keeps the metering contract honest (`messages_sent - undelivered`
+//! == handler invocations, in-flight messages counted undelivered).
+//! [`run_protocol_async`] is its `max_delay == 0` case: no delay draws,
+//! and every operation completes (pull round-trip included) inside its
+//! tick. Both are pinned by digest in `tests/event_runtime.rs`.
 
 use crate::agent_plane::AgentSlot;
 use crate::engine::ProtocolCore;
@@ -67,42 +63,23 @@ pub const DELAY_STREAM: u64 = 0xDE1A;
 /// `slack·n·q` overflows `usize` — use [`Params::try_async_schedule`] to
 /// pre-flight landmark-scale budgets on narrow targets.
 pub fn run_protocol_async(cfg: &RunConfig, seed: u64, slack: usize) -> RunReport {
-    assert!(slack >= 1);
-    let params = cfg.params();
-    // Checked: a silent wrap here would truncate the per-phase tick
-    // loop below (each phase runs exactly `schedule.phase_len` ticks).
-    let schedule = match params.try_async_schedule(slack) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    };
-    let mut factory = move |id: AgentId,
-                            params: Params,
-                            color: ColorId,
-                            rng: DetRng,
-                            topo: &gossip_net::topology::Topology| {
-        AgentSlot::honest(ProtocolCore::new_on(topo, id, params, schedule, color, rng))
-    };
-    let mut net = build_network_slots(cfg, seed, &mut factory);
-    let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
-    for phase in Phase::COMMUNICATING {
-        net.enter_phase(phase.name());
-        net.run_async(schedule.phase_len, &mut scheduler);
-    }
-    net.finalize();
-    collect_report(&net, cfg)
+    run_protocol_events(cfg, seed, slack, 0)
 }
 
 /// Run protocol `P` on the **event-driven** runtime: the same
 /// sequential-GOSSIP wake schedule as [`run_protocol_async`], but every
-/// message is enqueued with a delivery delay uniform in
-/// `[0, max_delay]` ticks per leg, drawn from [`DELAY_STREAM`].
+/// message leg draws a delivery delay uniform in `[0, max_delay]` ticks
+/// from [`DELAY_STREAM`].
 ///
-/// `max_delay == 0` is the digest-pinned replay arm: no delay draws are
-/// consumed and the report is bit-identical to `run_protocol_async(cfg,
-/// seed, slack)`. With `max_delay > 0`, messages can land ticks after
-/// they were sent — in a later phase, or never (budget expiry): the
-/// terminal drain counts those metered-but-undelivered, per the
-/// metering contract.
+/// `max_delay == 0` is [`run_protocol_async`]: no delay draws are
+/// consumed. With `max_delay > 0`, messages can land ticks after they
+/// were sent — in a later phase, or never (budget expiry): the terminal
+/// drain counts those metered-but-undelivered, per the metering
+/// contract.
+///
+/// # Panics
+///
+/// As [`run_protocol_async`].
 pub fn run_protocol_events(
     cfg: &RunConfig,
     seed: u64,
@@ -111,6 +88,8 @@ pub fn run_protocol_events(
 ) -> RunReport {
     assert!(slack >= 1);
     let params = cfg.params();
+    // Checked: a silent wrap here would truncate the per-phase tick
+    // loop below (each phase runs exactly `schedule.phase_len` ticks).
     let schedule = match params.try_async_schedule(slack) {
         Ok(s) => s,
         Err(e) => panic!("{e}"),
@@ -187,20 +166,6 @@ mod tests {
             .map(|s| run_protocol_async(&cfg, s, 1).outcome.is_consensus())
             .collect();
         assert!(outcomes.iter().any(|&b| b), "some run should succeed");
-    }
-
-    #[test]
-    fn delay_free_events_match_tick_driven_exactly() {
-        // The digest-pinned equivalence lives in tests/event_runtime.rs;
-        // this is the in-crate fast check on one config.
-        let cfg = RunConfig::builder(24).gamma(3.0).colors(vec![12, 12]).build();
-        let tick = run_protocol_async(&cfg, 21, 3);
-        let ev = run_protocol_events(&cfg, 21, 3, 0);
-        assert_eq!(tick.outcome, ev.outcome);
-        assert_eq!(tick.metrics.messages_sent, ev.metrics.messages_sent);
-        assert_eq!(tick.metrics.bits_sent, ev.metrics.bits_sent);
-        assert_eq!(tick.metrics.undelivered, ev.metrics.undelivered);
-        assert_eq!(tick.metrics.ticks, ev.metrics.ticks);
     }
 
     #[test]

@@ -922,8 +922,8 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
 /// synchronous phase clock, emitting a checkpoint into `sink` every
 /// `every` rounds (`None` = never). Operation-for-operation identical to
 /// [`crate::runner::drive_network`] when started from round 0 — phases
-/// are entered once each, at the same points, and `run`/`run_staged`
-/// chunking is bit-invariant — and it picks up mid-phase restores by
+/// are entered once each, at the same points, and `run_staged` chunking
+/// is bit-invariant — and it picks up mid-phase restores by
 /// re-entering the in-flight phase label (which continues its metrics
 /// tally; the metering contract).
 pub fn drive_with_checkpoints(
@@ -937,7 +937,6 @@ pub fn drive_with_checkpoints(
     let schedule = params.sync_schedule();
     let q = params.q;
     let total = if cfg.skip_coherence { 3 * q } else { 4 * q };
-    let staged = crate::runner::use_staged_engine(cfg);
     let mut entered: Option<&'static str> = None;
     while net.round() < total {
         let name = schedule.phase_of(net.round()).name();
@@ -945,11 +944,7 @@ pub fn drive_with_checkpoints(
             net.enter_phase(name);
             entered = Some(name);
         }
-        if staged {
-            net.run_staged(1);
-        } else {
-            net.run(1);
-        }
+        net.run_staged(1);
         if let Some(k) = every {
             if k > 0 && net.round() % k == 0 {
                 let bytes = checkpoint_network(net, cfg, seed)?;

@@ -894,11 +894,7 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
             .max()
             .expect("non-empty plan");
         net.enter_phase("instances");
-        if crate::runner::use_staged_engine(cfg) {
-            net.run_staged(total);
-        } else {
-            net.run(total);
-        }
+        net.run_staged(total);
         net.finalize();
     }
 

@@ -87,9 +87,8 @@ pub use msg::{Batch, BatchPart, IntentEntry, IntentList, Msg, INSTANCE_TAG_BITS}
 pub use outcome::{combine_decisions, utility, Decision, Outcome};
 pub use params::{Params, Phase, PhaseSchedule, ScheduleError};
 pub use runner::{
-    build_network, build_network_slots, collect_report, drive_network, honest_slot_factory,
-    run_protocol, run_protocol_boxed, ColorSpec, RunConfig, RunConfigBuilder, RunReport,
-    SlotFactory, TopologySpec, TrialArena,
+    build_network_slots, collect_report, drive_network, honest_slot_factory, run_protocol,
+    ColorSpec, RunConfig, RunConfigBuilder, RunReport, SlotFactory, TopologySpec, TrialArena,
 };
 pub use strategies::{standard_attacks, Strategy};
 
@@ -108,7 +107,7 @@ pub use gossip_net::rng::RngDiscipline;
 pub mod prelude {
     pub use crate::agent_plane::AgentSlot;
     pub use crate::asynchronous::run_protocol_async;
-    pub use crate::runner::{TrialArena, run_protocol_boxed};
+    pub use crate::runner::TrialArena;
     pub use crate::audit::GoodExecutionReport;
     pub use crate::certificate::{CertData, Certificate, VoteRec};
     pub use crate::election::{elect_leader, election_config, ElectionResult};

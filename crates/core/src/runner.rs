@@ -17,10 +17,14 @@
 //! and op-log. `run_protocol(cfg, seed)` and
 //! `arena.run_protocol(cfg, seed)` return bit-identical reports.
 //!
-//! The legacy boxed pipeline ([`build_network`] over
-//! `Box<dyn ConsensusAgent>` factories, [`run_protocol_boxed`]) is kept
-//! as the dyn-dispatch comparison arm for benchmarks and equivalence
-//! tests — and as the fully dynamic escape hatch.
+//! ## One engine per discipline
+//!
+//! The drivers here never choose an engine: they call
+//! [`Network::run_staged`], which runs each round on the engine
+//! [`RunConfig::rng_discipline`] selects — the serial [`Network::step`]
+//! under `Sequential` (every historical digest), the staged pipeline
+//! under `PerAgent` (on `threads` shards, one included). Fully dynamic
+//! agents plug into the same pipeline as [`AgentSlot::Custom`].
 //!
 //! Determinism: every run is a pure function of `(RunConfig, seed)`. The
 //! master seed is split into independent streams for color assignment,
@@ -28,7 +32,7 @@
 
 use crate::agent_plane::AgentSlot;
 use crate::audit::{audit_good_execution, GoodExecutionReport};
-use crate::engine::{ConsensusAgent, HonestAgent, ProtocolCore, Role, VerifyFailure};
+use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::msg::Msg;
 use crate::outcome::{combine_decisions, Decision, Outcome};
 use crate::params::{Params, Phase};
@@ -131,38 +135,37 @@ pub struct RunConfig {
     /// script is the static path, bit-identical to the pre-dynamics
     /// engine.
     pub scenario: ScenarioScript,
-    /// Loss-draw discipline (see [`RngDiscipline`]). `Sequential` (the
-    /// default) runs the monolithic engine when `threads == 1` and
-    /// otherwise the staged engine's legacy-replay path — either way
-    /// bit-identical to every historical digest. `PerAgent` selects the
-    /// sharded engine's own discipline, whose digests are pinned by
-    /// their own golden rows.
+    /// Loss-draw discipline (see [`RngDiscipline`]), and with it the
+    /// round engine. `Sequential` (the default) runs the serial
+    /// monolithic engine, bit-identical to every historical digest.
+    /// `PerAgent` runs the staged, sharded engine, whose digests are
+    /// pinned by their own golden rows.
     pub rng_discipline: RngDiscipline,
     /// Worker threads for intra-trial sharding (`0` = available
-    /// parallelism, `1` = fully sequential). A pure throughput knob:
-    /// the report is bit-identical for every value — *for agents whose
-    /// handlers touch only their own state*, which every slot satisfies
-    /// except coalition deviators (shared intel). The adversary harness
-    /// therefore forces attack trials onto the sequential engine
-    /// regardless of this field.
+    /// parallelism): the shards of a `PerAgent` round, and of
+    /// Verification under either discipline. A `Sequential` round is
+    /// serial whatever this says. A pure throughput knob: the report is
+    /// bit-identical for every value — *for agents whose handlers touch
+    /// only their own state*, which every slot satisfies except
+    /// coalition deviators (shared intel). The adversary harness
+    /// therefore forces attack trials onto one thread regardless of
+    /// this field.
     pub threads: usize,
     /// Minimum agents per shard before an extra shard pays for itself
     /// (the small-`n` "sharding cliff" guard). `None` uses the tuned
     /// default [`gossip_net::MIN_AGENTS_PER_SHARD`]; `Some(0)` disables
     /// the floor (tests that must exercise real multi-shard execution at
-    /// tiny `n` set this); `Some(k)` sets a custom floor. Under
-    /// `Sequential` a floor that leaves fewer than two shards drops the
-    /// run to the monolithic engine outright; under `PerAgent` it clamps
-    /// the effective shard count. Both are digest-invariant (the staged
-    /// engine is thread-invariant and, under `Sequential`, replays the
-    /// monolithic engine bit for bit), so this is a pure throughput
-    /// knob — checkpoint fingerprints normalize it away like `threads`.
+    /// tiny `n` set this); `Some(k)` sets a custom floor. The floor
+    /// clamps the effective shard count (down to one shard, which is
+    /// the same pipeline); the engine is thread-invariant, so this is a
+    /// pure throughput knob — checkpoint fingerprints normalize it away
+    /// like `threads`.
     pub shard_floor: Option<usize>,
     /// Collect the per-stage wall-clock breakdown
     /// ([`RunReport::stage_times`]). Observability only: timing reads
     /// the clock but never feeds back into execution, so digests are
-    /// unaffected. Only the staged engine is instrumented; monolithic
-    /// runs report `None`.
+    /// unaffected. Only the staged engine is instrumented, so only
+    /// `PerAgent` runs report it; `Sequential` runs report `None`.
     pub time_stages: bool,
     /// Autotune the shard count per phase: each communicating phase
     /// probes the power-of-two shard counts up to `threads` for a few
@@ -174,7 +177,8 @@ pub struct RunConfig {
     /// tuner only ever moves `threads`, which is thread-invariant, so
     /// digests are unaffected and checkpoint fingerprints normalize it
     /// away like `threads` itself. The chosen schedule is reported in
-    /// [`RunReport::shard_schedule`]. Ignored on the monolithic path.
+    /// [`RunReport::shard_schedule`]. Ignored under `Sequential`, whose
+    /// rounds do not shard.
     pub autotune_shards: bool,
     /// Concurrent protocol instances multiplexed over the network (the
     /// instance plane, `crate::instances`). The default — one consensus
@@ -471,13 +475,13 @@ pub struct RunReport {
     /// Good-execution audit (present when `record_ops` was set).
     pub audit: Option<GoodExecutionReport>,
     /// Cumulative per-stage wall-clock breakdown (present when
-    /// [`RunConfig::time_stages`] was set and the run took the staged
-    /// engine). Observability only — never part of a digest.
+    /// [`RunConfig::time_stages`] was set on a `PerAgent` run).
+    /// Observability only — never part of a digest.
     pub stage_times: Option<StageTimes>,
     /// Per-phase shard counts the autotuner settled on (present when
-    /// [`RunConfig::autotune_shards`] was set and the run took the
-    /// staged engine), in phase order. Observability only — a pure
-    /// throughput outcome, never part of a digest.
+    /// [`RunConfig::autotune_shards`] was set on a `PerAgent` run), in
+    /// phase order. Observability only — a pure throughput outcome,
+    /// never part of a digest.
     pub shard_schedule: Option<Vec<(String, usize)>>,
 }
 
@@ -522,17 +526,10 @@ impl RunReport {
     }
 }
 
-/// Factory signature used to construct each agent: receives the agent's
-/// id, protocol parameters, initial color, private RNG stream, and the
-/// run topology (so intention targets can respect sparse graphs).
-///
-/// This is the *boxed* factory of the legacy dyn-dispatch pipeline; new
-/// code should prefer [`SlotFactory`].
-pub type AgentFactory<'a> =
-    dyn FnMut(AgentId, Params, ColorId, DetRng, &Topology) -> Box<dyn ConsensusAgent> + 'a;
-
-/// Factory for the monomorphic agent plane: like [`AgentFactory`] but
-/// producing [`AgentSlot`]s, so built-in agents avoid boxing entirely and
+/// Factory for the monomorphic agent plane: receives the agent's id,
+/// protocol parameters, initial color, private RNG stream, and the run
+/// topology (so intention targets can respect sparse graphs), and
+/// returns an [`AgentSlot`] — built-in agents avoid boxing entirely and
 /// only [`AgentSlot::Custom`] pays for dynamism.
 pub type SlotFactory<'a> =
     dyn FnMut(AgentId, Params, ColorId, DetRng, &Topology) -> AgentSlot + 'a;
@@ -570,29 +567,6 @@ pub(crate) fn resolved_shard_floor(cfg: &RunConfig) -> usize {
     cfg.shard_floor.unwrap_or(gossip_net::MIN_AGENTS_PER_SHARD)
 }
 
-/// Shared engine choice for [`drive_network`] and the checkpoint driver.
-///
-/// `Sequential` + `threads == 1` (the default config) is the monolithic
-/// [`Network::step`] path — the literal pre-staged code, so every
-/// historical digest is untouched. `Sequential` with more threads takes
-/// the staged legacy-replay path *unless* the shard floor leaves fewer
-/// than two shards, in which case staging is pure overhead and the run
-/// falls back to the monolithic engine — bit-identical either way, since
-/// staged `Sequential` replays the monolithic engine draw for draw. Any
-/// `PerAgent` config takes the staged engine (its floor is applied
-/// inside the network as a shard-count clamp, which the discipline's
-/// thread-invariance makes unobservable).
-pub(crate) fn use_staged_engine(cfg: &RunConfig) -> bool {
-    if cfg.rng_discipline != RngDiscipline::Sequential {
-        return true;
-    }
-    if cfg.threads == 1 {
-        return false;
-    }
-    let floor = resolved_shard_floor(cfg);
-    floor == 0 || cfg.n / floor >= 2
-}
-
 /// Push the `n` per-trial agents (fresh RNG stream each) into `agents`.
 fn fill_agents<A>(
     agents: &mut Vec<A>,
@@ -608,19 +582,6 @@ fn fill_agents<A>(
         let rng = DetRng::seeded(seed, streams::AGENT_BASE + i as u64);
         agents.push(factory(i as AgentId, params, colors[i], rng, topology));
     }
-}
-
-/// Build a ready-to-run network with custom agent construction (legacy
-/// boxed pipeline; see [`build_network_slots`] for the fast path).
-pub fn build_network(
-    cfg: &RunConfig,
-    seed: u64,
-    factory: &mut AgentFactory,
-) -> Network<Msg, Box<dyn ConsensusAgent>> {
-    let (params, colors, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
-    let mut agents: Vec<Box<dyn ConsensusAgent>> = Vec::new();
-    fill_agents(&mut agents, cfg, seed, params, &colors, &topology, factory);
-    Network::with_config(topology, env, agents, faults, net_cfg)
 }
 
 /// Build a ready-to-run network on the monomorphic agent plane.
@@ -709,27 +670,21 @@ fn color_space_size(cfg: &RunConfig) -> usize {
 /// finalize (Verification). Respects the `skip_coherence` ablation by
 /// fast-forwarding the phase window without executing it.
 ///
-/// Generic over the agent representation: the same driver serves the
-/// monomorphic [`AgentSlot`] plane and the boxed escape hatch (every
-/// [`crate::ConsensusAgent`] is `Send`, which is what lets one driver
-/// serve both the monolithic and the staged engine).
-///
-/// Engine selection is [`use_staged_engine`]: the default config
-/// (`Sequential`, `threads == 1`) and small-`n` `Sequential` runs below
-/// the shard floor take the monolithic [`Network::step`] path — the
-/// literal pre-staged code, so every historical digest (including the
-/// PR-4 golden corpus) is untouched. Everything else takes the staged
-/// engine, which is itself bit-identical to the monolithic path under
-/// `Sequential` and bit-identical across thread counts always.
+/// Generic over the agent representation (every
+/// [`crate::ConsensusAgent`] is `Send`, which the staged engine needs).
+/// Each phase is one [`Network::run_staged`] call, so the round engine
+/// is the one [`RunConfig::rng_discipline`] selects: the monolithic
+/// [`Network::step`] under `Sequential` — every historical digest,
+/// the golden corpus included — and the staged pipeline under
+/// `PerAgent`, bit-identical across thread counts.
 ///
 /// Also generic over the *message* type: the instance plane drives a
 /// `Network<Batch<InstPayload>, MuxAgent>` through this exact function on
 /// its single-instance path, which is what pins its phase cadence (and
 /// the metrics phase table) to the legacy one.
 /// Returns the autotuner's per-phase shard schedule when
-/// [`RunConfig::autotune_shards`] was set and the run took the staged
-/// engine, `None` otherwise (throughput observability only — most
-/// callers ignore it).
+/// [`RunConfig::autotune_shards`] was set on a `PerAgent` run, `None`
+/// otherwise (throughput observability only — most callers ignore it).
 pub fn drive_network<M, A>(
     net: &mut Network<M, A>,
     cfg: &RunConfig,
@@ -740,8 +695,8 @@ where
 {
     let params = cfg.params();
     let q = params.q;
-    let staged = use_staged_engine(cfg);
-    let candidates = (cfg.autotune_shards && staged).then(|| shard_candidates(cfg));
+    let candidates = (cfg.autotune_shards && cfg.rng_discipline == RngDiscipline::PerAgent)
+        .then(|| shard_candidates(cfg));
     let mut schedule = candidates.as_ref().map(|_| Vec::new());
     for phase in Phase::COMMUNICATING {
         if phase == Phase::Coherence && cfg.skip_coherence {
@@ -753,10 +708,8 @@ where
         if let (Some(cands), Some(sched)) = (&candidates, &mut schedule) {
             let chosen = net.run_staged_autotuned(q, cands);
             sched.push((phase.name().to_string(), chosen));
-        } else if staged {
-            net.run_staged(q);
         } else {
-            net.run(q);
+            net.run_staged(q);
         }
     }
     net.finalize();
@@ -834,7 +787,8 @@ pub fn collect_report<A: ConsensusAgent>(net: &Network<Msg, A>, cfg: &RunConfig)
     } else {
         None
     };
-    let stage_times = (cfg.time_stages && use_staged_engine(cfg)).then(|| net.stage_times());
+    let stage_times = (cfg.time_stages && cfg.rng_discipline == RngDiscipline::PerAgent)
+        .then(|| net.stage_times());
     RunReport {
         outcome,
         rounds: net.round(),
@@ -875,24 +829,6 @@ pub(crate) fn effective_decision(core: &ProtocolCore, cfg: &RunConfig) -> Option
 /// across trials; both produce bit-identical reports.)
 pub fn run_protocol(cfg: &RunConfig, seed: u64) -> RunReport {
     let mut net = build_network_slots(cfg, seed, &mut honest_slot_factory);
-    let schedule = drive_network(&mut net, cfg);
-    let mut report = collect_report(&net, cfg);
-    report.shard_schedule = schedule;
-    report
-}
-
-/// [`run_protocol`] over the legacy boxed-dyn pipeline: rebuilds a
-/// `Vec<Box<dyn ConsensusAgent>>` for the trial and dispatches every
-/// agent call through a vtable. Kept as the comparison arm for the
-/// `dispatch` benchmark and the dyn-vs-enum equivalence tests — it must
-/// return a bit-identical [`RunReport`] for every `(cfg, seed)`.
-pub fn run_protocol_boxed(cfg: &RunConfig, seed: u64) -> RunReport {
-    let mut factory =
-        |id: AgentId, params: Params, color: ColorId, rng: DetRng, topo: &Topology| {
-            let core = ProtocolCore::new_on(topo, id, params, params.sync_schedule(), color, rng);
-            Box::new(HonestAgent::new(core)) as Box<dyn ConsensusAgent>
-        };
-    let mut net = build_network(cfg, seed, &mut factory);
     let schedule = drive_network(&mut net, cfg);
     let mut report = collect_report(&net, cfg);
     report.shard_schedule = schedule;
@@ -1032,27 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_sequential_run_matches_monolithic_run() {
-        // Sequential discipline + threads > 1 takes the staged engine,
-        // which must replay the monolithic engine bit for bit — loss,
-        // faults and all.
-        let base = RunConfig::builder(24)
-            .colors(vec![12, 12])
-            .faults(0.25, Placement::Random { seed: 3 })
-            .message_loss(0.2)
-            .shard_floor(0); // keep real multi-shard execution at tiny n
-        let want = report_key(&run_protocol(&base.clone().build(), 41));
-        for threads in [2usize, 5, 0] {
-            let cfg = base.clone().threads(threads).build();
-            assert_eq!(
-                report_key(&run_protocol(&cfg, 41)),
-                want,
-                "staged sequential (threads={threads}) diverged from monolithic"
-            );
-        }
-    }
-
-    #[test]
     fn sharded_loss_free_run_matches_sequential() {
         // With p = 0 neither discipline draws loss coins, so the sharded
         // engine's report equals the sequential one exactly.
@@ -1077,27 +992,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_floor_falls_back_digest_identically() {
-        // Below the floor, `Sequential` + threads drops to the monolithic
-        // engine and `PerAgent` clamps its shard count — both must be
-        // invisible in the report. n = 24 is far under the default
-        // 2048-agents-per-shard floor, so the default config exercises
-        // the fallback and `shard_floor(0)` the real multi-shard paths.
+    fn shard_floor_clamp_is_digest_invisible() {
+        // Below the floor `PerAgent` clamps its shard count, which must
+        // be invisible in the report. n = 24 is far under the default
+        // 2048-agents-per-shard floor, so the default floor runs one
+        // shard and `shard_floor(0)` the real multi-shard path.
         let base = RunConfig::builder(24)
             .colors(vec![12, 12])
             .message_loss(0.15)
             .record_ops(true);
-        // Engine choice itself: floored sequential falls back, unfloored
-        // shards; PerAgent always stages.
-        assert!(!use_staged_engine(&base.clone().threads(4).build()));
-        assert!(use_staged_engine(&base.clone().threads(4).shard_floor(0).build()));
-        assert!(use_staged_engine(&base.clone().sharded(4).build()));
-        let mono = report_key(&run_protocol(&base.clone().build(), 23));
-        let floored = report_key(&run_protocol(&base.clone().threads(4).build(), 23));
-        let unfloored =
-            report_key(&run_protocol(&base.clone().threads(4).shard_floor(0).build(), 23));
-        assert_eq!(floored, mono, "floored sequential fallback diverged");
-        assert_eq!(unfloored, mono, "unfloored staged sequential diverged");
         let per_floored = report_key(&run_protocol(&base.clone().sharded(4).build(), 23));
         let per_unfloored =
             report_key(&run_protocol(&base.clone().sharded(4).shard_floor(0).build(), 23));

@@ -158,8 +158,9 @@ fn monolithic_steady_state_rounds_are_zero_alloc() {
 fn staged_single_shard_steady_state_rounds_are_zero_alloc() {
     // The staged engine's scratch (CSR ledgers, delivery bitsets, pull
     // records, per-shard counters) must also reach a high-water mark and
-    // stay there. At one shard every stage runs inline — no pool
-    // dispatch — so the bound is exactly zero, like the monolithic path.
+    // stay there. At one shard every job runs inline on a zero-worker
+    // pool — unboxed, no hand-off — so the bound is exactly zero, like
+    // the monolithic path.
     let mut cfg = RunConfig::builder(64).gamma(3.0).colors(vec![32, 32]).build();
     cfg.rng_discipline = RngDiscipline::PerAgent;
     for (phase, allocs) in measure(&cfg, 7, true, false) {

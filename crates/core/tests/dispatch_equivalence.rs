@@ -1,8 +1,8 @@
 //! Dispatch equivalence: the monomorphic agent plane (enum jump table,
-//! reusable arena) and the boxed-dyn escape hatch are *representations*
-//! of the same simulation — for any `(config, seed)` they must produce
-//! bit-identical [`RunReport`]s: same decisions, same rounds, same
-//! message/bit meters, same winner, same audit.
+//! reusable arena) and the dyn escape hatch (`AgentSlot::Custom`) are
+//! *representations* of the same simulation — for any `(config, seed)`
+//! they must produce bit-identical [`RunReport`]s: same decisions, same
+//! rounds, same message/bit meters, same winner, same audit.
 //!
 //! This is the refactor's safety net: any divergence (an extra RNG draw,
 //! a reordered delivery, state leaking through an arena reset) shows up
@@ -12,8 +12,8 @@ use gossip_net::dynamics::{LossSchedule, PartitionCut, ScenarioScript};
 use gossip_net::fault::Placement;
 use rfc_core::engine::HonestAgent;
 use rfc_core::runner::{
-    build_network_slots, collect_report, drive_network, run_protocol, run_protocol_boxed,
-    RunConfig, RunReport, TrialArena,
+    build_network_slots, collect_report, drive_network, run_protocol, RunConfig, RunReport,
+    TrialArena,
 };
 use rfc_core::{AgentSlot, ProtocolCore};
 
@@ -48,7 +48,7 @@ fn configs() -> Vec<RunConfig> {
 }
 
 /// Dynamic-adversity configs: churn, a partition window, and a loss
-/// burst — every representation (enum/boxed/arena) must agree on these
+/// burst — every representation (enum/custom/arena) must agree on these
 /// too, including the mutable `FaultState` threaded through resets.
 fn dynamic_configs() -> Vec<RunConfig> {
     let n = 32;
@@ -83,22 +83,11 @@ fn dynamic_configs() -> Vec<RunConfig> {
 }
 
 #[test]
-fn enum_path_equals_boxed_dyn_path() {
-    for (ci, cfg) in configs().iter().enumerate() {
-        for seed in [0u64, 7, 0xDEAD] {
-            let fast = run_protocol(cfg, seed);
-            let boxed = run_protocol_boxed(cfg, seed);
-            assert_reports_identical(&fast, &boxed, &format!("cfg {ci} seed {seed}"));
-        }
-    }
-}
-
-#[test]
 fn custom_escape_hatch_equals_enum_fast_path() {
     // The same honest agent, routed through `AgentSlot::Custom(Box<dyn …>)`
     // instead of `AgentSlot::Honest`: one extra indirection, zero
-    // behavioral difference.
-    for (ci, cfg) in configs().iter().enumerate() {
+    // behavioral difference — on static and dynamic configs alike.
+    for (ci, cfg) in configs().iter().chain(&dynamic_configs()).enumerate() {
         for seed in [1u64, 42] {
             let fast = run_protocol(cfg, seed);
             let mut custom_factory =
@@ -158,17 +147,6 @@ fn empty_script_and_constant_schedule_equal_the_static_path() {
 }
 
 #[test]
-fn dynamic_scenarios_enum_equals_boxed_dyn() {
-    for (ci, cfg) in dynamic_configs().iter().enumerate() {
-        for seed in [2u64, 19] {
-            let fast = run_protocol(cfg, seed);
-            let boxed = run_protocol_boxed(cfg, seed);
-            assert_reports_identical(&fast, &boxed, &format!("dynamic cfg {ci} seed {seed}"));
-        }
-    }
-}
-
-#[test]
 fn arena_reuse_equals_fresh_networks_under_dynamic_scenarios() {
     // One arena cycling through churn, partition and burst configs in an
     // interleaved schedule: every report must match a fresh network's —
@@ -199,9 +177,9 @@ fn single_instance_plane_equals_legacy_path() {
     // The instance plane's safety net: one consensus instance pushed
     // through the multiplexer (batched messages, per-instance clocks and
     // meters) must be a pure generalization — its legacy-shaped report
-    // is field-identical to `run_protocol`'s, for the monolithic engine,
-    // the staged engine at several thread counts, and the sharded
-    // per-agent discipline, lossy configs included.
+    // is field-identical to `run_protocol`'s, for the monolithic engine
+    // at several thread counts and the sharded per-agent discipline,
+    // lossy configs included.
     let bases = vec![
         RunConfig::builder(32).gamma(3.0).colors(vec![16, 16]).build(),
         RunConfig::builder(24).gamma(3.0).colors(vec![12, 12]).message_loss(0.2).build(),
@@ -239,60 +217,6 @@ fn single_instance_plane_equals_legacy_path() {
             &legacy,
             &format!("mux sharded cfg {ci}"),
         );
-    }
-}
-
-#[test]
-fn soa_engine_spellings_agree_oplog_event_for_event() {
-    // The SoA agent plane (bitset flags, flat vote lanes) plus the
-    // parallel CSR ledger build are *spellings* of one simulation.
-    // Under the Sequential discipline three routes exist — monolithic
-    // (`threads = 1`), staged with real shards (`threads = 4`, floor
-    // disabled), and the small-n shard-floor fallback (`threads = 4`,
-    // default floor) — and they must agree on the full `RunReport` AND
-    // on the recorded op-log event for event: same (round, kind, from,
-    // to) at the same index, which is stronger than any digest.
-    use rfc_core::runner::honest_slot_factory;
-    for (ci, base) in configs().iter().enumerate() {
-        let mut mono = base.clone();
-        mono.record_ops = true;
-        let mut staged = mono.clone();
-        staged.threads = 4;
-        staged.shard_floor = Some(0);
-        let mut fallback = mono.clone();
-        fallback.threads = 4; // default floor: these n are all below it
-        for seed in [3u64, 0xFEED] {
-            let mut runs = Vec::new();
-            for (what, cfg) in
-                [("monolithic", &mono), ("staged", &staged), ("fallback", &fallback)]
-            {
-                let mut net = build_network_slots(cfg, seed, &mut honest_slot_factory);
-                drive_network(&mut net, cfg);
-                let report = collect_report(&net, cfg);
-                runs.push((what, report, net.oplog().events().to_vec()));
-            }
-            let (_, report0, ops0) = &runs[0];
-            assert!(!ops0.is_empty(), "cfg {ci}: op-log recorded nothing");
-            for (what, report, ops) in &runs[1..] {
-                assert_reports_identical(
-                    report0,
-                    report,
-                    &format!("cfg {ci} seed {seed} {what}"),
-                );
-                assert_eq!(
-                    ops0.len(),
-                    ops.len(),
-                    "cfg {ci} seed {seed} {what}: op-log length"
-                );
-                if let Some(pos) = ops0.iter().zip(ops.iter()).position(|(a, b)| a != b) {
-                    panic!(
-                        "cfg {ci} seed {seed} {what}: op-log diverged at event {pos}: \
-                         {:?} vs {:?}",
-                        ops0[pos], ops[pos]
-                    );
-                }
-            }
-        }
     }
 }
 

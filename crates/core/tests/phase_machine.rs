@@ -2,28 +2,14 @@
 //! boundaries, under both schedules, and with ablation flags — driven
 //! through the real network engine rather than isolated cores.
 
-use gossip_net::rng::DetRng;
-use gossip_net::topology::Topology;
-use rfc_core::engine::{ConsensusAgent, HonestAgent, ProtocolCore};
+use rfc_core::engine::ConsensusAgent;
 use rfc_core::prelude::*;
-use rfc_core::runner::{build_network, collect_report, drive_network};
-use rfc_core::Params;
-
-fn honest_factory(
-    id: u32,
-    params: Params,
-    color: u32,
-    rng: DetRng,
-    topo: &Topology,
-) -> Box<dyn ConsensusAgent> {
-    let core = ProtocolCore::new_on(topo, id, params, params.sync_schedule(), color, rng);
-    Box::new(HonestAgent::new(core))
-}
+use rfc_core::runner::{build_network_slots, collect_report, drive_network, honest_slot_factory};
 
 #[test]
 fn commitment_phase_fills_ledgers() {
     let cfg = RunConfig::builder(24).gamma(3.0).build();
-    let mut net = build_network(&cfg, 7, &mut honest_factory);
+    let mut net = build_network_slots(&cfg, 7, &mut honest_slot_factory);
     let q = cfg.params().q;
     net.run(q); // commitment only
     // Each agent issued q pulls; ledgers hold up to q distinct entries
@@ -49,7 +35,7 @@ fn commitment_phase_fills_ledgers() {
 fn voting_phase_distributes_all_declared_votes() {
     let n = 24;
     let cfg = RunConfig::builder(n).gamma(3.0).build();
-    let mut net = build_network(&cfg, 8, &mut honest_factory);
+    let mut net = build_network_slots(&cfg, 8, &mut honest_slot_factory);
     let q = cfg.params().q;
     net.run(2 * q); // commitment + voting
     // Conservation: every declared vote was delivered exactly once.
@@ -67,7 +53,7 @@ fn voting_phase_distributes_all_declared_votes() {
 fn find_min_converges_before_coherence() {
     let n = 32;
     let cfg = RunConfig::builder(n).gamma(3.0).build();
-    let mut net = build_network(&cfg, 9, &mut honest_factory);
+    let mut net = build_network_slots(&cfg, 9, &mut honest_slot_factory);
     let q = cfg.params().q;
     net.run(3 * q); // through find-min
     let first = net.agent(0).core().min_cert.clone().unwrap();
@@ -90,7 +76,7 @@ fn find_min_converges_before_coherence() {
 fn coherence_passes_on_converged_network() {
     let n = 24;
     let cfg = RunConfig::builder(n).gamma(3.0).build();
-    let mut net = build_network(&cfg, 10, &mut honest_factory);
+    let mut net = build_network_slots(&cfg, 10, &mut honest_slot_factory);
     drive_network(&mut net, &cfg);
     for id in 0..n as u32 {
         assert!(!net.agent(id).core().failed, "agent {id} failed unexpectedly");
@@ -101,7 +87,7 @@ fn coherence_passes_on_converged_network() {
 #[test]
 fn skip_coherence_ablation_runs_three_phases() {
     let cfg = RunConfig::builder(24).gamma(3.0).skip_coherence(true).build();
-    let mut net = build_network(&cfg, 11, &mut honest_factory);
+    let mut net = build_network_slots(&cfg, 11, &mut honest_slot_factory);
     drive_network(&mut net, &cfg);
     let q = cfg.params().q;
     assert_eq!(net.round(), 3 * q, "coherence rounds must not execute");

@@ -10,19 +10,15 @@
 use gossip_net::rng::DetRng;
 use proptest::prelude::*;
 use rfc_core::certificate::{CertData, VoteRec};
-use rfc_core::engine::{ConsensusAgent, HonestAgent, ProtocolCore};
-use rfc_core::runner::{build_network, drive_network, RunConfig};
-use rfc_core::Params;
+use rfc_core::engine::{ConsensusAgent, ProtocolCore};
+use rfc_core::runner::{build_network_slots, drive_network, honest_slot_factory, RunConfig};
 use rfc_core::sharing::Shared;
+use rfc_core::Params;
 
 /// Run a full honest protocol and harvest (verifier cores, winning cert).
 fn finished_run(n: usize, seed: u64) -> (Vec<ProtocolCore>, Shared<CertData>) {
     let cfg = RunConfig::builder(n).gamma(3.0).colors(vec![n - n / 2, n / 2]).build();
-    let mut factory = |id, params: Params, color, rng: DetRng, topo: &gossip_net::topology::Topology| {
-        let core = ProtocolCore::new_on(topo, id, params, params.sync_schedule(), color, rng);
-        Box::new(HonestAgent::new(core)) as Box<dyn ConsensusAgent>
-    };
-    let mut net = build_network(&cfg, seed, &mut factory);
+    let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
     drive_network(&mut net, &cfg);
     let cert = net
         .agent(0)

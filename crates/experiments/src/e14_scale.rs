@@ -7,7 +7,7 @@
 //! work routinely quotes `n ≥ 10⁵`). This experiment sweeps `n` up to
 //! 10⁵ with an agent-trial budget that gives the smallest size 10⁴+
 //! trials, folding every trial into O(threads) mergeable accumulators
-//! ([`run_trials_fold_with_stats`]) — the buffered `Vec`-of-results
+//! ([`run_trials_fold_with_scratch`]) — the buffered `Vec`-of-results
 //! harness would hold every `RunReport` alive and could not touch this
 //! workload class.
 //!
@@ -28,17 +28,11 @@
 //! Unlike E1–E13, the throughput and RSS columns are *measurements of
 //! this machine*, not pure functions of the seed; the count columns
 //! (trials, consensus, bytes/agent) remain seed-deterministic.
-//!
-//! A second table (E14b) measures the **agent-plane dispatch** head to
-//! head: the legacy boxed-dyn pipeline (rebuild + vtables) against the
-//! monomorphic enum plane with per-worker reusable [`TrialArena`]s —
-//! the speedup that PR's refactor is accountable for, tracked in
-//! BENCH_scale.json across PRs.
 
 use crate::opts::ExpOptions;
-use crate::parallel::{run_trials_fold_with_scratch, run_trials_fold_with_stats};
+use crate::parallel::run_trials_fold_with_scratch;
 use crate::table::{fmt, Table};
-use rfc_core::runner::{run_protocol_boxed, RunConfig, TrialArena};
+use rfc_core::runner::{RunConfig, TrialArena};
 use rfc_stats::Tally;
 
 /// Agent-trials budgeted per sweep point (trials(n) = budget / n), so the
@@ -153,79 +147,7 @@ pub fn run_with_budget(opts: &ExpOptions, budget: usize) -> Vec<Table> {
     table.note("per-worker TrialArena: agent storage, network scratch buffers, metrics and op-log recycled across trials");
     table.note("ΔRSS = VmHWM growth across the point (VmHWM is process-global and monotone; the delta attributes memory to the point)");
     table.note("rounds/s and ΔRSS are wall-clock measurements of this machine; trials/consensus/bytes are seed-deterministic");
-    vec![table, dispatch_table(opts, budget)]
-}
-
-/// E14b — the agent-plane head-to-head: the same honest workload through
-/// the legacy boxed-dyn pipeline (rebuild `Vec<Box<dyn ConsensusAgent>>`
-/// every trial, vtable dispatch every call) vs the monomorphic enum
-/// plane with per-worker reusable arenas. Both are exact: bit-identical
-/// `RunReport`s (pinned by `dispatch_equivalence.rs`), so the speedup
-/// column is pure representation cost.
-fn dispatch_table(opts: &ExpOptions, budget: usize) -> Table {
-    let gamma = 3.0;
-    let sizes: Vec<usize> = [256, 1024, 4096]
-        .into_iter()
-        .filter(|&n| n <= opts.cap_n(4096))
-        .collect();
-    let mut table = Table::new(
-        format!("E14b — dispatch comparison: boxed-dyn rebuild vs enum+arena (γ = {gamma})"),
-        &[
-            "n",
-            "trials",
-            "dyn Magent·rounds/s",
-            "enum Magent·rounds/s",
-            "speedup",
-        ],
-    );
-    for &n in &sizes {
-        let trials = (budget / n).clamp(4, 2_000);
-        let threads = opts.threads_for(trials);
-        let cfg = RunConfig::builder(n)
-            .gamma(gamma)
-            .colors(vec![n - n / 2, n / 2])
-            .build();
-        let throughput = |magent_rounds: u64, secs: f64| magent_rounds as f64 / secs / 1e6;
-
-        let started = std::time::Instant::now();
-        let (dyn_rounds, _) = run_trials_fold_with_stats(
-            trials,
-            threads,
-            opts.seed,
-            || 0u64,
-            |acc, _i, seed| *acc += run_protocol_boxed(&cfg, seed).rounds as u64,
-            |a, b| *a += b,
-        );
-        let dyn_tput = throughput(dyn_rounds * n as u64, started.elapsed().as_secs_f64().max(1e-9));
-
-        let started = std::time::Instant::now();
-        let (enum_rounds, _) = run_trials_fold_with_scratch(
-            trials,
-            threads,
-            opts.seed,
-            TrialArena::new,
-            || 0u64,
-            |acc, arena: &mut TrialArena, _i, seed| {
-                *acc += arena.run_protocol(&cfg, seed).rounds as u64
-            },
-            |a, b| *a += b,
-        );
-        let enum_tput =
-            throughput(enum_rounds * n as u64, started.elapsed().as_secs_f64().max(1e-9));
-
-        assert_eq!(dyn_rounds, enum_rounds, "paths must simulate identical rounds");
-        table.row(vec![
-            n.to_string(),
-            trials.to_string(),
-            fmt::f2(dyn_tput),
-            fmt::f2(enum_tput),
-            format!("{:.2}x", enum_tput / dyn_tput.max(1e-12)),
-        ]);
-    }
-    table.note("dyn arm: Vec<Box<dyn ConsensusAgent>> rebuilt per trial, vtable dispatch per agent call");
-    table.note("enum arm: Network<Msg, AgentSlot> per worker, reset in place per trial, jump-table dispatch");
-    table.note("both arms produce bit-identical RunReports (tests/dispatch_equivalence.rs); the ratio is pure dispatch+allocation cost");
-    table
+    vec![table]
 }
 
 #[cfg(test)]
@@ -237,7 +159,7 @@ mod tests {
         // Small explicit budget: the sweep logic is identical to the
         // production path, just cheap enough for debug-mode CI.
         let tables = run_with_budget(&ExpOptions::quick(), 12_000);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert!(t.rows.len() >= 2, "quick mode still sweeps multiple sizes");
         for row in &t.rows {
@@ -253,20 +175,6 @@ mod tests {
             let window: usize = parts[0].parse().unwrap();
             let bound: usize = parts[1].parse().unwrap();
             assert!(window <= bound, "fold window exceeded its bound: {row:?}");
-        }
-    }
-
-    #[test]
-    fn e14_dispatch_table_reports_both_arms() {
-        let tables = run_with_budget(&ExpOptions::quick(), 4_000);
-        let d = &tables[1];
-        assert!(d.title.contains("dispatch"));
-        assert!(!d.rows.is_empty());
-        for row in &d.rows {
-            let dyn_tput: f64 = row[2].parse().unwrap();
-            let enum_tput: f64 = row[3].parse().unwrap();
-            assert!(dyn_tput > 0.0 && enum_tput > 0.0, "throughputs must be measured: {row:?}");
-            assert!(row[4].ends_with('x'), "speedup column malformed: {row:?}");
         }
     }
 

@@ -67,14 +67,18 @@
 //! paper's Conclusions: at each tick exactly one uniformly-random agent
 //! wakes and performs one operation, which completes (including the pull
 //! reply) before the next tick. Async metrics count **rounds ==
-//! activations == ticks**, independent of fault placement.
+//! activations == ticks**, independent of fault placement. It is the
+//! delay-free case of the one tick loop, [`Network::drive_events`].
 //!
-//! [`Network::step_staged`] (module [`staged`]) executes the same round
-//! as an explicit plan → exchange → apply pipeline whose plan and apply
-//! stages shard across worker threads — the intra-trial parallelism
-//! axis. Under the default [`RngDiscipline::Sequential`] it replays
-//! this engine bit for bit; see the [`staged`] module docs for the
-//! discipline contract and the sharded-apply metering addendum.
+//! Each round model has one code path. A synchronous round under the
+//! default [`RngDiscipline::Sequential`] is [`Network::step`]; under
+//! [`RngDiscipline::PerAgent`] it is the staged plan → exchange → apply
+//! pipeline (module [`staged`]), whose stages shard across worker
+//! threads — the intra-trial parallelism axis — and which runs one
+//! shard as the same pipeline at `k = 1`. [`Network::step_staged`]
+//! runs one round on whichever engine the discipline selects; see the
+//! [`staged`] module docs for the discipline contract and the
+//! sharded-apply metering addendum.
 
 use crate::agent::{Agent, Op, RoundCtx};
 use crate::dynamics::{FaultState, LossSchedule, PartitionCut, ScenarioEvent, ScenarioScript};
@@ -114,28 +118,29 @@ pub struct NetworkConfig {
     /// Timed adversity events (churn, partitions). The empty script is
     /// the static case and takes the historical code path bit for bit.
     pub scenario: ScenarioScript,
-    /// Which loss-draw discipline the run uses (see
-    /// [`RngDiscipline`]). Only consulted by the staged engine
-    /// ([`staged`]); the monolithic [`Network::step`] is always
-    /// `Sequential`. The default, `Sequential`, keeps every historical
-    /// digest.
+    /// Which loss-draw discipline the run uses (see [`RngDiscipline`]),
+    /// and with it the synchronous engine [`Network::step_staged`] runs:
+    /// `Sequential` (the default, which keeps every historical digest)
+    /// is the monolithic [`Network::step`], `PerAgent` the staged
+    /// pipeline ([`staged`]). [`Network::step`] itself is always
+    /// `Sequential`.
     pub rng_discipline: RngDiscipline,
-    /// Worker threads for the staged engine's plan/apply shards
-    /// (`0` = available parallelism). Has **no effect on results** —
-    /// staged output is bit-identical for every thread count — and no
-    /// effect at all on the monolithic [`Network::step`] path.
+    /// Worker threads for the staged pipeline's shards and for
+    /// [`Network::finalize`] (`0` = available parallelism). Has **no
+    /// effect on results** — output is bit-identical for every thread
+    /// count — and none on a `Sequential` round, which is serial.
     pub threads: usize,
-    /// Minimum agents per shard before the staged engine fans out
-    /// (`0` = no floor, shard exactly as `threads` says). Below the
-    /// floor the effective thread count is clamped so each shard keeps
-    /// at least this many agents — barrier overhead otherwise eats the
-    /// win at small `n`. Pure throughput knob: clamping is as
-    /// result-invisible as `threads` itself.
+    /// Minimum agents per shard (`0` = no floor, shard exactly as
+    /// `threads` says). Below the floor the effective thread count is
+    /// clamped so each shard keeps at least this many agents — barrier
+    /// overhead otherwise eats the win at small `n`. Pure throughput
+    /// knob: clamping is as result-invisible as `threads` itself.
     pub shard_floor: usize,
-    /// Accumulate a wall-clock breakdown of the staged stages
+    /// Accumulate a wall-clock breakdown of the staged pipeline's stages
     /// (plan/exchange/apply) into [`Network::stage_times`]. Timing never
     /// feeds engine logic, so results are identical either way; off by
-    /// default to keep `Instant` calls off the hot path.
+    /// default to keep `Instant` calls off the hot path. `Sequential`
+    /// rounds are not timed.
     pub time_stages: bool,
 }
 
@@ -158,12 +163,11 @@ impl Default for NetworkConfig {
 
 /// Cumulative wall-clock spent in each staged-engine stage, µs
 /// (see [`NetworkConfig::time_stages`]). `exchange_us` covers the
-/// exchange proper plus the pull-apply leg and op-log pass of the
-/// per-agent discipline — everything between the plan barrier and the
-/// final delivery fan-out — and is itself broken into the five
-/// sub-clocks below under [`RngDiscipline::PerAgent`] (the sequential
-/// discipline replays the monolithic engine in one interleaved pass, so
-/// its sub-clocks stay zero).
+/// exchange proper plus the pull-apply leg and op-log pass — everything
+/// between the plan barrier and the final delivery fan-out — and is
+/// itself broken into the five sub-clocks below. Only
+/// [`RngDiscipline::PerAgent`] rounds run the staged pipeline, so a
+/// `Sequential` run's clocks stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Scenario replay + the sharded plan stage (including the parallel
@@ -304,9 +308,9 @@ impl<M> Ord for InFlight<M> {
 }
 
 /// One delivery-delay draw for the event-driven runtime: uniform in
-/// `[0, max_delay]` ticks. `max_delay == 0` consumes **no** draw, so the
-/// delay-free configuration's RNG streams are bit-identical to
-/// [`Network::run_async`]'s regardless of how `delay_rng` was seeded.
+/// `[0, max_delay]` ticks. `max_delay == 0` consumes **no** draw, so a
+/// delay-free run ([`Network::run_async`]) does not depend on how
+/// `delay_rng` was seeded.
 #[inline]
 fn draw_delay(delay_rng: &mut DetRng, max_delay: usize) -> usize {
     if max_delay == 0 {
@@ -351,16 +355,16 @@ pub struct Network<M, A = Box<dyn Agent<M>>> {
     // Scratch for `Agent::act_multi` (one agent's ops before they are
     // tagged with its id and appended to `ops`).
     multi_buf: Vec<Op<M>>,
-    // Persistent worker pool for the staged engine's sharded stages —
-    // spawned lazily on the first staged round that shards (see
-    // `gossip_net::pool`), resized on `reset_into` if the thread count
-    // changes.
+    // Persistent worker pool for the staged engine's sharded stages and
+    // `finalize` — built lazily on first use (no threads at one shard;
+    // see `gossip_net::pool`) and resized by the next use if the thread
+    // count changes.
     pool: Option<crate::pool::ScopedPool>,
     // Staged-engine scratch (CSR ledgers, reply slots, shard buffers) —
-    // empty and allocation-free until `step_staged` is first called.
+    // empty and allocation-free until a `PerAgent` round first runs.
     staged: staged::StagedScratch<M>,
     // The event-driven runtime's delivery queue (see `drive_events`) —
-    // empty and allocation-free unless events are driven. NOT captured
+    // empty and allocation-free unless a leg is delayed. NOT captured
     // by `EngineState`: checkpoints are a round-boundary contract of the
     // tick-driven paths, and `drive_events` runs are finished (drained)
     // before any snapshot could be cut.
@@ -505,9 +509,9 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         self.ops.clear();
         self.replies.clear();
         self.multi_buf.clear();
-        // The worker pool outlives trials (that is its whole point); it
-        // is re-sized lazily by the next staged round if the new config
-        // wants a different thread count.
+        // The worker pool outlives trials (that is its whole point); its
+        // next use re-sizes it if the new config wants a different
+        // thread count.
         self.staged.clear();
         self.events.clear();
         self.event_seq = 0;
@@ -801,55 +805,24 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// always equals `metrics.ticks` and never depends on fault
     /// placement. The active-op count of a tick is 1 if an operation was
     /// performed, else 0.
+    ///
+    /// This is [`Network::drive_events`] without delays: every leg lands
+    /// inside its send tick and the delivery queue is never touched.
     pub fn run_async(&mut self, ticks: usize, scheduler_rng: &mut DetRng) {
-        let n = self.agents.len();
-        for _ in 0..ticks {
-            let round = self.round;
-            self.begin_round(round);
-            self.metrics.record_tick();
-            let id = scheduler_rng.index(n) as AgentId;
-            if self.fault_state.is_down(id) {
-                self.metrics.record_round(0); // activation with no op
-                self.round += 1;
-                continue;
-            }
-            let op = {
-                let ctx = RoundCtx {
-                    round,
-                    topology: &self.topology,
-                };
-                self.agents[id as usize].act(&ctx)
-            };
-            let performed = op.is_some() as u64;
-            match op {
-                None => {}
-                Some(Op::Push { to, msg }) => {
-                    self.deliver_push(id, to, &msg, round);
-                }
-                Some(Op::Pull { from: target, query }) => {
-                    // `answer_pull` meters the query and any produced
-                    // reply at send time; nothing to meter here.
-                    let reply = self.answer_pull(id, target, &query, round);
-                    let ctx = RoundCtx {
-                        round,
-                        topology: &self.topology,
-                    };
-                    self.agents[id as usize].on_reply(target, reply, &ctx);
-                }
-            }
-            self.metrics.record_round(performed);
-            self.round += 1;
-        }
+        // `max_delay == 0` draws nothing from the delay stream.
+        let mut no_delays = DetRng::from_raw_seed(0);
+        self.drive_events(ticks, scheduler_rng, &mut no_delays, 0);
     }
 
     /// Run the **event-driven** generalization of [`Network::run_async`]:
     /// the same one-uniformly-random-activation-per-tick scheduler, but
-    /// every message travels through a delivery queue with a per-message
-    /// delay of `delay_rng.index(max_delay + 1)` ticks per leg (a pull
-    /// costs two legs: query out, reply back). `max_delay == 0` consumes
-    /// **no** delay draws and delivers everything inside its send tick —
-    /// bit-identical to `run_async` in every metric, handler invocation,
-    /// op-log entry and loss draw (the digest-pinned replay arm).
+    /// every message leg draws a delay of `delay_rng.index(max_delay + 1)`
+    /// ticks (a pull costs two legs: query out, reply back). A leg with
+    /// delay 0 lands on the spot; any other waits in a delivery queue
+    /// that is drained, in `(due, send-order)` order, at the start of
+    /// each tick. `max_delay == 0` consumes **no** delay draws, never
+    /// touches the queue, and completes every operation (pull round-trip
+    /// included) inside its tick.
     ///
     /// Metering is unchanged from the module contract — every message is
     /// metered at send time — with one addendum real delays force: a
@@ -895,101 +868,111 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
                 None => {}
                 Some(Op::Push { to, msg }) => {
                     if self.send_push_checks(id, to, &msg, round) {
-                        let due = round + draw_delay(delay_rng, max_delay);
-                        self.enqueue(due, EventKind::Push { from: id, to, msg });
+                        let leg = EventKind::Push { from: id, to, msg };
+                        self.send_leg(round, leg, delay_rng, max_delay);
                     }
                 }
                 Some(Op::Pull { from: target, query }) => {
-                    if self.send_query_checks(id, target, &query) {
-                        let due = round + draw_delay(delay_rng, max_delay);
-                        self.enqueue(
-                            due,
-                            EventKind::Query {
-                                puller: id,
-                                pullee: target,
-                                query,
-                            },
-                        );
+                    let leg = if self.send_query_checks(id, target, &query) {
+                        EventKind::Query { puller: id, pullee: target, query }
                     } else {
                         // The query never reaches a live handler; the
                         // puller learns by timeout after a round trip.
                         self.record_pull_op(round, id, target, false);
-                        let due = round + draw_delay(delay_rng, max_delay);
-                        self.enqueue(
-                            due,
-                            EventKind::Reply {
-                                puller: id,
-                                pullee: target,
-                                reply: None,
-                            },
-                        );
-                    }
+                        EventKind::Reply { puller: id, pullee: target, reply: None }
+                    };
+                    self.send_leg(round, leg, delay_rng, max_delay);
                 }
             }
-            // Flush what this tick's op made due *now* (the whole tick,
-            // with `max_delay == 0`): a zero-delay pull completes its
-            // query → reply → `on_reply` chain before the tick closes,
-            // replaying `run_async` exactly.
-            self.pump_events(round, delay_rng, max_delay);
             self.metrics.record_round(performed);
             self.round += 1;
+        }
+    }
+
+    /// Send one leg of this tick's operation: draw its delay, land it on
+    /// the spot if the delay is 0, queue it otherwise. Landing on the
+    /// spot keeps the queue's order: after the tick's opening pump
+    /// nothing due this tick is left in the queue, so the leg would have
+    /// been the next event delivered.
+    fn send_leg(
+        &mut self,
+        now: usize,
+        kind: EventKind<M>,
+        delay_rng: &mut DetRng,
+        max_delay: usize,
+    ) {
+        match draw_delay(delay_rng, max_delay) {
+            0 => {
+                if let Some(reply) = self.land(now, kind) {
+                    self.send_leg(now, reply, delay_rng, max_delay);
+                }
+            }
+            delay => self.enqueue(now + delay, kind),
         }
     }
 
     /// Deliver every queued event due at or before `now`, in `(due,
     /// send-order)` order — including events enqueued *by* these
     /// deliveries that are themselves already due (a zero-delay reply
-    /// chases its zero-delay query inside one call).
+    /// chases its query inside one call). A reply is queued even at
+    /// delay 0: it must wait behind the events already due this tick.
     fn pump_events(&mut self, now: usize, delay_rng: &mut DetRng, max_delay: usize) {
-        while let Some(ev) = self.events.peek() {
-            if ev.due > now {
-                break;
-            }
+        while self.events.peek().is_some_and(|ev| ev.due <= now) {
             let ev = self.events.pop().expect("peeked event");
-            match ev.kind {
-                EventKind::Push { from, to, msg } => {
-                    if self.fault_state.is_down(to) {
-                        // Crashed after the send checks passed.
+            if let Some(reply) = self.land(now, ev.kind) {
+                let due = now + draw_delay(delay_rng, max_delay);
+                self.enqueue(due, reply);
+            }
+        }
+    }
+
+    /// Deliver one leg at tick `now`. A query returns its reply leg for
+    /// the caller to send — carrying `None` when the pullee went down in
+    /// flight, stayed silent, or the reply was lost.
+    fn land(&mut self, now: usize, kind: EventKind<M>) -> Option<EventKind<M>> {
+        match kind {
+            EventKind::Push { from, to, msg } => {
+                if self.fault_state.is_down(to) {
+                    // Crashed after the send checks passed.
+                    self.metrics.record_undelivered();
+                } else {
+                    let ctx = RoundCtx {
+                        round: now,
+                        topology: &self.topology,
+                    };
+                    self.agents[to as usize].on_push(from, &msg, &ctx);
+                }
+                None
+            }
+            EventKind::Query { puller, pullee, query } => {
+                let reply = if self.fault_state.is_down(pullee) {
+                    // Crashed mid-flight: the metered query lands on a
+                    // dead mailbox; the puller gets the timeout.
+                    if self.config.meter_queries {
                         self.metrics.record_undelivered();
-                    } else {
-                        let ctx = RoundCtx {
-                            round: now,
-                            topology: &self.topology,
-                        };
-                        self.agents[to as usize].on_push(from, &msg, &ctx);
                     }
-                }
-                EventKind::Query { puller, pullee, query } => {
-                    if self.fault_state.is_down(pullee) {
-                        // Crashed mid-flight: the metered query lands on
-                        // a dead mailbox; the puller gets the timeout.
-                        if self.config.meter_queries {
-                            self.metrics.record_undelivered();
-                        }
-                        self.record_pull_op(now, puller, pullee, false);
-                        let due = now + draw_delay(delay_rng, max_delay);
-                        self.enqueue(due, EventKind::Reply { puller, pullee, reply: None });
-                    } else {
-                        let reply = self.resolve_query(puller, pullee, &query, now);
-                        let due = now + draw_delay(delay_rng, max_delay);
-                        self.enqueue(due, EventKind::Reply { puller, pullee, reply });
+                    self.record_pull_op(now, puller, pullee, false);
+                    None
+                } else {
+                    self.resolve_query(puller, pullee, &query, now)
+                };
+                Some(EventKind::Reply { puller, pullee, reply })
+            }
+            EventKind::Reply { puller, pullee, reply } => {
+                if self.fault_state.is_down(puller) {
+                    // The puller crashed while its reply was in
+                    // flight; a produced (metered) reply is lost.
+                    if reply.is_some() {
+                        self.metrics.record_undelivered();
                     }
+                } else {
+                    let ctx = RoundCtx {
+                        round: now,
+                        topology: &self.topology,
+                    };
+                    self.agents[puller as usize].on_reply(pullee, reply, &ctx);
                 }
-                EventKind::Reply { puller, pullee, reply } => {
-                    if self.fault_state.is_down(puller) {
-                        // The puller crashed while its reply was in
-                        // flight; a produced (metered) reply is lost.
-                        if reply.is_some() {
-                            self.metrics.record_undelivered();
-                        }
-                    } else {
-                        let ctx = RoundCtx {
-                            round: now,
-                            topology: &self.topology,
-                        };
-                        self.agents[puller as usize].on_reply(pullee, reply, &ctx);
-                    }
-                }
+                None
             }
         }
     }
@@ -1188,10 +1171,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// currently crashed. An agent that crashed and recovered before the
     /// end is finalized; one still down is not.
     ///
-    /// Sharded like a staged round: at more than one effective thread
-    /// (see [`NetworkConfig::threads`]) contiguous agent ranges finalize
-    /// on the network's worker pool. `finalize` touches only its own
-    /// agent, so the result is the same for every thread count.
+    /// Sharded like a staged round: contiguous agent ranges finalize on
+    /// the network's worker pool, one per effective thread (see
+    /// [`NetworkConfig::threads`]); one thread runs its single range
+    /// inline. `finalize` touches only its own agent, so the result is
+    /// the same for every thread count and either discipline.
     pub fn finalize(&mut self) {
         let threads = self.effective_threads();
         let Network { pool, agents, topology, fault_state, round, .. } = self;
@@ -1204,11 +1188,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                 }
             }
         };
-        if threads <= 1 {
-            finalize_range(0, agents);
-            return;
-        }
-        let chunk = agents.len().div_ceil(threads);
+        let chunk = agents.len().div_ceil(threads).max(1);
         let pool = staged::ensure_pool(pool, threads);
         pool.scope(|scope| {
             for (s, part) in agents.chunks_mut(chunk).enumerate() {
@@ -1912,49 +1892,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_events_zero_delay_replays_run_async_bit_for_bit() {
-        // The digest-pinned contract: with max_delay == 0 the event
-        // queue delivers everything inside its send tick and the whole
-        // run — metrics, loss draws, op log, handler effects — is
-        // bit-identical to the tick-driven scheduler. Checked on a lossy
-        // config so the loss-stream alignment is exercised too.
-        let mk = || {
-            Network::with_config(
-                Topology::complete(2),
-                SizeEnv::for_n(2),
-                vec![CountingPuller::new(1), CountingPuller::new(0)],
-                FaultPlan::none(2),
-                NetworkConfig {
-                    record_ops: true,
-                    loss_probability: 0.5,
-                    loss_seed: 9,
-                    ..NetworkConfig::default()
-                },
-            )
-        };
-        let mut tick = mk();
-        let mut sched = DetRng::seeded(3, 0);
-        tick.run_async(400, &mut sched);
-
-        let mut ev = mk();
-        let mut sched = DetRng::seeded(3, 0);
-        let mut delays = DetRng::seeded(99, 1); // seed is irrelevant: 0 draws
-        ev.drive_events(400, &mut sched, &mut delays, 0);
-        assert_eq!(ev.events_in_flight(), 0, "zero-delay queue must be empty");
-        assert_eq!(ev.drain_in_flight(), 0);
-
-        assert_eq!(tick.metrics().clone(), ev.metrics().clone());
-        assert_eq!(tick.oplog().len(), ev.oplog().len());
-        let sums = |n: &Network<Num, CountingPuller>| {
-            (
-                n.agents().iter().map(|a| a.produced).sum::<u64>(),
-                n.agents().iter().map(|a| a.delivered).sum::<u64>(),
-            )
-        };
-        assert_eq!(sums(&tick), sums(&ev));
-    }
-
-    #[test]
     fn budget_expired_pull_replies_count_undelivered() {
         // Regression (metering contract, real delays): a pull issued in
         // an agent's last activations whose query or reply is still in
@@ -2015,4 +1952,82 @@ mod tests {
             |agents, _| agents.extend(pushers(n - 1, 0)),
         );
     }
+
+    /// Logs every handler call in arrival order: `(tick, kind, peer)`,
+    /// kind 0 = pull answered, 1 = push, 2 = empty reply, 3 = reply.
+    struct OrderLog {
+        id: AgentId,
+        n: usize,
+        log: Vec<(usize, u8, AgentId)>,
+    }
+    impl Agent<Num> for OrderLog {
+        fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Num>> {
+            let r = ctx.round;
+            let to = ((self.id as usize + 7 * r + 1) % self.n) as AgentId;
+            if (self.id as usize + r) % 2 == 0 {
+                Some(Op::push(to, Num(r as u64)))
+            } else {
+                Some(Op::pull(to, Num(r as u64)))
+            }
+        }
+        fn on_pull(&mut self, from: AgentId, q: &Num, ctx: &RoundCtx) -> Option<Num> {
+            self.log.push((ctx.round, 0, from));
+            Some(Num(q.0))
+        }
+        fn on_push(&mut self, from: AgentId, _msg: &Num, ctx: &RoundCtx) {
+            self.log.push((ctx.round, 1, from));
+        }
+        fn on_reply(&mut self, from: AgentId, reply: Option<Num>, ctx: &RoundCtx) {
+            self.log.push((ctx.round, 2 + reply.is_some() as u8, from));
+        }
+    }
+
+    #[test]
+    fn drive_events_delivery_order_is_pinned() {
+        // Pinned before the tick loops merged: every agent's handler
+        // calls, in order, plus the meters, for delayed and delay-free
+        // runs over a small lossy, churning network where one agent
+        // often gets several deliveries in one tick. A change to the
+        // delivery order — a reply overtaking an earlier event due the
+        // same tick, say — moves the digest even where a protocol's
+        // handlers would commute.
+        let n = 6;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                digest ^= b as u64;
+                digest = digest.wrapping_mul(0x1_0000_01b3);
+            }
+        };
+        for max_delay in [0usize, 1, 3] {
+            let mut net = Network::with_config(
+                Topology::complete(n),
+                SizeEnv::for_n(n),
+                (0..n as AgentId).map(|id| OrderLog { id, n, log: vec![] }).collect(),
+                FaultPlan::none(n),
+                NetworkConfig {
+                    record_ops: true,
+                    loss_probability: 0.2,
+                    loss_seed: 5,
+                    scenario: ScenarioScript::new().crash(100, vec![2]).recover(200, vec![2]),
+                    ..NetworkConfig::default()
+                },
+            );
+            let mut sched = DetRng::seeded(8, 0);
+            let mut delays = DetRng::seeded(8, 1);
+            net.drive_events(300, &mut sched, &mut delays, max_delay);
+            net.drain_in_flight();
+            for agent in net.agents() {
+                for &(tick, kind, peer) in &agent.log {
+                    eat(((tick as u64) << 40) | ((kind as u64) << 32) | peer as u64);
+                }
+            }
+            let m = net.metrics();
+            for v in [m.messages_sent, m.bits_sent, m.undelivered, net.oplog().len() as u64] {
+                eat(v);
+            }
+        }
+        assert_eq!(digest, 0x2321_46a1_b70d_9863, "delivery order changed: {digest:#018x}");
+    }
+
 }

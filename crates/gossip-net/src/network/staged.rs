@@ -4,8 +4,8 @@
 //! [`Network::step`] walks agents one by one; trial-level parallelism
 //! (`experiments::parallel`) therefore tops out where one trial stops
 //! fitting the experiment — the million-agent regime has no per-trial
-//! parallelism to offer it. This module refactors the round into three
-//! explicit stages:
+//! parallelism to offer it. This module runs the
+//! [`RngDiscipline::PerAgent`] round as three explicit stages:
 //!
 //! 1. **plan** — every active agent is asked for its at-most-one [`Op`],
 //!    *in parallel over contiguous agent shards*; per-shard intent
@@ -18,54 +18,55 @@
 //!    receiver, one for pull queries by pullee, one flat list of pulls
 //!    by puller), and every dynamics mask — topology edge, partition
 //!    cut, crash/fault state, loss draw — is applied once per message,
-//!    at send time, exactly as the metering contract demands. Under
-//!    [`RngDiscipline::Sequential`] this stage is one serial pass;
-//!    under [`RngDiscipline::PerAgent`] with several workers the
+//!    at send time, exactly as the metering contract demands. The
 //!    ledgers are built by a sharded counting-sort pipeline
-//!    (`build_ledgers_par`: per-shard histograms → offset prefix
-//!    sum → parallel scatter → sharded mask resolution) that produces
-//!    bit-identical ledgers, verdict bitsets, and meters.
+//!    (`build_ledgers`: per-shard histograms → offset prefix sum →
+//!    parallel scatter → sharded mask resolution).
 //! 3. **apply** — deliveries run *in parallel over receiver shards*:
-//!    first every pull query reaches its pullee's `on_pull`
-//!    ([`RngDiscipline::PerAgent`] only — see below), then every
+//!    first every pull query reaches its pullee's `on_pull`, then every
 //!    delivered push reaches `on_push` and every reply reaches its
 //!    puller's `on_reply`. A receiver's deliveries stay in ledger
 //!    (= sender-id) order, and handlers mutate only their own agent, so
 //!    the interleaving across shards is unobservable.
+//!
+//! One shard is not a special case: it is the same pipeline at `k = 1`,
+//! whose single job per stage runs inline on the caller (a zero-worker
+//! [`crate::pool::ScopedPool`]).
 //!
 //! ## Determinism: bit-identical for any thread count
 //!
 //! Nothing any stage computes depends on the shard count: plan buffers
 //! scatter into the flat op list at offsets prefix-summed in shard
 //! order (= id order), ledger scatter positions come from a global
-//! counting sort whether built serially or sharded, send-time meters
-//! and per-shard reply meters are exact [`Tally`]s merged in shard
-//! order (sums and maxes commute), op-log events scatter into a
-//! pre-sized buffer at positions prefix-summed from per-shard event
-//! counts (reproducing the sequential all-pulls-then-all-pushes round
-//! shape exactly), and every loss draw comes from a stream whose
-//! identity is independent of sharding. No per-round pass over the op
-//! list remains serial. `threads` is a pure throughput knob — pinned by
-//! the thread-invariance suite (`tests/sharded_engine.rs`) and the
-//! sharded golden rows — which is also what makes the per-phase shard
-//! autotuner ([`Network::run_staged_autotuned`]) digest-invariant by
-//! construction: it only ever moves that knob.
+//! counting sort, send-time meters and per-shard reply meters are
+//! exact [`Tally`]s merged in shard order (sums and maxes commute),
+//! op-log events scatter into a pre-sized buffer at positions
+//! prefix-summed from per-shard event counts (reproducing the
+//! sequential all-pulls-then-all-pushes round shape exactly), and every
+//! loss draw comes from a stream whose identity is independent of
+//! sharding. No per-round pass over the op list remains serial.
+//! `threads` is a pure throughput knob — pinned by the
+//! thread-invariance suite (`tests/sharded_engine.rs`) and the sharded
+//! golden rows — which is also what makes the per-phase shard autotuner
+//! ([`Network::run_staged_autotuned`]) digest-invariant by construction:
+//! it only ever moves that knob.
 //!
 //! ## The two RNG disciplines
 //!
-//! * [`RngDiscipline::Sequential`] (default): the exchange stage replays
-//!   the monolithic engine literally — pull queries are answered inline,
-//!   in puller order, drawing the query/reply loss coins from the single
-//!   sequential loss stream in the legacy interleaving. Plan and apply
-//!   still shard, and the result — metrics, op log, every agent's state —
-//!   is **bit-identical to [`Network::step`]** (pinned by
-//!   `staged_properties.rs`). The cost is that `on_pull` work stays
-//!   serial, which caps speedup in the pull-heavy Commitment/Find-Min
-//!   phases.
-//! * [`RngDiscipline::PerAgent`]: every loss draw for a message agent
-//!   `v` receives in round `r` comes from the stream
-//!   [`loss_streams::per_agent`]`(loss_seed, FAMILY, r, v)` — families
-//!   [`loss_streams::QUERY`], [`loss_streams::PUSH`],
+//! [`Network::step_staged`] runs one round on the engine the
+//! configured discipline selects:
+//!
+//! * [`RngDiscipline::Sequential`] (default): the monolithic
+//!   [`Network::step`]. Pull queries are answered inline, in puller
+//!   order, drawing the query/reply loss coins from the single
+//!   sequential loss stream; every historical digest pins this
+//!   interleaving. It is serial by construction — the shared stream
+//!   orders every draw — so `threads` does not shard it (only
+//!   Verification, [`Network::finalize`], shards).
+//! * [`RngDiscipline::PerAgent`]: this module's pipeline. Every loss
+//!   draw for a message agent `v` receives in round `r` comes from the
+//!   stream [`loss_streams::per_agent`]`(loss_seed, FAMILY, r, v)` —
+//!   families [`loss_streams::QUERY`], [`loss_streams::PUSH`],
 //!   [`loss_streams::REPLY`] keep the three legs independent — drawn in
 //!   ledger order. Draws no longer thread through a shared stream, so
 //!   the *reply* coin can be pre-drawn at exchange time (one draw per
@@ -73,7 +74,8 @@
 //!   moves into the parallel apply stage. This discipline produces
 //!   different (equally valid) loss patterns than `Sequential`, so it
 //!   has its own golden rows; with `p = 0` it differs from `Sequential`
-//!   only in handler interleaving, which is unobservable.
+//!   only in handler interleaving, which is unobservable (pinned over
+//!   topologies and fault plans by `staged_properties.rs`).
 //!
 //! ## Metering contract addendum (sharded apply + sharded send-time)
 //!
@@ -128,40 +130,27 @@ pub struct StagedScratch<M> {
     /// Per-shard `act_multi` scratch (one agent's ops before they are
     /// id-tagged into the shard's plan buffer).
     plan_tmp: Vec<Vec<Op<M>>>,
-    /// Counting-sort scratch (`n + 1` counters; query side).
-    counts: Vec<u32>,
-    /// Counting-sort scratch (`n + 1` counters; push side).
-    counts2: Vec<u32>,
     /// Push ledger offsets by receiver (`n + 1`).
     push_off: Vec<u32>,
     /// Push ledger entries, grouped by receiver, op order within a
     /// receiver.
     push_entries: Vec<PushEntry>,
-    /// Query ledger offsets by pullee (`n + 1`; `PerAgent` only).
+    /// Query ledger offsets by pullee (`n + 1`).
     query_off: Vec<u32>,
-    /// Query ledger entries, grouped by pullee (`PerAgent` only).
+    /// Query ledger entries, grouped by pullee.
     query_entries: Vec<QueryEntry>,
-    /// Scatter target for the sequential path's push regroup (swapped
-    /// with `push_entries` after grouping; retained across rounds).
-    push_scratch: Vec<PushEntry>,
-    /// The sequential path's push verdicts move here from op index to
-    /// ledger position during the regroup (swapped with
-    /// `push_delivered` after grouping).
-    push_delivered_scratch: BitSet,
     /// All pulls of the round, in op (= puller-id) order.
     pulls: Vec<PullRec>,
     /// Reply slots, one per pull, at the pull's `qpos`: aligned with
-    /// `query_entries` and written by the pull-apply shards under
-    /// `PerAgent`, aligned with `pulls` under `Sequential`. The delivery
-    /// shards move each puller's reply straight out of its slot.
+    /// `query_entries` and written by the pull-apply shards. The
+    /// delivery shards move each puller's reply straight out of its
+    /// slot.
     replies: Vec<Option<M>>,
     /// Push delivery verdicts, by push-ledger position.
     push_delivered: BitSet,
-    /// Query delivery verdicts, by query-ledger position (`PerAgent`
-    /// only).
+    /// Query delivery verdicts, by query-ledger position.
     query_delivered: BitSet,
-    /// Pre-drawn reply transit coins, by op index of the pull
-    /// (`PerAgent` only).
+    /// Pre-drawn reply transit coins, by op index of the pull.
     reply_lost: BitSet,
     /// Per-shard query histograms for the parallel ledger build, shard
     /// `s` at `s * n..(s + 1) * n` (turned into absolute scatter cursors
@@ -195,10 +184,10 @@ struct PushEntry {
     op: u32,
 }
 
-/// One pull-query delivery to a pullee (`PerAgent` only). The `on_pull`
-/// gate lives in [`StagedScratch::query_delivered`] at the entry's
-/// ledger position, the pre-drawn reply transit coin in
-/// [`StagedScratch::reply_lost`] at bit `op`.
+/// One pull-query delivery to a pullee. The `on_pull` gate lives in
+/// [`StagedScratch::query_delivered`] at the entry's ledger position,
+/// the pre-drawn reply transit coin in [`StagedScratch::reply_lost`] at
+/// bit `op`.
 #[derive(Debug, Clone, Copy)]
 struct QueryEntry {
     puller: AgentId,
@@ -207,8 +196,7 @@ struct QueryEntry {
 
 /// One pull, in op order: `qpos` is its reply slot in
 /// [`StagedScratch::replies`] — the index of its query entry in the
-/// query ledger under `PerAgent`, its own index in `pulls` under
-/// `Sequential` (which answers inline).
+/// query ledger.
 #[derive(Debug, Clone, Copy)]
 struct PullRec {
     puller: AgentId,
@@ -223,12 +211,8 @@ impl<M> StagedScratch<M> {
         StagedScratch {
             plan_bufs: Vec::new(),
             plan_tmp: Vec::new(),
-            counts: Vec::new(),
-            counts2: Vec::new(),
             push_off: Vec::new(),
             push_entries: Vec::new(),
-            push_scratch: Vec::new(),
-            push_delivered_scratch: BitSet::new(),
             query_off: Vec::new(),
             query_entries: Vec::new(),
             pulls: Vec::new(),
@@ -254,12 +238,8 @@ impl<M> StagedScratch<M> {
         for tmp in &mut self.plan_tmp {
             tmp.clear();
         }
-        self.counts.clear();
-        self.counts2.clear();
         self.push_off.clear();
         self.push_entries.clear();
-        self.push_scratch.clear();
-        self.push_delivered_scratch.reset(0);
         self.query_off.clear();
         self.query_entries.clear();
         self.pulls.clear();
@@ -365,11 +345,16 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// Execute one staged round (see the module docs). Output is
-    /// bit-identical for every `NetworkConfig::threads` value; under
-    /// [`RngDiscipline::Sequential`] it is additionally bit-identical to
-    /// the monolithic [`Network::step`].
+    /// Execute one round on the engine [`NetworkConfig::rng_discipline`]
+    /// selects: the monolithic [`Network::step`] under
+    /// [`RngDiscipline::Sequential`], this module's staged pipeline
+    /// under [`RngDiscipline::PerAgent`] (see the module docs). Output
+    /// is bit-identical for every `NetworkConfig::threads` value.
     pub fn step_staged(&mut self) {
+        if self.config.rng_discipline == RngDiscipline::Sequential {
+            self.step();
+            return;
+        }
         let round = self.round;
         let timed = self.config.time_stages;
         let t0 = timed.then(std::time::Instant::now);
@@ -381,21 +366,16 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
         self.metrics.record_round(self.ops.len() as u64);
         let t1 = timed.then(std::time::Instant::now);
-        match self.config.rng_discipline {
-            RngDiscipline::Sequential => self.exchange_sequential(round),
-            RngDiscipline::PerAgent => {
-                self.exchange_per_agent(round, threads);
-                let tp = timed.then(std::time::Instant::now);
-                self.apply_pulls(round, threads);
-                if let Some(t) = tp {
-                    self.stage_times.pull_us += t.elapsed().as_micros() as u64;
-                }
-                let tl = timed.then(std::time::Instant::now);
-                self.log_round_ops(round, threads);
-                if let Some(t) = tl {
-                    self.stage_times.log_us += t.elapsed().as_micros() as u64;
-                }
-            }
+        self.exchange(round, threads);
+        let tp = timed.then(std::time::Instant::now);
+        self.apply_pulls(round, threads);
+        if let Some(t) = tp {
+            self.stage_times.pull_us += t.elapsed().as_micros() as u64;
+        }
+        let tl = timed.then(std::time::Instant::now);
+        self.log_round_ops(round, threads);
+        if let Some(t) = tl {
+            self.stage_times.log_us += t.elapsed().as_micros() as u64;
         }
         if let Some(t) = t1 {
             self.stage_times.exchange_us += t.elapsed().as_micros() as u64;
@@ -408,7 +388,8 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         self.round += 1;
     }
 
-    /// Run `rounds` staged rounds (without finalizing).
+    /// Run `rounds` rounds on the discipline's engine (without
+    /// finalizing; see [`Self::step_staged`]).
     pub fn run_staged(&mut self, rounds: usize) {
         for _ in 0..rounds {
             self.step_staged();
@@ -470,24 +451,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// (overridden [`Agent::act_multi`]) keep their emission order
     /// within their id slot.
     fn plan(&mut self, round: usize, threads: usize) {
-        let Network { pool, agents, staged, topology, fault_state, ops, multi_buf, .. } = self;
+        let Network { pool, agents, staged, topology, fault_state, ops, .. } = self;
         ops.clear();
         let n = agents.len();
         let topology: &Topology = topology;
         let fault_state: &FaultState = fault_state;
-        if threads <= 1 {
-            let ctx = RoundCtx { round, topology };
-            for (id, agent) in agents.iter_mut().enumerate() {
-                if fault_state.is_down(id as AgentId) {
-                    continue; // quiescent: never acts
-                }
-                agent.act_multi(&ctx, multi_buf);
-                for op in multi_buf.drain(..) {
-                    ops.push((id as AgentId, op));
-                }
-            }
-            return;
-        }
         let chunk = n.div_ceil(threads);
         let bufs = &mut staged.plan_bufs;
         let tmps = &mut staged.plan_tmp;
@@ -577,67 +545,14 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     // Stage 2: exchange
     // ------------------------------------------------------------------
 
-    /// Sequential-discipline exchange: a literal replay of the
-    /// monolithic engine's stages 2–3. Pulls are answered inline via
-    /// [`Network::answer_pull`] (same metering, op log, and loss-stream
-    /// interleaving, draw for draw); pushes are metered, logged, and
-    /// gated exactly like [`Network::deliver_push`] — only the handler
-    /// invocation is deferred to the apply stage.
-    fn exchange_sequential(&mut self, round: usize) {
-        self.staged.pulls.clear();
-        self.staged.replies.clear();
-        let ops = std::mem::take(&mut self.ops);
-        for (from, op) in &ops {
-            if let Op::Pull { from: target, query } = op {
-                let reply = self.answer_pull(*from, *target, query, round);
-                self.staged.pulls.push(PullRec {
-                    puller: *from,
-                    pullee: *target,
-                    qpos: self.staged.replies.len() as u32,
-                });
-                self.staged.replies.push(reply);
-            }
-        }
-        // Pushes: metering contract first (send time, before any mask),
-        // then the exact legacy gate — note the short-circuit: the loss
-        // coin is drawn only for reachable, live receivers, precisely as
-        // `deliver_push` does. Verdicts go in by op index here; the
-        // regroup below moves each to its entry's ledger position.
-        self.staged.push_entries.clear();
-        self.staged.push_entries.reserve(ops.len());
-        self.staged.push_delivered.reset(ops.len());
-        for (i, (from, op)) in ops.iter().enumerate() {
-            if let Op::Push { to, msg } = op {
-                self.metrics.record_message(msg.size_bits(&self.env));
-                if self.config.record_ops {
-                    self.oplog.record(round as u32, OpKind::Push, *from, *to);
-                }
-                let delivered = self.reachable(*from, *to)
-                    && !self.fault_state.is_down(*to)
-                    && !self.dropped();
-                if delivered {
-                    self.staged.push_delivered.set(i);
-                } else {
-                    self.metrics.record_undelivered();
-                }
-                self.staged.push_entries.push(PushEntry { from: *from, op: i as u32 });
-            }
-        }
-        self.ops = ops;
-        self.group_pushes_by_receiver();
-    }
-
-    /// Per-agent-discipline exchange: meter everything (sharded exact
-    /// tallies, merged in shard order — see the metering addendum), then
-    /// build both delivery ledgers — in one pass on a single worker, or
-    /// via the sharded counting-sort pipeline for several. No agent code
-    /// runs here, so the whole apply stage can shard afterwards.
-    ///
-    /// Both builders produce bit-identical ledgers, verdict bitsets, and
-    /// meters: scatter positions come from the same global counting
-    /// sort, and every loss stream is keyed by `(seed, family, round,
-    /// agent)` — never by shard.
-    fn exchange_per_agent(&mut self, round: usize, threads: usize) {
+    /// Exchange: meter everything (sharded exact tallies, merged in
+    /// shard order — see the metering addendum), then build both
+    /// delivery ledgers with the sharded counting-sort pipeline. No
+    /// agent code runs here, so the whole apply stage can shard
+    /// afterwards. Scatter positions come from one global counting sort,
+    /// and every loss stream is keyed by `(seed, family, round, agent)` —
+    /// never by shard.
+    fn exchange(&mut self, round: usize, threads: usize) {
         let timed = self.config.time_stages;
         let ops = std::mem::take(&mut self.ops);
         let t0 = timed.then(std::time::Instant::now);
@@ -645,11 +560,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         if let Some(t) = t0 {
             self.stage_times.meter_us += t.elapsed().as_micros() as u64;
         }
-        if threads <= 1 {
-            self.build_ledgers_seq(&ops, round);
-        } else {
-            self.build_ledgers_par(&ops, round, threads);
-        }
+        self.build_ledgers(&ops, round, threads);
         self.ops = ops;
     }
 
@@ -658,14 +569,14 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// folds its contiguous op range into an exact [`Tally`] and the
     /// tallies merge into [`Metrics`] in shard order — sums and maxes
     /// commute, so the result equals the sequential pass bit for bit.
-    /// Even single-threaded this is a win: one phase lookup per round
+    /// Even on one shard this is a win: one phase lookup per round
     /// instead of one per message.
     fn meter_ops(&mut self, ops: &[(AgentId, Op<M>)], threads: usize) {
         let meter_queries = self.config.meter_queries;
         let n_ops = ops.len();
         let Network { pool, staged: st, metrics, env, .. } = self;
         let env: &SizeEnv = env;
-        if threads <= 1 || n_ops < threads {
+        if n_ops < threads {
             metrics.record_bulk(&tally_ops(ops, meter_queries, env), 0);
             return;
         }
@@ -689,144 +600,25 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// Single-worker ledger build: one histogram pass over the ops, one
-    /// scatter pass writing both CSR ledgers directly in receiver-grouped
-    /// form (plus the pull list and the pre-drawn reply coins), then
-    /// per-receiver mask/loss resolution in ledger order. No regroup
-    /// pass, no per-entry `Vec` pushes: both entry arrays are sized once
-    /// and block-written through counting-sort cursors.
-    fn build_ledgers_seq(&mut self, ops: &[(AgentId, Op<M>)], round: usize) {
-        let n = self.agents.len();
-        let p = self.current_p;
-        let loss_seed = self.config.loss_seed;
-        let meter_queries = self.config.meter_queries;
-        let timed = self.config.time_stages;
-        let Network { staged: st, fault_state, topology, partition, metrics, stage_times, .. } =
-            self;
-        let t_build = timed.then(std::time::Instant::now);
-
-        // Histograms (`+ 1` slots so offsets fall out of a prefix sum).
-        st.counts.clear();
-        st.counts.resize(n + 1, 0);
-        st.counts2.clear();
-        st.counts2.resize(n + 1, 0);
-        for (_, op) in ops {
-            match op {
-                Op::Pull { from: target, .. } => st.counts[*target as usize + 1] += 1,
-                Op::Push { to, .. } => st.counts2[*to as usize + 1] += 1,
-            }
-        }
-        st.query_off.clear();
-        st.query_off.reserve(n + 1);
-        let mut acc = 0u32;
-        for &c in &st.counts {
-            acc += c;
-            st.query_off.push(acc);
-        }
-        let total_queries = acc as usize;
-        st.push_off.clear();
-        st.push_off.reserve(n + 1);
-        let mut acc = 0u32;
-        for &c in &st.counts2 {
-            acc += c;
-            st.push_off.push(acc);
-        }
-        let total_pushes = acc as usize;
-
-        st.query_entries.clear();
-        st.query_entries.resize(total_queries, QueryEntry { puller: 0, op: 0 });
-        st.push_entries.clear();
-        st.push_entries.resize(total_pushes, PushEntry { from: 0, op: 0 });
-        st.pulls.clear();
-        st.pulls.reserve(total_queries);
-        st.query_delivered.reset(total_queries);
-        st.push_delivered.reset(total_pushes);
-        st.reply_lost.reset(ops.len());
-
-        // Scatter; cursors start at the offsets, so each receiver's
-        // entries land in op order (the stable counting sort the apply
-        // stage depends on). The reply transit coin is pre-drawn here:
-        // one stream per *puller* per round, one draw per pull, consumed
-        // whether or not the pullee ends up answering (the per-agent
-        // discipline's documented difference from the sequential
-        // stream).
-        st.counts.copy_from_slice(&st.query_off);
-        st.counts2.copy_from_slice(&st.push_off);
-        for (i, (from, op)) in ops.iter().enumerate() {
-            match op {
-                Op::Pull { from: target, .. } => {
-                    let cursor = &mut st.counts[*target as usize];
-                    let pos = *cursor;
-                    *cursor += 1;
-                    st.query_entries[pos as usize] = QueryEntry { puller: *from, op: i as u32 };
-                    st.pulls.push(PullRec { puller: *from, pullee: *target, qpos: pos });
-                    if p > 0.0 {
-                        let mut rng = loss_streams::per_agent(
-                            loss_seed,
-                            loss_streams::REPLY,
-                            round,
-                            *from,
-                        );
-                        if rng.chance(p) {
-                            st.reply_lost.set(i);
-                        }
-                    }
-                }
-                Op::Push { to, .. } => {
-                    let cursor = &mut st.counts2[*to as usize];
-                    let pos = *cursor;
-                    *cursor += 1;
-                    st.push_entries[pos as usize] = PushEntry { from: *from, op: i as u32 };
-                }
-            }
-        }
-
-        if let Some(t) = t_build {
-            stage_times.build_us += t.elapsed().as_micros() as u64;
-        }
-        let t_resolve = timed.then(std::time::Instant::now);
-        let undelivered = resolve_masks_range(
-            0,
-            n,
-            &st.query_entries,
-            &st.query_off,
-            &st.push_entries,
-            &st.push_off,
-            st.query_delivered.as_atomic(),
-            st.push_delivered.as_atomic(),
-            p,
-            loss_seed,
-            round,
-            meter_queries,
-            fault_state,
-            topology,
-            partition.as_ref(),
-        );
-        metrics.record_bulk(&Tally::default(), undelivered);
-        if let Some(t) = t_resolve {
-            stage_times.resolve_us += t.elapsed().as_micros() as u64;
-        }
-    }
-
-    /// Sharded ledger build. Stage A: each shard histograms its op
-    /// range, then sums its histogram over each receiver range. Stage B
+    /// The ledger build. Stage A: each shard histograms its op range,
+    /// then sums its histogram over each receiver range. Stage B
     /// (sharded over receiver ranges): the per-shard counts are merged
     /// into the global CSR offsets and, in place, into absolute scatter
     /// cursors — shard `s`'s cursor for receiver `v` starts at `off[v] +
-    /// Σ_{s' < s} counts[s'][v]`, so scatter positions reproduce the
-    /// sequential counting sort exactly; each receiver range starts
-    /// from the stage-A range sums of every range before it. Stage
-    /// C: shards scatter their op ranges through those cursors
+    /// Σ_{s' < s} counts[s'][v]`, so scatter positions are those of one
+    /// stable counting sort over the whole op list; each receiver range
+    /// starts from the stage-A range sums of every range before it.
+    /// Stage C: shards scatter their op ranges through those cursors
     /// ([`SharedWriter`]; positions pairwise disjoint by construction),
     /// write pull records into contiguous per-shard `pulls` segments
     /// (shard order = op order), and pre-draw the reply coins into the
     /// shared op-indexed bitset (relaxed atomic ORs — each bit has
     /// exactly one writer, so the verdict is interleaving-independent).
-    /// Stage D: mask/loss resolution shards over *receivers* with the
-    /// same per-receiver streams and ledger order as the sequential
-    /// build, counting undelivered per shard and merging after the
-    /// barrier (a sum, so the merge is exact).
-    fn build_ledgers_par(&mut self, ops: &[(AgentId, Op<M>)], round: usize, threads: usize) {
+    /// Stage D: mask/loss resolution shards over *receivers* — one loss
+    /// stream per receiver, drawn in ledger order — counting undelivered
+    /// per shard and merging after the barrier (a sum, so the merge is
+    /// exact).
+    fn build_ledgers(&mut self, ops: &[(AgentId, Op<M>)], round: usize, threads: usize) {
         let n = self.agents.len();
         let p = self.current_p;
         let loss_seed = self.config.loss_seed;
@@ -1103,52 +895,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// Regroup `staged.push_entries` (currently in op order, with the
-    /// receiver recoverable from `ops`) into receiver-grouped CSR form,
-    /// building `push_off`. Stable: a receiver's entries stay in op
-    /// (= sender-id) order, the monolithic engine's delivery order.
-    fn group_pushes_by_receiver(&mut self) {
-        let n = self.agents.len();
-        let st = &mut self.staged;
-        st.counts.clear();
-        st.counts.resize(n + 1, 0);
-        let receiver = |ops: &[(AgentId, Op<M>)], e: &PushEntry| -> usize {
-            match &ops[e.op as usize].1 {
-                Op::Push { to, .. } => *to as usize,
-                Op::Pull { .. } => unreachable!("push ledger entry points at a pull"),
-            }
-        };
-        for e in &st.push_entries {
-            st.counts[receiver(&self.ops, e) + 1] += 1;
-        }
-        st.push_off.clear();
-        st.push_off.reserve(n + 1);
-        let mut acc = 0u32;
-        for &c in &st.counts {
-            acc += c;
-            st.push_off.push(acc);
-        }
-        st.counts.copy_from_slice(&st.push_off);
-        st.push_scratch.clear();
-        st.push_scratch.resize(st.push_entries.len(), PushEntry { from: 0, op: 0 });
-        st.push_delivered_scratch.reset(st.push_entries.len());
-        for e in &st.push_entries {
-            let cursor = &mut st.counts[receiver(&self.ops, e)];
-            st.push_scratch[*cursor as usize] = *e;
-            if st.push_delivered.get(e.op as usize) {
-                st.push_delivered_scratch.set(*cursor as usize);
-            }
-            *cursor += 1;
-        }
-        std::mem::swap(&mut st.push_entries, &mut st.push_scratch);
-        std::mem::swap(&mut st.push_delivered, &mut st.push_delivered_scratch);
-    }
-
     // ------------------------------------------------------------------
     // Stage 3: apply
     // ------------------------------------------------------------------
 
-    /// `PerAgent` apply, leg one: deliver every gated query to its
+    /// Apply, leg one: deliver every gated query to its
     /// pullee's `on_pull`, sharded over pullees. Produced replies are
     /// metered into per-shard tallies (merged in shard order) and
     /// written into the ledger-aligned reply slots, where the delivery
@@ -1168,64 +919,47 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let reply_lost = &st.reply_lost;
         let slots = &mut st.replies.spare_capacity_mut()[..total];
         let chunk = n.div_ceil(threads);
+        // Shard meters are written in place by the pool jobs (an unused
+        // trailing slot stays a zero tally, which merges as a no-op), so
+        // shard order is positional, not join order.
         st.shard_meters.clear();
-        if threads <= 1 {
-            let meter = apply_pull_chunk(
-                &mut agents[..],
-                0,
-                entries,
-                off,
-                delivered,
-                reply_lost,
-                slots,
-                ops,
-                round,
-                topology,
-                env,
-            );
-            st.shard_meters.push(meter);
-        } else {
-            // Shard meters are written in place by the pool jobs (an
-            // unused trailing slot stays a zero tally, which merges as
-            // a no-op), so shard order is positional, not join order.
-            st.shard_meters.resize_with(threads, Default::default);
-            let pool = ensure_pool(pool, threads);
-            pool.scope(|scope| {
-                let mut agents_rest: &mut [A] = agents;
-                let mut reply_rest = slots;
-                let mut meters_rest: &mut [(Tally, u64)] = &mut st.shard_meters;
-                let mut consumed = off[0] as usize; // == 0
-                let mut lo = 0usize;
-                while lo < n {
-                    let hi = (lo + chunk).min(n);
-                    let (agents_chunk, ar) = agents_rest.split_at_mut(hi - lo);
-                    agents_rest = ar;
-                    let e_hi = off[hi] as usize;
-                    let (reply_chunk, rr) = reply_rest.split_at_mut(e_hi - consumed);
-                    reply_rest = rr;
-                    consumed = e_hi;
-                    let (meter_slot, mr) = meters_rest.split_first_mut().expect("meter slot per shard");
-                    meters_rest = mr;
-                    let base = lo;
-                    scope.spawn(move || {
-                        *meter_slot = apply_pull_chunk(
-                            agents_chunk,
-                            base,
-                            entries,
-                            off,
-                            delivered,
-                            reply_lost,
-                            reply_chunk,
-                            ops,
-                            round,
-                            topology,
-                            env,
-                        );
-                    });
-                    lo = hi;
-                }
-            });
-        }
+        st.shard_meters.resize_with(threads, Default::default);
+        let pool = ensure_pool(pool, threads);
+        pool.scope(|scope| {
+            let mut agents_rest: &mut [A] = agents;
+            let mut reply_rest = slots;
+            let mut meters_rest: &mut [(Tally, u64)] = &mut st.shard_meters;
+            let mut consumed = off[0] as usize; // == 0
+            let mut lo = 0usize;
+            while lo < n {
+                let hi = (lo + chunk).min(n);
+                let (agents_chunk, ar) = agents_rest.split_at_mut(hi - lo);
+                agents_rest = ar;
+                let e_hi = off[hi] as usize;
+                let (reply_chunk, rr) = reply_rest.split_at_mut(e_hi - consumed);
+                reply_rest = rr;
+                consumed = e_hi;
+                let (meter_slot, mr) = meters_rest.split_first_mut().expect("meter slot per shard");
+                meters_rest = mr;
+                let base = lo;
+                scope.spawn(move || {
+                    *meter_slot = apply_pull_chunk(
+                        agents_chunk,
+                        base,
+                        entries,
+                        off,
+                        delivered,
+                        reply_lost,
+                        reply_chunk,
+                        ops,
+                        round,
+                        topology,
+                        env,
+                    );
+                });
+                lo = hi;
+            }
+        });
         // SAFETY: the pullee shards cover `0..total` (the query ledger's
         // receiver ranges) and write every slot of their range.
         unsafe { st.replies.set_len(total) };
@@ -1236,39 +970,20 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// `PerAgent` op-log pass: pull outcomes in op order, then pushes in
-    /// op order — the same per-round shape the monolithic engine writes
-    /// (its stage 2 then stage 3). Runs after the pull barrier, when
-    /// outcomes are known.
+    /// Op-log pass: pull outcomes in op order, then pushes in op order —
+    /// the same per-round shape the monolithic engine writes (its stage
+    /// 2 then stage 3). Runs after the pull barrier, when outcomes are
+    /// known.
     ///
-    /// With several workers the round's events scatter in parallel into
-    /// a pre-sized tail of the log ([`OpLog::scatter_tail`]): every op
-    /// is a pull or a push, so the tail holds exactly `n_ops` events —
-    /// `[pulls in op order][pushes in op order]` — and the per-shard
-    /// pull counts from the ledger build's stage A prefix-sum into each
-    /// shard's disjoint pull and push cursor ranges. The scattered log
-    /// is byte-identical to the sequential append it replaces.
+    /// The round's events scatter in parallel into a pre-sized tail of
+    /// the log ([`OpLog::scatter_tail`]): every op is a pull or a push,
+    /// so the tail holds exactly `n_ops` events — `[pulls in op
+    /// order][pushes in op order]` — and the per-shard pull counts from
+    /// the ledger build's stage A prefix-sum into each shard's disjoint
+    /// pull and push cursor ranges. The scattered log is byte-identical
+    /// to a sequential op-order append.
     fn log_round_ops(&mut self, round: usize, threads: usize) {
         if !self.config.record_ops {
-            return;
-        }
-        if threads <= 1 {
-            // `shard_pulls` is only populated by the parallel ledger
-            // build; the single-worker round appends directly.
-            let st = &self.staged;
-            for pull in &st.pulls {
-                let kind = if st.replies[pull.qpos as usize].is_some() {
-                    OpKind::Pull
-                } else {
-                    OpKind::PullUnanswered
-                };
-                self.oplog.record(round as u32, kind, pull.puller, pull.pullee);
-            }
-            for (from, op) in &self.ops {
-                if let Op::Push { to, .. } = op {
-                    self.oplog.record(round as u32, OpKind::Push, *from, *to);
-                }
-            }
             return;
         }
         let n_ops = self.ops.len();
@@ -1334,7 +1049,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         });
     }
 
-    /// Apply, final leg (both disciplines): deliver gated pushes to
+    /// Apply, final leg: deliver gated pushes to
     /// `on_push` and each pull's reply slot to `on_reply`, sharded over
     /// receivers. Pushes of one receiver arrive in ledger (sender-id)
     /// order; each puller's single reply follows its pushes — handlers
@@ -1358,61 +1073,47 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         unsafe { st.replies.set_len(0) };
         let replies = SharedWriter(st.replies.as_mut_ptr());
         let chunk = n.div_ceil(threads);
-        if threads <= 1 {
-            apply_delivery_chunk(
-                &mut agents[..],
-                0,
-                entries,
-                off,
-                delivered,
-                &st.pulls[..],
-                replies,
-                ops,
-                round,
-                topology,
-            );
-        } else {
-            let pool = ensure_pool(pool, threads);
-            pool.scope(|scope| {
-                let mut agents_rest: &mut [A] = agents;
-                let mut pulls_rest: &[PullRec] = &st.pulls;
-                let mut lo = 0usize;
-                while lo < n {
-                    let hi = (lo + chunk).min(n);
-                    let (agents_chunk, ar) = agents_rest.split_at_mut(hi - lo);
-                    agents_rest = ar;
-                    // A multi-op puller has several adjacent pulls; the
-                    // partition point stays correct because `pulls` is
-                    // puller-ordered (op order).
-                    let k = pulls_rest.partition_point(|p| (p.puller as usize) < hi);
-                    let (pulls_chunk, pr) = pulls_rest.split_at(k);
-                    pulls_rest = pr;
-                    let base = lo;
-                    scope.spawn(move || {
-                        apply_delivery_chunk(
-                            agents_chunk,
-                            base,
-                            entries,
-                            off,
-                            delivered,
-                            pulls_chunk,
-                            replies,
-                            ops,
-                            round,
-                            topology,
-                        );
-                    });
-                    lo = hi;
-                }
-            });
-        }
+        let pool = ensure_pool(pool, threads);
+        pool.scope(|scope| {
+            let mut agents_rest: &mut [A] = agents;
+            let mut pulls_rest: &[PullRec] = &st.pulls;
+            let mut lo = 0usize;
+            while lo < n {
+                let hi = (lo + chunk).min(n);
+                let (agents_chunk, ar) = agents_rest.split_at_mut(hi - lo);
+                agents_rest = ar;
+                // A multi-op puller has several adjacent pulls; the
+                // partition point stays correct because `pulls` is
+                // puller-ordered (op order).
+                let k = pulls_rest.partition_point(|p| (p.puller as usize) < hi);
+                let (pulls_chunk, pr) = pulls_rest.split_at(k);
+                pulls_rest = pr;
+                let base = lo;
+                scope.spawn(move || {
+                    apply_delivery_chunk(
+                        agents_chunk,
+                        base,
+                        entries,
+                        off,
+                        delivered,
+                        pulls_chunk,
+                        replies,
+                        ops,
+                        round,
+                        topology,
+                    );
+                });
+                lo = hi;
+            }
+        });
     }
 }
 
-/// Get the network's persistent worker pool for `threads >= 2` shards,
+/// Get the network's persistent worker pool for `threads` shards,
 /// (re)building it lazily if it does not exist yet or the configured
 /// thread count changed. The calling thread runs the last shard of every
-/// scope itself, so the pool holds `threads - 1` workers. The pool
+/// scope itself, so the pool holds `threads - 1` workers — none at one
+/// shard, where every job runs inline. The pool
 /// outlives rounds *and* trials — replacing a per-round
 /// `std::thread::scope` spawn/join with a job-slot hand-off (`rfc-bench`'s
 /// `staged_spawn_overhead` row isolates the difference).
@@ -1454,8 +1155,8 @@ fn tally_ops<M: MsgSize>(ops: &[(AgentId, Op<M>)], meter_queries: bool, env: &Si
 /// round, one draw per inbound entry (ledger order), drawn whether or
 /// not a mask already suppresses the delivery — the draws of one
 /// agent's inbox never depend on another agent's traffic, which is what
-/// makes this callable from any shard decomposition (or none) with
-/// bit-identical results.
+/// makes this callable from any shard decomposition with bit-identical
+/// results.
 #[allow(clippy::too_many_arguments)]
 fn resolve_masks_range(
     lo: usize,
@@ -1673,24 +1374,6 @@ mod tests {
             .map(|a| format!("{:?}|{}|{:?}", a.heard, a.answered, a.replies))
             .collect();
         (net.metrics().clone(), net.oplog().events().to_vec(), agents)
-    }
-
-    #[test]
-    fn staged_sequential_replays_legacy_engine_bit_for_bit() {
-        let cfg = NetworkConfig {
-            record_ops: true,
-            loss_probability: 0.3,
-            loss_seed: 11,
-            ..NetworkConfig::default()
-        };
-        let mut legacy = mk_net(20, cfg.clone());
-        legacy.run(12);
-        let want = observe(&legacy);
-        for threads in [1usize, 2, 4, 7] {
-            let mut net = mk_net(20, NetworkConfig { threads, ..cfg.clone() });
-            net.run_staged(12);
-            assert_eq!(observe(&net), want, "threads={threads} diverged from legacy step()");
-        }
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //! now and then, a worker starting ~0.2 ms late a hundred times per run
 //! made a 2-shard run at n = 4096 slower than one shard.)
 //!
+//! A pool of `w = 0` workers starts no thread: every job runs inline and
+//! unboxed, in spawn order. That is how one shard runs the same staged
+//! pipeline as `k` shards, with no hand-off and no allocation.
+//!
 //! Idle threads sleep and never poll: a worker parks on its slot's
 //! condvar, the caller on the job counter's. A scope therefore costs a
 //! condvar wake-up on each side (11–15 µs per empty 2-job scope on a
@@ -156,10 +160,10 @@ pub struct ScopedPool {
 }
 
 impl ScopedPool {
-    /// Spawn a pool of `workers` persistent threads (`workers >= 1`).
-    /// Scopes run on those threads plus the caller.
+    /// Spawn a pool of `workers` persistent threads. Scopes run on those
+    /// threads plus the caller; with `workers == 0` no thread starts and
+    /// every job runs inline on the caller.
     pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "a pool needs at least one worker");
         let shared = Arc::new(Shared {
             slots: (0..workers)
                 .map(|_| Slot {
@@ -449,6 +453,48 @@ mod tests {
             });
             assert_eq!(runs.load(Ordering::SeqCst), i + 1);
         }
+    }
+
+    #[test]
+    fn zero_worker_pool_runs_every_job_inline_in_spawn_order() {
+        let mut pool = ScopedPool::new(0);
+        assert_eq!(pool.workers(), 0);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        pool.scope(|s| {
+            for k in 0..5 {
+                let order = &order;
+                s.spawn(move || {
+                    assert_eq!(std::thread::current().id(), caller, "job {k} left the caller");
+                    order.lock().unwrap().push(k);
+                });
+            }
+        });
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
+
+        // An inline job's panic stops the body and is re-raised after the
+        // scope; the pool stays usable.
+        let ran = AtomicUsize::new(0);
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                s.spawn(|| panic!("inline boom"));
+                s.spawn(|| {
+                    ran.fetch_add(10, Ordering::SeqCst);
+                });
+            });
+        }));
+        let msg = res.expect_err("the inline job's panic must propagate");
+        assert_eq!(msg.downcast_ref::<&str>(), Some(&"inline boom"));
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "jobs after the panic never ran");
+        pool.scope(|s| {
+            s.spawn(|| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Staged-engine replay properties.
 //!
 //! The staged engine's exchange stage compiles each round's op list into
-//! a CSR delivery ledger. Under [`RngDiscipline::Sequential`] that
-//! ledger must *replay the monolithic engine exactly*: same op log event
-//! for event, same metrics, same agent observations — for any topology,
-//! any fault plan, any loss process, and any shard count. This suite
-//! pins that with one property test quantified over
-//! `topology × fault plan × loss seed` (the PR's staged-refactor safety
-//! net) plus targeted edge cases the random matrix is unlikely to hit.
+//! a CSR delivery ledger. Loss-free, that ledger must *replay the
+//! monolithic engine exactly*: same op log event for event, same
+//! metrics, same agent observations — for any topology, any fault plan,
+//! and any shard count (the two disciplines differ only in their loss
+//! streams, and a `p = 0` round draws none). This suite pins that with
+//! one property test quantified over `topology × fault plan`, the CSR
+//! ledger's only cross-engine check, plus the per-agent discipline's
+//! shard invariance under loss and the sharded metering merge.
 
 use gossip_net::fault::{FaultPlan, Placement};
 use gossip_net::metrics::Metrics;
@@ -107,21 +108,22 @@ fn build_faults(n: usize, frac: f64, placement: u8, seed: u64) -> FaultPlan {
 
 type Observation = (Metrics, Vec<OpEvent>, Vec<String>, usize);
 
+/// A loss-free run: `None` = the monolithic `step()`, `Some(t)` = the
+/// staged `PerAgent` pipeline on `t` shards.
 fn run_engine(
-    engine_threads: Option<usize>, // None = monolithic step(), Some(t) = staged
+    engine_threads: Option<usize>,
     topology: &Topology,
     faults: &FaultPlan,
-    loss_p: f64,
-    loss_seed: u64,
     rounds: usize,
 ) -> Observation {
     let n = topology.n();
     let agents: Vec<Weaver> = (0..n as AgentId).map(|id| Weaver::new(id, n)).collect();
     let config = NetworkConfig {
         record_ops: true,
-        loss_probability: loss_p,
-        loss_seed,
-        rng_discipline: RngDiscipline::Sequential,
+        rng_discipline: match engine_threads {
+            None => RngDiscipline::Sequential,
+            Some(_) => RngDiscipline::PerAgent,
+        },
         threads: engine_threads.unwrap_or(1),
         ..NetworkConfig::default()
     };
@@ -143,10 +145,10 @@ fn run_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// THE replay property: for any topology family, fault plan, and
-    /// loss process, the staged engine under the sequential discipline
-    /// produces the monolithic engine's *exact* op log (event for
-    /// event), metrics, and agent observations — at 1, 2, and 5 shards.
+    /// THE replay property: for any topology family and fault plan, the
+    /// loss-free staged `PerAgent` pipeline produces the monolithic
+    /// engine's *exact* op log (event for event), metrics, and agent
+    /// observations — at 1, 2, and 5 shards.
     #[test]
     fn csr_ledger_replays_legacy_delivery_order(
         topo_kind in 0u8..4,
@@ -155,16 +157,13 @@ proptest! {
         fault_frac in prop_oneof![Just(0.0), Just(0.2), Just(0.45)],
         placement in 0u8..3,
         fault_seed in 0u64..1000,
-        loss_p in prop_oneof![Just(0.0), Just(0.15), Just(0.5)],
-        loss_seed in 0u64..1000,
     ) {
         let topology = build_topology(topo_kind, n, topo_seed);
         let faults = build_faults(n, fault_frac, placement, fault_seed);
         let rounds = 9;
-        let legacy = run_engine(None, &topology, &faults, loss_p, loss_seed, rounds);
+        let legacy = run_engine(None, &topology, &faults, rounds);
         for threads in [1usize, 2, 5] {
-            let staged =
-                run_engine(Some(threads), &topology, &faults, loss_p, loss_seed, rounds);
+            let staged = run_engine(Some(threads), &topology, &faults, rounds);
             prop_assert_eq!(
                 &staged.1, &legacy.1,
                 "op log diverged (threads={}, topo={}, n={})", threads, topo_kind, n

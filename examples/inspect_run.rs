@@ -14,9 +14,8 @@ use rational_fair_consensus::gossip_net::OpKind;
 use rational_fair_consensus::prelude::*;
 use rational_fair_consensus::rfc_core::engine::ConsensusAgent;
 use rational_fair_consensus::rfc_core::runner::{
-    build_network, collect_report, drive_network,
+    build_network_slots, collect_report, drive_network, honest_slot_factory,
 };
-use rational_fair_consensus::rfc_core::{HonestAgent, Params, ProtocolCore};
 
 fn main() {
     let n = 24;
@@ -29,15 +28,7 @@ fn main() {
     let params = cfg.params();
     let q = params.q;
 
-    let mut factory = |id,
-                       params: Params,
-                       color,
-                       rng,
-                       topo: &rational_fair_consensus::gossip_net::Topology| {
-        let core = ProtocolCore::new_on(topo, id, params, params.sync_schedule(), color, rng);
-        Box::new(HonestAgent::new(core)) as Box<dyn ConsensusAgent>
-    };
-    let mut net = build_network(&cfg, seed, &mut factory);
+    let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
     drive_network(&mut net, &cfg);
 
     println!("protocol P on K_{n}, seed {seed}: q = {q}, m = n³ = {}\n", params.m);

@@ -264,32 +264,3 @@ fn autotuned_shards_reproduce_pinned_digests() {
         }
     }
 }
-
-#[test]
-fn staged_sequential_spelling_matches_static_golden_path() {
-    // `threads > 1` with the default Sequential discipline must replay
-    // the monolithic engine — i.e. the *static* golden path — exactly.
-    for (label, cfg, seed) in corpus() {
-        if !cfg.scenario.is_empty() || cfg.loss_schedule.is_some() {
-            continue; // dynamic rows live in golden_runs.rs already
-        }
-        let sequential = report_digest(&run_protocol(&cfg, seed));
-        let mut staged = cfg.clone();
-        staged.threads = 4; // Sequential discipline, staged engine
-        staged.shard_floor = Some(0); // below the floor this would fall back
-        assert_eq!(
-            report_digest(&run_protocol(&staged, seed)),
-            sequential,
-            "{label}: staged sequential spelling diverged from the monolithic engine"
-        );
-        // With the default floor the same config falls back to the
-        // monolithic engine outright — also digest-identical.
-        let mut floored = cfg.clone();
-        floored.threads = 4;
-        assert_eq!(
-            report_digest(&run_protocol(&floored, seed)),
-            sequential,
-            "{label}: small-n shard-floor fallback diverged from the monolithic engine"
-        );
-    }
-}
