@@ -160,6 +160,44 @@ if [ -z "$digest_serve" ] || [ "$digest_serve" != "$digest_join" ]; then
 fi
 echo "    node smoke OK: both processes $(grep -oE 'outcome=[A-Za-z()0-9]+' target/rfc-node-serve.out | head -1), $digest_serve"
 
+echo "==> node loopback == two processes; bad input fails cleanly"
+# Loopback must print the same report lines (label aside) as the two
+# processes: outcome, digest, ticks, msgs_sent, bytes_sent. The node
+# crate's loopback corpus pins loopback to the simulator, so this closes
+# two processes == loopback == simulator.
+./target/release/rfc-node loopback \
+    --n 16 --gamma 3.0 --seed 21 --slack 3 > target/rfc-node-loopback.out
+cat target/rfc-node-serve.out target/rfc-node-join.out | cut -d' ' -f2- > target/rfc-node-procs.cmp
+cut -d' ' -f2- target/rfc-node-loopback.out > target/rfc-node-loopback.cmp
+if ! diff target/rfc-node-procs.cmp target/rfc-node-loopback.cmp >&2; then
+    echo "FAIL: rfc-node loopback reports differ from the two-process session" >&2
+    exit 1
+fi
+# Unusable parameters exit non-zero with a message, not a panic.
+if ./target/release/rfc-node loopback --slack 0 >/dev/null 2> target/rfc-node-slack0.err; then
+    echo "FAIL: rfc-node loopback --slack 0 succeeded" >&2
+    exit 1
+fi
+if grep -q panicked target/rfc-node-slack0.err; then
+    echo "FAIL: rfc-node loopback --slack 0 panicked" >&2
+    cat target/rfc-node-slack0.err >&2
+    exit 1
+fi
+# serve replaces only a stale socket: a regular file at the path stays
+# intact and bind's error ends the process (the timeout keeps a serve
+# that deleted it and then waits for a peer from hanging CI).
+printf 'not a socket\n' > target/rfc-node-regular-file
+if timeout 10 ./target/release/rfc-node serve --listen unix:target/rfc-node-regular-file \
+    >/dev/null 2>&1; then
+    echo "FAIL: rfc-node serve on a regular file succeeded" >&2
+    exit 1
+fi
+if [ "$(cat target/rfc-node-regular-file 2>/dev/null)" != "not a socket" ]; then
+    echo "FAIL: rfc-node serve replaced a regular file at its socket path" >&2
+    exit 1
+fi
+echo "    node loopback OK: same reports as the two processes; --slack 0 and a non-socket path refused"
+
 echo "==> perf snapshot: e14/e16/e17 --quick + codec + serial -> fresh JSON (two captures for a best-of-2 gate)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e14 e16 e17 --quick --json target/bench-json >/dev/null
 cargo run --release -q -p experiments --bin rfc-experiments -- e14 e16 e17 --quick --json target/bench-json2 >/dev/null

@@ -41,9 +41,9 @@ use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
 
 /// Scheduler RNG stream label: the tick-by-tick wake sequence is
-/// `DetRng::seeded(seed, SCHEDULER_STREAM)`. Public so external drivers
-/// (the `rfc-node` lockstep session) can reproduce the exact wake
-/// sequence of a simulated run.
+/// `DetRng::seeded(seed, SCHEDULER_STREAM)`. Public so the `rfc-node`
+/// session drives its endpoint's network on the wake sequence of the
+/// simulated run, which is how both endpoints agree on every tick.
 pub const SCHEDULER_STREAM: u64 = 0x5EC;
 
 /// Delivery-delay RNG stream label for [`run_protocol_events`]. Distinct

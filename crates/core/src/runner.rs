@@ -48,9 +48,8 @@ use gossip_net::topology::Topology;
 
 /// RNG stream labels: one sub-stream per independent randomness consumer.
 /// Public so external drivers — the instance plane replicating the legacy
-/// per-agent streams for its instance 0, or the `rfc-node` lockstep
-/// session rebuilding a run's agents outside the simulator — derive the
-/// exact same randomness from `(seed, stream)`.
+/// per-agent streams for its instance 0 — derive the exact same
+/// randomness from `(seed, stream)`.
 pub mod streams {
     /// Color-assignment permutation stream.
     pub const COLORS: u64 = 0x01;
@@ -526,13 +525,16 @@ impl RunReport {
     }
 }
 
-/// Factory for the monomorphic agent plane: receives the agent's id,
+/// Agent factory for [`build_network_slots`]: receives the agent's id,
 /// protocol parameters, initial color, private RNG stream, and the run
 /// topology (so intention targets can respect sparse graphs), and
-/// returns an [`AgentSlot`] — built-in agents avoid boxing entirely and
-/// only [`AgentSlot::Custom`] pays for dynamism.
-pub type SlotFactory<'a> =
-    dyn FnMut(AgentId, Params, ColorId, DetRng, &Topology) -> AgentSlot + 'a;
+/// returns the agent. The default output is an [`AgentSlot`] — the
+/// monomorphic agent plane, where built-in agents avoid boxing and only
+/// [`AgentSlot::Custom`] pays for dynamism. Other slot types wrap the
+/// same agents: the `rfc-node` session wraps each one with the socket
+/// that carries its cross-process traffic.
+pub type SlotFactory<'a, A = AgentSlot> =
+    dyn FnMut(AgentId, Params, ColorId, DetRng, &Topology) -> A + 'a;
 
 /// Everything derived from `(cfg, seed)` that a network build needs.
 /// Crate-visible so `crate::checkpoint` can rebuild the immutable
@@ -584,14 +586,18 @@ fn fill_agents<A>(
     }
 }
 
-/// Build a ready-to-run network on the monomorphic agent plane.
-pub fn build_network_slots(
+/// Build a ready-to-run network of the agents `factory` makes — every
+/// world ingredient (topology, colors, faults, per-agent RNG streams,
+/// metering environment) derived from `(cfg, seed)`. Every runner in
+/// this crate builds through here, and so does the `rfc-node` session:
+/// each endpoint builds the network [`crate::run_protocol_async`] builds.
+pub fn build_network_slots<A: Agent<Msg>>(
     cfg: &RunConfig,
     seed: u64,
-    factory: &mut SlotFactory,
-) -> Network<Msg, AgentSlot> {
+    factory: &mut SlotFactory<A>,
+) -> Network<Msg, A> {
     let (params, colors, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
-    let mut agents: Vec<AgentSlot> = Vec::new();
+    let mut agents: Vec<A> = Vec::new();
     fill_agents(&mut agents, cfg, seed, params, &colors, &topology, factory);
     Network::with_config(topology, env, agents, faults, net_cfg)
 }

@@ -2,11 +2,11 @@
 //!
 //! The simulator (`rfc_core::runner`, `rfc_core::asynchronous`) plays a
 //! whole network inside one process; this crate splits the same run
-//! across **two** processes connected by a TCP or Unix socket. All
-//! cross-process protocol messages travel as real `rfc_core::codec`
-//! frames inside a small packet layer ([`wire`]); the lockstep driver
-//! ([`session`]) uses the shared deterministic wake schedule so both
-//! endpoints agree on every tick without coordination traffic.
+//! across **two** processes connected by a TCP or Unix socket. Each
+//! endpoint ([`session`]) runs the simulator's own network and tick
+//! loop, with the peer's agents played by stand-ins whose handlers are
+//! socket turns; protocol messages cross as real `rfc_core::codec`
+//! frames inside a small packet layer ([`wire`]).
 //!
 //! The binary (`rfc-node`) fronts this with three modes:
 //!

@@ -4,6 +4,7 @@
 use rfc_node::{run_loopback, run_session, NodeParams, SessionReport, Side};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
 
@@ -46,10 +47,7 @@ fn parse_cli(args: &[String], addr_flag: Option<&str>) -> Result<Cli, String> {
     };
     let mut addr = None;
     let mut it = args.iter();
-    while let Some(flag) = {
-        let next = it.next();
-        next
-    } {
+    while let Some(flag) = it.next() {
         let mut grab = || {
             it.next()
                 .cloned()
@@ -100,10 +98,20 @@ impl Write for Sock {
     }
 }
 
+fn bad_addr(addr: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("address must be unix:<path> or tcp:<host:port>, got {addr}"),
+    )
+}
+
 fn listen(addr: &str) -> io::Result<Sock> {
     if let Some(path) = addr.strip_prefix("unix:") {
-        // A stale socket file from a crashed run would make bind fail.
-        let _ = std::fs::remove_file(path);
+        // A stale socket from a crashed run would make bind fail. Nothing
+        // else at the path is ours to delete: bind reports it instead.
+        if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+            std::fs::remove_file(path)?;
+        }
         let listener = UnixListener::bind(path)?;
         eprintln!("rfc-node: listening on unix:{path}");
         let (sock, _) = listener.accept()?;
@@ -116,47 +124,31 @@ fn listen(addr: &str) -> io::Result<Sock> {
         sock.set_nodelay(true)?;
         Ok(Sock::Tcp(sock))
     } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("address must be unix:<path> or tcp:<host:port>, got {addr}"),
-        ))
+        Err(bad_addr(addr))
     }
+}
+
+/// Try `connect` up to 100 times, 50 ms apart: the server may not have
+/// bound yet.
+fn retry<T>(mut connect: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    for _ in 1..100 {
+        if let Ok(sock) = connect() {
+            return Ok(sock);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    connect()
 }
 
 fn connect(addr: &str) -> io::Result<Sock> {
     if let Some(path) = addr.strip_prefix("unix:") {
-        // The server may not have bound yet; retry briefly.
-        let mut last = None;
-        for _ in 0..100 {
-            match UnixStream::connect(path) {
-                Ok(s) => return Ok(Sock::Unix(s)),
-                Err(e) => {
-                    last = Some(e);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-            }
-        }
-        Err(last.unwrap())
+        retry(|| UnixStream::connect(path)).map(Sock::Unix)
     } else if let Some(hostport) = addr.strip_prefix("tcp:") {
-        let mut last = None;
-        for _ in 0..100 {
-            match TcpStream::connect(hostport) {
-                Ok(s) => {
-                    s.set_nodelay(true)?;
-                    return Ok(Sock::Tcp(s));
-                }
-                Err(e) => {
-                    last = Some(e);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-            }
-        }
-        Err(last.unwrap())
+        let sock = retry(|| TcpStream::connect(hostport))?;
+        sock.set_nodelay(true)?;
+        Ok(Sock::Tcp(sock))
     } else {
-        Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("address must be unix:<path> or tcp:<host:port>, got {addr}"),
-        ))
+        Err(bad_addr(addr))
     }
 }
 

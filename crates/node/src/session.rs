@@ -1,25 +1,32 @@
 //! The lockstep session: two processes, one sequential-GOSSIP run.
 //!
-//! Both endpoints derive the **same world** from `(n, γ, seed, slack)`:
-//! the same [`RunConfig`], the same complete topology, the same color
-//! assignment, the same per-agent RNG streams
-//! ([`rfc_core::runner::streams`]), and — crucially — the same scheduler
-//! stream ([`rfc_core::asynchronous::SCHEDULER_STREAM`]), so they agree
-//! tick by tick on **which agent wakes** without exchanging a byte.
+//! Each endpoint builds the network [`rfc_core::run_protocol_async`]
+//! builds — through [`build_network_slots`], from the same [`RunConfig`]
+//! and seed — and drives it with the engine's own tick loop
+//! ([`gossip_net::network::Network::run_async`]) on the shared
+//! scheduler stream ([`SCHEDULER_STREAM`]). Both endpoints therefore
+//! agree tick by tick on **which agent wakes** without exchanging a byte.
 //!
-//! The serve side hosts agents `[0, n/2)`, the join side `[n/2, n)`.
-//! Each tick, the side hosting the woken agent executes its one
-//! operation; cross-process traffic (and only cross-process traffic)
-//! goes over the socket as [`Packet`]s carrying real
-//! `rfc_core::codec` frames. The owner of a tick always sends exactly
-//! one tick packet — [`Packet::TickNothing`] when the operation stayed
-//! local — so the peer never guesses; a [`Packet::TickQuery`] blocks the
-//! owner until the peer's [`Packet::Reply`] lands, completing the pull
-//! inside its tick exactly like the simulator's `run_async`.
+//! The serve side hosts agents `[0, n/2)`, the join side `[n/2, n)`. A
+//! hosted agent is an ordinary [`AgentSlot`]; an agent the peer hosts is
+//! a stand-in whose handlers are socket turns:
+//!
+//! | stand-in handler | socket turn |
+//! |---|---|
+//! | `act` | read the peer's tick packet; its push or query is the op |
+//! | `on_push` | write [`Packet::TickPush`] |
+//! | `on_pull` | write [`Packet::TickQuery`], block for [`Packet::Reply`] |
+//! | `on_reply` | write [`Packet::Reply`] |
+//!
+//! The owner of a tick always sends exactly one tick packet —
+//! [`Packet::TickNothing`] when the operation stayed local — so the peer
+//! never guesses. Only cross-process traffic goes on the socket.
 //!
 //! After the last phase both sides exchange [`Packet::Summary`] and
 //! independently combine the full decision vector — same outcome, same
-//! digest, or the session (and the CI smoke) fails.
+//! digest, or the session (and the CI smoke) fails. The crate's
+//! `tests/loopback_corpus.rs` pins sessions to `run_protocol_async`: same
+//! decisions, and each endpoint's written bytes.
 
 use crate::wire::{read_packet, write_packet, Packet};
 use gossip_net::agent::{Agent, Op, RoundCtx};
@@ -30,10 +37,13 @@ use rfc_core::agent_plane::AgentSlot;
 use rfc_core::asynchronous::SCHEDULER_STREAM;
 use rfc_core::codec::FRAME_VERSION;
 use rfc_core::engine::{ConsensusAgent, ProtocolCore};
+use rfc_core::msg::Msg;
 use rfc_core::outcome::{combine_decisions, Decision, Outcome};
-use rfc_core::params::Phase;
-use rfc_core::runner::{streams, RunConfig};
+use rfc_core::params::{Params, Phase};
+use rfc_core::runner::{build_network_slots, RunConfig};
 use std::io::{self, Read, Write};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which half of the id space this endpoint hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +59,14 @@ impl Side {
         match self {
             Side::Low => 0,
             Side::High => 1,
+        }
+    }
+
+    /// The agent ids this side hosts in an `n`-agent session.
+    fn hosted(self, n: usize) -> Range<usize> {
+        match self {
+            Side::Low => 0..n / 2,
+            Side::High => n / 2..n,
         }
     }
 }
@@ -121,227 +139,215 @@ fn proto_err(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-fn hosts(side: Side, mid: usize, id: AgentId) -> bool {
-    match side {
-        Side::Low => (id as usize) < mid,
-        Side::High => (id as usize) >= mid,
-    }
+fn input_err(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, what.into())
 }
 
-/// Mutable access to a hosted agent, as a free function so the borrow
-/// of `slots` stays disjoint from the topology borrow inside `RoundCtx`.
-fn slot_mut(
-    slots: &mut [Option<AgentSlot>],
-    side: Side,
-    mid: usize,
-    id: AgentId,
-) -> io::Result<&mut AgentSlot> {
-    if !hosts(side, mid, id) {
-        return Err(proto_err(format!("agent {id} is not hosted here")));
-    }
-    slots
-        .get_mut(id as usize)
-        .and_then(|s| s.as_mut())
-        .ok_or_else(|| proto_err(format!("agent {id} missing")))
-}
-
-/// One endpoint's live state: the locally hosted agents (by id), plus
-/// the world every endpoint shares.
-struct Endpoint {
-    side: Side,
-    mid: usize,
-    n: usize,
-    topology: Topology,
-    /// `slots[id]` is `Some` iff this endpoint hosts `id`.
-    slots: Vec<Option<AgentSlot>>,
+/// The socket and this endpoint's account of it, shared by every slot.
+struct Link<S> {
+    sock: S,
+    /// The agent ids this endpoint hosts.
+    hosted: Range<usize>,
+    /// Protocol messages sent by hosted agents (see
+    /// [`SessionReport::msgs_sent`]).
     msgs_sent: u64,
     bytes_sent: u64,
+    /// The first I/O or protocol error. Once set, the link is silent.
+    error: Option<io::Error>,
 }
 
-impl Endpoint {
-    fn build(np: &NodeParams, side: Side) -> io::Result<(Self, usize)> {
-        if np.n < 4 {
-            return Err(proto_err("need n >= 4 (two agents per endpoint)"));
-        }
-        let mid = np.n / 2;
-        let cfg = RunConfig::builder(np.n)
-            .gamma(np.gamma)
-            .colors(vec![np.n - np.n / 2, np.n / 2])
-            .build();
-        let params = cfg.params();
-        let schedule = params
-            .try_async_schedule(np.slack)
-            .map_err(|e| proto_err(e.to_string()))?;
-        let topology = cfg.topology(np.seed);
-        let colors = cfg.assign_colors(np.seed);
-        let hosted = match side {
-            Side::Low => 0..mid,
-            Side::High => mid..np.n,
-        };
-        let mut slots: Vec<Option<AgentSlot>> = (0..np.n).map(|_| None).collect();
-        for id in hosted {
-            let rng = DetRng::seeded(np.seed, streams::AGENT_BASE + id as u64);
-            let core = ProtocolCore::new_on(
-                &topology,
-                id as AgentId,
-                params,
-                schedule,
-                colors[id],
-                rng,
-            );
-            slots[id] = Some(AgentSlot::honest(core));
-        }
-        Ok((
-            Endpoint {
-                side,
-                mid,
-                n: np.n,
-                topology,
-                slots,
-                msgs_sent: 0,
-                bytes_sent: 0,
-            },
-            schedule.phase_len,
-        ))
-    }
-
+impl<S: Read + Write> Link<S> {
     fn hosts(&self, id: AgentId) -> bool {
-        hosts(self.side, self.mid, id)
+        self.hosted.contains(&(id as usize))
     }
 
-    fn send<S: Write>(&mut self, sock: &mut S, pkt: &Packet) -> io::Result<()> {
-        self.msgs_sent += match pkt {
-            Packet::TickPush { .. } | Packet::TickQuery { .. } => 1,
-            Packet::Reply { reply: Some(_) } => 1,
-            _ => 0,
-        };
-        self.bytes_sent += write_packet(sock, pkt)? as u64;
+    fn write(&mut self, pkt: &Packet) -> io::Result<()> {
+        self.bytes_sent += write_packet(&mut self.sock, pkt)? as u64;
         Ok(())
     }
 
-    /// Execute one tick this endpoint owns: run the woken agent's op,
-    /// resolve locally when possible, otherwise over the wire.
-    fn own_tick<S: Read + Write>(
-        &mut self,
-        sock: &mut S,
-        wake: AgentId,
-        round: usize,
-    ) -> io::Result<()> {
-        let op = {
-            let ctx = RoundCtx {
-                round,
-                topology: &self.topology,
-            };
-            slot_mut(&mut self.slots, self.side, self.mid, wake)?.act(&ctx)
+    /// Run one socket turn unless the link already failed, keeping the
+    /// first error; `None` when the turn did not happen or failed.
+    fn turn<T>(&mut self, io: impl FnOnce(&mut Self) -> io::Result<T>) -> Option<T> {
+        if self.error.is_some() {
+            return None;
+        }
+        match io(self) {
+            Ok(v) => Some(v),
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+
+    /// Read the peer's tick packet as the woken stand-in's op. Its
+    /// target must be an agent hosted here: the engine indexes its agent
+    /// vector with it.
+    fn read_tick(&mut self) -> io::Result<Option<Op<Msg>>> {
+        let op = match read_packet(&mut self.sock)? {
+            Packet::TickNothing => None,
+            Packet::TickPush { to, msg } => Some(Op::Push { to, msg }),
+            Packet::TickQuery { to, query } => Some(Op::Pull { from: to, query }),
+            other => return Err(proto_err(format!("unexpected tick packet {other:?}"))),
         };
         match op {
-            None => self.send(sock, &Packet::TickNothing)?,
-            Some(Op::Push { to, msg }) => {
-                if self.hosts(to) {
-                    let ctx = RoundCtx {
-                        round,
-                        topology: &self.topology,
-                    };
-                    slot_mut(&mut self.slots, self.side, self.mid, to)?.on_push(wake, &msg, &ctx);
-                    self.msgs_sent += 1; // a local push is still a send
-                    self.send(sock, &Packet::TickNothing)?;
-                } else {
-                    self.send(sock, &Packet::TickPush { to, msg })?;
-                }
+            Some(op) if !self.hosts(op.peer()) => {
+                Err(proto_err(format!("agent {} is not hosted here", op.peer())))
             }
-            Some(Op::Pull { from: target, query }) => {
-                let reply = if self.hosts(target) {
-                    self.msgs_sent += 1; // the query
-                    let ctx = RoundCtx {
-                        round,
-                        topology: &self.topology,
-                    };
-                    let reply = slot_mut(&mut self.slots, self.side, self.mid, target)?
-                        .on_pull(wake, &query, &ctx);
-                    self.msgs_sent += reply.is_some() as u64;
-                    self.send(sock, &Packet::TickNothing)?;
-                    reply
-                } else {
-                    self.send(sock, &Packet::TickQuery { to: target, query })?;
-                    match read_packet(sock)? {
-                        Packet::Reply { reply } => reply,
-                        other => {
-                            return Err(proto_err(format!(
-                                "expected Reply to query, got {other:?}"
-                            )))
-                        }
-                    }
-                };
-                let ctx = RoundCtx {
-                    round,
-                    topology: &self.topology,
-                };
-                slot_mut(&mut self.slots, self.side, self.mid, wake)?.on_reply(target, reply, &ctx);
-            }
+            op => Ok(op),
         }
-        Ok(())
+    }
+}
+
+/// Every update leaves a [`Link`] valid, so a poisoned lock is still
+/// usable.
+fn lock<S>(link: &Mutex<Link<S>>) -> MutexGuard<'_, Link<S>> {
+    link.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One agent of an endpoint's network: an agent this endpoint runs, or
+/// a stand-in for the peer's agent `id` whose handlers are socket turns
+/// (see the module docs).
+struct NodeSlot<'l, S> {
+    id: AgentId,
+    /// `Some` iff this endpoint hosts `id`.
+    hosted: Option<AgentSlot>,
+    link: &'l Mutex<Link<S>>,
+}
+
+impl<S: Read + Write> Agent<Msg> for NodeSlot<'_, S> {
+    fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Msg>> {
+        let Some(agent) = &mut self.hosted else {
+            return lock(self.link).turn(Link::read_tick).flatten();
+        };
+        let op = agent.act(ctx);
+        let mut link = lock(self.link);
+        link.msgs_sent += op.is_some() as u64;
+        // An op to the peer's agent goes out as its own packet (the
+        // stand-in's handler); anything else is local.
+        if op.as_ref().is_none_or(|op| link.hosts(op.peer())) {
+            link.turn(|l| l.write(&Packet::TickNothing));
+        }
+        op
     }
 
-    /// Execute one tick the peer owns: block for its tick packet and
-    /// resolve whatever lands on our agents.
-    fn peer_tick<S: Read + Write>(
-        &mut self,
-        sock: &mut S,
-        wake: AgentId,
-        round: usize,
-    ) -> io::Result<()> {
-        match read_packet(sock)? {
-            Packet::TickNothing => {}
-            Packet::TickPush { to, msg } => {
-                let ctx = RoundCtx {
-                    round,
-                    topology: &self.topology,
+    fn on_push(&mut self, from: AgentId, msg: &Msg, ctx: &RoundCtx) {
+        match &mut self.hosted {
+            Some(agent) => agent.on_push(from, msg, ctx),
+            None => {
+                let pkt = Packet::TickPush {
+                    to: self.id,
+                    msg: msg.clone(),
                 };
-                slot_mut(&mut self.slots, self.side, self.mid, to)?.on_push(wake, &msg, &ctx);
+                lock(self.link).turn(|l| l.write(&pkt));
             }
-            Packet::TickQuery { to, query } => {
-                let reply = {
-                    let ctx = RoundCtx {
-                        round,
-                        topology: &self.topology,
-                    };
-                    slot_mut(&mut self.slots, self.side, self.mid, to)?.on_pull(wake, &query, &ctx)
-                };
-                self.send(sock, &Packet::Reply { reply })?;
-            }
-            other => return Err(proto_err(format!("unexpected tick packet {other:?}"))),
         }
-        Ok(())
+    }
+
+    fn on_pull(&mut self, from: AgentId, query: &Msg, ctx: &RoundCtx) -> Option<Msg> {
+        if let Some(agent) = &mut self.hosted {
+            let reply = agent.on_pull(from, query, ctx);
+            lock(self.link).msgs_sent += reply.is_some() as u64;
+            return reply;
+        }
+        let pkt = Packet::TickQuery {
+            to: self.id,
+            query: query.clone(),
+        };
+        lock(self.link)
+            .turn(|l| {
+                l.write(&pkt)?;
+                match read_packet(&mut l.sock)? {
+                    Packet::Reply { reply } => Ok(reply),
+                    other => Err(proto_err(format!("expected Reply to query, got {other:?}"))),
+                }
+            })
+            .flatten()
+    }
+
+    fn on_reply(&mut self, from: AgentId, reply: Option<Msg>, ctx: &RoundCtx) {
+        match &mut self.hosted {
+            Some(agent) => agent.on_reply(from, reply, ctx),
+            None => {
+                lock(self.link).turn(|l| l.write(&Packet::Reply { reply }));
+            }
+        }
+    }
+
+    fn finalize(&mut self, ctx: &RoundCtx) {
+        if let Some(agent) = &mut self.hosted {
+            agent.finalize(ctx);
+        }
+    }
+}
+
+/// Write our packet and read the peer's, Low first: a fixed order keeps
+/// the socket strictly half-duplex, so lockstep reads never deadlock.
+fn exchange<S: Read + Write>(link: &mut Link<S>, side: Side, ours: &Packet) -> io::Result<Packet> {
+    match side {
+        Side::Low => {
+            link.write(ours)?;
+            read_packet(&mut link.sock)
+        }
+        Side::High => {
+            let theirs = read_packet(&mut link.sock)?;
+            link.write(ours)?;
+            Ok(theirs)
+        }
     }
 }
 
 /// Run one full lockstep session over `sock`. Returns this endpoint's
 /// report; the peer's must match (`outcome`, `digest`).
-pub fn run_session<S: Read + Write>(
-    mut sock: S,
+pub fn run_session<S: Read + Write + Send>(
+    sock: S,
     side: Side,
     np: &NodeParams,
 ) -> io::Result<SessionReport> {
-    let (mut ep, phase_len) = Endpoint::build(np, side)?;
+    if np.n < 4 {
+        return Err(input_err("need n >= 4 (two agents per endpoint)"));
+    }
+    if np.slack == 0 {
+        return Err(input_err("need slack >= 1"));
+    }
+    if np.gamma.is_nan() || np.gamma <= 0.0 {
+        return Err(input_err(format!("need gamma > 0, got {}", np.gamma)));
+    }
+    let cfg = RunConfig::builder(np.n)
+        .gamma(np.gamma)
+        .colors(vec![np.n - np.n / 2, np.n / 2])
+        .build();
+    let schedule = cfg
+        .params()
+        .try_async_schedule(np.slack)
+        .map_err(|e| input_err(e.to_string()))?;
 
-    // Handshake: Low speaks first (a fixed order keeps the socket
-    // strictly half-duplex, so lockstep reads never deadlock).
+    // The network `run_protocol_async` builds, with the peer's agents
+    // played by stand-ins.
+    let hosted = side.hosted(np.n);
+    let link = Mutex::new(Link {
+        sock,
+        hosted: hosted.clone(),
+        msgs_sent: 0,
+        bytes_sent: 0,
+        error: None,
+    });
+    let mut factory =
+        |id: AgentId, params: Params, color: ColorId, rng: DetRng, topo: &Topology| NodeSlot {
+            id,
+            hosted: hosted.contains(&(id as usize)).then(|| {
+                AgentSlot::honest(ProtocolCore::new_on(topo, id, params, schedule, color, rng))
+            }),
+            link: &link,
+        };
+    let mut net = build_network_slots(&cfg, np.seed, &mut factory);
+
     let hello = Packet::Hello {
         fingerprint: np.fingerprint(),
         side: side.byte(),
     };
-    let peer = match side {
-        Side::Low => {
-            ep.send(&mut sock, &hello)?;
-            read_packet(&mut sock)?
-        }
-        Side::High => {
-            let p = read_packet(&mut sock)?;
-            ep.send(&mut sock, &hello)?;
-            p
-        }
-    };
-    match peer {
+    match exchange(&mut lock(&link), side, &hello)? {
         Packet::Hello { fingerprint, side: s } => {
             if fingerprint != np.fingerprint() {
                 return Err(proto_err(
@@ -355,54 +361,37 @@ pub fn run_session<S: Read + Write>(
         other => return Err(proto_err(format!("expected Hello, got {other:?}"))),
     }
 
-    // The shared wake schedule: same seed, same stream, both ends.
+    // `run_protocol_events`' phase sequence, one tick at a time: a dead
+    // link ends the session at the tick where it failed.
     let mut scheduler = DetRng::seeded(np.seed, SCHEDULER_STREAM);
-    let mut round = 0usize;
-    for _phase in Phase::COMMUNICATING {
-        for _ in 0..phase_len {
-            let wake = scheduler.index(ep.n) as AgentId;
-            if ep.hosts(wake) {
-                ep.own_tick(&mut sock, wake, round)?;
-            } else {
-                ep.peer_tick(&mut sock, wake, round)?;
+    for phase in Phase::COMMUNICATING {
+        net.enter_phase(phase.name());
+        for _ in 0..schedule.phase_len {
+            net.run_async(1, &mut scheduler);
+            if let Some(e) = lock(&link).error.take() {
+                return Err(e);
             }
-            round += 1;
         }
     }
+    net.finalize();
+    let ticks = net.round() as u64;
+    let local: Vec<(AgentId, Option<ColorId>)> = net
+        .agents()
+        .iter()
+        .filter_map(|slot| Some((slot.id, slot.hosted.as_ref()?.core().decision())))
+        .collect();
+    let mut link = lock(&link);
 
-    // Finalize the local half and exchange summaries (Low speaks first).
-    let ctx = RoundCtx {
-        round,
-        topology: &ep.topology,
-    };
-    let mut local: Vec<(AgentId, Option<ColorId>)> = Vec::new();
-    for id in 0..ep.n as AgentId {
-        if let Some(slot) = ep.slots[id as usize].as_mut() {
-            slot.finalize(&ctx);
-            local.push((id, slot.core().decision()));
-        }
-    }
     let summary = Packet::Summary {
         decisions: local.clone(),
     };
-    let peer = match side {
-        Side::Low => {
-            ep.send(&mut sock, &summary)?;
-            read_packet(&mut sock)?
-        }
-        Side::High => {
-            let p = read_packet(&mut sock)?;
-            ep.send(&mut sock, &summary)?;
-            p
-        }
-    };
-    let remote = match peer {
+    let remote = match exchange(&mut link, side, &summary)? {
         Packet::Summary { decisions } => decisions,
         other => return Err(proto_err(format!("expected Summary, got {other:?}"))),
     };
 
     // Assemble the full decision vector in id order.
-    let mut merged: Vec<Option<Option<ColorId>>> = vec![None; ep.n];
+    let mut merged: Vec<Option<Option<ColorId>>> = vec![None; np.n];
     for (id, d) in local.iter().chain(remote.iter()) {
         let slot = merged
             .get_mut(*id as usize)
@@ -439,9 +428,9 @@ pub fn run_session<S: Read + Write>(
     Ok(SessionReport {
         outcome,
         digest: h.finish(),
-        ticks: 4 * phase_len as u64,
-        msgs_sent: ep.msgs_sent,
-        bytes_sent: ep.bytes_sent,
+        ticks,
+        msgs_sent: link.msgs_sent,
+        bytes_sent: link.bytes_sent,
         decisions,
     })
 }
@@ -499,6 +488,36 @@ mod tests {
         assert_eq!(b1.digest, b2.digest);
         assert_eq!(a1.msgs_sent, a2.msgs_sent);
         assert_eq!(a1.bytes_sent, a2.bytes_sent);
+    }
+
+    #[test]
+    fn bad_parameters_are_refused_before_any_byte() {
+        let base = NodeParams {
+            n: 12,
+            gamma: 3.0,
+            seed: 7,
+            slack: 3,
+        };
+        for np in [
+            NodeParams { n: 3, ..base },
+            NodeParams { slack: 0, ..base },
+            NodeParams { gamma: 0.0, ..base },
+            NodeParams {
+                gamma: -1.0,
+                ..base
+            },
+            NodeParams {
+                gamma: f64::NAN,
+                ..base
+            },
+        ] {
+            let (a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
+            let err = run_session(a, Side::Low, &np).expect_err("bad parameters");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{np:?}: {err}");
+            let mut sent = Vec::new();
+            b.read_to_end(&mut sent).unwrap();
+            assert!(sent.is_empty(), "{np:?}: bytes sent before the check");
+        }
     }
 
     #[test]
