@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 verify line plus the targets that must not
-# bitrot (benches, all eight examples, the experiment registry binary,
-# the perf gate over five BENCH_scale.json tables, the benchmark
-# package's self-test).
+# bitrot (all eight examples, the experiment registry binary and its
+# error paths, the two-process node, the perf gate over five
+# BENCH_scale.json tables, the benchmark package's self-test).
 #
 # Usage: ./ci.sh
 # Env:   PROPTEST_CASES — optional cap on property-test cases (the vendored
@@ -43,17 +43,20 @@ RFC_THREADS=1,2,8 RUST_TEST_THREADS=2 cargo test -q --test checkpoint_resume
 echo "==> tier-2: checkpoint/resume property sweep (random topology x adversity x snapshot round)"
 cargo test -q --test checkpoint_prop
 
-echo "==> benches compile"
-cargo build --benches
-
-echo "==> bench smoke: one-shot throughput run (round engine + trial fold)"
-cargo bench -p rfc-bench --bench throughput
-
 echo "==> examples build (release)"
 cargo build --release --examples
 
 echo "==> experiment registry lists"
 cargo run --release -q -p experiments --bin rfc-experiments -- list
+
+echo "==> experiment CLI: a bad --sizes list exits 2 with a message, not a panic"
+status=0
+./target/release/rfc-experiments e16 --quick --sizes 12x >/dev/null 2> target/rfc-experiments-sizes.err || status=$?
+if [ "$status" -ne 2 ] || grep -q panicked target/rfc-experiments-sizes.err; then
+    echo "FAIL: rfc-experiments e16 --sizes 12x exited $status (want 2, no panic)" >&2
+    cat target/rfc-experiments-sizes.err >&2
+    exit 1
+fi
 
 echo "==> dynamics smoke: e15 --quick (churn / partition-heal / loss bursts)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e15 --quick >/dev/null

@@ -13,8 +13,7 @@
 //!
 //! 1. **Commit**: every agent draws `r_u ~ U[m]` and broadcasts a binding
 //!    commitment (modeled as an opaque `O(log n)`-bit digest — we are
-//!    counting communication, not implementing cryptography; see
-//!    DESIGN.md §6 on substitutions).
+//!    counting communication, not implementing cryptography).
 //! 2. **Reveal**: every agent broadcasts `r_u`; everyone verifies against
 //!    the commitments.
 //! 3. **Elect**: the winner is `argmin_u (Σ_v r_v mod m + u) mod n`-style

@@ -1,31 +1,19 @@
-//! # rfc-bench — the Criterion benchmark harness
+//! # rfc-bench — the CI perf-regression gate and its two measurements
 //!
-//! Six bench binaries cover the experiment index of DESIGN.md §4 in the
-//! time domain plus the simulator's hot paths:
+//! The crate ships the **perf-regression gate** ([`gate`]): a
+//! dependency-free parser for the committed `BENCH_scale.json` baseline
+//! plus a throughput and ΔRSS comparator. The `rfc-bench` binary drives
+//! it and measures the two rows no experiment emits:
 //!
-//! * `e2e` — full protocol runs: sync (E1), faulty (E6), async (E12),
-//!   leader election (E9);
-//! * `attacks` — one deviating trial per strategy in the suite (E7/E8);
-//! * `baseline_protocols` — LOCAL all-to-all (E3), naive election (E8),
-//!   rumor spreading (E10), plurality dynamics (E4b);
-//! * `micro` — certificate build/verify, ledger checks, peer sampling,
-//!   seed derivation, one network round;
-//! * `scaling` — run cost vs n (E2/E3), vs γ (E6), and Monte-Carlo
-//!   throughput vs worker threads;
-//! * `throughput` — round-engine cost vs `n` and the buffered
-//!   `run_trials` harness vs the streaming `run_trials_fold` pipeline
-//!   (E14's substrate), including a fold-window (O(threads) memory)
-//!   witness;
-//! * `dispatch` — the agent-plane head-to-head: boxed-dyn rebuild vs
-//!   monomorphic `AgentSlot` (fresh network) vs `AgentSlot` + reusable
-//!   `TrialArena`, on bit-identical workloads.
+//! * `rfc-bench gate <committed> <fresh>...` — compare fresh tables
+//!   against the baseline and fail on a drop beyond tolerance;
+//! * `rfc-bench selftest <committed>` — prove the gate can fire;
+//! * `rfc-bench codec <out>` — wire-codec encode/decode throughput (E18);
+//! * `rfc-bench serial <out>` — the staged engine's drained serial
+//!   sections, serial vs sharded (E19).
 //!
-//! Run with `cargo bench -p rfc-bench` (or `--bench dispatch` etc.).
-//!
-//! Besides the benches, the crate ships the CI **perf-regression gate**
-//! ([`gate`]): a dependency-free parser for the committed
-//! `BENCH_scale.json` baseline plus a throughput comparator, driven by
-//! the `rfc-bench` binary (`rfc-bench gate <committed> <fresh>...`).
+//! Protocol P's costs are measured elsewhere: the experiment tables
+//! (E14 trials/s, E16 rounds/s) and the `perfbench/` benchmark.
 
 pub mod gate;
 

@@ -173,10 +173,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of everything in a [`RunConfig`] that determines run
-/// *behavior*. `threads`, `shard_floor`, `time_stages`, and
-/// `autotune_shards` are normalized out: staged output is bit-identical
-/// for every thread count / floor (and the tuner only ever moves the
-/// thread count), and stage timing is observability-only, so a
+/// *behavior*. `threads`, `shard_floor` and `time_stages` are
+/// normalized out: staged output is bit-identical for every thread
+/// count / floor, and stage timing is observability-only, so a
 /// checkpoint taken under one setting legally resumes under another.
 /// `rng_discipline` stays in — the disciplines are distinct behaviors
 /// with distinct digests.
@@ -185,7 +184,6 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
     norm.threads = 1;
     norm.shard_floor = None;
     norm.time_stages = false;
-    norm.autotune_shards = false;
     fnv1a(format!("{norm:?}").as_bytes())
 }
 

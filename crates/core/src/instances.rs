@@ -1048,7 +1048,6 @@ fn legacy_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> RunRepor
         verify_failures,
         audit: None,
         stage_times: None,
-        shard_schedule: None,
     }
 }
 

@@ -166,19 +166,6 @@ pub struct RunConfig {
     /// unaffected. Only the staged engine is instrumented, so only
     /// `PerAgent` runs report it; `Sequential` runs report `None`.
     pub time_stages: bool,
-    /// Autotune the shard count per phase: each communicating phase
-    /// probes the power-of-two shard counts up to `threads` for a few
-    /// rounds and runs the rest at the fastest
-    /// ([`gossip_net::Network::run_staged_autotuned`]). Pull-heavy
-    /// phases (Find-Min, Commitment) and push-heavy ones (Voting) hit
-    /// their sharding cliffs at different counts, so one fixed count
-    /// leaves throughput on the table. A pure throughput knob — the
-    /// tuner only ever moves `threads`, which is thread-invariant, so
-    /// digests are unaffected and checkpoint fingerprints normalize it
-    /// away like `threads` itself. The chosen schedule is reported in
-    /// [`RunReport::shard_schedule`]. Ignored under `Sequential`, whose
-    /// rounds do not shard.
-    pub autotune_shards: bool,
     /// Concurrent protocol instances multiplexed over the network (the
     /// instance plane, `crate::instances`). The default — one consensus
     /// instance starting at round 0 — is what every legacy entry point
@@ -294,7 +281,6 @@ impl RunConfigBuilder {
                 threads: 1,
                 shard_floor: None,
                 time_stages: false,
-                autotune_shards: false,
                 instances: crate::instances::InstancePlan::single_consensus(),
             },
         }
@@ -426,13 +412,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Autotune the shard count per phase; see
-    /// [`RunConfig::autotune_shards`].
-    pub fn autotune_shards(mut self, on: bool) -> Self {
-        self.cfg.autotune_shards = on;
-        self
-    }
-
     /// Set the instance plan consumed by [`crate::instances::run_plane`]
     /// (legacy single-run entry points ignore it).
     pub fn instances(mut self, plan: crate::instances::InstancePlan) -> Self {
@@ -477,11 +456,6 @@ pub struct RunReport {
     /// [`RunConfig::time_stages`] was set on a `PerAgent` run).
     /// Observability only — never part of a digest.
     pub stage_times: Option<StageTimes>,
-    /// Per-phase shard counts the autotuner settled on (present when
-    /// [`RunConfig::autotune_shards`] was set on a `PerAgent` run), in
-    /// phase order. Observability only — a pure throughput outcome,
-    /// never part of a digest.
-    pub shard_schedule: Option<Vec<(String, usize)>>,
 }
 
 impl RunReport {
@@ -654,10 +628,8 @@ impl TrialArena {
             }
         }
         let net = self.net.as_mut().expect("arena network just ensured");
-        let schedule = drive_network(net, cfg);
-        let mut report = collect_report(net, cfg);
-        report.shard_schedule = schedule;
-        report
+        drive_network(net, cfg);
+        collect_report(net, cfg)
     }
 }
 
@@ -688,22 +660,12 @@ fn color_space_size(cfg: &RunConfig) -> usize {
 /// `Network<Batch<InstPayload>, MuxAgent>` through this exact function on
 /// its single-instance path, which is what pins its phase cadence (and
 /// the metrics phase table) to the legacy one.
-/// Returns the autotuner's per-phase shard schedule when
-/// [`RunConfig::autotune_shards`] was set on a `PerAgent` run, `None`
-/// otherwise (throughput observability only — most callers ignore it).
-pub fn drive_network<M, A>(
-    net: &mut Network<M, A>,
-    cfg: &RunConfig,
-) -> Option<Vec<(String, usize)>>
+pub fn drive_network<M, A>(net: &mut Network<M, A>, cfg: &RunConfig)
 where
     M: gossip_net::size::MsgSize + Send + Sync,
     A: Agent<M> + Send,
 {
-    let params = cfg.params();
-    let q = params.q;
-    let candidates = (cfg.autotune_shards && cfg.rng_discipline == RngDiscipline::PerAgent)
-        .then(|| shard_candidates(cfg));
-    let mut schedule = candidates.as_ref().map(|_| Vec::new());
+    let q = cfg.params().q;
     for phase in Phase::COMMUNICATING {
         if phase == Phase::Coherence && cfg.skip_coherence {
             // Ablation: the phase's rounds simply don't happen; agents
@@ -711,34 +673,9 @@ where
             break;
         }
         net.enter_phase(phase.name());
-        if let (Some(cands), Some(sched)) = (&candidates, &mut schedule) {
-            let chosen = net.run_staged_autotuned(q, cands);
-            sched.push((phase.name().to_string(), chosen));
-        } else {
-            net.run_staged(q);
-        }
+        net.run_staged(q);
     }
     net.finalize();
-    schedule
-}
-
-/// The autotuner's candidate shard counts: the powers of two up to the
-/// run's resolved thread budget (`threads == 0` means available
-/// parallelism). The per-round [`RunConfig::shard_floor`] clamp still
-/// applies on top, inside the network.
-fn shard_candidates(cfg: &RunConfig) -> Vec<usize> {
-    let max = if cfg.threads == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        cfg.threads
-    };
-    let mut cands = vec![1usize];
-    let mut c = 2usize;
-    while c <= max {
-        cands.push(c);
-        c *= 2;
-    }
-    cands
 }
 
 /// Extract a [`RunReport`] from a finished network.
@@ -806,7 +743,6 @@ pub fn collect_report<A: ConsensusAgent>(net: &Network<Msg, A>, cfg: &RunConfig)
         verify_failures,
         audit,
         stage_times,
-        shard_schedule: None,
     }
 }
 
@@ -835,10 +771,8 @@ pub(crate) fn effective_decision(core: &ProtocolCore, cfg: &RunConfig) -> Option
 /// across trials; both produce bit-identical reports.)
 pub fn run_protocol(cfg: &RunConfig, seed: u64) -> RunReport {
     let mut net = build_network_slots(cfg, seed, &mut honest_slot_factory);
-    let schedule = drive_network(&mut net, cfg);
-    let mut report = collect_report(&net, cfg);
-    report.shard_schedule = schedule;
-    report
+    drive_network(&mut net, cfg);
+    collect_report(&net, cfg)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! produced by an agent in one shard is cloned into agent state in
 //! another shard — the refcount must be atomic. The uncontended
 //! `lock inc`/`lock dec` pair this costs on the sequential path is the
-//! price of the sharded engine's existence; the `dispatch` bench tracks
-//! it PR over PR.
+//! price of the sharded engine's existence; perfbench's `mc-fair`
+//! workload, which runs that uncontended `Sequential` path, tracks it.
 
 pub use std::sync::Arc as Shared;

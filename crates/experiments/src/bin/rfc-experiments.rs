@@ -1,4 +1,5 @@
-//! `rfc-experiments` — regenerate every experiment in EXPERIMENTS.md.
+//! `rfc-experiments` — regenerate every experiment of the `experiments`
+//! crate (its docs hold the index of claims and experiments).
 //!
 //! ```text
 //! rfc-experiments list                      # show the experiment registry
@@ -26,8 +27,6 @@
 //!     --shards <k1,k2,..>      override the shard-count sweep (E16)
 //!     --no-oplog      skip op-log recording in the audit-bearing
 //!                     experiments (digests unchanged; audits report "off")
-//!     --autotune-shards        probe per-phase shard counts and run each
-//!                     phase at the fastest (E16; throughput only)
 //! ```
 
 use experiments::{all_experiments, ExpOptions};
@@ -103,17 +102,11 @@ fn main() {
                 opts.instance_kind = Some(Box::leak(kind.into_boxed_str()));
             }
             "--stage-times" => opts.stage_times = true,
-            "--sizes" => {
-                let spec = it.next().unwrap_or_else(|| die("--sizes needs a comma list"));
-                // Leaked so ExpOptions stays Copy: one flag, process-lifetime.
-                opts.sizes = Some(Box::leak(spec.into_boxed_str()));
-            }
-            "--shards" => {
-                let spec = it.next().unwrap_or_else(|| die("--shards needs a comma list"));
-                opts.shards = Some(Box::leak(spec.into_boxed_str()));
-            }
+            // Both lists are checked here, so a bad entry exits 2 before
+            // any experiment starts (the protocol needs two agents).
+            "--sizes" => opts.sizes = Some(list_flag(&mut it, "--sizes", 2)),
+            "--shards" => opts.shards = Some(list_flag(&mut it, "--shards", 0)),
             "--no-oplog" => opts.oplog = false,
-            "--autotune-shards" => opts.autotune = true,
             "list" => list_only = true,
             "all" => {
                 selected = all_experiments().iter().map(|e| e.id.to_string()).collect();
@@ -181,6 +174,16 @@ fn write_file(path: &str, content: &str) {
         .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
 }
 
+/// Read and check a `--sizes`/`--shards` comma list (every entry at
+/// least `min`), leaked so `ExpOptions` stays `Copy`.
+fn list_flag(it: &mut impl Iterator<Item = String>, flag: &str, min: usize) -> &'static str {
+    let spec = it.next().unwrap_or_else(|| die(&format!("{flag} needs a comma list")));
+    if let Err(e) = ExpOptions::parse_list(&spec, min) {
+        die(&format!("{flag}: {e}"));
+    }
+    Box::leak(spec.into_boxed_str())
+}
+
 fn parse_u64(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
         u64::from_str_radix(hex, 16).ok()
@@ -191,7 +194,7 @@ fn parse_u64(s: &str) -> Option<u64> {
 
 fn usage() {
     eprintln!(
-        "usage: rfc-experiments <list | all | e01..e17...> [--quick] [--seed N] [--threads K] [--csv DIR] [--json DIR] [--checkpoint-every K] [--checkpoint-dir DIR] [--resume-from DIR] [--instances K] [--instance-kind rumor|consensus] [--stage-times] [--sizes N1,N2,..] [--shards K1,K2,..] [--no-oplog] [--autotune-shards]"
+        "usage: rfc-experiments <list | all | e01..e17...> [--quick] [--seed N] [--threads K] [--csv DIR] [--json DIR] [--checkpoint-every K] [--checkpoint-dir DIR] [--resume-from DIR] [--instances K] [--instance-kind rumor|consensus] [--stage-times] [--sizes N1,N2,..] [--shards K1,K2,..] [--no-oplog]"
     );
 }
 

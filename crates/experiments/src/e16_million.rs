@@ -7,8 +7,8 @@
 //! (`gossip_net::network::staged`) opens the other axis: plan and apply
 //! shard the agents of **one** trial across worker threads under the
 //! [`RngDiscipline::PerAgent`] loss discipline, and the two layers
-//! compose (shards within a trial × arenas across trials — the
-//! `intra_trial` row of `rfc-bench` measures the composition).
+//! compose (shards within a trial × arenas across trials: this sweep
+//! runs every row through one reused `TrialArena`).
 //!
 //! This experiment runs **single trials** at `n` up to 10⁶ and sweeps
 //! the shard count, reporting per row:
@@ -139,7 +139,7 @@ fn peak_rss_mib() -> Option<f64> {
 /// Run E16 and produce its table.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let sizes: Vec<usize> = if let Some(spec) = opts.sizes {
-        ExpOptions::parse_list(spec)
+        ExpOptions::parse_list(spec, 2).unwrap_or_else(|e| panic!("E16 --sizes: {e}"))
     } else if opts.quick {
         vec![512, 4096]
     } else {
@@ -156,7 +156,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
     // `--shards` replaces the sweep outright (e.g. `--shards 1` keeps a
     // 10⁷ landmark run from re-measuring the same core four times).
     let mut shards: Vec<usize> = if let Some(spec) = opts.shards {
-        ExpOptions::parse_list(spec)
+        ExpOptions::parse_list(spec, 0).unwrap_or_else(|e| panic!("E16 --shards: {e}"))
     } else if opts.quick {
         vec![1, 2, opts.intra_threads()]
     } else {
@@ -185,7 +185,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
     );
     let mut arena = TrialArena::new();
     let mut markers: Vec<String> = Vec::new();
-    let mut tuner_markers: Vec<String> = Vec::new();
     // `--stage-times`: per-row plan/exchange/apply wall-clock split of
     // the staged engine, reported as a second table. Observability only
     // — the timing clocks never feed the digest.
@@ -204,7 +203,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 // invariance.
                 .record_ops(false)
                 .time_stages(opts.stage_times)
-                .autotune_shards(opts.autotune)
                 .build()
         };
         let mut first_digest: Option<u64> = None;
@@ -243,11 +241,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 rss_growth,
                 format!("{:016x}", digest),
             ]);
-            if let Some(schedule) = &report.shard_schedule {
-                let chosen: Vec<String> =
-                    schedule.iter().map(|(ph, k)| format!("{ph}={k}")).collect();
-                tuner_markers.push(format!("n{n}/s{threads}: {}", chosen.join(" ")));
-            }
             if let Some(st) = report.stage_times {
                 stage_rows.push(vec![
                     n.to_string(),
@@ -277,11 +270,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         // resumed row reproducing the straight rows' digest is the
         // machine-checked bit-identity witness for the CLI path.
         table.note(format!("checkpointing: {}", markers.join(", ")));
-    }
-    if !tuner_markers.is_empty() {
-        // Autotuned rows also re-enter the in-run digest assertion: the
-        // per-phase schedule is throughput-only by construction.
-        table.note(format!("autotuned shard schedule: {}", tuner_markers.join(", ")));
     }
     let mut tables = vec![table];
     if !stage_rows.is_empty() {
@@ -397,21 +385,6 @@ mod tests {
             let pct: f64 = row[10].parse().unwrap();
             assert!((0.0..=100.0).contains(&pct), "bad meter+log %: {row:?}");
         }
-    }
-
-    #[test]
-    fn e16_autotuned_rows_reproduce_fixed_digests() {
-        let plain = run_with_sizes(&ExpOptions::quick(), &[96]);
-        let mut at = ExpOptions::quick();
-        at.autotune = true;
-        let tuned = run_with_sizes(&at, &[96]);
-        // The tuner only moves the shard count, so every digest cell
-        // must match the fixed-shard sweep byte for byte.
-        let digests =
-            |t: &Table| t.rows.iter().map(|r| r[8].clone()).collect::<Vec<_>>();
-        assert_eq!(digests(&plain[0]), digests(&tuned[0]));
-        let note = tuned[0].notes.iter().find(|n| n.contains("autotuned"));
-        assert!(note.is_some(), "autotuned rows must report their schedule");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 #![warn(missing_docs)]
-//! # experiments — the Monte-Carlo harness regenerating EXPERIMENTS.md
+//! # experiments — the Monte-Carlo harness regenerating every experiment
 //!
 //! The paper is theory-only (no empirical tables or figures), so the
 //! reproduction target is its *stated analytical results*: every theorem,
-//! lemma, and complexity claim maps to one experiment here (the table in
-//! DESIGN.md §4 is authoritative):
+//! lemma, and complexity claim maps to one experiment here (this index is
+//! authoritative):
 //!
 //! | id | claim |
 //! |----|-------|

@@ -54,11 +54,6 @@ pub struct ExpOptions {
     /// missing, so an experiment that needs the audit degrades to
     /// reporting "off" instead of panicking.
     pub oplog: bool,
-    /// Autotune the per-phase shard count in the experiments that run
-    /// the staged engine (E16): probe the power-of-two shard counts up
-    /// to `--threads` each phase and run the rest at the fastest.
-    /// Throughput-only; digests are unaffected.
-    pub autotune: bool,
 }
 
 impl Default for ExpOptions {
@@ -76,7 +71,6 @@ impl Default for ExpOptions {
             sizes: None,
             shards: None,
             oplog: true,
-            autotune: false,
         }
     }
 }
@@ -131,20 +125,18 @@ impl ExpOptions {
     }
 
     /// Parse a `--sizes`/`--shards` comma list (underscores allowed as
-    /// digit separators: `10_000_000`). Panics on junk so a CLI typo
-    /// fails loudly instead of silently running the default sweep.
-    pub fn parse_list(spec: &str) -> Vec<usize> {
-        let v: Vec<usize> = spec
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .replace('_', "")
-                    .parse()
-                    .unwrap_or_else(|_| panic!("unparsable entry {s:?} in list {spec:?}"))
+    /// digit separators: `10_000_000`). Every entry must parse and be at
+    /// least `min`; an empty list or entry does not parse. The error
+    /// names the bad entry, so a CLI typo fails loudly instead of
+    /// silently running the default sweep.
+    pub fn parse_list(spec: &str, min: usize) -> Result<Vec<usize>, String> {
+        spec.split(',')
+            .map(|s| match s.trim().replace('_', "").parse() {
+                Ok(v) if v >= min => Ok(v),
+                Ok(v) => Err(format!("entry {v} in list {spec:?} is below {min}")),
+                Err(_) => Err(format!("unparsable entry {s:?} in list {spec:?}")),
             })
-            .collect();
-        assert!(!v.is_empty(), "empty list {spec:?}");
-        v
+            .collect()
     }
 
     /// Largest `n` of a sweep: caps `full_max` in quick mode.
@@ -180,5 +172,25 @@ mod tests {
         };
         assert_eq!(o.threads_for(100), 3);
         assert_eq!(o.threads_for(2), 2);
+    }
+
+    #[test]
+    fn parse_list_rejects_junk_empty_and_small_entries() {
+        assert_eq!(ExpOptions::parse_list("512, 4_096", 2), Ok(vec![512, 4096]));
+        assert_eq!(ExpOptions::parse_list("1,2", 1), Ok(vec![1, 2]));
+        assert_eq!(ExpOptions::parse_list("0", 0), Ok(vec![0]));
+        for (spec, min) in [
+            ("12x", 2),
+            ("", 1),
+            ("1,,2", 1),
+            ("-3", 0),
+            ("1", 2),
+            ("4,0", 1),
+        ] {
+            assert!(
+                ExpOptions::parse_list(spec, min).is_err(),
+                "{spec:?} (min {min}) accepted"
+            );
+        }
     }
 }

@@ -26,8 +26,7 @@
 //!
 //! Trial `i` always receives `derive_seed(master_seed, i)`, making every
 //! aggregate a pure function of `(experiment, master_seed)` regardless of
-//! parallelism — the property that lets EXPERIMENTS.md quote exact
-//! numbers.
+//! parallelism — the property that lets the docs quote exact numbers.
 //!
 //! The `*_with_scratch` variants add **per-worker state**: each worker
 //! thread owns one scratch value (typically an `rfc_core::TrialArena`)
@@ -384,7 +383,7 @@ where
 }
 
 /// [`run_trials_fold`] plus [`FoldStats`] instrumentation (used by tests
-/// and `rfc-bench` to demonstrate the O(threads) memory behavior).
+/// to demonstrate the O(threads) memory behavior).
 pub fn run_trials_fold_with_stats<A, I, F, M>(
     trials: usize,
     threads: usize,

@@ -1,8 +1,9 @@
 //! Plain-text and CSV table rendering for experiment reports.
 //!
-//! The paper is theory-only, so EXPERIMENTS.md defines the result tables;
-//! this module renders them identically on the terminal and into CSV so
-//! every number in the docs can be regenerated by `rfc-experiments`.
+//! The paper is theory-only, so the experiments define the result tables
+//! (the index is in the crate docs); this module renders them
+//! identically on the terminal and into CSV so every number in the docs
+//! can be regenerated by `rfc-experiments`.
 
 /// A result table: title, column headers, string rows, footnotes.
 #[derive(Debug, Clone, Default)]

@@ -59,8 +59,7 @@ pub struct Metrics {
     /// across a partition cut, to a faulty/crashed receiver, or lost in
     /// transit. `messages_sent - undelivered` is the exact number of
     /// deliveries (`on_push`/`on_pull`/`Some`-reply invocations) the
-    /// wire produced. (Unmetered queries — `meter_queries` off — are
-    /// excluded from both counters.)
+    /// wire produced.
     pub undelivered: u64,
     /// Global bit count.
     pub bits_sent: u64,

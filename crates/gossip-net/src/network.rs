@@ -29,8 +29,7 @@
 //!
 //! * **pushes** — metered when sent, even if the edge does not exist,
 //!   the receiver is faulty, or the loss process drops the message;
-//! * **pull queries** — metered when issued (unless
-//!   [`NetworkConfig::meter_queries`] is off), even if the query is lost
+//! * **pull queries** — metered when issued, even if the query is lost
 //!   or the target is faulty/unreachable;
 //! * **pull replies** — metered when the pullee *produces* one (its
 //!   [`Agent::on_pull`] returns `Some`), even if the reply is then lost
@@ -97,9 +96,6 @@ pub mod staged;
 pub struct NetworkConfig {
     /// Record every active operation into an [`OpLog`] for audits.
     pub record_ops: bool,
-    /// Meter pull queries on the wire (protocol queries are constant-size
-    /// tags; disabling this models free control traffic).
-    pub meter_queries: bool,
     /// Independent per-message drop probability in the closed interval
     /// `[0.0, 1.0]` (failure injection; the paper's model assumes
     /// reliable channels, i.e. 0.0, and 1.0 models total channel
@@ -148,7 +144,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             record_ops: false,
-            meter_queries: true,
             loss_probability: 0.0,
             loss_seed: 0,
             loss_schedule: None,
@@ -524,16 +519,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         self.stage_times
     }
 
-    /// Re-aim the staged engine at a different worker-thread count,
-    /// effective from the next round. `threads` is a pure throughput
-    /// knob — staged output is bit-identical for every value — so this
-    /// is safe to call mid-run; the per-phase shard autotuner does
-    /// exactly that at phase boundaries. The worker pool is re-sized
-    /// lazily by the next staged round.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-    }
-
     /// The configured staged-engine worker-thread count (`0` = available
     /// parallelism; see [`NetworkConfig::threads`]).
     pub fn threads(&self) -> usize {
@@ -698,17 +683,13 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// handler; a metered query that does not is counted `undelivered`.
     fn send_query_checks(&mut self, puller: AgentId, pullee: AgentId, query: &M) -> bool {
         // The pull *query* travels on the wire regardless of the answer.
-        if self.config.meter_queries {
-            self.metrics.record_message(query.size_bits(&self.env));
-        }
+        self.metrics.record_message(query.size_bits(&self.env));
         // The loss draw is consumed unconditionally (matching the
         // historical stream even for off-edge queries).
         let reachable = self.reachable(puller, pullee);
         let query_lost = self.dropped();
         if !reachable || query_lost || self.fault_state.is_down(pullee) {
-            if self.config.meter_queries {
-                self.metrics.record_undelivered();
-            }
+            self.metrics.record_undelivered();
             return false;
         }
         true
@@ -948,9 +929,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
                 let reply = if self.fault_state.is_down(pullee) {
                     // Crashed mid-flight: the metered query lands on a
                     // dead mailbox; the puller gets the timeout.
-                    if self.config.meter_queries {
-                        self.metrics.record_undelivered();
-                    }
+                    self.metrics.record_undelivered();
                     self.record_pull_op(now, puller, pullee, false);
                     None
                 } else {
@@ -993,11 +972,11 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// still in flight when the tick budget expires was **metered at
     /// send time but never delivered** — a pull issued in an agent's
     /// last activation, say, whose reply outlives the run. Count each
-    /// such metered message `undelivered` (pushes; queries, when query
-    /// metering is on; produced `Some` replies — a `None` timeout was
-    /// never a wire message), preserving the contract that
-    /// `messages_sent - undelivered` is the exact number of handler
-    /// invocations. Returns how many undelivered messages were drained.
+    /// such metered message `undelivered` (pushes, queries and produced
+    /// `Some` replies — a `None` timeout was never a wire message),
+    /// preserving the contract that `messages_sent - undelivered` is the
+    /// exact number of handler invocations. Returns how many undelivered
+    /// messages were drained.
     pub fn drain_in_flight(&mut self) -> u64 {
         let round = self.round;
         let mut dropped = 0u64;
@@ -1008,10 +987,8 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
                     dropped += 1;
                 }
                 EventKind::Query { puller, pullee, .. } => {
-                    if self.config.meter_queries {
-                        self.metrics.record_undelivered();
-                        dropped += 1;
-                    }
+                    self.metrics.record_undelivered();
+                    dropped += 1;
                     self.record_pull_op(round, puller, pullee, false);
                 }
                 EventKind::Reply { reply, .. } => {

@@ -47,9 +47,7 @@
 //! sharding. No per-round pass over the op list remains serial.
 //! `threads` is a pure throughput knob — pinned by the
 //! thread-invariance suite (`tests/sharded_engine.rs`) and the sharded
-//! golden rows — which is also what makes the per-phase shard autotuner
-//! ([`Network::run_staged_autotuned`]) digest-invariant by construction:
-//! it only ever moves that knob.
+//! golden rows.
 //!
 //! ## The two RNG disciplines
 //!
@@ -102,9 +100,9 @@ use std::mem::MaybeUninit;
 
 /// Tuned default for [`NetworkConfig::shard_floor`]: below ~2048 agents
 /// per shard the per-round barrier/merge overhead of an extra shard
-/// outweighs its share of the work (the "sharding cliff" measured by
-/// `rfc-bench`'s staged rows), so runners clamp the shard count to keep
-/// at least this many agents per shard unless explicitly overridden.
+/// outweighs its share of the work (the "sharding cliff" E16's shard
+/// sweep measures), so runners clamp the shard count to keep at least
+/// this many agents per shard unless explicitly overridden.
 pub const MIN_AGENTS_PER_SHARD: usize = 2048;
 
 /// Reusable scratch for the staged engine: the delivery ledgers, reply
@@ -396,51 +394,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// Run `rounds` staged rounds, autotuning the shard count for this
-    /// phase: each candidate is probed for a few rounds, wall-clocked
-    /// per round, and the fastest candidate runs the remainder. Returns
-    /// the chosen count.
-    ///
-    /// Digest-invariant by construction: the only knob this moves is
-    /// `threads`, which the thread-invariance suite pins as a pure
-    /// throughput knob — so a probe round *is* a real round, and none
-    /// is wasted or replayed. Candidates are still clamped per round by
-    /// [`NetworkConfig::shard_floor`] via `effective_threads`, so the
-    /// tuner can only pick within the floor's envelope. Pull-heavy
-    /// phases (Find-Min, Commitment — `on_pull` work dominates) and
-    /// push-heavy ones (Voting) hit their sharding cliffs at different
-    /// counts, which is why the choice is per phase, not per run.
-    pub fn run_staged_autotuned(&mut self, rounds: usize, candidates: &[usize]) -> usize {
-        let mut remaining = rounds;
-        let mut best = self.config.threads.max(1);
-        if candidates.len() > 1 {
-            // Probe depth: enough rounds to damp per-round noise, never
-            // so many that probing eats the phase budget.
-            let probe = (rounds / (candidates.len() * 4)).clamp(1, 8);
-            let mut best_us = u64::MAX;
-            for &cand in candidates {
-                if remaining == 0 {
-                    break;
-                }
-                let take = probe.min(remaining);
-                remaining -= take;
-                self.config.threads = cand;
-                let t = std::time::Instant::now();
-                self.run_staged(take);
-                let per_round = t.elapsed().as_micros() as u64 / take as u64;
-                if per_round < best_us {
-                    best_us = per_round;
-                    best = cand;
-                }
-            }
-        } else if let Some(&only) = candidates.first() {
-            best = only;
-        }
-        self.config.threads = best;
-        self.run_staged(remaining);
-        best
-    }
-
     // ------------------------------------------------------------------
     // Stage 1: plan
     // ------------------------------------------------------------------
@@ -572,12 +525,11 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
     /// Even on one shard this is a win: one phase lookup per round
     /// instead of one per message.
     fn meter_ops(&mut self, ops: &[(AgentId, Op<M>)], threads: usize) {
-        let meter_queries = self.config.meter_queries;
         let n_ops = ops.len();
         let Network { pool, staged: st, metrics, env, .. } = self;
         let env: &SizeEnv = env;
         if n_ops < threads {
-            metrics.record_bulk(&tally_ops(ops, meter_queries, env), 0);
+            metrics.record_bulk(&tally_ops(ops, env), 0);
             return;
         }
         let chunk = n_ops.div_ceil(threads).max(1);
@@ -592,7 +544,7 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                     continue;
                 }
                 let ops_range = &ops[lo..hi];
-                scope.spawn(move || *tally = tally_ops(ops_range, meter_queries, env));
+                scope.spawn(move || *tally = tally_ops(ops_range, env));
             }
         });
         for tally in st.meter_tallies.drain(..) {
@@ -622,7 +574,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         let n = self.agents.len();
         let p = self.current_p;
         let loss_seed = self.config.loss_seed;
-        let meter_queries = self.config.meter_queries;
         let n_ops = ops.len();
         let chunk = n_ops.div_ceil(threads).max(1);
         let timed = self.config.time_stages;
@@ -879,7 +830,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
                             p,
                             loss_seed,
                             round,
-                            meter_queries,
                             fault_state,
                             topology,
                             partition,
@@ -1115,8 +1065,9 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
 /// scope itself, so the pool holds `threads - 1` workers — none at one
 /// shard, where every job runs inline. The pool
 /// outlives rounds *and* trials — replacing a per-round
-/// `std::thread::scope` spawn/join with a job-slot hand-off (`rfc-bench`'s
-/// `staged_spawn_overhead` row isolates the difference).
+/// `std::thread::scope` spawn/join with a job-slot hand-off (perfbench's
+/// `sync-sharded` workload and its traced `staged.shard_efficiency`
+/// measure what remains).
 pub(super) fn ensure_pool(
     slot: &mut Option<crate::pool::ScopedPool>,
     threads: usize,
@@ -1129,20 +1080,15 @@ pub(super) fn ensure_pool(
 }
 
 /// Fold one contiguous op range into a send-time meter tally: every
-/// push, and (when `meter_queries`) every pull query, metered at its
-/// wire size. The shard decomposition is invisible to the result —
-/// tallies merged in shard order equal one op-order pass exactly. The
-/// tally is a local, stored once by the caller: the shards' slots share
-/// a cache line.
-fn tally_ops<M: MsgSize>(ops: &[(AgentId, Op<M>)], meter_queries: bool, env: &SizeEnv) -> Tally {
+/// push and every pull query, metered at its wire size. The shard
+/// decomposition is invisible to the result — tallies merged in shard
+/// order equal one op-order pass exactly. The tally is a local, stored
+/// once by the caller: the shards' slots share a cache line.
+fn tally_ops<M: MsgSize>(ops: &[(AgentId, Op<M>)], env: &SizeEnv) -> Tally {
     let mut tally = Tally::default();
     for (_, op) in ops {
         match op {
-            Op::Pull { query, .. } => {
-                if meter_queries {
-                    tally.record(query.size_bits(env));
-                }
-            }
+            Op::Pull { query, .. } => tally.record(query.size_bits(env)),
             Op::Push { msg, .. } => tally.record(msg.size_bits(env)),
         }
     }
@@ -1170,7 +1116,6 @@ fn resolve_masks_range(
     p: f64,
     loss_seed: u64,
     round: usize,
-    meter_queries: bool,
     fault_state: &FaultState,
     topology: &Topology,
     partition: Option<&PartitionCut>,
@@ -1189,7 +1134,7 @@ fn resolve_masks_range(
                     && !matches!(partition, Some(cut) if cut.blocks(e.puller, va));
                 if reachable && !down && !lost {
                     atomic_set(query_delivered, pos);
-                } else if meter_queries {
+                } else {
                     undelivered += 1;
                 }
             }
@@ -1393,26 +1338,6 @@ mod tests {
             net.run_staged(10);
             assert_eq!(observe(&net), want, "threads={threads} changed per-agent output");
         }
-    }
-
-    #[test]
-    fn autotuned_run_matches_fixed_run_bit_for_bit() {
-        // The tuner only moves `threads`, so whatever it probes and
-        // picks, every observable must match a fixed single-shard run.
-        let cfg = NetworkConfig {
-            record_ops: true,
-            loss_probability: 0.2,
-            loss_seed: 5,
-            rng_discipline: RngDiscipline::PerAgent,
-            ..NetworkConfig::default()
-        };
-        let mut fixed = mk_net(24, NetworkConfig { threads: 1, ..cfg.clone() });
-        fixed.run_staged(12);
-        let want = observe(&fixed);
-        let mut tuned = mk_net(24, NetworkConfig { threads: 2, ..cfg.clone() });
-        let chosen = tuned.run_staged_autotuned(12, &[1, 2, 4]);
-        assert!([1, 2, 4].contains(&chosen));
-        assert_eq!(observe(&tuned), want, "autotuning changed observables");
     }
 
     #[test]

@@ -104,7 +104,6 @@ fn run_chaos(
         faults,
         NetworkConfig {
             record_ops: true,
-            meter_queries: true,
             loss_probability: loss,
             loss_seed: seed,
             ..NetworkConfig::default()

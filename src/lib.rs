@@ -19,7 +19,7 @@
 //! * [`rfc_stats`] — χ², total-variation distance, Wilson intervals,
 //!   log-fits.
 //! * [`experiments`] — the parallel Monte-Carlo harness regenerating every
-//!   experiment in `EXPERIMENTS.md`.
+//!   experiment in its index (E1–E17).
 //!
 //! ## Quickstart
 //!
