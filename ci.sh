@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 verify line plus the targets that must not
-# bitrot (all eight examples, the experiment registry binary and its
-# error paths, the two-process node, the perf gate over five
-# BENCH_scale.json tables, the benchmark package's self-test).
+# CI entry point: the tier-1 verify line, a warning-free clippy run, plus
+# the targets that must not bitrot (all eight examples, the experiment
+# registry binary and its error paths, the two-process node, the perf
+# gate over five BENCH_scale.json tables, the benchmark package's
+# self-test).
 #
 # Usage: ./ci.sh
 # Env:   PROPTEST_CASES — optional cap on property-test cases (the vendored
@@ -18,6 +19,9 @@ cargo test -q
 
 echo "==> workspace tests (all member crates)"
 cargo test --workspace -q
+
+echo "==> clippy: every workspace target, warnings are errors"
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> tier-2: golden-run regression corpus (pinned seed->digest matrix)"
 # Thread count pinned for a stable wall clock; the corpus itself is
@@ -49,14 +53,17 @@ cargo build --release --examples
 echo "==> experiment registry lists"
 cargo run --release -q -p experiments --bin rfc-experiments -- list
 
-echo "==> experiment CLI: a bad --sizes list exits 2 with a message, not a panic"
-status=0
-./target/release/rfc-experiments e16 --quick --sizes 12x >/dev/null 2> target/rfc-experiments-sizes.err || status=$?
-if [ "$status" -ne 2 ] || grep -q panicked target/rfc-experiments-sizes.err; then
-    echo "FAIL: rfc-experiments e16 --sizes 12x exited $status (want 2, no panic)" >&2
-    cat target/rfc-experiments-sizes.err >&2
-    exit 1
-fi
+echo "==> experiment CLI: a bad --sizes or --shards list exits 2 with a message, not a panic"
+for bad in "--sizes 12x" "--shards 0"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a flag and its value
+    ./target/release/rfc-experiments e16 --quick $bad >/dev/null 2> target/rfc-experiments-list.err || status=$?
+    if [ "$status" -ne 2 ] || grep -q panicked target/rfc-experiments-list.err; then
+        echo "FAIL: rfc-experiments e16 --quick $bad exited $status (want 2, no panic)" >&2
+        cat target/rfc-experiments-list.err >&2
+        exit 1
+    fi
+done
 
 echo "==> dynamics smoke: e15 --quick (churn / partition-heal / loss bursts)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e15 --quick >/dev/null

@@ -796,7 +796,7 @@ mod tests {
         let quick = table("E16", &["n", "rounds/s"], &[&["512", "1000"]]);
         let committed = vec![quick.clone(), landmark.clone()];
         // Fresh CI captures never rerun the landmark: note, not failure.
-        let r = compare(&committed, &[quick.clone()], 0.20);
+        let r = compare(&committed, std::slice::from_ref(&quick), 0.20);
         assert!(r.pass(), "{:?}", r.failures);
         assert!(r.notes.iter().any(|n| n.contains("landmark")), "{:?}", r.notes);
         // A non-landmark table absent from fresh still fails (coverage

@@ -176,7 +176,8 @@ mod tests {
         use crate::coalition::{new_coalition, Coalition};
         use crate::strategies::{self, Strategy};
         let coalition = new_coalition(vec![1], 1);
-        let cases: Vec<(Box<dyn Strategy>, fn(&AgentSlot) -> bool)> = vec![
+        type Case = (Box<dyn Strategy>, fn(&AgentSlot) -> bool);
+        let cases: Vec<Case> = vec![
             (Box::new(strategies::vote_rig::VoteRig), |s| {
                 matches!(s, AgentSlot::VoteRig(_))
             }),

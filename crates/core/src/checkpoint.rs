@@ -47,8 +47,8 @@
 //! cannot see, so [`checkpoint_network`] returns
 //! [`CheckpointError::UnsupportedAgent`] for them (equilibrium
 //! experiments checkpoint at *trial* granularity instead — see
-//! `experiments::parallel::run_trials_fold_resumable` and the adversary
-//! harness). Async (sequential-GOSSIP) runs are likewise out of scope:
+//! `adversary::run_equilibrium_span`). Async (sequential-GOSSIP) runs
+//! are likewise out of scope:
 //! the checkpoint driver is the synchronous phase clock.
 
 use std::collections::HashMap;
@@ -61,6 +61,7 @@ use gossip_net::oplog::{OpKind, OpLog};
 
 use crate::agent_plane::AgentSlot;
 use crate::certificate::{CertData, Certificate, VoteRec};
+use crate::codec::{get_varint, put_varint, CodecError};
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::ledger::{ConsistencyError, Declaration};
 use crate::msg::{IntentEntry, IntentList, Msg};
@@ -188,9 +189,9 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Byte-level encoder / decoder: LEB128 varints for counters and ids,
-// raw little-endian words for RNG state (full-entropy, varints would
-// only inflate it).
+// Byte-level encoder / decoder: LEB128 varints (the wire codec's) for
+// counters and ids, raw little-endian words for RNG state (full-entropy,
+// varints would only inflate it).
 // ---------------------------------------------------------------------
 
 struct Enc {
@@ -210,16 +211,8 @@ impl Enc {
     fn u64_raw(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let b = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(b);
-                break;
-            }
-            self.buf.push(b | 0x80);
-        }
+    fn varint(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
     }
     fn usize(&mut self, v: usize) {
         self.varint(v as u64);
@@ -270,22 +263,13 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
     }
     fn varint(&mut self) -> Result<u64, CheckpointError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(CheckpointError::Corrupt("varint overflows u64"));
+        get_varint(self.b, &mut self.pos).map_err(|e| match e {
+            CodecError::Truncated => CheckpointError::Truncated,
+            CodecError::Corrupt(what) => CheckpointError::Corrupt(what),
+            CodecError::BadMagic | CodecError::WrongVersion { .. } => {
+                CheckpointError::Corrupt("bad varint")
             }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(CheckpointError::Corrupt("varint too long"));
-            }
-        }
+        })
     }
     fn usize(&mut self) -> Result<usize, CheckpointError> {
         usize::try_from(self.varint()?).map_err(|_| CheckpointError::Corrupt("count overflows usize"))
@@ -944,7 +928,7 @@ pub fn drive_with_checkpoints(
         }
         net.run_staged(1);
         if let Some(k) = every {
-            if k > 0 && net.round() % k == 0 {
+            if k > 0 && net.round().is_multiple_of(k) {
                 let bytes = checkpoint_network(net, cfg, seed)?;
                 sink(net.round(), &bytes);
             }

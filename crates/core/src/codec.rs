@@ -161,7 +161,7 @@ pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
 
 /// Encoded length of `v` as a varint, in bytes.
 pub fn varint_len(v: u64) -> usize {
-    (((64 - v.max(1).leading_zeros()) as usize) + 6) / 7
+    ((64 - v.max(1).leading_zeros()) as usize).div_ceil(7)
 }
 
 fn get_u32(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, CodecError> {

@@ -51,11 +51,11 @@
 //! deferred `on_reply(None)` delivered before the cell next acts.
 
 use crate::agent_plane::AgentSlot;
-use crate::engine::{ConsensusAgent, ProtocolCore, Role};
+use crate::engine::ProtocolCore;
 use crate::msg::{Batch, Msg};
-use crate::outcome::{combine_decisions, Decision, Outcome};
+use crate::outcome::{Decision, Outcome};
 use crate::runner::{
-    drive_network, effective_decision, network_ingredients, streams, RunConfig, RunReport,
+    drive_network, network_ingredients, report_of_agents, streams, RunConfig, RunReport,
 };
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::dynamics::LossSchedule;
@@ -345,7 +345,7 @@ impl RumorVoteCore {
         }
         let peer = ctx.topology.sample_peer(self.id, &mut self.rng);
         match &self.known {
-            Some((value, voters)) if ctx.round % 2 == 0 => Some(Op::push(
+            Some((value, voters)) if ctx.round.is_multiple_of(2) => Some(Op::push(
                 peer,
                 RumorVoteMsg::Votes { value: *value, voters: voters.clone() },
             )),
@@ -932,39 +932,20 @@ fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> P
         };
         match spec.kind {
             InstanceKind::Consensus => {
-                let mut decisions = Vec::with_capacity(n);
-                let mut winner = None;
-                for i in 0..n as AgentId {
-                    let CellInner::Consensus { slot, .. } = &net.agent(i).cells[j].inner else {
-                        unreachable!("cell kind matches spec kind")
-                    };
-                    let core = ConsensusAgent::core(slot);
-                    let d = if faults.is_down(i) {
-                        Decision::Faulty
-                    } else {
-                        match effective_decision(core, cfg) {
-                            Some(c) => {
-                                if winner.is_none() && ConsensusAgent::role(slot) == Role::Honest {
-                                    winner = core.min_cert.as_ref().map(|ce| ce.owner);
-                                }
-                                Decision::Decided(c)
-                            }
-                            None => Decision::Failed,
-                        }
-                    };
-                    decisions.push(d);
-                }
-                let outcome = combine_decisions(&decisions);
-                if !outcome.is_consensus() {
-                    winner = None;
-                }
+                let r = report_of_agents(
+                    consensus_slots(net, j),
+                    faults,
+                    cfg,
+                    net.round(),
+                    Metrics::new(),
+                );
                 report.decided =
-                    decisions.iter().filter(|d| matches!(d, Decision::Decided(_))).count();
+                    r.decisions.iter().filter(|d| matches!(d, Decision::Decided(_))).count();
                 report.rounds_to_decision =
-                    outcome.is_consensus().then(|| cfg.params().total_rounds());
-                report.outcome = Some(outcome);
-                report.winner = winner;
-                report.decisions = decisions;
+                    r.outcome.is_consensus().then(|| cfg.params().total_rounds());
+                report.outcome = Some(r.outcome);
+                report.winner = r.winner;
+                report.decisions = r.decisions;
             }
             InstanceKind::RumorVote { .. } => {
                 let mut decided_at = Vec::with_capacity(n);
@@ -990,8 +971,19 @@ fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> P
         instances.push(report);
     }
 
+    // Instance 0's report shaped exactly like `collect_report`'s output,
+    // so the single-instance plane run digests identically to the legacy
+    // pipeline.
     let legacy = (plan.specs[0].kind == InstanceKind::Consensus && plan.specs[0].start_round == 0)
-        .then(|| legacy_report(net, cfg));
+        .then(|| {
+            report_of_agents(
+                consensus_slots(net, 0),
+                faults,
+                cfg,
+                net.round(),
+                net.metrics().clone(),
+            )
+        });
 
     PlaneReport {
         instances,
@@ -1001,54 +993,15 @@ fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> P
     }
 }
 
-/// A [`RunReport`] over instance 0's consensus cells, shaped exactly
-/// like [`crate::collect_report`]'s output so the single-instance plane
-/// run digests identically to the legacy pipeline.
-fn legacy_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> RunReport {
-    let faults = net.fault_state();
-    let n = net.n();
-    let mut decisions = Vec::with_capacity(n);
-    let mut initial_colors = Vec::with_capacity(n);
-    let mut verify_failures = Vec::with_capacity(n);
-    let mut winner: Option<AgentId> = None;
-    for i in 0..n as AgentId {
-        let CellInner::Consensus { slot, .. } = &net.agent(i).cells[0].inner else {
-            unreachable!("legacy_report requires a consensus instance 0")
-        };
-        let core = ConsensusAgent::core(slot);
-        initial_colors.push(core.color);
-        verify_failures.push(core.verify_failure);
-        let d = if faults.is_down(i) {
-            Decision::Faulty
-        } else {
-            match effective_decision(core, cfg) {
-                Some(c) => {
-                    if winner.is_none() && ConsensusAgent::role(slot) == Role::Honest {
-                        winner = core.min_cert.as_ref().map(|ce| ce.owner);
-                    }
-                    Decision::Decided(c)
-                }
-                None => Decision::Failed,
-            }
-        };
-        decisions.push(d);
-    }
-    let outcome = combine_decisions(&decisions);
-    if !outcome.is_consensus() {
-        winner = None;
-    }
-    RunReport {
-        outcome,
-        rounds: net.round(),
-        metrics: net.metrics().clone(),
-        winner,
-        decisions,
-        initial_colors,
-        n_active: faults.n_active(),
-        verify_failures,
-        audit: None,
-        stage_times: None,
-    }
+/// Instance `j`'s consensus slots, id-indexed.
+fn consensus_slots(
+    net: &Network<PlaneMsg, MuxAgent>,
+    j: usize,
+) -> impl ExactSizeIterator<Item = &AgentSlot> {
+    net.agents().iter().map(move |a| match &a.cells[j].inner {
+        CellInner::Consensus { slot, .. } => slot,
+        CellInner::Rumor(_) => unreachable!("cell kind matches spec kind"),
+    })
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use crate::msg::Msg;
 use crate::outcome::{combine_decisions, Decision, Outcome};
 use crate::params::{Params, Phase};
 use gossip_net::agent::Agent;
-use gossip_net::dynamics::{LossSchedule, ScenarioScript};
+use gossip_net::dynamics::{FaultState, LossSchedule, ScenarioScript};
 use gossip_net::fault::{FaultPlan, Placement};
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::metrics::Metrics;
@@ -532,7 +532,6 @@ pub(crate) fn network_ingredients(
         threads: cfg.threads,
         shard_floor: resolved_shard_floor(cfg),
         time_stages: cfg.time_stages,
-        ..NetworkConfig::default()
     };
     (params, colors, faults, topology, env, net_cfg)
 }
@@ -554,9 +553,9 @@ fn fill_agents<A>(
     factory: &mut dyn FnMut(AgentId, Params, ColorId, DetRng, &Topology) -> A,
 ) {
     agents.reserve(cfg.n);
-    for i in 0..cfg.n {
+    for (i, &color) in colors[..cfg.n].iter().enumerate() {
         let rng = DetRng::seeded(seed, streams::AGENT_BASE + i as u64);
-        agents.push(factory(i as AgentId, params, colors[i], rng, topology));
+        agents.push(factory(i as AgentId, params, color, rng, topology));
     }
 }
 
@@ -692,14 +691,37 @@ where
 /// recovered counts by whatever it decided. For static runs this is the
 /// plan's active set, unchanged.
 pub fn collect_report<A: ConsensusAgent>(net: &Network<Msg, A>, cfg: &RunConfig) -> RunReport {
-    let faults = net.fault_state();
-    let mut decisions = Vec::with_capacity(net.n());
-    let mut honest_decisions = Vec::with_capacity(net.n());
-    let mut initial_colors = Vec::with_capacity(net.n());
-    let mut verify_failures = Vec::with_capacity(net.n());
+    let mut report = report_of_agents(
+        net.agents().iter(),
+        net.fault_state(),
+        cfg,
+        net.round(),
+        net.metrics().clone(),
+    );
+    report.audit = cfg.record_ops.then(|| audit_good_execution(net));
+    report.stage_times = (cfg.time_stages && cfg.rng_discipline == RngDiscipline::PerAgent)
+        .then(|| net.stage_times());
+    report
+}
+
+/// [`collect_report`]'s decision, winner and outcome walk over any
+/// id-indexed sequence of consensus agents (the instance plane passes one
+/// instance's cells). `rounds` and `metrics` are stored as given; `audit`
+/// and `stage_times` are left `None`.
+pub(crate) fn report_of_agents<'a, A: ConsensusAgent + 'a>(
+    agents: impl ExactSizeIterator<Item = &'a A>,
+    faults: &FaultState,
+    cfg: &RunConfig,
+    rounds: usize,
+    metrics: Metrics,
+) -> RunReport {
+    let n = agents.len();
+    let mut decisions = Vec::with_capacity(n);
+    let mut honest_decisions = Vec::with_capacity(n);
+    let mut initial_colors = Vec::with_capacity(n);
+    let mut verify_failures = Vec::with_capacity(n);
     let mut winner: Option<AgentId> = None;
-    for id in 0..net.n() as AgentId {
-        let agent = net.agent(id);
+    for (id, agent) in (0..n as AgentId).zip(agents) {
         let core = agent.core();
         initial_colors.push(core.color);
         verify_failures.push(core.verify_failure);
@@ -725,24 +747,17 @@ pub fn collect_report<A: ConsensusAgent>(net: &Network<Msg, A>, cfg: &RunConfig)
     if !outcome.is_consensus() {
         winner = None;
     }
-    let audit = if cfg.record_ops {
-        Some(audit_good_execution(net))
-    } else {
-        None
-    };
-    let stage_times = (cfg.time_stages && cfg.rng_discipline == RngDiscipline::PerAgent)
-        .then(|| net.stage_times());
     RunReport {
         outcome,
-        rounds: net.round(),
-        metrics: net.metrics().clone(),
+        rounds,
+        metrics,
         winner,
         decisions,
         initial_colors,
         n_active: faults.n_active(),
         verify_failures,
-        audit,
-        stage_times,
+        audit: None,
+        stage_times: None,
     }
 }
 

@@ -180,7 +180,7 @@ fn single_instance_plane_equals_legacy_path() {
     // is field-identical to `run_protocol`'s, for the monolithic engine
     // at several thread counts and the sharded per-agent discipline,
     // lossy configs included.
-    let bases = vec![
+    let bases = [
         RunConfig::builder(32).gamma(3.0).colors(vec![16, 16]).build(),
         RunConfig::builder(24).gamma(3.0).colors(vec![12, 12]).message_loss(0.2).build(),
         RunConfig::builder(32)

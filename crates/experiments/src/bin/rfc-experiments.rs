@@ -24,7 +24,8 @@
 //!                     wall-clock breakdown (E16 emits an extra table)
 //!     --sizes <n1,n2,..>       override the n sweep (E16); underscores
 //!                     allowed: --sizes 10_000_000
-//!     --shards <k1,k2,..>      override the shard-count sweep (E16)
+//!     --shards <k1,k2,..>      override the shard-count sweep (E16);
+//!                     every entry at least 1
 //!     --no-oplog      skip op-log recording in the audit-bearing
 //!                     experiments (digests unchanged; audits report "off")
 //! ```
@@ -103,9 +104,10 @@ fn main() {
             }
             "--stage-times" => opts.stage_times = true,
             // Both lists are checked here, so a bad entry exits 2 before
-            // any experiment starts (the protocol needs two agents).
+            // any experiment starts (the protocol needs two agents, and a
+            // row runs on at least one shard).
             "--sizes" => opts.sizes = Some(list_flag(&mut it, "--sizes", 2)),
-            "--shards" => opts.shards = Some(list_flag(&mut it, "--shards", 0)),
+            "--shards" => opts.shards = Some(list_flag(&mut it, "--shards", 1)),
             "--no-oplog" => opts.oplog = false,
             "list" => list_only = true,
             "all" => {

@@ -7,9 +7,9 @@
 //! work routinely quotes `n ≥ 10⁵`). This experiment sweeps `n` up to
 //! 10⁵ with an agent-trial budget that gives the smallest size 10⁴+
 //! trials, folding every trial into O(threads) mergeable accumulators
-//! ([`run_trials_fold_with_scratch`]) — the buffered `Vec`-of-results
-//! harness would hold every `RunReport` alive and could not touch this
-//! workload class.
+//! ([`run_trials_fold_with_scratch`]) — collecting a `Vec` of results
+//! would hold every `RunReport` alive and could not touch this workload
+//! class.
 //!
 //! Reported per sweep point:
 //!
@@ -169,7 +169,7 @@ mod tests {
                 "consensus should hold w.h.p.: {row:?}"
             );
             // The fold window bound is printed and respected: "k (≤ m)".
-            let parts: Vec<&str> = row[8].split(|c| c == ' ' || c == '(' || c == ')' || c == '≤')
+            let parts: Vec<&str> = row[8].split([' ', '(', ')', '≤'])
                 .filter(|s| !s.is_empty())
                 .collect();
             let window: usize = parts[0].parse().unwrap();

@@ -156,7 +156,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
     // `--shards` replaces the sweep outright (e.g. `--shards 1` keeps a
     // 10⁷ landmark run from re-measuring the same core four times).
     let mut shards: Vec<usize> = if let Some(spec) = opts.shards {
-        ExpOptions::parse_list(spec, 0).unwrap_or_else(|e| panic!("E16 --shards: {e}"))
+        ExpOptions::parse_list(spec, 1).unwrap_or_else(|e| panic!("E16 --shards: {e}"))
     } else if opts.quick {
         vec![1, 2, opts.intra_threads()]
     } else {
@@ -415,8 +415,10 @@ mod tests {
     #[test]
     #[ignore = "10^7-agent trial: ~107 min single-core, ~48 GiB peak RSS"]
     fn e16_ten_million_row_pins_digest() {
-        let mut o = ExpOptions::default();
-        o.shards = Some("1");
+        let o = ExpOptions {
+            shards: Some("1"),
+            ..ExpOptions::default()
+        };
         let tables = run_with_sizes(&o, &[10_000_000]);
         let row = &tables[0].rows[0];
         assert!(row[3].starts_with("Consensus"), "outcome: {row:?}");

@@ -34,19 +34,19 @@
 //! they are wall-clock measurements by design — their digest/count
 //! columns stay seed-deterministic.)
 //!
-//! ## Aggregation styles
+//! ## Aggregation
 //!
-//! [`parallel`] offers two harnesses. The buffered [`run_trials`] /
-//! [`par_map`] return a `Vec` in trial order — O(trials) memory, right
-//! for modest sweeps that need every sample. The streaming
-//! [`run_trials_fold`] / [`parallel::par_fold`] fold trials into
-//! mergeable accumulators (see `rfc_stats::{Summary, Tally, Histogram}`)
-//! block by block with O(threads) peak memory and **bit-identical**
-//! output for every thread count — the million-trial path E1/E4/E5/E7
-//! and E14 run on. The `*_with_scratch` variants add per-worker state:
-//! E7 and E14 pass `rfc_core::TrialArena::new`, so each worker recycles
-//! one simulation network (enum-dispatched agents, reused buffers)
-//! across all its trials instead of rebuilding boxed agents per trial.
+//! [`parallel`] runs every sweep through one streaming fold,
+//! [`run_trials_fold_with_scratch`]: trials fold into mergeable
+//! accumulators (see `rfc_stats::{Summary, Tally, Histogram}`) block by
+//! block with O(threads) peak memory and **bit-identical** output for
+//! every thread count. [`run_trials_fold`] is that fold without scratch
+//! state (E1, E4, E5, E13), and [`run_trials`] collects every trial's
+//! result into a `Vec` in trial order for modest sweeps that need each
+//! sample. The scratch is per-worker state: E7, E14 and E15 pass
+//! `rfc_core::TrialArena::new`, so each worker recycles one simulation
+//! network (enum-dispatched agents, reused buffers) across all its trials
+//! instead of rebuilding boxed agents per trial.
 
 pub mod e01_rounds;
 pub mod e02_message_size;
@@ -70,10 +70,7 @@ pub mod parallel;
 pub mod table;
 
 pub use opts::ExpOptions;
-pub use parallel::{
-    default_threads, par_fold_with_scratch, par_map, run_trials, run_trials_fold,
-    run_trials_fold_resumable, run_trials_fold_with_scratch, FoldCheckpoint,
-};
+pub use parallel::{default_threads, run_trials, run_trials_fold, run_trials_fold_with_scratch};
 pub use table::Table;
 
 /// A registered experiment.

@@ -34,7 +34,7 @@ fn fold_experiments_are_bit_identical_for_1_2_8_threads() {
     // The streaming-fold ports (E1, E4, E5, E7) quote floating-point
     // digits; the block-merge contract must make every thread count
     // reproduce them byte-for-byte, not merely approximately.
-    for id in ["e01", "e04", "e05", "e07"] {
+    for id in ["e01", "e04", "e05", "e07", "e08", "e10", "e12"] {
         let render = |threads: usize| {
             let opts = ExpOptions {
                 quick: true,

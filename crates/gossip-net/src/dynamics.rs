@@ -153,12 +153,6 @@ impl PartitionCut {
         self.sides.len()
     }
 
-    /// The side agent `u` is on.
-    #[inline]
-    pub fn side_of(&self, u: AgentId) -> u8 {
-        self.sides[u as usize]
-    }
-
     /// The full per-agent side assignment (checkpoint support — the
     /// inverse of [`PartitionCut::from_sides`]).
     pub fn sides(&self) -> &[u8] {

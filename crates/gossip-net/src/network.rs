@@ -191,14 +191,6 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
-    /// Total time attributed to staged rounds, µs. The exchange
-    /// sub-clocks (`meter_us`, `build_us`, `log_us`, `resolve_us`,
-    /// `pull_us`) are components *of* `exchange_us`, not additional
-    /// time, so they do not contribute here.
-    pub fn total_us(&self) -> u64 {
-        self.plan_us + self.exchange_us + self.apply_us
-    }
-
     /// The metering + op-log share of the exchange clock — the two
     /// formerly serial sections the prefix-sum drain attacked; reported
     /// by E16's breakdown table.
@@ -517,12 +509,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// [`NetworkConfig::time_stages`] was set and staged rounds ran).
     pub fn stage_times(&self) -> StageTimes {
         self.stage_times
-    }
-
-    /// The configured staged-engine worker-thread count (`0` = available
-    /// parallelism; see [`NetworkConfig::threads`]).
-    pub fn threads(&self) -> usize {
-        self.config.threads
     }
 
     /// Open round (or async tick) `round`: apply every scenario event
@@ -846,13 +832,12 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             };
             let performed = op.is_some() as u64;
             match op {
-                None => {}
-                Some(Op::Push { to, msg }) => {
-                    if self.send_push_checks(id, to, &msg, round) {
-                        let leg = EventKind::Push { from: id, to, msg };
-                        self.send_leg(round, leg, delay_rng, max_delay);
-                    }
+                Some(Op::Push { to, msg }) if self.send_push_checks(id, to, &msg, round) => {
+                    let leg = EventKind::Push { from: id, to, msg };
+                    self.send_leg(round, leg, delay_rng, max_delay);
                 }
+                // A push that fails its send checks never leaves.
+                None | Some(Op::Push { .. }) => {}
                 Some(Op::Pull { from: target, query }) => {
                     let leg = if self.send_query_checks(id, target, &query) {
                         EventKind::Query { puller: id, pullee: target, query }
@@ -1136,13 +1121,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
 }
 
 impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
-    /// Run `rounds` rounds and then call [`Agent::finalize`] on every
-    /// active agent.
-    pub fn run_to_completion(&mut self, rounds: usize) {
-        self.run(rounds);
-        self.finalize();
-    }
-
     /// Call [`Agent::finalize`] on every agent active **at finalization
     /// time** — the survivor set: plan-active agents that are not
     /// currently crashed. An agent that crashed and recovered before the
@@ -1941,7 +1919,7 @@ mod tests {
         fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Num>> {
             let r = ctx.round;
             let to = ((self.id as usize + 7 * r + 1) % self.n) as AgentId;
-            if (self.id as usize + r) % 2 == 0 {
+            if (self.id as usize + r).is_multiple_of(2) {
                 Some(Op::push(to, Num(r as u64)))
             } else {
                 Some(Op::pull(to, Num(r as u64)))

@@ -1281,7 +1281,7 @@ mod tests {
     }
     impl Agent<Num> for Mixer {
         fn act(&mut self, _ctx: &RoundCtx) -> Option<Op<Num>> {
-            if self.id % 2 == 0 {
+            if self.id.is_multiple_of(2) {
                 Some(Op::push((self.id + 1) % self.n as AgentId, Num(self.id as u64)))
             } else {
                 Some(Op::pull((self.id + 3) % self.n as AgentId, Num(0)))

@@ -161,7 +161,7 @@ struct BoundCache {
 fn fast_div(v: u64, d: u64, recip: u128) -> u64 {
     // (recip * v) >> 128, computed in 64-bit halves to avoid overflow.
     let lo = (recip as u64 as u128) * (v as u128);
-    let mid = ((recip >> 64) as u128) * (v as u128) + (lo >> 64);
+    let mid = (recip >> 64) * (v as u128) + (lo >> 64);
     let mut q = (mid >> 64) as u64;
     // q ∈ {true_q - 1, true_q}: one fixup step suffices.
     if v.wrapping_sub(q.wrapping_mul(d)) >= d {

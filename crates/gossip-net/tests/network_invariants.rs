@@ -249,7 +249,10 @@ fn async_scheduler_is_deterministic_and_bounded() {
 
 /// Fingerprint of everything a recycled arena could leak: metrics, op
 /// log length, per-agent observation counters, and the current round.
-fn chaos_fingerprint(net: &Network<Blob, ChaoticAgent>) -> (String, usize, Vec<(u32, u32, u32, u32)>, usize) {
+type Fingerprint = (String, usize, Vec<(u32, u32, u32, u32)>, usize);
+
+/// The [`Fingerprint`] of `net`.
+fn chaos_fingerprint(net: &Network<Blob, ChaoticAgent>) -> Fingerprint {
     let agents = net
         .agents()
         .iter()
@@ -264,7 +267,7 @@ fn chaos_fingerprint(net: &Network<Blob, ChaoticAgent>) -> (String, usize, Vec<(
 }
 
 /// Run a fresh network over `topology` and return its fingerprint.
-fn fresh_run(topology: Topology, seed: u64, rounds: usize) -> (String, usize, Vec<(u32, u32, u32, u32)>, usize) {
+fn fresh_run(topology: Topology, seed: u64, rounds: usize) -> Fingerprint {
     let n = topology.n();
     let agents: Vec<ChaoticAgent> = (0..n as AgentId)
         .map(|id| ChaoticAgent::new(id, seed))
@@ -291,7 +294,7 @@ fn reset_run(
     topology: Topology,
     seed: u64,
     rounds: usize,
-) -> (String, usize, Vec<(u32, u32, u32, u32)>, usize) {
+) -> Fingerprint {
     let n = topology.n();
     net.reset_into(
         topology,

@@ -63,7 +63,7 @@ impl Agent<Num> for Weaver {
         self.answered.push((ctx.round, from));
         // Decline every third answer so PullUnanswered also arises from
         // *choice*, not just masks.
-        if (self.id as usize + ctx.round) % 3 == 0 {
+        if (self.id as usize + ctx.round).is_multiple_of(3) {
             None
         } else {
             Some(Num(self.id as u64))
@@ -84,7 +84,7 @@ fn build_topology(kind: u8, n: usize, seed: u64) -> Topology {
         2 => Topology::erdos_renyi(n, 0.3, seed),
         _ => {
             let d = 4.min(n - 1);
-            let d = if (n * d) % 2 == 0 { d } else { d - 1 };
+            let d = if (n * d).is_multiple_of(2) { d } else { d - 1 };
             if d == 0 {
                 Topology::complete(n)
             } else {

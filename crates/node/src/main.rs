@@ -62,8 +62,8 @@ fn parse_cli(args: &[String], addr_flag: Option<&str>) -> Result<Cli, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if addr_flag.is_some() && addr.is_none() {
-        return Err(format!("{} is required", addr_flag.unwrap()));
+    if let (Some(flag), None) = (addr_flag, &addr) {
+        return Err(format!("{flag} is required"));
     }
     Ok(Cli { addr, np })
 }

@@ -84,7 +84,8 @@ fn undetectable_strategies_track_fair_share_even_for_large_t() {
 
 #[test]
 fn spy_tune_breaks_the_equilibrium_at_t_theta_n() {
-    // FINDING (documented in EXPERIMENTS.md E7b): at t = n/2 — far outside
+    // FINDING (measured by E7's tightness-probe table, "E7b" in
+    // crates/experiments/src/e07_equilibrium.rs): at t = n/2 — far outside
     // the theorem's t = o(n/log n) regime — spy-and-tune WINS almost
     // every run. With Θ(n) spies, the coalition harvests every honest
     // intention list before its last member is forced to bind its own
