@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 verify line, a warning-free clippy run, plus
-# the targets that must not bitrot (all eight examples, the experiment
-# registry binary and its error paths, the two-process node, the perf
-# gate over five BENCH_scale.json tables, the benchmark package's
-# self-test).
+# CI entry point: the tier-1 verify line, warning-free clippy and rustdoc
+# runs, plus the targets that must not bitrot (all eight examples, the
+# experiment registry binary and its error paths, the two-process node,
+# the perf gate over five BENCH_scale.json tables, the benchmark
+# package's self-test).
 #
 # Usage: ./ci.sh
 # Env:   PROPTEST_CASES — optional cap on property-test cases (the vendored
@@ -22,6 +22,9 @@ cargo test --workspace -q
 
 echo "==> clippy: every workspace target, warnings are errors"
 cargo clippy --workspace --all-targets -q -- -D warnings
+
+echo "==> rustdoc: every workspace crate's docs, warnings are errors"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "==> tier-2: golden-run regression corpus (pinned seed->digest matrix)"
 # Thread count pinned for a stable wall clock; the corpus itself is

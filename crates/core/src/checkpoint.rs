@@ -8,7 +8,8 @@
 //! — pinned by `tests/checkpoint_resume.rs` — is absolute:
 //! checkpoint-at-round-`r` + restore + run-to-completion is
 //! **bit-identical** (report digest and op log, event for event) to the
-//! straight-through run, under both [`RngDiscipline`] variants and any
+//! straight-through run, under both
+//! [`RngDiscipline`](gossip_net::rng::RngDiscipline) variants and any
 //! thread count.
 //!
 //! ## What a checkpoint carries
@@ -48,8 +49,9 @@
 //! [`CheckpointError::UnsupportedAgent`] for them (equilibrium
 //! experiments checkpoint at *trial* granularity instead — see
 //! `adversary::run_equilibrium_span`). Async (sequential-GOSSIP) runs
-//! are likewise out of scope:
-//! the checkpoint driver is the synchronous phase clock.
+//! are likewise out of scope: [`drive_with_checkpoints`] is
+//! [`crate::runner::drive_network`]'s synchronous phase clock plus a
+//! snapshot hook.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -60,14 +62,17 @@ use gossip_net::network::{EngineState, Network};
 use gossip_net::oplog::{OpKind, OpLog};
 
 use crate::agent_plane::AgentSlot;
-use crate::certificate::{CertData, Certificate, VoteRec};
-use crate::codec::{get_varint, put_varint, CodecError};
+use crate::certificate::{Certificate, VoteLanes};
+use crate::codec::{
+    put_varint, read_cert, read_intents, read_vote_rec, write_cert, write_intents, write_vote_rec,
+    CodecError, Reader,
+};
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::ledger::{ConsistencyError, Declaration};
-use crate::msg::{IntentEntry, IntentList, Msg};
+use crate::msg::{IntentList, Msg};
 use crate::runner::{
-    build_network_slots, collect_report, honest_slot_factory, network_ingredients, RunConfig,
-    RunReport,
+    build_network_slots, collect_report, drive_network_with, honest_slot_factory,
+    network_ingredients, sync_rounds, RunConfig, RunReport,
 };
 use crate::sharing::Shared;
 
@@ -146,6 +151,19 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => CheckpointError::Truncated,
+            CodecError::Corrupt(what) => CheckpointError::Corrupt(what),
+            // Frame-header errors; a checkpoint body holds no frames.
+            CodecError::BadMagic | CodecError::WrongVersion { .. } => {
+                CheckpointError::Corrupt("wire frame error")
+            }
+        }
+    }
+}
+
 /// The self-describing header of a checkpoint, readable without
 /// touching the body (CLI display, pre-restore validation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,114 +207,78 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Byte-level encoder / decoder: LEB128 varints (the wire codec's) for
-// counters and ids, raw little-endian words for RNG state (full-entropy,
-// varints would only inflate it).
+// Bytes: the wire codec's reader, varints and payload bodies, plus the
+// three forms the codec lacks — raw little-endian words for RNG state
+// (full-entropy, varints would only inflate it), bit-packed flags and
+// strings.
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+fn put_word(out: &mut Vec<u8>, w: u64) {
+    out.extend_from_slice(&w.to_le_bytes());
 }
 
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
+fn read_word(r: &mut Reader) -> Result<u64, CodecError> {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(r.take(8)?);
+    Ok(u64::from_le_bytes(w))
+}
+
+/// Four raw xoshiro256++ words; all-zero is the generator's fixed
+/// point, never a live state.
+fn read_rng_words(r: &mut Reader, what: &'static str) -> Result<[u64; 4], CheckpointError> {
+    let mut words = [0u64; 4];
+    for w in &mut words {
+        *w = read_word(r)?;
     }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    if words == [0; 4] {
+        return Err(CheckpointError::Corrupt(what));
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64_raw(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn varint(&mut self, v: u64) {
-        put_varint(&mut self.buf, v);
-    }
-    fn usize(&mut self, v: usize) {
-        self.varint(v as u64);
-    }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn bools(&mut self, flags: &[bool]) {
-        // Bit-packed, LSB-first within each byte.
-        for chunk in flags.chunks(8) {
-            let mut b = 0u8;
-            for (i, &f) in chunk.iter().enumerate() {
-                b |= (f as u8) << i;
-            }
-            self.buf.push(b);
+    Ok(words)
+}
+
+/// Bit-packed, LSB-first within each byte.
+fn put_flags(out: &mut Vec<u8>, flags: &[bool]) {
+    for chunk in flags.chunks(8) {
+        let mut b = 0u8;
+        for (i, &f) in chunk.iter().enumerate() {
+            b |= (f as u8) << i;
         }
+        out.push(b);
     }
 }
 
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
+fn read_flags(r: &mut Reader, n: usize) -> Result<Vec<bool>, CodecError> {
+    let bytes = r.take(n.div_ceil(8))?;
+    Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
 }
 
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Dec { b, pos: 0 }
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn read_str(r: &mut Reader) -> Result<String, CheckpointError> {
+    let len = r.count()?;
+    String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| CheckpointError::Corrupt("non-UTF-8 string"))
+}
+
+/// A one-byte `0`/`1` tag; anything else is corrupt.
+fn read_flag(r: &mut Reader, what: &'static str) -> Result<bool, CheckpointError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CheckpointError::Corrupt(what)),
     }
-    fn take(&mut self, len: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(len).ok_or(CheckpointError::Truncated)?;
-        if end > self.b.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-    fn u64_raw(&mut self) -> Result<u64, CheckpointError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-    }
-    fn varint(&mut self) -> Result<u64, CheckpointError> {
-        get_varint(self.b, &mut self.pos).map_err(|e| match e {
-            CodecError::Truncated => CheckpointError::Truncated,
-            CodecError::Corrupt(what) => CheckpointError::Corrupt(what),
-            CodecError::BadMagic | CodecError::WrongVersion { .. } => {
-                CheckpointError::Corrupt("bad varint")
-            }
-        })
-    }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.varint()?).map_err(|_| CheckpointError::Corrupt("count overflows usize"))
-    }
-    /// A length that will be used to allocate: bounded by the bytes
-    /// actually remaining, so a corrupt count cannot OOM the decoder.
-    fn len_capped(&mut self) -> Result<usize, CheckpointError> {
-        let v = self.usize()?;
-        if v > self.b.len().saturating_sub(self.pos) {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(v)
-    }
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let len = self.len_capped()?;
-        let s = self.take(len)?;
-        String::from_utf8(s.to_vec()).map_err(|_| CheckpointError::Corrupt("non-UTF-8 string"))
-    }
-    fn bools(&mut self, n: usize) -> Result<Vec<bool>, CheckpointError> {
-        let bytes = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
-    }
-    fn done(&self) -> Result<(), CheckpointError> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Corrupt("trailing bytes after checkpoint body"))
+}
+
+/// An optional varint: tag `0`, or tag `1` and the value.
+fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => out.push(0),
+        Some(v) => {
+            out.push(1);
+            put_varint(out, v);
         }
     }
 }
@@ -305,35 +287,36 @@ impl<'a> Dec<'a> {
 // Header
 // ---------------------------------------------------------------------
 
-fn encode_header(e: &mut Enc, h: &Header) {
-    e.buf.extend_from_slice(&MAGIC);
-    e.u16(h.version);
-    e.u64_raw(h.seed);
-    e.u64_raw(h.config_fingerprint);
-    e.usize(h.n);
-    e.usize(h.round);
+fn encode_header(out: &mut Vec<u8>, h: &Header) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&h.version.to_le_bytes());
+    put_word(out, h.seed);
+    put_word(out, h.config_fingerprint);
+    put_varint(out, h.n as u64);
+    put_varint(out, h.round as u64);
 }
 
-fn decode_header(d: &mut Dec) -> Result<Header, CheckpointError> {
-    if d.take(4)? != MAGIC {
+fn decode_header(r: &mut Reader) -> Result<Header, CheckpointError> {
+    if r.take(4)? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = d.u16()?;
+    let v = r.take(2)?;
+    let version = u16::from_le_bytes([v[0], v[1]]);
     if version != FORMAT_VERSION {
         return Err(CheckpointError::WrongVersion { found: version });
     }
     Ok(Header {
         version,
-        seed: d.u64_raw()?,
-        config_fingerprint: d.u64_raw()?,
-        n: d.usize()?,
-        round: d.usize()?,
+        seed: read_word(r)?,
+        config_fingerprint: read_word(r)?,
+        n: r.int("count overflows usize")?,
+        round: r.int("count overflows usize")?,
     })
 }
 
 /// Read just the header of a checkpoint (cheap validation / display).
 pub fn peek_header(bytes: &[u8]) -> Result<Header, CheckpointError> {
-    decode_header(&mut Dec::new(bytes))
+    decode_header(&mut Reader::new(bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -387,74 +370,48 @@ fn build_pools(cores: &[&ProtocolCore]) -> Pools {
     pools
 }
 
-fn encode_vote(e: &mut Enc, v: &VoteRec) {
-    e.varint(v.voter as u64);
-    e.varint(v.round as u64);
-    e.varint(v.value);
-}
-
-fn decode_vote(d: &mut Dec) -> Result<VoteRec, CheckpointError> {
-    Ok(VoteRec {
-        voter: decode_agent_id(d)?,
-        round: u16::try_from(d.varint()?).map_err(|_| CheckpointError::Corrupt("vote round overflows u16"))?,
-        value: d.varint()?,
-    })
-}
-
-fn decode_agent_id(d: &mut Dec) -> Result<AgentId, CheckpointError> {
-    u32::try_from(d.varint()?).map_err(|_| CheckpointError::Corrupt("agent id overflows u32"))
-}
-
-fn encode_pools(e: &mut Enc, pools: &Pools) {
-    e.usize(pools.intents.len());
+/// Both pools, each as a count and its payloads in the wire codec's
+/// body encoding.
+fn encode_pools(out: &mut Vec<u8>, pools: &Pools) {
+    put_varint(out, pools.intents.len() as u64);
     for list in &pools.intents {
-        e.usize(list.len());
-        for entry in list.iter() {
-            e.varint(entry.value);
-            e.varint(entry.target as u64);
-        }
+        write_intents(out, list);
     }
-    e.usize(pools.certs.len());
+    put_varint(out, pools.certs.len() as u64);
     for cert in &pools.certs {
-        e.varint(cert.k);
-        e.varint(cert.color as u64);
-        e.varint(cert.owner as u64);
-        e.usize(cert.votes.len());
-        for v in cert.votes.iter() {
-            encode_vote(e, &v);
-        }
+        write_cert(out, cert);
     }
 }
 
-fn decode_pools(d: &mut Dec) -> Result<(Vec<IntentList>, Vec<Certificate>), CheckpointError> {
-    let n_lists = d.len_capped()?;
-    let mut intents = Vec::with_capacity(n_lists);
-    for _ in 0..n_lists {
-        let len = d.len_capped()?;
-        let mut entries = Vec::with_capacity(len);
-        for _ in 0..len {
-            entries.push(IntentEntry {
-                value: d.varint()?,
-                target: decode_agent_id(d)?,
-            });
-        }
-        intents.push(IntentList::from(entries));
-    }
-    let n_certs = d.len_capped()?;
-    let mut certs = Vec::with_capacity(n_certs);
-    for _ in 0..n_certs {
-        let k = d.varint()?;
-        let color = u32::try_from(d.varint()?)
-            .map_err(|_| CheckpointError::Corrupt("color overflows u32"))? as ColorId;
-        let owner = decode_agent_id(d)?;
-        let n_votes = d.len_capped()?;
-        let mut votes = Vec::with_capacity(n_votes);
-        for _ in 0..n_votes {
-            votes.push(decode_vote(d)?);
-        }
-        certs.push(Shared::new(CertData { k, votes: votes.into(), color, owner }));
-    }
+fn decode_pools(r: &mut Reader) -> Result<(Vec<IntentList>, Vec<Certificate>), CodecError> {
+    let n_lists = r.count()?;
+    let intents = (0..n_lists)
+        .map(|_| read_intents(r))
+        .collect::<Result<_, _>>()?;
+    let n_certs = r.count()?;
+    let certs = (0..n_certs)
+        .map(|_| read_cert(r).map(Shared::new))
+        .collect::<Result<_, _>>()?;
     Ok((intents, certs))
+}
+
+fn pool_ref<'p, T>(pool: &'p [T], idx: u64, what: &'static str) -> Result<&'p T, CheckpointError> {
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| pool.get(i))
+        .ok_or(CheckpointError::Corrupt(what))
+}
+
+/// An optional pool entry, written by [`put_opt`] as its index.
+fn read_pool_opt<T: Clone>(
+    r: &mut Reader,
+    pool: &[T],
+    what: &'static str,
+) -> Result<Option<T>, CheckpointError> {
+    if !read_flag(r, what)? {
+        return Ok(None);
+    }
+    pool_ref(pool, r.varint()?, what).cloned().map(Some)
 }
 
 // ---------------------------------------------------------------------
@@ -470,89 +427,69 @@ const VF_VOTE_FROM_FAULTY: u8 = 4;
 const VF_SELF_VOTE: u8 = 5;
 const VF_FAILED_EARLIER: u8 = 6;
 
-fn encode_core(e: &mut Enc, core: &ProtocolCore, pools: &mut Pools) {
-    e.varint(core.color as u64);
+fn encode_core(out: &mut Vec<u8>, core: &ProtocolCore, pools: &mut Pools) {
+    put_varint(out, core.color as u64);
     for w in core.rng.state() {
-        e.u64_raw(w);
+        put_word(out, w);
     }
-    e.varint(pools.intern_intents(&core.intents) as u64);
-    e.usize(core.ledger.entries().len());
+    put_varint(out, pools.intern_intents(&core.intents) as u64);
+    put_varint(out, core.ledger.entries().len() as u64);
     for entry in core.ledger.entries() {
-        e.varint(entry.agent as u64);
-        e.varint(entry.round as u64);
-        match &entry.decl {
-            Declaration::Faulty => e.u8(0),
-            Declaration::Intents(list) => {
-                e.u8(1);
-                e.varint(pools.intern_intents(list) as u64);
-            }
-        }
+        put_varint(out, entry.agent as u64);
+        put_varint(out, entry.round as u64);
+        // `Faulty` is the absent list.
+        let list = match &entry.decl {
+            Declaration::Faulty => None,
+            Declaration::Intents(list) => Some(pools.intern_intents(list) as u64),
+        };
+        put_opt(out, list);
     }
-    e.usize(core.votes.len());
+    put_varint(out, core.votes.len() as u64);
     for v in core.votes.iter() {
-        encode_vote(e, &v);
+        write_vote_rec(out, &v);
     }
-    e.varint(core.votes_recv as u64);
-    e.usize(core.vote_idx);
+    put_varint(out, core.votes_recv as u64);
+    put_varint(out, core.vote_idx as u64);
     for cert in [&core.own_cert, &core.min_cert] {
-        match cert {
-            None => e.u8(0),
-            Some(c) => {
-                e.u8(1);
-                e.varint(pools.intern_cert(c) as u64);
-            }
-        }
+        put_opt(out, cert.as_ref().map(|c| pools.intern_cert(c) as u64));
     }
-    e.u8(core.failed as u8);
+    out.push(core.failed as u8);
     match core.verify_failure {
-        None => e.u8(VF_NONE),
-        Some(VerifyFailure::BadSum) => e.u8(VF_BAD_SUM),
-        Some(VerifyFailure::Structural) => e.u8(VF_STRUCTURAL),
+        None => out.push(VF_NONE),
+        Some(VerifyFailure::BadSum) => out.push(VF_BAD_SUM),
+        Some(VerifyFailure::Structural) => out.push(VF_STRUCTURAL),
         Some(VerifyFailure::Inconsistent(ConsistencyError::VoteMismatch { voter })) => {
-            e.u8(VF_VOTE_MISMATCH);
-            e.varint(voter as u64);
+            out.push(VF_VOTE_MISMATCH);
+            put_varint(out, voter as u64);
         }
         Some(VerifyFailure::Inconsistent(ConsistencyError::VoteFromFaulty { voter })) => {
-            e.u8(VF_VOTE_FROM_FAULTY);
-            e.varint(voter as u64);
+            out.push(VF_VOTE_FROM_FAULTY);
+            put_varint(out, voter as u64);
         }
-        Some(VerifyFailure::SelfVoteMismatch) => e.u8(VF_SELF_VOTE),
-        Some(VerifyFailure::FailedEarlier) => e.u8(VF_FAILED_EARLIER),
+        Some(VerifyFailure::SelfVoteMismatch) => out.push(VF_SELF_VOTE),
+        Some(VerifyFailure::FailedEarlier) => out.push(VF_FAILED_EARLIER),
     }
-    match core.decided {
-        None => e.u8(0),
-        Some(c) => {
-            e.u8(1);
-            e.varint(c as u64);
-        }
-    }
-}
-
-fn pool_ref<'p, T>(pool: &'p [T], idx: u64, what: &'static str) -> Result<&'p T, CheckpointError> {
-    usize::try_from(idx)
-        .ok()
-        .and_then(|i| pool.get(i))
-        .ok_or(CheckpointError::Corrupt(what))
+    put_opt(out, core.decided.map(u64::from));
 }
 
 fn decode_core(
-    d: &mut Dec,
+    r: &mut Reader,
     id: AgentId,
     params: crate::Params,
     intents_pool: &[IntentList],
     cert_pool: &[Certificate],
 ) -> Result<ProtocolCore, CheckpointError> {
-    let color = u32::try_from(d.varint()?)
-        .map_err(|_| CheckpointError::Corrupt("color overflows u32"))? as ColorId;
-    let mut rng_state = [0u64; 4];
-    for w in &mut rng_state {
-        *w = d.u64_raw()?;
+    let color: ColorId = r.int("color overflows u32")?;
+    let rng = gossip_net::rng::DetRng::from_state(read_rng_words(r, "all-zero RNG state")?);
+    let own_intents =
+        pool_ref(intents_pool, r.varint()?, "intent pool index out of range")?.clone();
+    // The agent pushes its votes to these targets: one outside the
+    // network would address no agent.
+    if own_intents.iter().any(|e| e.target as usize >= params.n) {
+        return Err(CheckpointError::Corrupt(
+            "intent target outside the network",
+        ));
     }
-    if rng_state == [0; 4] {
-        return Err(CheckpointError::Corrupt("all-zero RNG state"));
-    }
-    let rng = gossip_net::rng::DetRng::from_state(rng_state);
-    let own_intents = pool_ref(intents_pool, d.varint()?, "intent pool index out of range")?.clone();
     let mut core = ProtocolCore::with_intents(
         id,
         params,
@@ -564,73 +501,53 @@ fn decode_core(
     // Ledger: replay the recorded rows in order. Each agent appears at
     // most once in a live ledger, so `declare`/`mark_faulty` reproduce
     // the exact entry vector (same order, same rounds).
-    let n_entries = d.len_capped()?;
+    let n_entries = r.count()?;
     for _ in 0..n_entries {
-        let agent = decode_agent_id(d)?;
-        let round = u32::try_from(d.varint()?)
-            .map_err(|_| CheckpointError::Corrupt("ledger round overflows u32"))?;
-        match d.u8()? {
-            0 => core.ledger.mark_faulty(agent, round),
-            1 => {
-                let list =
-                    pool_ref(intents_pool, d.varint()?, "intent pool index out of range")?.clone();
+        let agent: AgentId = r.int("agent id overflows u32")?;
+        let round: u32 = r.int("ledger round overflows u32")?;
+        match read_pool_opt(r, intents_pool, "bad ledger declaration")? {
+            None => core.ledger.mark_faulty(agent, round),
+            Some(list) => {
                 if !core.ledger.declare(agent, round, list) {
-                    return Err(CheckpointError::Corrupt("duplicate ledger row for one agent"));
+                    return Err(CheckpointError::Corrupt(
+                        "duplicate ledger row for one agent",
+                    ));
                 }
             }
-            _ => return Err(CheckpointError::Corrupt("bad ledger declaration tag")),
         }
     }
-    let n_votes = d.len_capped()?;
-    let mut votes = crate::certificate::VoteLanes::with_capacity(n_votes);
+    let n_votes = r.count()?;
+    let mut votes = VoteLanes::with_capacity(n_votes);
     for _ in 0..n_votes {
-        votes.push(decode_vote(d)?);
+        votes.push(read_vote_rec(r)?);
     }
     core.votes = votes;
-    core.votes_recv = u32::try_from(d.varint()?)
-        .map_err(|_| CheckpointError::Corrupt("vote counter overflows u32"))?;
-    core.vote_idx = d.usize()?;
-    let mut certs = [None, None];
-    for slot in &mut certs {
-        *slot = match d.u8()? {
-            0 => None,
-            1 => Some(Certificate::clone(pool_ref(
-                cert_pool,
-                d.varint()?,
-                "certificate pool index out of range",
-            )?)),
-            _ => return Err(CheckpointError::Corrupt("bad certificate tag")),
-        };
-    }
-    let [own_cert, min_cert] = certs;
-    core.own_cert = own_cert;
-    core.min_cert = min_cert;
-    core.failed = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(CheckpointError::Corrupt("bad failed flag")),
-    };
-    core.verify_failure = match d.u8()? {
+    core.votes_recv = r.int("vote counter overflows u32")?;
+    core.vote_idx = r.int("count overflows usize")?;
+    core.own_cert = read_pool_opt(r, cert_pool, "bad certificate reference")?;
+    core.min_cert = read_pool_opt(r, cert_pool, "bad certificate reference")?;
+    core.failed = read_flag(r, "bad failed flag")?;
+    core.verify_failure = match r.u8()? {
         VF_NONE => None,
         VF_BAD_SUM => Some(VerifyFailure::BadSum),
         VF_STRUCTURAL => Some(VerifyFailure::Structural),
-        VF_VOTE_MISMATCH => Some(VerifyFailure::Inconsistent(ConsistencyError::VoteMismatch {
-            voter: decode_agent_id(d)?,
-        })),
+        VF_VOTE_MISMATCH => Some(VerifyFailure::Inconsistent(
+            ConsistencyError::VoteMismatch {
+                voter: r.int("agent id overflows u32")?,
+            },
+        )),
         VF_VOTE_FROM_FAULTY => Some(VerifyFailure::Inconsistent(
-            ConsistencyError::VoteFromFaulty { voter: decode_agent_id(d)? },
+            ConsistencyError::VoteFromFaulty {
+                voter: r.int("agent id overflows u32")?,
+            },
         )),
         VF_SELF_VOTE => Some(VerifyFailure::SelfVoteMismatch),
         VF_FAILED_EARLIER => Some(VerifyFailure::FailedEarlier),
         _ => return Err(CheckpointError::Corrupt("bad verify-failure tag")),
     };
-    core.decided = match d.u8()? {
-        0 => None,
-        1 => Some(
-            u32::try_from(d.varint()?)
-                .map_err(|_| CheckpointError::Corrupt("decision overflows u32"))? as ColorId,
-        ),
-        _ => return Err(CheckpointError::Corrupt("bad decision tag")),
+    core.decided = match read_flag(r, "bad decision tag")? {
+        false => None,
+        true => Some(r.int("decision overflows u32")?),
     };
     Ok(core)
 }
@@ -639,50 +556,39 @@ fn decode_core(
 // Engine + metrics + op log sections
 // ---------------------------------------------------------------------
 
-fn encode_engine(e: &mut Enc, state: &EngineState, n: usize) {
-    e.usize(state.next_event);
+fn encode_engine(out: &mut Vec<u8>, state: &EngineState, n: usize) {
+    put_varint(out, state.next_event as u64);
     debug_assert_eq!(state.down.len(), n);
-    e.bools(&state.down);
+    put_flags(out, &state.down);
     match &state.partition_sides {
-        None => e.u8(0),
+        None => out.push(0),
         Some(sides) => {
-            e.u8(1);
+            out.push(1);
             debug_assert_eq!(sides.len(), n);
-            e.buf.extend_from_slice(sides);
+            out.extend_from_slice(sides);
         }
     }
     match state.loss_rng {
-        None => e.u8(0),
+        None => out.push(0),
         Some(words) => {
-            e.u8(1);
+            out.push(1);
             for w in words {
-                e.u64_raw(w);
+                put_word(out, w);
             }
         }
     }
 }
 
-fn decode_engine(d: &mut Dec, n: usize, round: usize) -> Result<EngineState, CheckpointError> {
-    let next_event = d.usize()?;
-    let down = d.bools(n)?;
-    let partition_sides = match d.u8()? {
-        0 => None,
-        1 => Some(d.take(n)?.to_vec()),
-        _ => return Err(CheckpointError::Corrupt("bad partition tag")),
+fn decode_engine(r: &mut Reader, n: usize, round: usize) -> Result<EngineState, CheckpointError> {
+    let next_event = r.int("count overflows usize")?;
+    let down = read_flags(r, n)?;
+    let partition_sides = match read_flag(r, "bad partition tag")? {
+        false => None,
+        true => Some(r.take(n)?.to_vec()),
     };
-    let loss_rng = match d.u8()? {
-        0 => None,
-        1 => {
-            let mut words = [0u64; 4];
-            for w in &mut words {
-                *w = d.u64_raw()?;
-            }
-            if words == [0; 4] {
-                return Err(CheckpointError::Corrupt("all-zero loss RNG state"));
-            }
-            Some(words)
-        }
-        _ => return Err(CheckpointError::Corrupt("bad loss RNG tag")),
+    let loss_rng = match read_flag(r, "bad loss RNG tag")? {
+        false => None,
+        true => Some(read_rng_words(r, "all-zero loss RNG state")?),
     };
     Ok(EngineState {
         round,
@@ -693,108 +599,107 @@ fn decode_engine(d: &mut Dec, n: usize, round: usize) -> Result<EngineState, Che
     })
 }
 
-fn encode_metrics(e: &mut Enc, m: &Metrics) {
-    e.varint(m.messages_sent);
-    e.varint(m.undelivered);
-    e.varint(m.bits_sent);
-    e.varint(m.max_message_bits);
-    e.varint(m.rounds);
-    e.varint(m.ticks);
-    e.varint(m.max_active_links);
-    e.usize(m.phases.len());
+fn encode_metrics(out: &mut Vec<u8>, m: &Metrics) {
+    for v in [
+        m.messages_sent,
+        m.undelivered,
+        m.bits_sent,
+        m.max_message_bits,
+        m.rounds,
+        m.ticks,
+        m.max_active_links,
+    ] {
+        put_varint(out, v);
+    }
+    put_varint(out, m.phases.len() as u64);
     for (name, t) in &m.phases {
-        e.str(name);
-        e.varint(t.messages);
-        e.varint(t.bits);
-        e.varint(t.max_message_bits);
+        put_str(out, name);
+        put_varint(out, t.messages);
+        put_varint(out, t.bits);
+        put_varint(out, t.max_message_bits);
     }
     match m.current_phase_name() {
-        None => e.u8(0),
+        None => out.push(0),
         Some(name) => {
-            e.u8(1);
-            e.str(name);
+            out.push(1);
+            put_str(out, name);
         }
     }
 }
 
-fn decode_metrics(d: &mut Dec) -> Result<Metrics, CheckpointError> {
+fn decode_metrics(r: &mut Reader) -> Result<Metrics, CheckpointError> {
     // `Metrics` cannot be built by struct literal outside its module
     // (the current-phase pointer is private); every counter field is
     // public, so restore by assignment, then re-enter the recorded
     // current phase — `enter_phase` on an existing name is exactly
     // "set the pointer, keep the tally".
     let mut m = Metrics::new();
-    m.messages_sent = d.varint()?;
-    m.undelivered = d.varint()?;
-    m.bits_sent = d.varint()?;
-    m.max_message_bits = d.varint()?;
-    m.rounds = d.varint()?;
-    m.ticks = d.varint()?;
-    m.max_active_links = d.varint()?;
-    let n_phases = d.len_capped()?;
+    m.messages_sent = r.varint()?;
+    m.undelivered = r.varint()?;
+    m.bits_sent = r.varint()?;
+    m.max_message_bits = r.varint()?;
+    m.rounds = r.varint()?;
+    m.ticks = r.varint()?;
+    m.max_active_links = r.varint()?;
+    let n_phases = r.count()?;
     let mut phases = Vec::with_capacity(n_phases);
     for _ in 0..n_phases {
-        let name = d.str()?;
+        let name = read_str(r)?;
         let t = Tally {
-            messages: d.varint()?,
-            bits: d.varint()?,
-            max_message_bits: d.varint()?,
+            messages: r.varint()?,
+            bits: r.varint()?,
+            max_message_bits: r.varint()?,
         };
         phases.push((name, t));
     }
     m.phases = phases;
-    match d.u8()? {
-        0 => {}
-        1 => {
-            let name = d.str()?;
-            if !m.phases.iter().any(|(n, _)| *n == name) {
-                return Err(CheckpointError::Corrupt("current phase not in phase table"));
-            }
-            // Re-entering an existing name continues its tally and sets
-            // the (private) current-phase pointer — exact restoration.
-            m.enter_phase(&name);
+    if read_flag(r, "bad current-phase tag")? {
+        let name = read_str(r)?;
+        if !m.phases.iter().any(|(n, _)| *n == name) {
+            return Err(CheckpointError::Corrupt("current phase not in phase table"));
         }
-        _ => return Err(CheckpointError::Corrupt("bad current-phase tag")),
+        // Re-entering an existing name continues its tally and sets
+        // the (private) current-phase pointer — exact restoration.
+        m.enter_phase(&name);
     }
     Ok(m)
 }
 
-fn encode_oplog(e: &mut Enc, log: &OpLog) {
-    e.usize(log.len());
+fn encode_oplog(out: &mut Vec<u8>, log: &OpLog) {
+    put_varint(out, log.len() as u64);
     let mut prev_round = 0u32;
     for ev in log.events() {
         // Rounds are non-decreasing: delta-encode them so long recorded
         // runs stay one byte per event here.
-        e.varint((ev.round - prev_round) as u64);
+        put_varint(out, (ev.round - prev_round) as u64);
         prev_round = ev.round;
-        e.u8(match ev.kind {
+        out.push(match ev.kind {
             OpKind::Push => 0,
             OpKind::Pull => 1,
             OpKind::PullUnanswered => 2,
         });
-        e.varint(ev.from as u64);
-        e.varint(ev.to as u64);
+        put_varint(out, ev.from as u64);
+        put_varint(out, ev.to as u64);
     }
 }
 
-fn decode_oplog(d: &mut Dec) -> Result<OpLog, CheckpointError> {
+fn decode_oplog(r: &mut Reader) -> Result<OpLog, CheckpointError> {
     let mut log = OpLog::new();
-    let count = d.len_capped()?;
+    let count = r.count()?;
     let mut round = 0u32;
     for _ in 0..count {
-        let delta = u32::try_from(d.varint()?)
-            .map_err(|_| CheckpointError::Corrupt("op round overflows u32"))?;
+        let delta: u32 = r.int("op round overflows u32")?;
         round = round
             .checked_add(delta)
             .ok_or(CheckpointError::Corrupt("op round overflows u32"))?;
-        let kind = match d.u8()? {
+        let kind = match r.u8()? {
             0 => OpKind::Push,
             1 => OpKind::Pull,
             2 => OpKind::PullUnanswered,
             _ => return Err(CheckpointError::Corrupt("bad op kind")),
         };
-        let from = decode_agent_id(d)?;
-        let to = decode_agent_id(d)?;
+        let from = r.int("agent id overflows u32")?;
+        let to = r.int("agent id overflows u32")?;
         log.record(round, kind, from, to);
     }
     Ok(log)
@@ -829,9 +734,9 @@ pub fn checkpoint_network(
         }
     }
     let state = net.engine_state();
-    let mut e = Enc::new();
+    let mut out = Vec::new();
     encode_header(
-        &mut e,
+        &mut out,
         &Header {
             version: FORMAT_VERSION,
             seed,
@@ -840,15 +745,15 @@ pub fn checkpoint_network(
             round: state.round,
         },
     );
-    encode_engine(&mut e, &state, net.n());
-    encode_metrics(&mut e, net.metrics());
-    encode_oplog(&mut e, net.oplog());
+    encode_engine(&mut out, &state, net.n());
+    encode_metrics(&mut out, net.metrics());
+    encode_oplog(&mut out, net.oplog());
     let mut pools = build_pools(&cores);
-    encode_pools(&mut e, &pools);
+    encode_pools(&mut out, &pools);
     for core in &cores {
-        encode_core(&mut e, core, &mut pools);
+        encode_core(&mut out, core, &mut pools);
     }
-    Ok(e.buf)
+    Ok(out)
 }
 
 /// A network rebuilt from a checkpoint, ready to be driven from
@@ -866,10 +771,14 @@ pub struct RestoredRun {
 ///
 /// The header is validated **before** any state is constructed: bad
 /// magic, an unknown version, an `n` mismatch, or a config-fingerprint
-/// mismatch all error out cleanly without deserializing the body.
+/// mismatch all error out cleanly without deserializing the body. A
+/// snapshot whose state the config cannot hold (a round past the end of
+/// the run, a scenario cursor past the script, loss-stream words without
+/// a loss process or the reverse, a plan fault marked up, an agent's
+/// intent target outside the network) is [`CheckpointError::Corrupt`].
 pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, CheckpointError> {
-    let mut d = Dec::new(bytes);
-    let header = decode_header(&mut d)?;
+    let mut r = Reader::new(bytes);
+    let header = decode_header(&mut r)?;
     if header.n != cfg.n {
         return Err(CheckpointError::NMismatch { expected: cfg.n, found: header.n });
     }
@@ -880,34 +789,36 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
             found: header.config_fingerprint,
         });
     }
-    let engine = decode_engine(&mut d, header.n, header.round)?;
-    let metrics = decode_metrics(&mut d)?;
-    let oplog = decode_oplog(&mut d)?;
-    let (intent_pool, cert_pool) = decode_pools(&mut d)?;
+    if header.round > sync_rounds(cfg) {
+        return Err(CheckpointError::Corrupt("round past the end of the run"));
+    }
+    let engine = decode_engine(&mut r, header.n, header.round)?;
+    let metrics = decode_metrics(&mut r)?;
+    let oplog = decode_oplog(&mut r)?;
+    let (intent_pool, cert_pool) = decode_pools(&mut r)?;
     let (params, _colors, faults, topology, env, net_cfg) = network_ingredients(cfg, header.seed);
     let mut agents = Vec::with_capacity(header.n);
     for i in 0..header.n {
-        let core = decode_core(&mut d, i as AgentId, params, &intent_pool, &cert_pool)?;
+        let core = decode_core(&mut r, i as AgentId, params, &intent_pool, &cert_pool)?;
         agents.push(AgentSlot::honest(core));
     }
-    d.done()?;
+    r.finish("trailing bytes after checkpoint body")?;
     let mut net = Network::with_config(topology, env, agents, faults, net_cfg);
-    net.restore_engine_state(engine, metrics, oplog);
+    net.restore_engine_state(engine, metrics, oplog)
+        .map_err(CheckpointError::Corrupt)?;
     Ok(RestoredRun { net, seed: header.seed, round: header.round })
 }
 
 // ---------------------------------------------------------------------
-// The checkpointing phase-clock driver
+// Snapshots on the phase clock
 // ---------------------------------------------------------------------
 
-/// Drive `net` from its current round to completion under the
-/// synchronous phase clock, emitting a checkpoint into `sink` every
-/// `every` rounds (`None` = never). Operation-for-operation identical to
-/// [`crate::runner::drive_network`] when started from round 0 — phases
-/// are entered once each, at the same points, and `run_staged` chunking
-/// is bit-invariant — and it picks up mid-phase restores by
-/// re-entering the in-flight phase label (which continues its metrics
-/// tally; the metering contract).
+/// Drive `net` from its current round to completion on
+/// [`crate::runner::drive_network`]'s phase clock, emitting a checkpoint
+/// into `sink` every `every` rounds (`None` = never). The snapshot hook
+/// only reads the network, so the run is operation-for-operation the
+/// hook-free one; a mid-phase restore re-enters the in-flight phase
+/// label, which continues its metrics tally (the metering contract).
 pub fn drive_with_checkpoints(
     net: &mut Network<Msg, AgentSlot>,
     cfg: &RunConfig,
@@ -915,27 +826,13 @@ pub fn drive_with_checkpoints(
     every: Option<usize>,
     sink: &mut dyn FnMut(usize, &[u8]),
 ) -> Result<(), CheckpointError> {
-    let params = cfg.params();
-    let schedule = params.sync_schedule();
-    let q = params.q;
-    let total = if cfg.skip_coherence { 3 * q } else { 4 * q };
-    let mut entered: Option<&'static str> = None;
-    while net.round() < total {
-        let name = schedule.phase_of(net.round()).name();
-        if entered != Some(name) {
-            net.enter_phase(name);
-            entered = Some(name);
+    let every = every.filter(|&k| k > 0);
+    drive_network_with(net, cfg, |net| {
+        if every.is_some_and(|k| net.round().is_multiple_of(k)) {
+            sink(net.round(), &checkpoint_network(net, cfg, seed)?);
         }
-        net.run_staged(1);
-        if let Some(k) = every {
-            if k > 0 && net.round().is_multiple_of(k) {
-                let bytes = checkpoint_network(net, cfg, seed)?;
-                sink(net.round(), &bytes);
-            }
-        }
-    }
-    net.finalize();
-    Ok(())
+        Ok(())
+    })
 }
 
 /// [`crate::run_protocol`], emitting a checkpoint every `every` rounds.
@@ -987,37 +884,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn varint_round_trips() {
-        let mut e = Enc::new();
-        let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
-        for &v in &values {
-            e.varint(v);
-        }
-        let mut d = Dec::new(&e.buf);
-        for &v in &values {
-            assert_eq!(d.varint().unwrap(), v);
-        }
-        d.done().unwrap();
-    }
-
-    #[test]
-    fn varint_overflow_is_corrupt() {
+    fn codec_errors_map_to_checkpoint_errors() {
         // 11 continuation bytes can never be a valid u64 varint.
         let bytes = [0xffu8; 11];
-        assert!(matches!(
-            Dec::new(&bytes).varint(),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        let err = CheckpointError::from(Reader::new(&bytes).varint().unwrap_err());
+        assert!(matches!(err, CheckpointError::Corrupt(_)));
+        let err = CheckpointError::from(Reader::new(&[0x80]).varint().unwrap_err());
+        assert_eq!(err, CheckpointError::Truncated);
     }
 
     #[test]
     fn bool_packing_round_trips() {
         for n in [0usize, 1, 7, 8, 9, 64, 65] {
             let flags: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-            let mut e = Enc::new();
-            e.bools(&flags);
-            let mut d = Dec::new(&e.buf);
-            assert_eq!(d.bools(n).unwrap(), flags);
+            let mut out = Vec::new();
+            put_flags(&mut out, &flags);
+            let mut r = Reader::new(&out);
+            assert_eq!(read_flags(&mut r, n).unwrap(), flags);
+            r.finish("trailing").unwrap();
         }
     }
 
@@ -1030,23 +914,23 @@ mod tests {
             n: 1024,
             round: 96,
         };
-        let mut e = Enc::new();
-        encode_header(&mut e, &h);
-        assert_eq!(peek_header(&e.buf).unwrap(), h);
+        let mut buf = Vec::new();
+        encode_header(&mut buf, &h);
+        assert_eq!(peek_header(&buf).unwrap(), h);
         // Wrong version tag.
-        let mut bad = e.buf.clone();
+        let mut bad = buf.clone();
         bad[4] = 99;
         assert_eq!(
             peek_header(&bad),
             Err(CheckpointError::WrongVersion { found: 99 })
         );
         // Bad magic.
-        let mut bad = e.buf.clone();
+        let mut bad = buf.clone();
         bad[0] = b'X';
         assert_eq!(peek_header(&bad), Err(CheckpointError::BadMagic));
         // Truncation anywhere in the header.
-        for cut in 0..e.buf.len() {
-            assert_eq!(peek_header(&e.buf[..cut]), Err(CheckpointError::Truncated));
+        for cut in 0..buf.len() {
+            assert_eq!(peek_header(&buf[..cut]), Err(CheckpointError::Truncated));
         }
     }
 

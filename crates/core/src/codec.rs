@@ -64,10 +64,12 @@
 //! Decoding arbitrary bytes never panics: truncation, bad magic, wrong
 //! version, and lexically invalid fields come back as a typed
 //! [`CodecError`]; collection lengths are capped by the bytes actually
-//! remaining, so a corrupt count cannot OOM the decoder (the
-//! `checkpoint` module's taxonomy).
+//! remaining, so a corrupt count cannot OOM the decoder. Every decoder
+//! reads through one [`Reader`], and each payload body (intention list,
+//! certificate, vote record) has one writer/reader pair — the
+//! `checkpoint` module and `rfc-node`'s packets reuse both.
 
-use crate::certificate::{CertData, VoteRec};
+use crate::certificate::{CertData, VoteLanes, VoteRec};
 use crate::msg::{Batch, IntentEntry, IntentList, Msg};
 use crate::sharing::Shared;
 use gossip_net::ids::{AgentId, ColorId};
@@ -122,7 +124,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------
-// Varints
+// Varints and the bounds-checked reader
 // ---------------------------------------------------------------------
 
 /// Append `v` as a LEB128 varint.
@@ -138,50 +140,167 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read a LEB128 varint at `*pos`, advancing it. Overflow-checked.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        if shift == 63 && b > 1 {
-            return Err(CodecError::Corrupt("varint overflows u64"));
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(CodecError::Corrupt("varint too long"));
-        }
-    }
-}
-
 /// Encoded length of `v` as a varint, in bytes.
 pub fn varint_len(v: u64) -> usize {
     ((64 - v.max(1).leading_zeros()) as usize).div_ceil(7)
 }
 
-fn get_u32(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, CodecError> {
-    u32::try_from(get_varint(bytes, pos)?).map_err(|_| CodecError::Corrupt(what))
+/// A cursor over untrusted bytes that enforces every bound: each read
+/// returns its value or a [`CodecError`], never panics, and no count it
+/// hands out can exceed the bytes that remain. The wire codec, the
+/// checkpoint body and the `rfc-node` packet bodies all parse through it.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-fn get_u16(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u16, CodecError> {
-    u16::try_from(get_varint(bytes, pos)?).map_err(|_| CodecError::Corrupt(what))
-}
-
-/// A collection length about to size an allocation: capped by the bytes
-/// remaining (each element costs ≥ 1 byte), so corrupt counts cannot
-/// OOM the decoder.
-fn get_len_capped(bytes: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    let v = get_varint(bytes, pos)?;
-    let remaining = bytes.len().saturating_sub(*pos) as u64;
-    if v > remaining {
-        return Err(CodecError::Truncated);
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
     }
-    Ok(v as usize)
+
+    /// Bytes consumed so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The next `len` bytes.
+    pub fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let rest = &self.bytes[self.pos..];
+        let s = rest.get(..len).ok_or(CodecError::Truncated)?;
+        self.pos += len;
+        Ok(s)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        let b = *self.bytes.get(self.pos).ok_or(CodecError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// A LEB128 varint. Overflow-checked.
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(CodecError::Corrupt("varint overflows u64"));
+            }
+            v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(CodecError::Corrupt("varint too long"));
+            }
+        }
+    }
+
+    /// A varint that must fit `T` (`u16`, `u32`, `usize`); `what` names
+    /// the field in the [`CodecError::Corrupt`] it returns otherwise.
+    pub fn int<T: TryFrom<u64>>(&mut self, what: &'static str) -> Result<T, CodecError> {
+        T::try_from(self.varint()?).map_err(|_| CodecError::Corrupt(what))
+    }
+
+    /// A length about to size an allocation or a slice: capped by the
+    /// bytes that remain (each element costs at least one byte), so a
+    /// corrupt count cannot OOM the decoder.
+    pub fn count(&mut self) -> Result<usize, CodecError> {
+        let v = self.varint()?;
+        let remaining = self.bytes.len() - self.pos;
+        if v > remaining as u64 {
+            return Err(CodecError::Truncated);
+        }
+        Ok(v as usize)
+    }
+
+    /// Require that every byte was consumed; `what` names the trailing
+    /// bytes in the [`CodecError::Corrupt`] it returns otherwise.
+    pub fn finish(&self, what: &'static str) -> Result<(), CodecError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(what))
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Payload bodies: one writer/reader pair each
+// ---------------------------------------------------------------------
+
+/// Append an intention list: `len, len × (value, target)`.
+pub fn write_intents(out: &mut Vec<u8>, list: &IntentList) {
+    put_varint(out, list.len() as u64);
+    for e in list.iter() {
+        put_varint(out, e.value);
+        put_varint(out, e.target as u64);
+    }
+}
+
+/// Read an intention list written by [`write_intents`].
+pub fn read_intents(r: &mut Reader) -> Result<IntentList, CodecError> {
+    let len = r.count()?;
+    let mut entries = Vec::with_capacity(len);
+    for _ in 0..len {
+        let value = r.varint()?;
+        let target: AgentId = r.int("intent target exceeds u32")?;
+        entries.push(IntentEntry { value, target });
+    }
+    Ok(IntentList::from(entries))
+}
+
+/// Append one vote record: `voter, round, value`.
+pub fn write_vote_rec(out: &mut Vec<u8>, v: &VoteRec) {
+    put_varint(out, v.voter as u64);
+    put_varint(out, v.round as u64);
+    put_varint(out, v.value);
+}
+
+/// Read a vote record written by [`write_vote_rec`].
+pub fn read_vote_rec(r: &mut Reader) -> Result<VoteRec, CodecError> {
+    Ok(VoteRec {
+        voter: r.int("vote voter exceeds u32")?,
+        round: r.int("vote-record round exceeds u16")?,
+        value: r.varint()?,
+    })
+}
+
+/// Append a certificate: `k, color, owner, len, len × vote record`.
+pub fn write_cert(out: &mut Vec<u8>, cert: &CertData) {
+    put_varint(out, cert.k);
+    put_varint(out, cert.color as u64);
+    put_varint(out, cert.owner as u64);
+    put_varint(out, cert.votes.len() as u64);
+    for v in cert.votes.iter() {
+        write_vote_rec(out, &v);
+    }
+}
+
+/// Read a certificate written by [`write_cert`]. The bytes are
+/// authoritative: no re-sort, no `k` re-derivation — a deviator's
+/// ill-formed certificate must arrive as sent so Verification can fail
+/// it.
+pub fn read_cert(r: &mut Reader) -> Result<CertData, CodecError> {
+    let k = r.varint()?;
+    let color: ColorId = r.int("cert color exceeds u32")?;
+    let owner: AgentId = r.int("cert owner exceeds u32")?;
+    let len = r.count()?;
+    let mut votes = VoteLanes::with_capacity(len);
+    for _ in 0..len {
+        votes.push(read_vote_rec(r)?);
+    }
+    Ok(CertData {
+        k,
+        votes,
+        color,
+        owner,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -200,23 +319,11 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         }
         Msg::Intents(list) => {
             out.push(TAG_INTENTS);
-            put_varint(out, list.len() as u64);
-            for e in list.iter() {
-                put_varint(out, e.value);
-                put_varint(out, e.target as u64);
-            }
+            write_intents(out, list);
         }
         Msg::Cert(data) => {
             out.push(TAG_CERT);
-            put_varint(out, data.k);
-            put_varint(out, data.color as u64);
-            put_varint(out, data.owner as u64);
-            put_varint(out, data.votes.len() as u64);
-            for v in data.votes.iter() {
-                put_varint(out, v.voter as u64);
-                put_varint(out, v.round as u64);
-                put_varint(out, v.value);
-            }
+            write_cert(out, data);
         }
     }
 }
@@ -225,54 +332,22 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
 /// and the bytes consumed. Trailing bytes are the caller's business
 /// (frames delimit; streams decode back to back).
 pub fn decode_msg(bytes: &[u8]) -> Result<(Msg, usize), CodecError> {
-    let mut pos = 0usize;
-    let msg = decode_msg_at(bytes, &mut pos)?;
-    Ok((msg, pos))
+    let mut r = Reader::new(bytes);
+    let msg = read_msg(&mut r)?;
+    Ok((msg, r.pos()))
 }
 
-fn decode_msg_at(bytes: &[u8], pos: &mut usize) -> Result<Msg, CodecError> {
-    let tag = *bytes.get(*pos).ok_or(CodecError::Truncated)?;
-    *pos += 1;
-    match tag {
+/// Read one message written by [`encode_msg`].
+pub fn read_msg(r: &mut Reader) -> Result<Msg, CodecError> {
+    match r.u8()? {
         TAG_QINTENT => Ok(Msg::QIntent),
         TAG_QMINCERT => Ok(Msg::QMinCert),
-        TAG_VOTE => {
-            let value = get_varint(bytes, pos)?;
-            let round = get_u16(bytes, pos, "vote round exceeds u16")?;
-            Ok(Msg::Vote { value, round })
-        }
-        TAG_INTENTS => {
-            let len = get_len_capped(bytes, pos)?;
-            let mut entries = Vec::with_capacity(len);
-            for _ in 0..len {
-                let value = get_varint(bytes, pos)?;
-                let target: AgentId = get_u32(bytes, pos, "intent target exceeds u32")?;
-                entries.push(IntentEntry { value, target });
-            }
-            Ok(Msg::Intents(IntentList::from(entries)))
-        }
-        TAG_CERT => {
-            let k = get_varint(bytes, pos)?;
-            let color: ColorId = get_u32(bytes, pos, "cert color exceeds u32")?;
-            let owner: AgentId = get_u32(bytes, pos, "cert owner exceeds u32")?;
-            let len = get_len_capped(bytes, pos)?;
-            let mut votes = Vec::with_capacity(len);
-            for _ in 0..len {
-                let voter: AgentId = get_u32(bytes, pos, "vote voter exceeds u32")?;
-                let round = get_u16(bytes, pos, "vote-record round exceeds u16")?;
-                let value = get_varint(bytes, pos)?;
-                votes.push(VoteRec { voter, round, value });
-            }
-            // The wire bytes are authoritative: no re-sort, no k
-            // re-derivation — a deviator's ill-formed certificate must
-            // arrive as sent so Verification can fail it.
-            Ok(Msg::Cert(Shared::new(CertData {
-                k,
-                votes: votes.into(),
-                color,
-                owner,
-            })))
-        }
+        TAG_VOTE => Ok(Msg::Vote {
+            value: r.varint()?,
+            round: r.int("vote round exceeds u16")?,
+        }),
+        TAG_INTENTS => Ok(Msg::Intents(read_intents(r)?)),
+        TAG_CERT => Ok(Msg::Cert(Shared::new(read_cert(r)?))),
         _ => Err(CodecError::Corrupt("unknown message tag")),
     }
 }
@@ -346,49 +421,41 @@ pub fn encode_msg_frame(msg: &Msg, out: &mut Vec<u8>) {
 /// the total bytes consumed (header + body). Bytes after the frame are
 /// the next frame's business.
 pub fn decode_frame(bytes: &[u8]) -> Result<(Batch<Msg>, usize), CodecError> {
-    let magic = bytes.get(..2).ok_or(CodecError::Truncated)?;
-    if magic != FRAME_MAGIC {
+    let mut r = Reader::new(bytes);
+    let batch = read_frame(&mut r)?;
+    Ok((batch, r.pos()))
+}
+
+/// Read one frame written by [`encode_frame`].
+pub fn read_frame(r: &mut Reader) -> Result<Batch<Msg>, CodecError> {
+    if r.take(2)? != FRAME_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let mut pos = 2usize;
-    let version = *bytes.get(pos).ok_or(CodecError::Truncated)?;
-    pos += 1;
+    let version = r.u8()?;
     if version != FRAME_VERSION {
         return Err(CodecError::WrongVersion { found: version });
     }
-    let kind = *bytes.get(pos).ok_or(CodecError::Truncated)?;
-    pos += 1;
-    let body_len = get_varint(bytes, &mut pos)?;
-    let body_end = (body_len as usize)
-        .checked_add(pos)
-        .filter(|&e| body_len <= bytes.len() as u64 && e <= bytes.len())
-        .ok_or(CodecError::Truncated)?;
-    let body = &bytes[pos..body_end];
-    let batch = match kind {
+    let kind = r.u8()?;
+    let body_len = r.count()?;
+    let mut body = Reader::new(r.take(body_len)?);
+    match kind {
         KIND_MSG => {
-            let (msg, used) = decode_msg(body)?;
-            if used != body.len() {
-                return Err(CodecError::Corrupt("trailing bytes after bare message body"));
-            }
-            Batch::single(0, msg)
+            let msg = read_msg(&mut body)?;
+            body.finish("trailing bytes after bare message body")?;
+            Ok(Batch::single(0, msg))
         }
         KIND_BATCH => {
-            let mut bpos = 0usize;
-            let count = get_len_capped(body, &mut bpos)?;
+            let count = body.count()?;
             let mut batch = Batch::new();
             for _ in 0..count {
-                let instance = get_u32(body, &mut bpos, "batch instance exceeds u32")?;
-                let msg = decode_msg_at(body, &mut bpos)?;
-                batch.push(instance, msg);
+                let instance = body.int("batch instance exceeds u32")?;
+                batch.push(instance, read_msg(&mut body)?);
             }
-            if bpos != body.len() {
-                return Err(CodecError::Corrupt("trailing bytes after batch body"));
-            }
-            batch
+            body.finish("trailing bytes after batch body")?;
+            Ok(batch)
         }
-        _ => return Err(CodecError::Corrupt("unknown frame kind")),
-    };
-    Ok((batch, body_end))
+        _ => Err(CodecError::Corrupt("unknown frame kind")),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -579,14 +646,33 @@ mod tests {
     }
 
     #[test]
+    fn reader_enforces_every_bound() {
+        let mut r = Reader::new(&[3, 0xaa, 0xbb]);
+        // A count may claim at most the bytes that remain.
+        assert_eq!(r.clone().count().unwrap_err(), CodecError::Truncated);
+        assert_eq!(r.clone().take(4).unwrap_err(), CodecError::Truncated);
+        assert_eq!(r.u8().unwrap(), 3);
+        assert!(matches!(r.finish("trailing"), Err(CodecError::Corrupt("trailing"))));
+        assert_eq!(r.take(2).unwrap(), &[0xaa, 0xbb]);
+        r.finish("trailing").unwrap();
+        assert_eq!(r.u8().unwrap_err(), CodecError::Truncated);
+        // A varint that does not fit the asked-for width names the field.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, u16::MAX as u64 + 1);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.clone().int::<u32>("wide").unwrap(), u16::MAX as u32 + 1);
+        assert_eq!(r.int::<u16>("narrow").unwrap_err(), CodecError::Corrupt("narrow"));
+    }
+
+    #[test]
     fn varint_len_matches_encoding() {
         for v in [0u64, 1, 127, 128, 300, 1 << 14, (1 << 21) - 1, 1 << 21, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v), "v = {v}");
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            r.finish("trailing").unwrap();
         }
     }
 

@@ -20,7 +20,7 @@
 //! ## One engine per discipline
 //!
 //! The drivers here never choose an engine: they call
-//! [`Network::run_staged`], which runs each round on the engine
+//! [`Network::step_staged`], which runs each round on the engine
 //! [`RunConfig::rng_discipline`] selects — the serial [`Network::step`]
 //! under `Sequential` (every historical digest), the staged pipeline
 //! under `PerAgent` (on `threads` shards, one included). Fully dynamic
@@ -643,13 +643,15 @@ fn color_space_size(cfg: &RunConfig) -> usize {
     }
 }
 
-/// Drive all four communicating phases (with metrics phase labels) and
-/// finalize (Verification). Respects the `skip_coherence` ablation by
-/// fast-forwarding the phase window without executing it.
+/// Drive the communicating phases (with metrics phase labels) from the
+/// network's current round, and finalize (Verification). Respects the
+/// `skip_coherence` ablation by ending the run after Find-Min: the
+/// phase's rounds simply don't happen, and agents proceed to
+/// verification with whatever certificate they hold.
 ///
 /// Generic over the agent representation (every
 /// [`crate::ConsensusAgent`] is `Send`, which the staged engine needs).
-/// Each phase is one [`Network::run_staged`] call, so the round engine
+/// Each round is one [`Network::step_staged`] call, so the round engine
 /// is the one [`RunConfig::rng_discipline`] selects: the monolithic
 /// [`Network::step`] under `Sequential` — every historical digest,
 /// the golden corpus included — and the staged pipeline under
@@ -664,17 +666,49 @@ where
     M: gossip_net::size::MsgSize + Send + Sync,
     A: Agent<M> + Send,
 {
-    let q = cfg.params().q;
-    for phase in Phase::COMMUNICATING {
-        if phase == Phase::Coherence && cfg.skip_coherence {
-            // Ablation: the phase's rounds simply don't happen; agents
-            // proceed to verification with whatever certificate they hold.
-            break;
+    let Ok(()) = drive_network_with(net, cfg, |_| Ok::<(), std::convert::Infallible>(()));
+}
+
+/// The synchronous phase clock behind [`drive_network`] and
+/// `checkpoint::drive_with_checkpoints`: round by round from
+/// `net.round()`, entering each round's phase label when it changes (so
+/// a mid-phase restore re-enters the in-flight label once), calling
+/// `after_round` after every round — an error ends the run unfinalized
+/// — and finalizing at the end.
+pub(crate) fn drive_network_with<M, A, E>(
+    net: &mut Network<M, A>,
+    cfg: &RunConfig,
+    mut after_round: impl FnMut(&Network<M, A>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    M: gossip_net::size::MsgSize + Send + Sync,
+    A: Agent<M> + Send,
+{
+    let schedule = cfg.params().sync_schedule();
+    let end = sync_rounds(cfg);
+    let mut entered = None;
+    while net.round() < end {
+        let phase = schedule.phase_of(net.round());
+        if entered != Some(phase) {
+            net.enter_phase(phase.name());
+            entered = Some(phase);
         }
-        net.enter_phase(phase.name());
-        net.run_staged(q);
+        net.step_staged();
+        after_round(net)?;
     }
     net.finalize();
+    Ok(())
+}
+
+/// The synchronous rounds a run of `cfg` takes: all four communicating
+/// phases, or three under the `skip_coherence` ablation.
+pub(crate) fn sync_rounds(cfg: &RunConfig) -> usize {
+    let last = if cfg.skip_coherence {
+        Phase::FindMin
+    } else {
+        Phase::Coherence
+    };
+    cfg.params().sync_schedule().window(last).1
 }
 
 /// Extract a [`RunReport`] from a finished network.

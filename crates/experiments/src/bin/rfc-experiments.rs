@@ -26,8 +26,6 @@
 //!                     allowed: --sizes 10_000_000
 //!     --shards <k1,k2,..>      override the shard-count sweep (E16);
 //!                     every entry at least 1
-//!     --no-oplog      skip op-log recording in the audit-bearing
-//!                     experiments (digests unchanged; audits report "off")
 //! ```
 
 use experiments::{all_experiments, ExpOptions};
@@ -108,7 +106,6 @@ fn main() {
             // row runs on at least one shard).
             "--sizes" => opts.sizes = Some(list_flag(&mut it, "--sizes", 2)),
             "--shards" => opts.shards = Some(list_flag(&mut it, "--shards", 1)),
-            "--no-oplog" => opts.oplog = false,
             "list" => list_only = true,
             "all" => {
                 selected = all_experiments().iter().map(|e| e.id.to_string()).collect();
@@ -196,7 +193,7 @@ fn parse_u64(s: &str) -> Option<u64> {
 
 fn usage() {
     eprintln!(
-        "usage: rfc-experiments <list | all | e01..e17...> [--quick] [--seed N] [--threads K] [--csv DIR] [--json DIR] [--checkpoint-every K] [--checkpoint-dir DIR] [--resume-from DIR] [--instances K] [--instance-kind rumor|consensus] [--stage-times] [--sizes N1,N2,..] [--shards K1,K2,..] [--no-oplog]"
+        "usage: rfc-experiments <list | all | e01..e17...> [--quick] [--seed N] [--threads K] [--csv DIR] [--json DIR] [--checkpoint-every K] [--checkpoint-dir DIR] [--resume-from DIR] [--instances K] [--instance-kind rumor|consensus] [--stage-times] [--sizes N1,N2,..] [--shards K1,K2,..]"
     );
 }
 

@@ -62,10 +62,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     );
     for &n in &sizes {
         for &gamma in &gammas {
-            let cfg = RunConfig::builder(n)
-                .gamma(gamma)
-                .record_ops(opts.oplog)
-                .build();
+            let cfg = RunConfig::builder(n).gamma(gamma).record_ops(true).build();
             let acc = run_trials_fold(
                 trials,
                 opts.threads_for(trials),
@@ -73,43 +70,34 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
                 Acc::default,
                 |acc, _i, seed| {
                     let r = run_protocol(&cfg, seed);
-                    // `--no-oplog` drops the audit (digests unchanged);
-                    // the audit columns then report "off".
-                    if let Some(a) = r.audit {
-                        acc.g1 += a.every_agent_voted_on as u64;
-                        acc.g2 += a.k_values_distinct as u64;
-                        acc.g3 += a.minima_agree as u64;
-                        acc.good += a.is_good() as u64;
-                        acc.min_votes = Some(match acc.min_votes {
-                            Some(m) => m.min(a.votes_min),
-                            None => a.votes_min,
-                        });
-                    }
+                    let a = r.audit.expect("record_ops(true) builds the audit");
+                    acc.g1 += a.every_agent_voted_on as u64;
+                    acc.g2 += a.k_values_distinct as u64;
+                    acc.g3 += a.minima_agree as u64;
+                    acc.good += a.is_good() as u64;
+                    acc.min_votes = Some(match acc.min_votes {
+                        Some(m) => m.min(a.votes_min),
+                        None => a.votes_min,
+                    });
                     acc.succ += r.outcome.is_consensus() as u64;
                 },
                 Acc::merge,
             );
             let (g1, g2, g3, good, succ) = (acc.g1, acc.g2, acc.g3, acc.good, acc.succ);
-            let audit_cell = |hits: u64| {
-                if opts.oplog {
-                    fmt::f3(hits as f64 / trials as f64)
-                } else {
-                    "off".to_string()
-                }
-            };
+            let rate = |hits: u64| fmt::f3(hits as f64 / trials as f64);
             let min_votes = match acc.min_votes {
                 Some(m) => m.to_string(),
-                None => "off".to_string(),
+                None => "-".to_string(),
             };
             table.row(vec![
                 n.to_string(),
                 fmt::f2(gamma),
-                audit_cell(g1),
-                audit_cell(g2),
-                audit_cell(g3),
-                audit_cell(good),
+                rate(g1),
+                rate(g2),
+                rate(g3),
+                rate(good),
                 min_votes,
-                fmt::f3(succ as f64 / trials as f64),
+                rate(succ),
             ]);
         }
     }

@@ -41,26 +41,18 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         let cfg = RunConfig::builder(n)
             .gamma(gamma)
             .m(m)
-            .record_ops(opts.oplog)
+            .record_ops(true)
             .build();
         let results = run_trials(trials, opts.threads_for(trials), opts.seed, |seed| {
             let r = run_protocol(&cfg, seed);
-            (
-                // `--no-oplog` drops the audit; the collision column
-                // then reports "off" below.
-                r.audit.as_ref().map(|a| !a.k_values_distinct),
-                r.outcome.is_consensus(),
-            )
+            let audit = r.audit.expect("record_ops(true) builds the audit");
+            (!audit.k_values_distinct, r.outcome.is_consensus())
         });
-        let collisions = results.iter().filter(|r| r.0 == Some(true)).count() as u64;
+        let collisions = results.iter().filter(|r| r.0).count() as u64;
         let success = results.iter().filter(|r| r.1).count() as u64;
         m_table.row(vec![
             label.to_string(),
-            if opts.oplog {
-                fmt::rate_ci(collisions, trials as u64)
-            } else {
-                "off".to_string()
-            },
+            fmt::rate_ci(collisions, trials as u64),
             fmt::rate_ci(success, trials as u64),
         ]);
     }

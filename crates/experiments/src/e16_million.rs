@@ -6,9 +6,10 @@
 //! actually concern — could use exactly one core. The staged engine
 //! (`gossip_net::network::staged`) opens the other axis: plan and apply
 //! shard the agents of **one** trial across worker threads under the
-//! [`RngDiscipline::PerAgent`] loss discipline, and the two layers
-//! compose (shards within a trial × arenas across trials: this sweep
-//! runs every row through one reused `TrialArena`).
+//! [`RngDiscipline::PerAgent`](gossip_net::rng::RngDiscipline::PerAgent)
+//! loss discipline, and the two layers compose (shards within a trial ×
+//! arenas across trials: this sweep runs every row through one reused
+//! `TrialArena`).
 //!
 //! This experiment runs **single trials** at `n` up to 10⁶ and sweeps
 //! the shard count, reporting per row:

@@ -48,12 +48,6 @@ pub struct ExpOptions {
     /// Honored by E16; useful to pin `"1"` on single-core boxes where
     /// sweeping shard counts only re-measures the same core.
     pub shards: Option<&'static str>,
-    /// Record the op log for the audit-bearing experiments (default
-    /// on; `--no-oplog` clears it). Digests and `Metrics` are pinned
-    /// identical with it off — only the good-execution audit goes
-    /// missing, so an experiment that needs the audit degrades to
-    /// reporting "off" instead of panicking.
-    pub oplog: bool,
 }
 
 impl Default for ExpOptions {
@@ -70,7 +64,6 @@ impl Default for ExpOptions {
             stage_times: false,
             sizes: None,
             shards: None,
-            oplog: true,
         }
     }
 }

@@ -351,20 +351,19 @@ impl FaultState {
     /// Rebuild a mid-run state from the plan plus the live `down` flags
     /// captured by a checkpoint (checkpoint support). The permanent
     /// layer always comes from the plan — it is immutable, so it is
-    /// derived, never serialized. Every plan fault must still be down in
-    /// `down` (plan faults never recover).
-    pub fn restore(plan: &FaultPlan, down: Vec<bool>) -> Self {
-        assert_eq!(down.len(), plan.n(), "down-flag count must match plan");
-        assert!(
-            plan.flags().ones().all(|i| down[i]),
-            "a plan-permanent fault cannot be up in a restored state"
-        );
+    /// derived, never serialized. `None` unless `down` has one flag per
+    /// agent and every plan fault is still down in it (plan faults never
+    /// recover).
+    pub fn restore(plan: &FaultPlan, down: Vec<bool>) -> Option<Self> {
+        if down.len() != plan.n() || !plan.flags().ones().all(|i| down[i]) {
+            return None;
+        }
         let n_down = down.iter().filter(|&&d| d).count();
-        FaultState {
+        Some(FaultState {
             permanent: plan.flags().clone(),
             down: BitSet::from_bools(&down),
             n_down,
-        }
+        })
     }
 
     /// The live per-agent down flags as booleans (checkpoint support —

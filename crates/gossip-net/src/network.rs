@@ -382,48 +382,23 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         faults: FaultPlan,
         config: NetworkConfig,
     ) -> Self {
-        assert_eq!(
-            agents.len(),
-            topology.n(),
-            "agent count must match topology size"
-        );
-        assert_eq!(
-            agents.len(),
-            faults.n(),
-            "fault plan size must match agent count"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.loss_probability),
-            "loss probability must be in [0, 1]"
-        );
         let n = agents.len();
-        config.scenario.validate(n);
-        let loss = config
-            .loss_schedule
-            .clone()
-            .unwrap_or_else(|| LossSchedule::constant(config.loss_probability));
-        let dynamic = !config.scenario.is_empty() || !loss.is_constant();
-        let loss_rng = if loss.max_p() > 0.0 {
-            Some(DetRng::seeded(config.loss_seed, 0x1055))
-        } else {
-            None
-        };
-        let fault_state = FaultState::from_plan(&faults);
-        Network {
+        // Placeholders for the per-trial state; `arm` sets all of it.
+        let mut net = Network {
             topology,
             env,
             agents,
-            faults,
-            fault_state,
+            faults: FaultPlan::none(0),
+            fault_state: FaultState::from_plan(&FaultPlan::none(0)),
             partition: None,
             next_event: 0,
-            loss,
+            loss: LossSchedule::constant(0.0),
             current_p: 0.0,
-            dynamic,
+            dynamic: false,
             metrics: Metrics::new(),
             oplog: OpLog::new(),
-            config,
-            loss_rng,
+            config: NetworkConfig::default(),
+            loss_rng: None,
             round: 0,
             ops: Vec::with_capacity(n),
             replies: Vec::with_capacity(n),
@@ -433,7 +408,9 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             events: std::collections::BinaryHeap::new(),
             event_seq: 0,
             stage_times: StageTimes::default(),
-        }
+        };
+        net.arm(faults, config);
+        net
     }
 
     /// Re-arm this network for a fresh trial **in place**, reusing every
@@ -446,7 +423,8 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     ///
     /// Semantics are exactly those of [`Network::with_config`] — a reset
     /// network is observationally identical to a freshly built one (same
-    /// seed ⇒ bit-identical run), only cheaper.
+    /// seed ⇒ bit-identical run), only cheaper: both arm the per-trial
+    /// state through the same private step.
     pub fn reset_into(
         &mut self,
         topology: Topology,
@@ -455,50 +433,47 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         config: NetworkConfig,
         fill: impl FnOnce(&mut Vec<A>, &Topology),
     ) {
-        assert!(
-            (0.0..=1.0).contains(&config.loss_probability),
-            "loss probability must be in [0, 1]"
-        );
         self.topology = topology;
         self.env = env;
         self.agents.clear();
         fill(&mut self.agents, &self.topology);
-        assert_eq!(
-            self.agents.len(),
-            self.topology.n(),
-            "agent count must match topology size"
+        self.arm(faults, config);
+    }
+
+    /// Check `faults` and `config` against the agents and topology in
+    /// place, then set every piece of per-trial state from them: fault
+    /// plan and live flags, scenario cursor, loss schedule and stream,
+    /// round counter, metrics, op log, scratch buffers and stage clocks.
+    /// The worker pool outlives trials (that is its whole point); its
+    /// next use re-sizes it if the new config wants a different thread
+    /// count.
+    fn arm(&mut self, faults: FaultPlan, config: NetworkConfig) {
+        let n = self.agents.len();
+        assert_eq!(n, self.topology.n(), "agent count must match topology size");
+        assert_eq!(n, faults.n(), "fault plan size must match agent count");
+        assert!(
+            (0.0..=1.0).contains(&config.loss_probability),
+            "loss probability must be in [0, 1]"
         );
-        assert_eq!(
-            self.agents.len(),
-            faults.n(),
-            "fault plan size must match agent count"
-        );
-        config.scenario.validate(self.agents.len());
+        config.scenario.validate(n);
         self.faults = faults;
         self.fault_state.reset_from(&self.faults);
         self.partition = None;
         self.next_event = 0;
-        self.metrics.reset();
-        self.oplog.clear();
         self.loss = config
             .loss_schedule
             .clone()
             .unwrap_or_else(|| LossSchedule::constant(config.loss_probability));
         self.dynamic = !config.scenario.is_empty() || !self.loss.is_constant();
         self.current_p = 0.0;
-        self.loss_rng = if self.loss.max_p() > 0.0 {
-            Some(DetRng::seeded(config.loss_seed, 0x1055))
-        } else {
-            None
-        };
+        self.loss_rng = (self.loss.max_p() > 0.0).then(|| DetRng::seeded(config.loss_seed, 0x1055));
         self.config = config;
         self.round = 0;
+        self.metrics.reset();
+        self.oplog.clear();
         self.ops.clear();
         self.replies.clear();
         self.multi_buf.clear();
-        // The worker pool outlives trials (that is its whole point); its
-        // next use re-sizes it if the new config wants a different
-        // thread count.
         self.staged.clear();
         self.events.clear();
         self.event_seq = 0;
@@ -580,7 +555,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     }
 
     /// Execute one synchronous round. Scenario events due this round are
-    /// applied first, before any `act` call ([`Self::begin_round`]).
+    /// applied first, before any `act` call.
     pub fn step(&mut self) {
         let round = self.round;
         self.begin_round(round);
@@ -1080,36 +1055,32 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// under; this only swaps the mutable layer, it cannot retarget a
     /// run. The restored `Metrics` continues exact counts — the
     /// metering contract extends across the checkpoint seam.
+    ///
+    /// A state this network's config cannot hold is refused with the
+    /// reason, and the network is left as it was: flag or cut lengths
+    /// other than `n`, a scenario cursor past the script, loss-stream
+    /// words without a loss process (or none with one), or a plan fault
+    /// marked up.
     pub fn restore_engine_state(
         &mut self,
         state: EngineState,
         metrics: Metrics,
         oplog: OpLog,
-    ) {
-        assert_eq!(
-            state.down.len(),
-            self.agents.len(),
-            "restored down-flag count must match agent count"
-        );
-        assert!(
-            state.next_event <= self.config.scenario.events().len(),
-            "restored scenario cursor out of range"
-        );
-        if let Some(sides) = &state.partition_sides {
-            assert_eq!(
-                sides.len(),
-                self.agents.len(),
-                "restored partition cut must match agent count"
-            );
+    ) -> Result<(), &'static str> {
+        let n = self.agents.len();
+        if state.next_event > self.config.scenario.events().len() {
+            return Err("restored scenario cursor out of range");
         }
-        assert_eq!(
-            state.loss_rng.is_some(),
-            self.loss_rng.is_some(),
-            "restored loss-stream presence must match the config (max_p > 0)"
-        );
+        if matches!(&state.partition_sides, Some(sides) if sides.len() != n) {
+            return Err("restored partition cut must match agent count");
+        }
+        if state.loss_rng.is_some() != self.loss_rng.is_some() {
+            return Err("restored loss-stream presence must match the config (max_p > 0)");
+        }
+        self.fault_state = FaultState::restore(&self.faults, state.down)
+            .ok_or("restored down flags must cover every agent and keep plan faults down")?;
         self.round = state.round;
         self.next_event = state.next_event;
-        self.fault_state = FaultState::restore(&self.faults, state.down);
         self.partition = state.partition_sides.map(PartitionCut::from_sides);
         self.loss_rng = state.loss_rng.map(DetRng::from_state);
         // `current_p` and `dynamic` are recomputed: `dynamic` was already
@@ -1117,6 +1088,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         // next `begin_round` sets `current_p` unconditionally.
         self.metrics = metrics;
         self.oplog = oplog;
+        Ok(())
     }
 }
 

@@ -190,8 +190,8 @@ impl DetRng {
     }
 
     /// The raw xoshiro256++ state words (checkpoint support). The
-    /// per-bound cache slots are *not* part of the state: each
-    /// [`BoundCache`] is a pure function of its bound, so a restored
+    /// per-bound cache slots are *not* part of the state: each slot's
+    /// constants are a pure function of its bound, so a restored
     /// generator recomputes identical constants on first use and every
     /// subsequent draw is bit-identical.
     pub fn state(&self) -> [u64; 4] {

@@ -21,7 +21,7 @@
 //! A decision is `0` (failed) or `1` followed by a varint color.
 
 use gossip_net::ids::{AgentId, ColorId};
-use rfc_core::codec::{self, CodecError};
+use rfc_core::codec::{self, CodecError, Reader};
 use rfc_core::msg::Msg;
 use std::io::{self, Read, Write};
 
@@ -139,25 +139,19 @@ pub fn write_packet<W: Write>(w: &mut W, pkt: &Packet) -> io::Result<usize> {
     Ok(buf.len())
 }
 
-fn read_exact_varint<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+/// The body-length varint, read from the stream byte by byte (at most
+/// the ten bytes a `u64` varint can take) and parsed by the codec.
+fn read_len_varint<R: Read>(r: &mut R) -> io::Result<u64> {
+    let mut buf = [0u8; 10];
+    let mut len = 0;
     loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        let b = b[0];
-        if shift == 63 && b > 1 {
-            return Err(bad("varint overflows u64"));
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(bad("varint too long"));
+        r.read_exact(&mut buf[len..=len])?;
+        len += 1;
+        if buf[len - 1] & 0x80 == 0 || len == buf.len() {
+            break;
         }
     }
+    Reader::new(&buf[..len]).varint().map_err(codec_err)
 }
 
 /// Upper bound on a packet body: a `Summary` for the largest plausible
@@ -165,88 +159,73 @@ fn read_exact_varint<R: Read>(r: &mut R) -> io::Result<u64> {
 /// message — refuse before allocating.
 const MAX_BODY: u64 = 64 << 20;
 
-fn take_msg_frame(body: &[u8], pos: &mut usize) -> io::Result<Msg> {
-    let (batch, used) = codec::decode_frame(&body[*pos..]).map_err(codec_err)?;
-    *pos += used;
-    let mut parts = batch.into_parts();
+/// A codec frame that must carry one instance-0 message.
+fn read_msg_frame(r: &mut Reader) -> Result<Msg, CodecError> {
+    let mut parts = codec::read_frame(r)?.into_parts();
     if parts.len() != 1 || parts[0].instance != 0 {
-        return Err(bad("node packets carry single-instance frames"));
+        return Err(CodecError::Corrupt(
+            "node packets carry single-instance frames",
+        ));
     }
     Ok(parts.remove(0).payload)
 }
 
-fn take_agent_id(body: &[u8], pos: &mut usize) -> io::Result<AgentId> {
-    let v = codec::get_varint(body, pos).map_err(codec_err)?;
-    AgentId::try_from(v).map_err(|_| bad("agent id exceeds u32"))
+/// Parse one packet body of type `ty`.
+fn decode_body(ty: u8, body: &[u8]) -> Result<Packet, CodecError> {
+    const AGENT: &str = "agent id exceeds u32";
+    let mut r = Reader::new(body);
+    let pkt = match ty {
+        PKT_HELLO => Packet::Hello {
+            fingerprint: r.varint()?,
+            side: r.u8()?,
+        },
+        PKT_TICK_NOTHING => Packet::TickNothing,
+        PKT_TICK_PUSH => Packet::TickPush {
+            to: r.int(AGENT)?,
+            msg: read_msg_frame(&mut r)?,
+        },
+        PKT_TICK_QUERY => Packet::TickQuery {
+            to: r.int(AGENT)?,
+            query: read_msg_frame(&mut r)?,
+        },
+        PKT_REPLY => Packet::Reply {
+            reply: match r.u8()? {
+                0 => None,
+                1 => Some(read_msg_frame(&mut r)?),
+                _ => return Err(CodecError::Corrupt("reply flag must be 0 or 1")),
+            },
+        },
+        PKT_SUMMARY => {
+            let count = r.count()?;
+            let mut decisions = Vec::with_capacity(count);
+            for _ in 0..count {
+                let id: AgentId = r.int(AGENT)?;
+                let d: Option<ColorId> = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.int("color exceeds u32")?),
+                    _ => return Err(CodecError::Corrupt("decision flag must be 0 or 1")),
+                };
+                decisions.push((id, d));
+            }
+            Packet::Summary { decisions }
+        }
+        _ => return Err(CodecError::Corrupt("unknown packet type")),
+    };
+    r.finish("trailing bytes after packet body")?;
+    Ok(pkt)
 }
 
 /// Read one packet (blocking until it fully arrives).
 pub fn read_packet<R: Read>(r: &mut R) -> io::Result<Packet> {
     let mut ty = [0u8; 1];
     r.read_exact(&mut ty)?;
-    let len = read_exact_varint(r)?;
+    let len = read_len_varint(r)?;
     if len > MAX_BODY {
         return Err(bad(format!("packet body of {len} bytes exceeds cap")));
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let mut pos = 0usize;
-    let pkt = match ty[0] {
-        PKT_HELLO => {
-            let fingerprint = codec::get_varint(&body, &mut pos).map_err(codec_err)?;
-            let side = *body.get(pos).ok_or_else(|| bad("hello truncated"))?;
-            pos += 1;
-            Packet::Hello { fingerprint, side }
-        }
-        PKT_TICK_NOTHING => Packet::TickNothing,
-        PKT_TICK_PUSH => {
-            let to = take_agent_id(&body, &mut pos)?;
-            let msg = take_msg_frame(&body, &mut pos)?;
-            Packet::TickPush { to, msg }
-        }
-        PKT_TICK_QUERY => {
-            let to = take_agent_id(&body, &mut pos)?;
-            let query = take_msg_frame(&body, &mut pos)?;
-            Packet::TickQuery { to, query }
-        }
-        PKT_REPLY => {
-            let has = *body.get(pos).ok_or_else(|| bad("reply truncated"))?;
-            pos += 1;
-            let reply = match has {
-                0 => None,
-                1 => Some(take_msg_frame(&body, &mut pos)?),
-                _ => return Err(bad("reply flag must be 0 or 1")),
-            };
-            Packet::Reply { reply }
-        }
-        PKT_SUMMARY => {
-            let count = codec::get_varint(&body, &mut pos).map_err(codec_err)?;
-            if count > len {
-                return Err(bad("summary count exceeds body"));
-            }
-            let mut decisions = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let id = take_agent_id(&body, &mut pos)?;
-                let has = *body.get(pos).ok_or_else(|| bad("summary truncated"))?;
-                pos += 1;
-                let d = match has {
-                    0 => None,
-                    1 => {
-                        let c = codec::get_varint(&body, &mut pos).map_err(codec_err)?;
-                        Some(ColorId::try_from(c).map_err(|_| bad("color exceeds u32"))?)
-                    }
-                    _ => return Err(bad("decision flag must be 0 or 1")),
-                };
-                decisions.push((id, d));
-            }
-            Packet::Summary { decisions }
-        }
-        other => return Err(bad(format!("unknown packet type {other}"))),
-    };
-    if pos != body.len() {
-        return Err(bad("trailing bytes after packet body"));
-    }
-    Ok(pkt)
+    decode_body(ty[0], &body).map_err(codec_err)
 }
 
 #[cfg(test)]
@@ -291,5 +270,11 @@ mod tests {
         let mut buf = vec![PKT_SUMMARY];
         codec::put_varint(&mut buf, u64::MAX / 2);
         assert!(read_packet(&mut buf.as_slice()).is_err());
+        // A length varint longer than any u64's is refused after its
+        // tenth byte, not read on.
+        let mut buf = vec![PKT_SUMMARY];
+        buf.extend_from_slice(&[0xff; 12]);
+        let err = read_packet(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -20,17 +20,18 @@
 
 mod common;
 
-use common::report_digest;
+use common::{report_digest, Digest};
 use gossip_net::fault::Placement;
 use gossip_net::oplog::OpEvent;
 use rfc_core::checkpoint::{
     self, checkpoint_rounds, config_fingerprint, drive_with_checkpoints, peek_header,
     restore_network, CheckpointError,
 };
+use rfc_core::codec::{put_varint, varint_len};
 use rfc_core::runner::{RunConfig, RunReport, TopologySpec};
 use rfc_core::{
-    build_network_slots, collect_report, honest_slot_factory, run_protocol, LossSchedule,
-    PartitionCut, RngDiscipline, ScenarioScript,
+    build_network_slots, collect_report, honest_slot_factory, run_protocol, ConsensusAgent,
+    LossSchedule, PartitionCut, RngDiscipline, ScenarioScript,
 };
 
 /// The static golden matrix (mirrors `golden_runs.rs` row for row).
@@ -605,6 +606,77 @@ fn checkpoints_are_compact_and_self_describing() {
     assert_eq!(header.config_fingerprint, config_fingerprint(&cfg));
 }
 
+/// FNV-1a 64 over every cadence snapshot of `(cfg, seed)`, each
+/// prefixed by its round.
+fn snapshot_bytes_digest(cfg: &RunConfig, seed: u64) -> u64 {
+    let mut d = Digest::new();
+    for (round, bytes) in straight_with_snapshots(cfg, seed, cadence(cfg)).snapshots {
+        d.u64(round as u64);
+        d.bytes(&bytes);
+    }
+    d.finish()
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // The byte format itself, not just its round trip: every snapshot
+    // of four rows (static lossy, sharded faults+loss, a scenario with
+    // a crash and a partition, plan faults) hashes to the value
+    // captured before the checkpoint wrote its pools through the wire
+    // codec's body functions. A layout change must move these AND bump
+    // `FORMAT_VERSION`; a failure prints the fresh hash.
+    assert_eq!(checkpoint::FORMAT_VERSION, 1);
+    let q = RunConfig::builder(32).gamma(3.0).build().params().q;
+    let row = |corpus: Vec<(&'static str, RunConfig, u64)>, label: &str| {
+        corpus
+            .into_iter()
+            .find(|(l, _, _)| *l == label)
+            .unwrap_or_else(|| panic!("no corpus row {label}"))
+    };
+    let (_, lossy, lossy_seed) = row(static_corpus(), "complete/n32/loss-0.25");
+    let (_, faults, faults_seed) = row(static_corpus(), "complete/n32/faults-random");
+    let (_, sharded, sharded_seed) = row(sharded_corpus(), "sharded/complete/n32/faults+loss");
+    let crash_partition = RunConfig::builder(32)
+        .gamma(3.0)
+        .colors(vec![16, 16])
+        .scenario(
+            ScenarioScript::new()
+                .crash(q / 2, (24..32).collect())
+                .partition(2 * q, PartitionCut::split_at(32, 16))
+                .heal(2 * q + q / 2),
+        )
+        .build();
+    let mut rows: Vec<(String, RunConfig, u64)> = vec![
+        ("static/loss-0.25".into(), lossy, lossy_seed),
+        ("static/faults-random".into(), faults, faults_seed),
+        ("dynamic/crash+partition".into(), crash_partition, 16),
+    ];
+    for threads in thread_counts() {
+        let mut cfg = sharded.clone();
+        cfg.rng_discipline = RngDiscipline::PerAgent;
+        cfg.threads = threads;
+        cfg.shard_floor = Some(0);
+        rows.push((format!("sharded/faults+loss@t{threads}"), cfg, sharded_seed));
+    }
+    let pinned = |label: &str| -> u64 {
+        match label.split('@').next().unwrap() {
+            "static/loss-0.25" => 0x425566b851e908a0,
+            "static/faults-random" => 0xfef9dd59c3326498,
+            "dynamic/crash+partition" => 0x16aebc3358edfe57,
+            "sharded/faults+loss" => 0x686ac08c9ad7277d,
+            other => panic!("no pin for {other}"),
+        }
+    };
+    for (label, cfg, seed) in rows {
+        let got = snapshot_bytes_digest(&cfg, seed);
+        assert_eq!(
+            got,
+            pinned(&label),
+            "{label}: checkpoint bytes moved to {got:#018x}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Negative paths: typed errors, never panics.
 // ---------------------------------------------------------------------
@@ -746,4 +818,84 @@ fn garbage_bodies_error_cleanly() {
     assert!(restore_network(&cfg, &noise).is_err());
     assert!(restore_network(&cfg, &[]).is_err());
     assert!(checkpoint::peek_header(&noise).is_err());
+}
+
+/// Offset of a checkpoint's engine section. It follows the header:
+/// magic, version, seed, fingerprint, varint n, varint round.
+fn engine_offset(bytes: &[u8]) -> usize {
+    let h = peek_header(bytes).expect("header");
+    4 + 2 + 8 + 8 + varint_len(h.n as u64) + varint_len(h.round as u64)
+}
+
+#[test]
+fn engine_states_the_config_cannot_hold_are_corrupt() {
+    // Snapshots that pass every lexical check and match the config's `n`
+    // and fingerprint, but carry a state the config rules out. Each must
+    // be a typed `Corrupt`, not a panic inside the network or a run that
+    // cannot happen. The engine section is: varint scenario cursor, n
+    // down bits, partition tag (+ n sides), loss tag (+ four u64 words).
+    let expect_corrupt = |label: &str, cfg: &RunConfig, b: &[u8]| match restore_network(cfg, b) {
+        Err(CheckpointError::Corrupt(_)) => {}
+        Err(other) => panic!("{label}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{label}: accepted"),
+    };
+    let (cfg, bytes) = some_checkpoint();
+    let cursor = engine_offset(&bytes);
+
+    // A round past the end of the run (the header's last varint).
+    let end = 4 * cfg.params().q;
+    assert!(peek_header(&bytes).expect("header").round < 0x7f && end < 0x7f);
+    let mut b = bytes.clone();
+    b[cursor - 1] = 0x7f;
+    expect_corrupt("round past the end", &cfg, &b);
+
+    // A scenario cursor past the end of the (empty) script.
+    assert_eq!(bytes[cursor], 0, "static row: cursor 0");
+    let mut b = bytes.clone();
+    b[cursor] = 1;
+    expect_corrupt("cursor past script", &cfg, &b);
+
+    // Loss-stream words for a config without loss.
+    let loss_tag = cursor + 1 + cfg.n.div_ceil(8) + 1;
+    assert_eq!(bytes[loss_tag - 1], 0, "no partition cut");
+    assert_eq!(bytes[loss_tag], 0, "no loss stream");
+    let mut b = bytes.clone();
+    b[loss_tag] = 1;
+    b.splice(loss_tag + 1..loss_tag + 1, [0x5au8; 32]);
+    expect_corrupt("loss words without loss", &cfg, &b);
+
+    // A plan-faulty agent marked up (agent 0 under low-id placement).
+    let faulty = RunConfig::builder(24)
+        .gamma(3.0)
+        .colors(vec![12, 12])
+        .faults(0.25, Placement::LowIds)
+        .build();
+    let base = straight_with_snapshots(&faulty, 1, cadence(&faulty));
+    let snap = &base.snapshots[1].1;
+    let down = engine_offset(snap) + 1;
+    assert_eq!(snap[down] & 1, 1, "agent 0 is plan-faulty");
+    let mut b = snap.clone();
+    b[down] &= !1;
+    expect_corrupt("plan fault up", &faulty, &b);
+
+    // An agent's own intent target outside the network (its vote push
+    // would address no agent). Agent 0's list is the first pool entry.
+    let net = build_network_slots(&cfg, 1, &mut honest_slot_factory);
+    let own = &net.agent(0).core().intents;
+    let mut list = Vec::new();
+    put_varint(&mut list, own.len() as u64);
+    for e in own.iter() {
+        put_varint(&mut list, e.value);
+        put_varint(&mut list, e.target as u64);
+    }
+    let at = bytes
+        .windows(list.len())
+        .position(|w| w == list.as_slice())
+        .expect("agent 0's intent list is pooled");
+    let first = own.iter().next().expect("non-empty list");
+    let target = at + varint_len(own.len() as u64) + varint_len(first.value);
+    assert_eq!(bytes[target] as u32, first.target, "one-byte target varint");
+    let mut b = bytes.clone();
+    b[target] = 100;
+    expect_corrupt("intent target outside", &cfg, &b);
 }
