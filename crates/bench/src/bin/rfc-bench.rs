@@ -34,6 +34,8 @@ use rfc_bench::gate::{compare, is_gated_column, is_memory_column, parse_tables, 
 use rfc_core::certificate::{CertData, VoteRec};
 use rfc_core::codec::{decode_msg, encode_msg};
 use rfc_core::msg::{IntentEntry, Msg};
+use rfc_core::params::Params;
+use rfc_core::payload::PayloadPool;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -183,9 +185,10 @@ const CODEC_Q: usize = 36;
 const CODEC_M: u64 = 4096u64 * 4096 * 4096;
 
 /// One deterministic message of each class, sized like production
-/// traffic. `class` selects the variant so per-class rows measure pure
-/// encode/decode cost without branch-mix noise.
-fn corpus_msg(class: &str, rng: &mut DetRng) -> Msg {
+/// traffic, its payload in `pool`. `class` selects the variant so
+/// per-class rows measure pure encode/decode cost without branch-mix
+/// noise.
+fn corpus_msg(class: &str, rng: &mut DetRng, pool: &PayloadPool) -> Msg {
     match class {
         "query" => {
             if rng.index(2) == 0 {
@@ -198,14 +201,15 @@ fn corpus_msg(class: &str, rng: &mut DetRng) -> Msg {
             value: rng.below(CODEC_M),
             round: rng.index(CODEC_Q) as u16,
         },
-        "intents" => Msg::Intents(
-            (0..CODEC_Q)
-                .map(|_| IntentEntry {
-                    value: rng.below(CODEC_M),
-                    target: rng.index(4096) as u32,
-                })
-                .collect::<Vec<_>>()
-                .into(),
+        "intents" => pool.list_msg(
+            pool.insert_list(
+                (0..CODEC_Q)
+                    .map(|_| IntentEntry {
+                        value: rng.below(CODEC_M),
+                        target: rng.index(4096) as u32,
+                    })
+                    .collect(),
+            ),
         ),
         "cert" => {
             let votes: Vec<VoteRec> = (0..CODEC_Q)
@@ -215,12 +219,12 @@ fn corpus_msg(class: &str, rng: &mut DetRng) -> Msg {
                     value: rng.below(CODEC_M),
                 })
                 .collect();
-            Msg::cert(CertData::build(
+            pool.cert_msg(pool.insert_cert(CertData::build(
                 rng.index(4096) as u32,
                 rng.index(2) as u32,
                 votes,
                 CODEC_M,
-            ))
+            )))
         }
         other => unreachable!("unknown corpus class {other}"),
     }
@@ -233,13 +237,19 @@ fn run_codec(out_path: &str) -> ExitCode {
     );
     for class in ["query", "vote", "intents", "cert"] {
         let mut rng = DetRng::seeded(0xC0DEC, 0);
-        let corpus: Vec<Msg> = (0..512).map(|_| corpus_msg(class, &mut rng)).collect();
+        let params = Params::new(4096, 3.0);
+        // Decoding interns into the receiver's pool: the first pass adds
+        // each payload, later passes find it (a node's steady state).
+        let (pool, received) = (PayloadPool::new(params, 0), PayloadPool::new(params, 0));
+        let corpus: Vec<Msg> = (0..512)
+            .map(|_| corpus_msg(class, &mut rng, &pool))
+            .collect();
         // Warm one full pass, then time enough repetitions for a stable
         // single-digit-millisecond sample per direction.
         let mut encoded = Vec::new();
         let mut bounds = vec![0usize];
         for m in &corpus {
-            encode_msg(m, &mut encoded);
+            encode_msg(m, &pool, &mut encoded);
             bounds.push(encoded.len());
         }
         let reps = 200usize;
@@ -248,7 +258,7 @@ fn run_codec(out_path: &str) -> ExitCode {
         for _ in 0..reps {
             let mut buf = Vec::with_capacity(encoded.len());
             for m in &corpus {
-                encode_msg(m, &mut buf);
+                encode_msg(m, &pool, &mut buf);
             }
             sink = sink.wrapping_add(buf.len());
         }
@@ -256,7 +266,8 @@ fn run_codec(out_path: &str) -> ExitCode {
         let t = Instant::now();
         for _ in 0..reps {
             for w in bounds.windows(2) {
-                let (m, used) = decode_msg(&encoded[w[0]..w[1]]).expect("corpus decodes");
+                let (m, used) =
+                    decode_msg(&encoded[w[0]..w[1]], &received).expect("corpus decodes");
                 sink = sink.wrapping_add(used + matches!(m, Msg::QIntent) as usize);
             }
         }

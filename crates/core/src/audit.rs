@@ -13,8 +13,9 @@
 //! post-run agent states directly (the simulator is allowed the global
 //! view that the agents themselves are denied).
 
-use crate::engine::ConsensusAgent;
+use crate::engine::{ConsensusAgent, ProtocolCore};
 use crate::msg::Msg;
+use crate::payload::CertId;
 use gossip_net::ids::AgentId;
 use gossip_net::network::Network;
 
@@ -59,7 +60,7 @@ pub fn audit_good_execution<A: ConsensusAgent>(net: &Network<Msg, A>) -> GoodExe
     let mut votes_max = 0usize;
     let mut votes_sum = 0usize;
     let mut ks: Vec<u64> = Vec::with_capacity(faults.n_active());
-    let mut minimum: Option<&crate::certificate::Certificate> = None;
+    let mut minimum: Option<(&ProtocolCore, CertId)> = None;
     let mut minima_agree = true;
     let mut n_active = 0usize;
 
@@ -79,10 +80,10 @@ pub fn audit_good_execution<A: ConsensusAgent>(net: &Network<Msg, A>) -> GoodExe
         if let Some(k) = core.k() {
             ks.push(k);
         }
-        match (&minimum, &core.min_cert) {
-            (None, Some(ce)) => minimum = Some(ce),
-            (Some(prev), Some(ce)) => {
-                if *prev != ce {
+        match (minimum, core.min_cert) {
+            (None, Some(ce)) => minimum = Some((core, ce)),
+            (Some((first, prev)), Some(ce)) => {
+                if first.pool().cert(prev) != core.pool().cert(ce) {
                     minima_agree = false;
                 }
             }

@@ -15,7 +15,6 @@
 //! same agent twice).
 
 use gossip_net::ids::{AgentId, ColorId};
-use crate::sharing::Shared;
 
 /// One received vote: `voter` sent `value` as the `round`-th entry of its
 /// declared intention list.
@@ -224,7 +223,10 @@ impl FromIterator<VoteRec> for VoteLanes {
     }
 }
 
-/// Certificate payload `CE = (k, W, c, owner)`.
+/// Certificate payload `CE = (k, W, c, owner)`. Agents and messages
+/// hold a [`crate::payload::CertId`] handle to one in their network's
+/// payload pool; Find-Min and Coherence copy that handle `Θ(n log n)`
+/// times, never the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertData {
     /// Accumulated vote value `k = Σ value mod m`, as declared by `owner`.
@@ -237,11 +239,6 @@ pub struct CertData {
     /// The owner's label.
     pub owner: AgentId,
 }
-
-/// A shareable certificate. `Shared` because Find-Min and Coherence clone the
-/// same payload `Θ(n log n)` times; sharing makes those clones O(1) and
-/// equality still compares payloads.
-pub type Certificate = Shared<CertData>;
 
 impl CertData {
     /// Build the honest certificate from received votes: sorts the votes
@@ -454,11 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn arc_equality_compares_payloads() {
-        let a: Certificate = Shared::new(CertData::build(1, 2, vec![v(0, 0, 3)], 10));
-        let b: Certificate = Shared::new(CertData::build(1, 2, vec![v(0, 0, 3)], 10));
+    fn equality_compares_payloads() {
+        let a = CertData::build(1, 2, vec![v(0, 0, 3)], 10);
+        let b = CertData::build(1, 2, vec![v(0, 0, 3)], 10);
         assert_eq!(a, b);
-        let c: Certificate = Shared::new(CertData::build(1, 3, vec![v(0, 0, 3)], 10));
+        let c = CertData::build(1, 3, vec![v(0, 0, 3)], 10);
         assert_ne!(a, c);
     }
 }

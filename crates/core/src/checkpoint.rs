@@ -33,13 +33,15 @@
 //!
 //! ## Sharing-preserving encoding
 //!
-//! Intention lists and certificates are reference-counted and heavily
-//! shared (one agent's declaration lands in many ledgers; one winning
-//! certificate is held by everyone after Find-Min). The encoder interns
-//! both by allocation identity into two pools and stores pool indices,
-//! so restore rebuilds the same sharing graph — compact on disk *and*
-//! cheap in memory. The memo fields inside [`crate::msg::IntentListData`]
-//! are pure caches of the entries and are recomputed, never serialized.
+//! Intention lists and certificates live once in the network's
+//! [`PayloadPool`] and agents hold handles to them (one agent's
+//! declaration lands in many ledgers; one winning certificate is held by
+//! everyone after Find-Min). The encoder writes each handle's payload
+//! once, in first-encounter order, into two file pools and stores file
+//! pool indices; restore interns the file pools into a fresh network
+//! pool, so it rebuilds the same sharing — compact on disk *and* in
+//! memory. The pool's side tables (plausibility, Verification memos) are
+//! derived from the entries and recomputed, never serialized.
 //!
 //! ## Scope
 //!
@@ -53,8 +55,8 @@
 //! [`crate::runner::drive_network`]'s synchronous phase clock plus a
 //! snapshot hook.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::metrics::{Metrics, Tally};
@@ -62,19 +64,19 @@ use gossip_net::network::{EngineState, Network};
 use gossip_net::oplog::{OpKind, OpLog};
 
 use crate::agent_plane::AgentSlot;
-use crate::certificate::{Certificate, VoteLanes};
+use crate::certificate::VoteLanes;
 use crate::codec::{
     put_varint, read_cert, read_intents, read_vote_rec, write_cert, write_intents, write_vote_rec,
     CodecError, Reader,
 };
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::ledger::{ConsistencyError, Declaration};
-use crate::msg::{IntentList, Msg};
+use crate::msg::Msg;
+use crate::payload::{CertId, ListId, PayloadPool};
 use crate::runner::{
     build_network_slots, collect_report, drive_network_with, honest_slot_factory,
     network_ingredients, sync_rounds, RunConfig, RunReport,
 };
-use crate::sharing::Shared;
 
 /// File magic: the first four bytes of every checkpoint.
 pub const MAGIC: [u8; 4] = *b"RFCK";
@@ -121,6 +123,12 @@ pub enum CheckpointError {
         /// Its role label (strategy name, or `"custom"`).
         role: &'static str,
     },
+    /// An agent's core names its payloads in another pool than agent
+    /// 0's: a snapshot encodes one network's pool.
+    SplitPool {
+        /// The first agent outside agent 0's pool.
+        id: AgentId,
+    },
     /// Structurally invalid content behind a valid header.
     Corrupt(&'static str),
 }
@@ -144,6 +152,9 @@ impl fmt::Display for CheckpointError {
                 f,
                 "agent {id} is not checkpointable mid-run (role: {role}); only fully honest networks are"
             ),
+            CheckpointError::SplitPool { id } => {
+                write!(f, "agent {id} holds payloads outside the network's pool")
+            }
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
         }
     }
@@ -323,48 +334,64 @@ pub fn peek_header(bytes: &[u8]) -> Result<Header, CheckpointError> {
 // Interning pools
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct Pools {
-    intent_idx: HashMap<usize, u32>,
-    intents: Vec<IntentList>,
-    cert_idx: HashMap<usize, u32>,
-    certs: Vec<Certificate>,
+/// A file pool index not handed out yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// The snapshot's two file pools: each payload a core names, once, with
+/// its file index looked up by handle.
+struct Pools<'p> {
+    pool: &'p PayloadPool,
+    /// Handle index → file index (or [`UNSEEN`]).
+    intent_idx: Vec<u32>,
+    intents: Vec<ListId>,
+    cert_idx: Vec<u32>,
+    certs: Vec<CertId>,
 }
 
-impl Pools {
-    fn intern_intents(&mut self, list: &IntentList) -> u32 {
-        let key = IntentList::as_ptr(list) as usize;
-        *self.intent_idx.entry(key).or_insert_with(|| {
-            self.intents.push(list.clone());
-            (self.intents.len() - 1) as u32
-        })
+impl<'p> Pools<'p> {
+    fn new(pool: &'p PayloadPool) -> Self {
+        Pools {
+            pool,
+            intent_idx: vec![UNSEEN; pool.list_handles()],
+            intents: Vec::new(),
+            cert_idx: vec![UNSEEN; pool.cert_handles()],
+            certs: Vec::new(),
+        }
     }
-    fn intern_cert(&mut self, cert: &Certificate) -> u32 {
-        let key = Shared::as_ptr(cert) as usize;
-        *self.cert_idx.entry(key).or_insert_with(|| {
-            self.certs.push(Certificate::clone(cert));
-            (self.certs.len() - 1) as u32
-        })
+
+    fn intern_intents(&mut self, list: ListId) -> u32 {
+        let idx = &mut self.intent_idx[list.index()];
+        if *idx == UNSEEN {
+            *idx = self.intents.len() as u32;
+            self.intents.push(list);
+        }
+        *idx
+    }
+
+    fn intern_cert(&mut self, cert: CertId) -> u32 {
+        let idx = &mut self.cert_idx[cert.index()];
+        if *idx == UNSEEN {
+            *idx = self.certs.len() as u32;
+            self.certs.push(cert);
+        }
+        *idx
     }
 }
 
-/// Collect every shared payload in deterministic first-encounter order
-/// (agents by id; within an agent: own intents, ledger order, own cert,
-/// min cert) so the same state always encodes to the same bytes.
-fn build_pools(cores: &[&ProtocolCore]) -> Pools {
-    let mut pools = Pools::default();
+/// Collect every payload the cores name in deterministic first-encounter
+/// order (agents by id; within an agent: own intents, ledger order, own
+/// cert, min cert) so the same state always encodes to the same bytes.
+fn build_pools<'p>(pool: &'p PayloadPool, cores: &[&ProtocolCore]) -> Pools<'p> {
+    let mut pools = Pools::new(pool);
     for core in cores {
-        pools.intern_intents(&core.intents);
+        pools.intern_intents(core.intents);
         for entry in core.ledger.entries() {
-            if let Declaration::Intents(list) = &entry.decl {
+            if let Declaration::Intents(list) = entry.decl {
                 pools.intern_intents(list);
             }
         }
-        if let Some(c) = &core.own_cert {
-            pools.intern_cert(c);
-        }
-        if let Some(c) = &core.min_cert {
-            pools.intern_cert(c);
+        for cert in [core.own_cert, core.min_cert].into_iter().flatten() {
+            pools.intern_cert(cert);
         }
     }
     pools
@@ -374,23 +401,28 @@ fn build_pools(cores: &[&ProtocolCore]) -> Pools {
 /// body encoding.
 fn encode_pools(out: &mut Vec<u8>, pools: &Pools) {
     put_varint(out, pools.intents.len() as u64);
-    for list in &pools.intents {
-        write_intents(out, list);
+    for &list in &pools.intents {
+        write_intents(out, pools.pool.list(list));
     }
     put_varint(out, pools.certs.len() as u64);
-    for cert in &pools.certs {
-        write_cert(out, cert);
+    for &cert in &pools.certs {
+        write_cert(out, pools.pool.cert(cert));
     }
 }
 
-fn decode_pools(r: &mut Reader) -> Result<(Vec<IntentList>, Vec<Certificate>), CodecError> {
+/// Read both file pools, interning their payloads into `pool`; returns
+/// each file index's handle.
+fn decode_pools(
+    r: &mut Reader,
+    pool: &PayloadPool,
+) -> Result<(Vec<ListId>, Vec<CertId>), CodecError> {
     let n_lists = r.count()?;
     let intents = (0..n_lists)
-        .map(|_| read_intents(r))
+        .map(|_| read_intents(r).map(|entries| pool.intern_list(entries)))
         .collect::<Result<_, _>>()?;
     let n_certs = r.count()?;
     let certs = (0..n_certs)
-        .map(|_| read_cert(r).map(Shared::new))
+        .map(|_| read_cert(r).map(|cert| pool.intern_cert(cert)))
         .collect::<Result<_, _>>()?;
     Ok((intents, certs))
 }
@@ -432,13 +464,13 @@ fn encode_core(out: &mut Vec<u8>, core: &ProtocolCore, pools: &mut Pools) {
     for w in core.rng.state() {
         put_word(out, w);
     }
-    put_varint(out, pools.intern_intents(&core.intents) as u64);
+    put_varint(out, pools.intern_intents(core.intents) as u64);
     put_varint(out, core.ledger.entries().len() as u64);
     for entry in core.ledger.entries() {
         put_varint(out, entry.agent as u64);
         put_varint(out, entry.round as u64);
         // `Faulty` is the absent list.
-        let list = match &entry.decl {
+        let list = match entry.decl {
             Declaration::Faulty => None,
             Declaration::Intents(list) => Some(pools.intern_intents(list) as u64),
         };
@@ -450,8 +482,8 @@ fn encode_core(out: &mut Vec<u8>, core: &ProtocolCore, pools: &mut Pools) {
     }
     put_varint(out, core.votes_recv as u64);
     put_varint(out, core.vote_idx as u64);
-    for cert in [&core.own_cert, &core.min_cert] {
-        put_opt(out, cert.as_ref().map(|c| pools.intern_cert(c) as u64));
+    for cert in [core.own_cert, core.min_cert] {
+        put_opt(out, cert.map(|c| pools.intern_cert(c) as u64));
     }
     out.push(core.failed as u8);
     match core.verify_failure {
@@ -476,21 +508,26 @@ fn decode_core(
     r: &mut Reader,
     id: AgentId,
     params: crate::Params,
-    intents_pool: &[IntentList],
-    cert_pool: &[Certificate],
+    pool: &Arc<PayloadPool>,
+    intents_pool: &[ListId],
+    cert_pool: &[CertId],
 ) -> Result<ProtocolCore, CheckpointError> {
     let color: ColorId = r.int("color overflows u32")?;
     let rng = gossip_net::rng::DetRng::from_state(read_rng_words(r, "all-zero RNG state")?);
-    let own_intents =
-        pool_ref(intents_pool, r.varint()?, "intent pool index out of range")?.clone();
+    let own_intents = *pool_ref(intents_pool, r.varint()?, "intent pool index out of range")?;
     // The agent pushes its votes to these targets: one outside the
     // network would address no agent.
-    if own_intents.iter().any(|e| e.target as usize >= params.n) {
+    if pool
+        .list(own_intents)
+        .iter()
+        .any(|e| e.target as usize >= params.n)
+    {
         return Err(CheckpointError::Corrupt(
             "intent target outside the network",
         ));
     }
     let mut core = ProtocolCore::with_intents(
+        Arc::clone(pool),
         id,
         params,
         params.sync_schedule(),
@@ -723,7 +760,16 @@ pub fn checkpoint_network(
     let mut cores: Vec<&ProtocolCore> = Vec::with_capacity(net.n());
     for (i, slot) in net.agents().iter().enumerate() {
         match slot {
-            AgentSlot::Honest(h) => cores.push(h.core()),
+            AgentSlot::Honest(h) => {
+                let pool = h.core().pool();
+                if cores
+                    .first()
+                    .is_some_and(|first| !std::ptr::eq(first.pool(), pool))
+                {
+                    return Err(CheckpointError::SplitPool { id: i as AgentId });
+                }
+                cores.push(h.core());
+            }
             other => {
                 let role = match other.role() {
                     Role::Deviator(name) => name,
@@ -748,7 +794,8 @@ pub fn checkpoint_network(
     encode_engine(&mut out, &state, net.n());
     encode_metrics(&mut out, net.metrics());
     encode_oplog(&mut out, net.oplog());
-    let mut pools = build_pools(&cores);
+    let empty = PayloadPool::new(cfg.params(), 0);
+    let mut pools = build_pools(cores.first().map_or(&empty, |c| c.pool()), &cores);
     encode_pools(&mut out, &pools);
     for core in &cores {
         encode_core(&mut out, core, &mut pools);
@@ -795,11 +842,19 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
     let engine = decode_engine(&mut r, header.n, header.round)?;
     let metrics = decode_metrics(&mut r)?;
     let oplog = decode_oplog(&mut r)?;
-    let (intent_pool, cert_pool) = decode_pools(&mut r)?;
     let (params, _colors, faults, topology, env, net_cfg) = network_ingredients(cfg, header.seed);
+    let pool = PayloadPool::for_network(params);
+    let (intent_pool, cert_pool) = decode_pools(&mut r, &pool)?;
     let mut agents = Vec::with_capacity(header.n);
     for i in 0..header.n {
-        let core = decode_core(&mut r, i as AgentId, params, &intent_pool, &cert_pool)?;
+        let core = decode_core(
+            &mut r,
+            i as AgentId,
+            params,
+            &pool,
+            &intent_pool,
+            &cert_pool,
+        )?;
         agents.push(AgentSlot::honest(core));
     }
     r.finish("trailing bytes after checkpoint body")?;

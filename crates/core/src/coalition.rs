@@ -17,8 +17,8 @@
 //! engine is for honest large-`n` runs, and sharding a coalition run
 //! would make the intel interleaving depend on shard scheduling.
 
+use crate::payload::{CertId, ListId};
 use gossip_net::ids::{AgentId, ColorId};
-use crate::msg::IntentList;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared knowledge pool sustained by coalition members during a run.
@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub struct Intel {
     /// Vote-intention lists learned by pulling non-members during the
     /// Commitment phase: `(owner, H_owner)`.
-    pub learned_intents: Vec<(AgentId, IntentList)>,
+    pub learned_intents: Vec<(AgentId, ListId)>,
     /// Sum (mod `m`) of all *known* vote values addressed to the leader:
     /// filled in by spies, consumed by vote-tuners.
     pub known_sum_for_leader: u64,
@@ -37,7 +37,7 @@ pub struct Intel {
     pub planned_tuned_votes: u64,
     /// A certificate chosen by the coalition to promote (forged or
     /// suppressed-second-minimum), if the strategy uses one.
-    pub promoted_cert: Option<crate::Certificate>,
+    pub promoted_cert: Option<CertId>,
 }
 
 /// An immutable description of the coalition plus the shared blackboard.

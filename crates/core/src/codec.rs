@@ -61,6 +61,12 @@
 //! representability checks (`SizeEnv::covers_*`) that caught the
 //! under-priced `for_n` round width.
 //!
+//! A message names its payload by handle into a
+//! [`PayloadPool`]; the bytes carry the payload itself. So encoding reads
+//! the body from the pool, and decoding interns it: a payload equal to
+//! one the pool already holds comes back as that entry's handle, so a
+//! decoder's pool grows with distinct payloads, not with traffic.
+//!
 //! Decoding arbitrary bytes never panics: truncation, bad magic, wrong
 //! version, and lexically invalid fields come back as a typed
 //! [`CodecError`]; collection lengths are capped by the bytes actually
@@ -70,8 +76,8 @@
 //! `checkpoint` module and `rfc-node`'s packets reuse both.
 
 use crate::certificate::{CertData, VoteLanes, VoteRec};
-use crate::msg::{Batch, IntentEntry, IntentList, Msg};
-use crate::sharing::Shared;
+use crate::msg::{Batch, IntentEntry, Msg};
+use crate::payload::PayloadPool;
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::size::SizeEnv;
 use std::fmt;
@@ -235,7 +241,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 
 /// Append an intention list: `len, len × (value, target)`.
-pub fn write_intents(out: &mut Vec<u8>, list: &IntentList) {
+pub fn write_intents(out: &mut Vec<u8>, list: &[IntentEntry]) {
     put_varint(out, list.len() as u64);
     for e in list.iter() {
         put_varint(out, e.value);
@@ -244,7 +250,7 @@ pub fn write_intents(out: &mut Vec<u8>, list: &IntentList) {
 }
 
 /// Read an intention list written by [`write_intents`].
-pub fn read_intents(r: &mut Reader) -> Result<IntentList, CodecError> {
+pub fn read_intents(r: &mut Reader) -> Result<Vec<IntentEntry>, CodecError> {
     let len = r.count()?;
     let mut entries = Vec::with_capacity(len);
     for _ in 0..len {
@@ -252,7 +258,7 @@ pub fn read_intents(r: &mut Reader) -> Result<IntentList, CodecError> {
         let target: AgentId = r.int("intent target exceeds u32")?;
         entries.push(IntentEntry { value, target });
     }
-    Ok(IntentList::from(entries))
+    Ok(entries)
 }
 
 /// Append one vote record: `voter, round, value`.
@@ -307,8 +313,9 @@ pub fn read_cert(r: &mut Reader) -> Result<CertData, CodecError> {
 // Messages
 // ---------------------------------------------------------------------
 
-/// Append the wire encoding of one message.
-pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
+/// Append the wire encoding of one message, its payload read from
+/// `pool`.
+pub fn encode_msg(msg: &Msg, pool: &PayloadPool, out: &mut Vec<u8>) {
     match msg {
         Msg::QIntent => out.push(TAG_QINTENT),
         Msg::QMinCert => out.push(TAG_QMINCERT),
@@ -317,28 +324,30 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             put_varint(out, *value);
             put_varint(out, *round as u64);
         }
-        Msg::Intents(list) => {
+        Msg::Intents { list, .. } => {
             out.push(TAG_INTENTS);
-            write_intents(out, list);
+            write_intents(out, pool.list(*list));
         }
-        Msg::Cert(data) => {
+        Msg::Cert { cert, .. } => {
             out.push(TAG_CERT);
-            write_cert(out, data);
+            write_cert(out, pool.cert(*cert));
         }
     }
 }
 
-/// Decode one message from the front of `bytes`; returns the message
-/// and the bytes consumed. Trailing bytes are the caller's business
-/// (frames delimit; streams decode back to back).
-pub fn decode_msg(bytes: &[u8]) -> Result<(Msg, usize), CodecError> {
+/// Decode one message from the front of `bytes`, interning its payload
+/// into `pool`; returns the message and the bytes consumed. Trailing
+/// bytes are the caller's business (frames delimit; streams decode back
+/// to back).
+pub fn decode_msg(bytes: &[u8], pool: &PayloadPool) -> Result<(Msg, usize), CodecError> {
     let mut r = Reader::new(bytes);
-    let msg = read_msg(&mut r)?;
+    let msg = read_msg(&mut r, pool)?;
     Ok((msg, r.pos()))
 }
 
-/// Read one message written by [`encode_msg`].
-pub fn read_msg(r: &mut Reader) -> Result<Msg, CodecError> {
+/// Read one message written by [`encode_msg`], interning its payload
+/// into `pool`.
+pub fn read_msg(r: &mut Reader, pool: &PayloadPool) -> Result<Msg, CodecError> {
     match r.u8()? {
         TAG_QINTENT => Ok(Msg::QIntent),
         TAG_QMINCERT => Ok(Msg::QMinCert),
@@ -346,25 +355,27 @@ pub fn read_msg(r: &mut Reader) -> Result<Msg, CodecError> {
             value: r.varint()?,
             round: r.int("vote round exceeds u16")?,
         }),
-        TAG_INTENTS => Ok(Msg::Intents(read_intents(r)?)),
-        TAG_CERT => Ok(Msg::Cert(Shared::new(read_cert(r)?))),
+        TAG_INTENTS => Ok(pool.list_msg(pool.intern_list(read_intents(r)?))),
+        TAG_CERT => Ok(pool.cert_msg(pool.intern_cert(read_cert(r)?))),
         _ => Err(CodecError::Corrupt("unknown message tag")),
     }
 }
 
 /// Exact encoded length of one message, without encoding it.
-pub fn encoded_msg_len(msg: &Msg) -> usize {
+pub fn encoded_msg_len(msg: &Msg, pool: &PayloadPool) -> usize {
     match msg {
         Msg::QIntent | Msg::QMinCert => 1,
         Msg::Vote { value, round } => 1 + varint_len(*value) + varint_len(*round as u64),
-        Msg::Intents(list) => {
+        Msg::Intents { list, .. } => {
+            let list = pool.list(*list);
             1 + varint_len(list.len() as u64)
                 + list
                     .iter()
                     .map(|e| varint_len(e.value) + varint_len(e.target as u64))
                     .sum::<usize>()
         }
-        Msg::Cert(data) => {
+        Msg::Cert { cert, .. } => {
+            let data = pool.cert(*cert);
             1 + varint_len(data.k)
                 + varint_len(data.color as u64)
                 + varint_len(data.owner as u64)
@@ -389,19 +400,19 @@ pub fn encoded_msg_len(msg: &Msg) -> usize {
 /// Append one framed batch: header, length, body. A singleton
 /// instance-0 batch takes the `MSG` kind — its body is bit-for-bit the
 /// bare message (the first-part tag elision, realized).
-pub fn encode_frame(batch: &Batch<Msg>, out: &mut Vec<u8>) {
+pub fn encode_frame(batch: &Batch<Msg>, pool: &PayloadPool, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION);
     let mut body = Vec::new();
     if batch.len() == 1 && batch.parts()[0].instance == 0 {
         out.push(KIND_MSG);
-        encode_msg(&batch.parts()[0].payload, &mut body);
+        encode_msg(&batch.parts()[0].payload, pool, &mut body);
     } else {
         out.push(KIND_BATCH);
         put_varint(&mut body, batch.len() as u64);
         for part in batch.parts() {
             put_varint(&mut body, part.instance as u64);
-            encode_msg(&part.payload, &mut body);
+            encode_msg(&part.payload, pool, &mut body);
         }
     }
     put_varint(out, body.len() as u64);
@@ -409,25 +420,26 @@ pub fn encode_frame(batch: &Batch<Msg>, out: &mut Vec<u8>) {
 }
 
 /// Convenience: frame one bare message (a singleton instance-0 batch).
-pub fn encode_msg_frame(msg: &Msg, out: &mut Vec<u8>) {
+pub fn encode_msg_frame(msg: &Msg, pool: &PayloadPool, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION);
     out.push(KIND_MSG);
-    put_varint(out, encoded_msg_len(msg) as u64);
-    encode_msg(msg, out);
+    put_varint(out, encoded_msg_len(msg, pool) as u64);
+    encode_msg(msg, pool, out);
 }
 
-/// Decode one frame from the front of `bytes`; returns the batch and
-/// the total bytes consumed (header + body). Bytes after the frame are
-/// the next frame's business.
-pub fn decode_frame(bytes: &[u8]) -> Result<(Batch<Msg>, usize), CodecError> {
+/// Decode one frame from the front of `bytes`, interning its payloads
+/// into `pool`; returns the batch and the total bytes consumed (header +
+/// body). Bytes after the frame are the next frame's business.
+pub fn decode_frame(bytes: &[u8], pool: &PayloadPool) -> Result<(Batch<Msg>, usize), CodecError> {
     let mut r = Reader::new(bytes);
-    let batch = read_frame(&mut r)?;
+    let batch = read_frame(&mut r, pool)?;
     Ok((batch, r.pos()))
 }
 
-/// Read one frame written by [`encode_frame`].
-pub fn read_frame(r: &mut Reader) -> Result<Batch<Msg>, CodecError> {
+/// Read one frame written by [`encode_frame`], interning its payloads
+/// into `pool`.
+pub fn read_frame(r: &mut Reader, pool: &PayloadPool) -> Result<Batch<Msg>, CodecError> {
     if r.take(2)? != FRAME_MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -440,7 +452,7 @@ pub fn read_frame(r: &mut Reader) -> Result<Batch<Msg>, CodecError> {
     let mut body = Reader::new(r.take(body_len)?);
     match kind {
         KIND_MSG => {
-            let msg = read_msg(&mut body)?;
+            let msg = read_msg(&mut body, pool)?;
             body.finish("trailing bytes after bare message body")?;
             Ok(Batch::single(0, msg))
         }
@@ -449,7 +461,7 @@ pub fn read_frame(r: &mut Reader) -> Result<Batch<Msg>, CodecError> {
             let mut batch = Batch::new();
             for _ in 0..count {
                 let instance = body.int("batch instance exceeds u32")?;
-                batch.push(instance, read_msg(&mut body)?);
+                batch.push(instance, read_msg(&mut body, pool)?);
             }
             body.finish("trailing bytes after batch body")?;
             Ok(batch)
@@ -474,17 +486,17 @@ pub fn max_encoded_bits(msg: &Msg, env: &SizeEnv) -> u64 {
     let bytes = match msg {
         Msg::QIntent | Msg::QMinCert => 1,
         Msg::Vote { .. } => 1 + vb(env.value_bits) + vb(env.round_bits),
-        Msg::Intents(list) => {
-            1 + varint_len(list.len() as u64) as u64
-                + list.len() as u64 * (vb(env.value_bits) + vb(env.id_bits))
+        Msg::Intents { len, .. } => {
+            let len = *len as u64;
+            1 + varint_len(len) as u64 + len * (vb(env.value_bits) + vb(env.id_bits))
         }
-        Msg::Cert(data) => {
+        Msg::Cert { votes, .. } => {
+            let votes = *votes as u64;
             1 + vb(env.value_bits)
                 + vb(env.color_bits)
                 + vb(env.id_bits)
-                + varint_len(data.votes.len() as u64) as u64
-                + data.votes.len() as u64
-                    * (vb(env.id_bits) + vb(env.round_bits) + vb(env.value_bits))
+                + varint_len(votes) as u64
+                + votes * (vb(env.id_bits) + vb(env.round_bits) + vb(env.value_bits))
         }
     };
     8 * bytes
@@ -493,9 +505,17 @@ pub fn max_encoded_bits(msg: &Msg, env: &SizeEnv) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
     use gossip_net::size::MsgSize;
 
-    fn sample_cert(n_votes: usize) -> Msg {
+    /// A test's payload pool. Decoding into the pool a payload came from
+    /// interns it back to its own handle, so round trips compare whole
+    /// messages.
+    fn pool() -> PayloadPool {
+        PayloadPool::new(Params::new(4096, 3.0), 0)
+    }
+
+    fn sample_cert(pool: &PayloadPool, n_votes: usize) -> Msg {
         let votes: Vec<VoteRec> = (0..n_votes)
             .map(|i| VoteRec {
                 voter: (i * 3 % 97) as AgentId,
@@ -503,70 +523,108 @@ mod tests {
                 value: (i as u64) * 977 % (1 << 30),
             })
             .collect();
-        Msg::cert(CertData::build(7, 3, votes, 1 << 30))
+        pool.cert_msg(pool.insert_cert(CertData::build(7, 3, votes, 1 << 30)))
     }
 
-    fn sample_intents(len: usize) -> Msg {
-        Msg::Intents(
-            (0..len)
-                .map(|i| IntentEntry {
-                    value: (i as u64) * 131 % (1 << 30),
-                    target: (i % 89) as AgentId,
-                })
-                .collect(),
+    fn sample_intents(pool: &PayloadPool, len: usize) -> Msg {
+        pool.list_msg(
+            pool.insert_list(
+                (0..len)
+                    .map(|i| IntentEntry {
+                        value: (i as u64) * 131 % (1 << 30),
+                        target: (i % 89) as AgentId,
+                    })
+                    .collect(),
+            ),
         )
     }
 
-    fn variants() -> Vec<Msg> {
+    fn variants(pool: &PayloadPool) -> Vec<Msg> {
         vec![
             Msg::QIntent,
             Msg::QMinCert,
             Msg::Vote { value: 0, round: 0 },
             Msg::Vote { value: u64::MAX, round: u16::MAX },
-            sample_intents(0),
-            sample_intents(24),
-            sample_cert(0),
-            sample_cert(30),
+            sample_intents(pool, 0),
+            sample_intents(pool, 24),
+            sample_cert(pool, 0),
+            sample_cert(pool, 30),
         ]
     }
 
     #[test]
     fn every_variant_round_trips() {
-        for msg in variants() {
+        let pool = &pool();
+        for msg in variants(pool) {
             let mut buf = Vec::new();
-            encode_msg(&msg, &mut buf);
-            assert_eq!(buf.len(), encoded_msg_len(&msg), "{msg:?}");
-            let (back, used) = decode_msg(&buf).expect("round trip");
+            encode_msg(&msg, pool, &mut buf);
+            assert_eq!(buf.len(), encoded_msg_len(&msg, pool), "{msg:?}");
+            let (back, used) = decode_msg(&buf, pool).expect("round trip");
             assert_eq!(used, buf.len());
             assert_eq!(back, msg);
         }
     }
 
     #[test]
-    fn decode_reports_consumed_length_with_trailing_bytes() {
+    fn decoding_into_another_pool_carries_the_payload() {
+        let pool = &pool();
+        let other = PayloadPool::new(Params::new(4096, 3.0), 0);
+        for msg in [sample_intents(pool, 24), sample_cert(pool, 30)] {
+            let mut buf = Vec::new();
+            encode_msg(&msg, pool, &mut buf);
+            let (back, _) = decode_msg(&buf, &other).expect("decodes");
+            let mut again = Vec::new();
+            encode_msg(&back, &other, &mut again);
+            assert_eq!(again, buf, "the same payload, re-encoded");
+            assert_eq!(
+                back.size_bits(&SizeEnv::for_n(4096)),
+                msg.size_bits(&SizeEnv::for_n(4096))
+            );
+        }
+        // One entry per distinct payload, however often it arrives.
+        let msg = sample_cert(pool, 5);
         let mut buf = Vec::new();
-        encode_msg(&Msg::Vote { value: 300, round: 2 }, &mut buf);
+        encode_msg(&msg, pool, &mut buf);
+        let before = other.cert_count();
+        let first = decode_msg(&buf, &other).unwrap().0;
+        assert_eq!(decode_msg(&buf, &other).unwrap().0, first);
+        assert_eq!(other.cert_count(), before + 1);
+    }
+
+    #[test]
+    fn decode_reports_consumed_length_with_trailing_bytes() {
+        let pool = &pool();
+        let mut buf = Vec::new();
+        encode_msg(
+            &Msg::Vote {
+                value: 300,
+                round: 2,
+            },
+            pool,
+            &mut buf,
+        );
         let clean = buf.len();
         buf.extend_from_slice(&[0xde, 0xad]);
-        let (msg, used) = decode_msg(&buf).unwrap();
+        let (msg, used) = decode_msg(&buf, pool).unwrap();
         assert_eq!(used, clean);
         assert_eq!(msg, Msg::Vote { value: 300, round: 2 });
     }
 
     #[test]
     fn singleton_instance0_frame_elides_the_batch_layer() {
+        let pool = &pool();
         // The realized first-part tag elision: a singleton instance-0
         // batch's frame body is bit-for-bit the bare message.
-        let msg = sample_cert(12);
+        let msg = sample_cert(pool, 12);
         let mut bare = Vec::new();
-        encode_msg(&msg, &mut bare);
+        encode_msg(&msg, pool, &mut bare);
         let mut framed = Vec::new();
-        encode_frame(&Batch::single(0, msg.clone()), &mut framed);
+        encode_frame(&Batch::single(0, msg), pool, &mut framed);
         assert_eq!(&framed[framed.len() - bare.len()..], &bare[..]);
         let mut msg_framed = Vec::new();
-        encode_msg_frame(&msg, &mut msg_framed);
+        encode_msg_frame(&msg, pool, &mut msg_framed);
         assert_eq!(framed, msg_framed);
-        let (batch, used) = decode_frame(&framed).unwrap();
+        let (batch, used) = decode_frame(&framed, pool).unwrap();
         assert_eq!(used, framed.len());
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.parts()[0].instance, 0);
@@ -575,74 +633,92 @@ mod tests {
 
     #[test]
     fn multi_part_batches_round_trip_with_instances() {
+        let pool = &pool();
         let mut b = Batch::new();
         b.push(5, Msg::QIntent);
         b.push(0, Msg::Vote { value: 9, round: 1 });
-        b.push(4096, sample_intents(3));
+        b.push(4096, sample_intents(pool, 3));
         let mut buf = Vec::new();
-        encode_frame(&b, &mut buf);
-        let (back, used) = decode_frame(&buf).unwrap();
+        encode_frame(&b, pool, &mut buf);
+        let (back, used) = decode_frame(&buf, pool).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(back, b);
         // A singleton on a non-zero instance cannot elide its tag.
         let single5 = Batch::single(5, Msg::QIntent);
         let mut buf5 = Vec::new();
-        encode_frame(&single5, &mut buf5);
-        let (back5, _) = decode_frame(&buf5).unwrap();
+        encode_frame(&single5, pool, &mut buf5);
+        let (back5, _) = decode_frame(&buf5, pool).unwrap();
         assert_eq!(back5, single5);
         // Empty batches are legal on the wire.
         let empty: Batch<Msg> = Batch::new();
         let mut bufe = Vec::new();
-        encode_frame(&empty, &mut bufe);
-        assert!(decode_frame(&bufe).unwrap().0.is_empty());
+        encode_frame(&empty, pool, &mut bufe);
+        assert!(decode_frame(&bufe, pool).unwrap().0.is_empty());
     }
 
     #[test]
     fn frame_error_taxonomy() {
+        let pool = &pool();
         let mut good = Vec::new();
-        encode_msg_frame(&Msg::QIntent, &mut good);
+        encode_msg_frame(&Msg::QIntent, pool, &mut good);
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(decode_frame(&bad).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(decode_frame(&bad, pool).unwrap_err(), CodecError::BadMagic);
         // Wrong version.
         let mut bad = good.clone();
         bad[2] = 9;
         assert_eq!(
-            decode_frame(&bad).unwrap_err(),
+            decode_frame(&bad, pool).unwrap_err(),
             CodecError::WrongVersion { found: 9 }
         );
         // Unknown kind.
         let mut bad = good.clone();
         bad[3] = 7;
-        assert!(matches!(decode_frame(&bad).unwrap_err(), CodecError::Corrupt(_)));
+        assert!(matches!(
+            decode_frame(&bad, pool).unwrap_err(),
+            CodecError::Corrupt(_)
+        ));
         // Every truncated prefix errors without panicking.
         for cut in 0..good.len() {
-            assert!(decode_frame(&good[..cut]).is_err(), "prefix {cut} decoded");
+            assert!(
+                decode_frame(&good[..cut], pool).is_err(),
+                "prefix {cut} decoded"
+            );
         }
     }
 
     #[test]
     fn lexical_range_errors_are_corrupt_not_panics() {
+        let pool = &pool();
         // vote round > u16::MAX
         let mut buf = vec![TAG_VOTE];
         put_varint(&mut buf, 1);
         put_varint(&mut buf, u16::MAX as u64 + 1);
-        assert!(matches!(decode_msg(&buf).unwrap_err(), CodecError::Corrupt(_)));
+        assert!(matches!(
+            decode_msg(&buf, pool).unwrap_err(),
+            CodecError::Corrupt(_)
+        ));
         // intent target > u32::MAX
         let mut buf = vec![TAG_INTENTS];
         put_varint(&mut buf, 1);
         put_varint(&mut buf, 5);
         put_varint(&mut buf, u32::MAX as u64 + 1);
-        assert!(matches!(decode_msg(&buf).unwrap_err(), CodecError::Corrupt(_)));
+        assert!(matches!(
+            decode_msg(&buf, pool).unwrap_err(),
+            CodecError::Corrupt(_)
+        ));
         // absurd length claims are Truncated (capped), never an OOM
         let mut buf = vec![TAG_INTENTS];
         put_varint(&mut buf, u64::MAX / 2);
-        assert_eq!(decode_msg(&buf).unwrap_err(), CodecError::Truncated);
+        assert_eq!(decode_msg(&buf, pool).unwrap_err(), CodecError::Truncated);
         // unknown tag
-        assert!(matches!(decode_msg(&[99]).unwrap_err(), CodecError::Corrupt(_)));
+        assert!(matches!(
+            decode_msg(&[99], pool).unwrap_err(),
+            CodecError::Corrupt(_)
+        ));
         // empty input
-        assert_eq!(decode_msg(&[]).unwrap_err(), CodecError::Truncated);
+        assert_eq!(decode_msg(&[], pool).unwrap_err(), CodecError::Truncated);
     }
 
     #[test]
@@ -678,6 +754,7 @@ mod tests {
 
     #[test]
     fn real_bytes_respect_the_documented_slack_per_variant() {
+        let pool = &pool();
         // The honesty bound the idealized accounting is now held to:
         // for honestly-valued messages, real bits ≤ max_encoded_bits.
         let env = SizeEnv::with_params(4096, (4096u64).pow(3), 36, 2);
@@ -686,29 +763,33 @@ mod tests {
             Msg::QIntent,
             Msg::QMinCert,
             Msg::Vote { value: (4096u64).pow(3) - 1, round: (q - 1) as u16 },
-            Msg::Intents(
-                (0..q)
-                    .map(|i| IntentEntry {
-                        value: (4096u64).pow(3) - 1 - i as u64,
-                        target: 4095,
-                    })
-                    .collect(),
+            pool.list_msg(
+                pool.insert_list(
+                    (0..q)
+                        .map(|i| IntentEntry {
+                            value: (4096u64).pow(3) - 1 - i as u64,
+                            target: 4095,
+                        })
+                        .collect(),
+                ),
             ),
-            Msg::cert(CertData::build(
-                4095,
-                1,
-                (0..q)
-                    .map(|i| VoteRec {
-                        voter: 4095,
-                        round: i as u16,
-                        value: (4096u64).pow(3) - 1,
-                    })
-                    .collect(),
-                (4096u64).pow(3),
-            )),
+            pool.cert_msg(
+                pool.insert_cert(CertData::build(
+                    4095,
+                    1,
+                    (0..q)
+                        .map(|i| VoteRec {
+                            voter: 4095,
+                            round: i as u16,
+                            value: (4096u64).pow(3) - 1,
+                        })
+                        .collect(),
+                    (4096u64).pow(3),
+                )),
+            ),
         ];
         for msg in honest {
-            let real_bits = 8 * encoded_msg_len(&msg) as u64;
+            let real_bits = 8 * encoded_msg_len(&msg, pool) as u64;
             let bound = max_encoded_bits(&msg, &env);
             assert!(
                 real_bits <= bound,

@@ -33,14 +33,15 @@
 //!   current certificate; if a tie ever splits the network the Coherence
 //!   phase fails it, and Lemma 3(2) makes ties vanishing-rare.
 
-use crate::certificate::{CertData, Certificate, VoteLanes, VoteRec};
+use crate::certificate::{CertData, VoteLanes, VoteRec};
 use crate::ledger::{ConsistencyError, Ledger};
-use crate::msg::{IntentEntry, IntentList, Msg};
+use crate::msg::{IntentEntry, Msg};
 use crate::params::{Params, Phase, PhaseSchedule};
+use crate::payload::{CertId, ListId, PayloadPool};
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
-use crate::sharing::Shared;
+use std::sync::Arc;
 
 /// Why Verification rejected the winning certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +80,11 @@ pub struct ProtocolCore {
     pub color: ColorId,
     /// Private randomness stream.
     pub rng: DetRng,
+    /// The network's payload pool, which every handle below names into.
+    /// Taken once, at construction.
+    pool: Arc<PayloadPool>,
     /// Vote intentions `H_u` drawn in the Voting-Intention phase.
-    pub intents: IntentList,
+    pub intents: ListId,
     /// Commitment ledger `L_u`.
     pub ledger: Ledger,
     /// Received votes `W_u`, in struct-of-arrays lanes (receipt order).
@@ -95,9 +99,9 @@ pub struct ProtocolCore {
     /// Next intention index to push during Voting.
     pub vote_idx: usize,
     /// Own certificate `CE_u` (built at the end of Voting).
-    pub own_cert: Option<Certificate>,
+    pub own_cert: Option<CertId>,
     /// Current minimum certificate `CE_u^min`.
-    pub min_cert: Option<Certificate>,
+    pub min_cert: Option<CertId>,
     /// Set when the agent makes the protocol fail.
     pub failed: bool,
     /// Diagnostic: why verification failed (if it did).
@@ -109,9 +113,11 @@ pub struct ProtocolCore {
 impl ProtocolCore {
     /// Initialize the agent: draws the vote-intention list `H_u`
     /// (`q` pairs, values u.a.r. in `[m]`, targets u.a.r. in `[n]`) —
-    /// the paper's `Initialize` + `Voting-Intention` steps. This is the
-    /// complete-graph constructor; see [`ProtocolCore::new_on`] for
-    /// arbitrary topologies.
+    /// the paper's `Initialize` + `Voting-Intention` steps — into the
+    /// payload pool of the network being built (see
+    /// [`PayloadPool::building`]). This is the complete-graph
+    /// constructor; see [`ProtocolCore::new_on`] for arbitrary
+    /// topologies.
     pub fn new(
         id: AgentId,
         params: Params,
@@ -119,14 +125,12 @@ impl ProtocolCore {
         color: ColorId,
         mut rng: DetRng,
     ) -> Self {
-        let intents: IntentList = (0..params.q)
-            .map(|_| IntentEntry {
-                value: rng.below(params.m),
-                target: rng.index(params.n) as AgentId,
-            })
-            .collect::<Vec<_>>()
-            .into();
-        Self::with_intents(id, params, schedule, color, rng, intents)
+        let pool = PayloadPool::current(params);
+        let intents = pool.draw_list(id, params.q, || IntentEntry {
+            value: rng.below(params.m),
+            target: rng.index(params.n) as AgentId,
+        });
+        Self::with_intents(pool, id, params, schedule, color, rng, intents)
     }
 
     /// Topology-aware constructor (the E12 extension): vote targets are
@@ -140,24 +144,23 @@ impl ProtocolCore {
         color: ColorId,
         mut rng: DetRng,
     ) -> Self {
-        let intents: IntentList = (0..params.q)
-            .map(|_| IntentEntry {
-                value: rng.below(params.m),
-                target: topology.sample_peer(id, &mut rng),
-            })
-            .collect::<Vec<_>>()
-            .into();
-        Self::with_intents(id, params, schedule, color, rng, intents)
+        let pool = PayloadPool::current(params);
+        let intents = pool.draw_list(id, params.q, || IntentEntry {
+            value: rng.below(params.m),
+            target: topology.sample_peer(id, &mut rng),
+        });
+        Self::with_intents(pool, id, params, schedule, color, rng, intents)
     }
 
-    /// Core constructor over an explicit intention list.
+    /// Core constructor over an explicit intention list in `pool`.
     pub fn with_intents(
+        pool: Arc<PayloadPool>,
         id: AgentId,
         params: Params,
         schedule: PhaseSchedule,
         color: ColorId,
         rng: DetRng,
-        intents: IntentList,
+        intents: ListId,
     ) -> Self {
         ProtocolCore {
             id,
@@ -165,6 +168,7 @@ impl ProtocolCore {
             schedule,
             color,
             rng,
+            pool,
             intents,
             ledger: Ledger::with_capacity(params.q + 1),
             votes: VoteLanes::with_capacity(params.q + 8),
@@ -176,6 +180,28 @@ impl ProtocolCore {
             verify_failure: None,
             decided: None,
         }
+    }
+
+    /// The payload pool this agent's handles name into.
+    #[inline]
+    pub fn pool(&self) -> &PayloadPool {
+        &self.pool
+    }
+
+    /// The entries of the agent's own intention list `H_u`.
+    #[inline]
+    pub fn intent_list(&self) -> &[IntentEntry] {
+        self.pool.list(self.intents)
+    }
+
+    /// The agent's own certificate, once built.
+    pub fn own_cert_data(&self) -> Option<&CertData> {
+        self.own_cert.map(|c| self.pool.cert(c))
+    }
+
+    /// The agent's current minimum certificate, once it holds one.
+    pub fn min_cert_data(&self) -> Option<&CertData> {
+        self.min_cert.map(|c| self.pool.cert(c))
     }
 
     /// The phase this agent attributes to global round `round`.
@@ -205,13 +231,9 @@ impl ProtocolCore {
     pub fn ensure_certificate(&mut self) {
         if self.own_cert.is_none() {
             let votes = std::mem::take(&mut self.votes);
-            let cert: Certificate = Shared::new(CertData::build_lanes(
-                self.id,
-                self.color,
-                votes,
-                self.params.m,
-            ));
-            self.own_cert = Some(Shared::clone(&cert));
+            let data = CertData::build_lanes(self.id, self.color, votes, self.params.m);
+            let cert = self.pool.own_cert(self.id, data);
+            self.own_cert = Some(cert);
             if self.min_cert.is_none() {
                 self.min_cert = Some(cert);
             }
@@ -227,7 +249,7 @@ impl ProtocolCore {
 
     /// `k_u`, available from the end of the Voting phase.
     pub fn k(&self) -> Option<u64> {
-        self.own_cert.as_ref().map(|c| c.k)
+        self.own_cert_data().map(|c| c.k)
     }
 
     // ------------------------------------------------------------------
@@ -245,8 +267,9 @@ impl ProtocolCore {
                 Some(Op::pull(peer, Msg::QIntent))
             }
             Phase::Voting => {
-                if self.vote_idx < self.intents.len() {
-                    let e = self.intents[self.vote_idx];
+                let intents = self.pool.list(self.intents);
+                if self.vote_idx < intents.len() {
+                    let e = intents[self.vote_idx];
                     let msg = Msg::Vote {
                         value: e.value,
                         round: self.vote_idx as u16,
@@ -265,8 +288,8 @@ impl ProtocolCore {
             Phase::Coherence => {
                 self.ensure_certificate();
                 let peer = ctx.topology.sample_peer(self.id, &mut self.rng);
-                let cert = Shared::clone(self.min_cert.as_ref().expect("cert ensured"));
-                Some(Op::push(peer, Msg::Cert(cert)))
+                let cert = self.min_cert.expect("cert ensured");
+                Some(Op::push(peer, self.pool.cert_msg(cert)))
             }
             Phase::Finished => None,
         }
@@ -278,11 +301,11 @@ impl ProtocolCore {
             return None;
         }
         match query {
-            Msg::QIntent => Some(Msg::Intents(self.intents.clone())),
+            Msg::QIntent => Some(self.pool.list_msg(self.intents)),
             Msg::QMinCert => {
                 if self.phase(ctx.round) >= Phase::FindMin {
                     self.ensure_certificate();
-                    self.min_cert.as_ref().map(|c| Msg::Cert(Shared::clone(c)))
+                    self.min_cert.map(|c| self.pool.cert_msg(c))
                 } else {
                     None
                 }
@@ -306,15 +329,15 @@ impl ProtocolCore {
                 });
                 self.votes_recv += 1;
             }
-            (Phase::Coherence, Msg::Cert(ce)) => {
+            (Phase::Coherence, Msg::Cert { cert: ce, .. }) => {
                 self.ensure_certificate();
-                let mine = self.min_cert.as_ref().expect("cert ensured");
-                // Pointer-equality fast path: the network minimum spreads
-                // as clones of one Shared, so agreeing agents usually hold
-                // the *same allocation* — skip the O(|W|) payload
-                // comparison. `ptr_eq ⇒ payload_eq`, so the verdict is
-                // unchanged.
-                if !Shared::ptr_eq(mine, ce) && mine != ce {
+                let mine = self.min_cert.expect("cert ensured");
+                // Handle-equality fast path: the network minimum spreads
+                // as copies of one handle, so agreeing agents usually hold
+                // the *same pool entry* — skip the O(|W|) payload
+                // comparison. Equal handles name equal payloads, so the
+                // verdict is unchanged.
+                if mine != *ce && self.pool.cert(mine) != self.pool.cert(*ce) {
                     self.fail(VerifyFailure::FailedEarlier);
                 }
             }
@@ -329,7 +352,7 @@ impl ProtocolCore {
         }
         match self.phase(ctx.round) {
             Phase::Commitment => match reply {
-                Some(Msg::Intents(list)) if self.intents_plausible_cached(&list) => {
+                Some(Msg::Intents { list, .. }) if self.pool.plausible(list) => {
                     self.ledger.declare(from, ctx.round as u32, list);
                 }
                 // Silence or an unexpected reply: marked faulty, votes
@@ -338,8 +361,8 @@ impl ProtocolCore {
                 _ => self.ledger.mark_faulty(from, ctx.round as u32),
             },
             Phase::FindMin => {
-                if let Some(Msg::Cert(ce)) = reply {
-                    self.consider_certificate(ce);
+                if let Some(Msg::Cert { cert, .. }) = reply {
+                    self.consider_certificate(cert);
                 }
             }
             _ => {}
@@ -347,39 +370,26 @@ impl ProtocolCore {
     }
 
     /// Find-Min adoption rule: keep the certificate with the smaller `k`.
-    pub fn consider_certificate(&mut self, ce: Certificate) {
+    pub fn consider_certificate(&mut self, ce: CertId) {
         self.ensure_certificate();
-        let current = self.min_cert.as_ref().expect("cert ensured");
+        let current = self.min_cert.expect("cert ensured");
+        if ce == current {
+            return; // the minimum this agent already holds
+        }
+        let (new, current) = (self.pool.cert(ce), self.pool.cert(current));
         // Hot-path order: the k comparison first — a certificate that
         // would not be adopted anyway (the overwhelmingly common case
         // once the minimum has spread) never pays the O(|W|) structural
         // scan. Observationally identical to validating first: both
         // orders adopt exactly the structurally valid certificates with
         // smaller k.
-        if ce.k >= current.k {
+        if new.k >= current.k {
             return;
         }
-        if !ce.structurally_valid(self.params.n, self.params.m, self.params.q) {
+        if !new.structurally_valid(self.params.n, self.params.m, self.params.q) {
             return; // implausible garbage is ignored
         }
         self.min_cert = Some(ce);
-    }
-
-    /// Does a received intention list have the committed shape (`q`
-    /// entries, all fields in range)? Anything else is "an unexpected
-    /// reply" and gets the sender marked faulty.
-    pub fn intents_plausible(&self, list: &[IntentEntry]) -> bool {
-        entries_plausible(&self.params, list)
-    }
-
-    /// [`ProtocolCore::intents_plausible`] through the list's shared
-    /// receiver-side memo: the verdict is a pure function of the entries
-    /// and the run-wide parameters, so the first receiver's computation
-    /// serves every later receiver of the same shared list.
-    #[inline]
-    pub fn intents_plausible_cached(&self, list: &IntentList) -> bool {
-        let params = self.params;
-        list.memo_plausible(|entries| entries_plausible(&params, entries))
     }
 
     /// The Verification phase (paper, last block of Algorithm 1): accept
@@ -389,15 +399,12 @@ impl ProtocolCore {
             return;
         }
         self.ensure_certificate();
-        // Borrowed, not cloned: agreeing agents hold one shared winner,
-        // and a sharded Verification would put two refcount updates per
-        // agent on its one counter.
-        let win = self.min_cert.as_deref().expect("cert ensured");
+        let win = self.pool.cert(self.min_cert.expect("cert ensured"));
         let verdict = if !win.structurally_valid(self.params.n, self.params.m, self.params.q) {
             Err(VerifyFailure::Structural)
         } else if win.k != win.derived_k(self.params.m) {
             Err(VerifyFailure::BadSum)
-        } else if let Err(e) = self.ledger.check_certificate(win) {
+        } else if let Err(e) = self.ledger.check_certificate(&self.pool, win) {
             Err(VerifyFailure::Inconsistent(e))
         } else if self.params.check_self_votes && !self.self_votes_consistent(win) {
             Err(VerifyFailure::SelfVoteMismatch)
@@ -415,7 +422,7 @@ impl ProtocolCore {
     /// extra votes may be attributed to us.
     fn self_votes_consistent(&self, win: &CertData) -> bool {
         let mut expected: Vec<(u16, u64)> = self
-            .intents
+            .intent_list()
             .iter()
             .take(self.vote_idx) // only votes actually sent
             .enumerate()
@@ -439,21 +446,6 @@ impl ProtocolCore {
             self.decided
         }
     }
-}
-
-/// The single plausibility predicate both the cached and the uncached
-/// paths share: `q` entries, every field in range. Branchless fold
-/// instead of short-circuiting `all` — honest lists pass every entry, so
-/// early exit never fires on the hot path, while the accumulator form
-/// lets the compiler vectorize the range checks.
-#[inline]
-fn entries_plausible(params: &Params, list: &[IntentEntry]) -> bool {
-    let m = params.m;
-    let n = params.n as u32;
-    list.len() == params.q
-        && list
-            .iter()
-            .fold(true, |ok, e| ok & (e.value < m) & (e.target < n))
 }
 
 /// An agent that follows protocol `P` exactly.
@@ -500,8 +492,9 @@ impl Agent<Msg> for HonestAgent {
 /// (`gossip_net::network::staged`) shards one trial's agents across
 /// worker threads, so every slot — including [`crate::AgentSlot::Custom`]
 /// boxes — must be movable across threads. All built-in agents are
-/// `Send` (Arc-shared payloads, Mutex-guarded coalition intel); an
-/// out-of-tree agent just needs to avoid `Rc`/`RefCell` state.
+/// `Send`: payloads are `Copy` handles into a `Sync` pool, and coalition
+/// intel is Mutex-guarded. An out-of-tree agent just needs to avoid
+/// `Rc`/`RefCell` state.
 pub trait ConsensusAgent: Agent<Msg> + Send {
     /// The protocol state (every strategy carries one, since deviators
     /// must still produce plausible protocol traffic).
@@ -549,8 +542,8 @@ mod tests {
     #[test]
     fn intentions_have_q_entries_in_range() {
         let core = mk_core(0, 64, 7);
-        assert_eq!(core.intents.len(), core.params.q);
-        for e in core.intents.iter() {
+        assert_eq!(core.intent_list().len(), core.params.q);
+        for e in core.intent_list() {
             assert!(e.value < core.params.m);
             assert!((e.target as usize) < 64);
         }
@@ -572,13 +565,14 @@ mod tests {
         let topo = Topology::complete(16);
         let mut core = mk_core(0, 16, 1);
         let q = core.params.q;
-        let intents = core.intents.clone();
-        for i in 0..q {
+        let intents = core.intent_list().to_vec();
+        assert_eq!(intents.len(), q);
+        for (i, e) in intents.iter().enumerate() {
             let op = core.act_honest(&ctx_at(&topo, q + i)).unwrap();
             match op {
                 Op::Push { to, msg: Msg::Vote { value, round } } => {
-                    assert_eq!(to, intents[i].target);
-                    assert_eq!(value, intents[i].value);
+                    assert_eq!(to, e.target);
+                    assert_eq!(value, e.value);
                     assert_eq!(round as usize, i);
                 }
                 other => panic!("expected vote push, got {other:?}"),
@@ -633,14 +627,16 @@ mod tests {
     fn commitment_reply_declares_or_marks_faulty() {
         let topo = Topology::complete(16);
         let mut core = mk_core(0, 16, 5);
-        let good: IntentList = (0..core.params.q)
-            .map(|i| IntentEntry {
-                value: i as u64,
-                target: 1,
-            })
-            .collect::<Vec<_>>()
-            .into();
-        core.on_reply_honest(7, Some(Msg::Intents(good)), &ctx_at(&topo, 0));
+        let good = core.pool().insert_list(
+            (0..core.params.q)
+                .map(|i| IntentEntry {
+                    value: i as u64,
+                    target: 1,
+                })
+                .collect(),
+        );
+        let good = core.pool().list_msg(good);
+        core.on_reply_honest(7, Some(good), &ctx_at(&topo, 0));
         assert!(core.ledger.find(7).is_some());
         // Silence marks faulty.
         core.on_reply_honest(8, None, &ctx_at(&topo, 1));
@@ -649,8 +645,12 @@ mod tests {
             crate::ledger::Declaration::Faulty
         ));
         // Wrong-length list is "unexpected" → faulty.
-        let short: IntentList = vec![IntentEntry { value: 0, target: 0 }].into();
-        core.on_reply_honest(9, Some(Msg::Intents(short)), &ctx_at(&topo, 2));
+        let short = core.pool().insert_list(vec![IntentEntry {
+            value: 0,
+            target: 0,
+        }]);
+        let short = core.pool().list_msg(short);
+        core.on_reply_honest(9, Some(short), &ctx_at(&topo, 2));
         assert!(matches!(
             core.ledger.find(9).unwrap().decl,
             crate::ledger::Declaration::Faulty
@@ -661,11 +661,15 @@ mod tests {
     fn later_silence_downgrades_declaration() {
         let topo = Topology::complete(16);
         let mut core = mk_core(0, 16, 5);
-        let good: IntentList = (0..core.params.q)
-            .map(|_| IntentEntry { value: 1, target: 1 })
-            .collect::<Vec<_>>()
-            .into();
-        core.on_reply_honest(7, Some(Msg::Intents(good)), &ctx_at(&topo, 0));
+        let good = core.pool().insert_list(vec![
+            IntentEntry {
+                value: 1,
+                target: 1
+            };
+            core.params.q
+        ]);
+        let good = core.pool().list_msg(good);
+        core.on_reply_honest(7, Some(good), &ctx_at(&topo, 0));
         core.on_reply_honest(7, None, &ctx_at(&topo, 1));
         assert!(matches!(
             core.ledger.find(7).unwrap().decl,
@@ -679,14 +683,14 @@ mod tests {
         core.ensure_certificate();
         let my_k = core.k().unwrap();
         // A structurally valid cert with k = my_k + 1 is not adopted...
-        let bigger = Shared::new(CertData {
+        let bigger = core.pool().insert_cert(CertData {
             k: my_k + 1,
             votes: VoteLanes::new(),
             color: 5,
             owner: 2,
         });
         core.consider_certificate(bigger);
-        assert_eq!(core.min_cert.as_ref().unwrap().owner, 1);
+        assert_eq!(core.min_cert_data().unwrap().owner, 1);
         // ...but any smaller k is (semantics checked later).
         // my_k is 0 here (no votes), so craft a smaller one via a fresh core
         // that has votes.
@@ -696,28 +700,28 @@ mod tests {
         core2.on_push_honest(3, &Msg::Vote { value: 100, round: 0 }, &ctx_at(&topo, q));
         core2.ensure_certificate();
         assert_eq!(core2.k(), Some(100));
-        let smaller = Shared::new(CertData {
+        let smaller = core2.pool().insert_cert(CertData {
             k: 50,
             votes: VoteLanes::new(),
             color: 9,
             owner: 4,
         });
         core2.consider_certificate(smaller);
-        assert_eq!(core2.min_cert.as_ref().unwrap().owner, 4);
+        assert_eq!(core2.min_cert_data().unwrap().owner, 4);
     }
 
     #[test]
     fn find_min_ignores_structurally_invalid() {
         let mut core = mk_core(1, 16, 8);
         core.ensure_certificate();
-        let invalid = Shared::new(CertData {
+        let invalid = core.pool().insert_cert(CertData {
             k: core.params.m, // out of range
             votes: VoteLanes::new(),
             color: 0,
             owner: 2,
         });
         core.consider_certificate(invalid);
-        assert_eq!(core.min_cert.as_ref().unwrap().owner, 1);
+        assert_eq!(core.min_cert_data().unwrap().owner, 1);
     }
 
     #[test]
@@ -726,13 +730,14 @@ mod tests {
         let mut core = mk_core(1, 16, 9);
         let q = core.params.q;
         core.ensure_certificate();
-        let other = Shared::new(CertData {
+        let other = core.pool().insert_cert(CertData {
             k: 7,
             votes: VoteLanes::new(),
             color: 2,
             owner: 3,
         });
-        core.on_push_honest(3, &Msg::Cert(other), &ctx_at(&topo, 3 * q));
+        let other = core.pool().cert_msg(other);
+        core.on_push_honest(3, &other, &ctx_at(&topo, 3 * q));
         assert!(core.failed);
         assert_eq!(core.decision(), None);
     }
@@ -743,8 +748,26 @@ mod tests {
         let mut core = mk_core(1, 16, 10);
         let q = core.params.q;
         core.ensure_certificate();
-        let same = Shared::clone(core.min_cert.as_ref().unwrap());
-        core.on_push_honest(3, &Msg::Cert(same), &ctx_at(&topo, 3 * q));
+        let same = core.pool().cert_msg(core.min_cert.unwrap());
+        core.on_push_honest(3, &same, &ctx_at(&topo, 3 * q));
+        assert!(!core.failed);
+    }
+
+    #[test]
+    fn coherence_equal_copy_keeps_running() {
+        // A certificate equal to the minimum but held as a separate copy
+        // must pass the payload comparison, not only the identity check.
+        let topo = Topology::complete(16);
+        let mut core = mk_core(1, 16, 10);
+        let q = core.params.q;
+        core.on_push_honest(2, &Msg::Vote { value: 9, round: 0 }, &ctx_at(&topo, q));
+        core.ensure_certificate();
+        let copy = core
+            .pool()
+            .insert_cert(core.min_cert_data().unwrap().clone());
+        assert_ne!(Some(copy), core.min_cert, "a separate pool entry");
+        let copy = core.pool().cert_msg(copy);
+        core.on_push_honest(3, &copy, &ctx_at(&topo, 3 * q));
         assert!(!core.failed);
     }
 
@@ -772,7 +795,7 @@ mod tests {
     fn verification_rejects_bad_sum() {
         let mut core = mk_core(1, 16, 13);
         core.ensure_certificate();
-        core.min_cert = Some(Shared::new(CertData {
+        core.min_cert = Some(core.pool().insert_cert(CertData {
             k: 5, // but no votes: derived k = 0
             votes: VoteLanes::new(),
             color: 0,
@@ -799,14 +822,12 @@ mod tests {
             e.target = 3; // only index 0 targets the winner
             e.value = i as u64;
         }
-        core.on_reply_honest(
-            7,
-            Some(Msg::Intents(entries.into())),
-            &ctx_at(&topo, 0),
-        );
+        let declared = core.pool().list_msg(core.pool().insert_list(entries));
+        core.on_reply_honest(7, Some(declared), &ctx_at(&topo, 0));
         // Winner cert from agent 2 omits 7's declared vote.
         core.ensure_certificate();
-        core.min_cert = Some(Shared::new(CertData::build(2, 1, vec![], core.params.m)));
+        let winner = CertData::build(2, 1, vec![], core.params.m);
+        core.min_cert = Some(core.pool().insert_cert(winner));
         core.finalize_honest();
         assert!(matches!(
             core.verify_failure,
@@ -825,18 +846,23 @@ mod tests {
         }
         // Find my first intent's target; craft a winner cert from that
         // target that *drops* my vote.
-        let target = core.intents[0].target;
+        let target = core.intent_list()[0].target;
         core.ensure_certificate();
-        core.min_cert = Some(Shared::new(CertData::build(
-            target,
-            1,
-            vec![],
-            core.params.m,
-        )));
+        let winner = CertData::build(target, 1, vec![], core.params.m);
+        core.min_cert = Some(core.pool().insert_cert(winner));
         core.finalize_honest();
         // My declared vote for `target` is missing from W: self-check fails
         // (unless I never voted for the winner, but index 0 targets it).
         assert_eq!(core.verify_failure, Some(VerifyFailure::SelfVoteMismatch));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn per_agent_state_stays_compact() {
+        // Every plan and apply pass streams the agent array: at
+        // n = 65 536 an `AgentSlot` byte is 64 KiB of traffic per pass.
+        assert!(std::mem::size_of::<ProtocolCore>() <= 320);
+        assert!(std::mem::size_of::<crate::AgentSlot>() <= 368);
     }
 
     #[test]

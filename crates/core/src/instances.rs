@@ -54,6 +54,7 @@ use crate::agent_plane::AgentSlot;
 use crate::engine::ProtocolCore;
 use crate::msg::{Batch, Msg};
 use crate::outcome::{Decision, Outcome};
+use crate::payload::PayloadPool;
 use crate::runner::{
     drive_network, network_ingredients, report_of_agents, streams, RunConfig, RunReport,
 };
@@ -65,6 +66,7 @@ use gossip_net::network::Network;
 use gossip_net::rng::{derive_seed, loss_streams, DetRng};
 use gossip_net::size::{MsgSize, SizeEnv};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Stream label separating instance `j`'s private randomness from the
 /// master seed: instance 0 uses the master seed itself (legacy-exact),
@@ -837,6 +839,15 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
         });
     }
 
+    // One payload pool per consensus instance: instances never see each
+    // other's certificates or lists, and each keeps one slot per agent.
+    let pools: Vec<Option<Arc<PayloadPool>>> = plan
+        .specs
+        .iter()
+        .map(|spec| {
+            matches!(spec.kind, InstanceKind::Consensus).then(|| PayloadPool::for_network(params))
+        })
+        .collect();
     let agents: Vec<MuxAgent> = (0..n)
         .map(|i| {
             let cells = plan
@@ -848,14 +859,17 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
                         InstanceKind::Consensus => {
                             let colors = per_instance_colors[j].as_ref().expect("consensus colors");
                             let rng = DetRng::seeded(inst_seeds[j], streams::AGENT_BASE + i as u64);
-                            let core = ProtocolCore::new_on(
-                                &topology,
-                                i as AgentId,
-                                params,
-                                params.sync_schedule(),
-                                colors[i],
-                                rng,
-                            );
+                            let pool = pools[j].as_ref().expect("consensus pool");
+                            let core = PayloadPool::building(pool, || {
+                                ProtocolCore::new_on(
+                                    &topology,
+                                    i as AgentId,
+                                    params,
+                                    params.sync_schedule(),
+                                    colors[i],
+                                    rng,
+                                )
+                            });
                             CellInner::Consensus {
                                 slot: AgentSlot::honest(core),
                                 window,

@@ -21,22 +21,22 @@
 //! extra — and `Faulty` agents must contribute nothing.
 
 use crate::certificate::CertData;
-use crate::msg::IntentList;
+use crate::payload::{ListId, PayloadPool};
 use gossip_net::ids::AgentId;
 
 /// What agent `u` knows about one contacted agent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Declaration {
     /// `v` never answered (or answered garbage): all of `v`'s votes are
     /// pinned to 0, i.e. `v` must not appear in any accepted vote set.
     Faulty,
-    /// `v`'s first declared intention list.
-    Intents(IntentList),
+    /// `v`'s first declared intention list, in the network's payload pool.
+    Intents(ListId),
 }
 
 /// One ledger row: contacted agent, arrival round of the (first)
 /// declaration, and the declaration itself.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// The contacted agent.
     pub agent: AgentId,
@@ -91,7 +91,7 @@ impl Ledger {
     /// Record `v`'s first intention declaration (later declarations are
     /// ignored — first-declaration semantics). Returns whether the entry
     /// was newly inserted.
-    pub fn declare(&mut self, v: AgentId, round: u32, intents: IntentList) -> bool {
+    pub fn declare(&mut self, v: AgentId, round: u32, intents: ListId) -> bool {
         if self.find(v).is_some() {
             return false;
         }
@@ -139,14 +139,19 @@ impl Ledger {
     }
 
     /// Verification core (paper footnote 5): check the winner certificate's
-    /// vote set against every declaration in this ledger.
+    /// vote set against every declaration in this ledger, whose lists
+    /// live in `pool`.
     ///
     /// For each ledger agent `v`:
     /// * `Faulty` ⇒ no vote in `cert.votes` may name `v` as voter;
     /// * `Intents(H_v)` ⇒ the votes `cert.votes` attributes to `v` must be
     ///   exactly `{(i, h) | H_v[i] = (h, winner)}` — matching intention
     ///   indices and values, with no omissions and no extras.
-    pub fn check_certificate(&self, cert: &CertData) -> Result<(), ConsistencyError> {
+    pub fn check_certificate(
+        &self,
+        pool: &PayloadPool,
+        cert: &CertData,
+    ) -> Result<(), ConsistencyError> {
         // Honest certificates keep `votes` in canonical (voter, round)
         // order (CertData::build sorts), so the votes of one voter form
         // a contiguous run findable by binary search over the flat voter
@@ -170,7 +175,7 @@ impl Ledger {
             } else {
                 cert.votes_from(v).count()
             };
-            match &entry.decl {
+            match entry.decl {
                 Declaration::Faulty => {
                     if actual_count > 0 {
                         return Err(ConsistencyError::VoteFromFaulty { voter: v });
@@ -181,8 +186,9 @@ impl Ledger {
                     // winner (targets are uniform over [n]) and most
                     // certificates attribute no vote to a given v — when
                     // both sides are empty the entry is consistent
-                    // without building or sorting anything.
-                    let expected_count = h_v.votes_for(cert.owner) as usize;
+                    // without building or sorting anything. The count
+                    // comes from the list's per-handle memo, not the list.
+                    let expected_count = pool.votes_for(h_v, cert.owner) as usize;
                     if expected_count != actual_count {
                         return Err(ConsistencyError::VoteMismatch { voter: v });
                     }
@@ -190,7 +196,8 @@ impl Ledger {
                         continue;
                     }
                     // Expected: declared votes of v addressed to the winner.
-                    let mut expected: Vec<(u16, u64)> = h_v
+                    let mut expected: Vec<(u16, u64)> = pool
+                        .list(h_v)
                         .iter()
                         .enumerate()
                         .filter(|(_, e)| e.target == cert.owner)
@@ -223,13 +230,24 @@ mod tests {
     use super::*;
     use crate::certificate::VoteRec;
     use crate::msg::IntentEntry;
+    use crate::params::Params;
+    use std::sync::LazyLock;
 
-    fn intents(entries: &[(u64, AgentId)]) -> IntentList {
-        entries
-            .iter()
-            .map(|&(value, target)| IntentEntry { value, target })
-            .collect::<Vec<_>>()
-            .into()
+    /// One pool for every list these tests declare.
+    static POOL: LazyLock<PayloadPool> =
+        LazyLock::new(|| PayloadPool::new(Params::new(16, 1.0), 0));
+
+    fn intents(entries: &[(u64, AgentId)]) -> ListId {
+        POOL.insert_list(
+            entries
+                .iter()
+                .map(|&(value, target)| IntentEntry { value, target })
+                .collect(),
+        )
+    }
+
+    fn check(l: &Ledger, cert: &CertData) -> Result<(), ConsistencyError> {
+        l.check_certificate(&POOL, cert)
     }
 
     fn cert_with(owner: AgentId, votes: Vec<VoteRec>) -> CertData {
@@ -242,7 +260,7 @@ mod tests {
         assert!(l.declare(3, 1, intents(&[(10, 0)])));
         assert!(!l.declare(3, 2, intents(&[(99, 0)])));
         match &l.find(3).unwrap().decl {
-            Declaration::Intents(h) => assert_eq!(h[0].value, 10),
+            Declaration::Intents(h) => assert_eq!(POOL.list(*h)[0].value, 10),
             _ => panic!("expected intents"),
         }
         assert_eq!(l.find(3).unwrap().round, 1);
@@ -271,7 +289,7 @@ mod tests {
                 value: 7,
             }],
         );
-        assert_eq!(l.check_certificate(&cert), Ok(()));
+        assert_eq!(check(&l, &cert), Ok(()));
     }
 
     #[test]
@@ -280,7 +298,7 @@ mod tests {
         l.declare(5, 0, intents(&[(7, 2)]));
         let cert = cert_with(2, vec![]); // winner 2, but v5's vote absent
         assert_eq!(
-            l.check_certificate(&cert),
+            check(&l, &cert),
             Err(ConsistencyError::VoteMismatch { voter: 5 })
         );
     }
@@ -297,7 +315,7 @@ mod tests {
                 value: 8,
             }],
         );
-        assert!(l.check_certificate(&cert).is_err());
+        assert!(check(&l, &cert).is_err());
     }
 
     #[test]
@@ -320,7 +338,7 @@ mod tests {
             ],
         );
         assert_eq!(
-            l.check_certificate(&cert),
+            check(&l, &cert),
             Err(ConsistencyError::VoteMismatch { voter: 5 })
         );
     }
@@ -338,7 +356,7 @@ mod tests {
             }],
         );
         assert_eq!(
-            l.check_certificate(&cert),
+            check(&l, &cert),
             Err(ConsistencyError::VoteFromFaulty { voter: 5 })
         );
     }
@@ -356,7 +374,7 @@ mod tests {
                 value: 1,
             }],
         );
-        assert_eq!(l.check_certificate(&cert), Ok(()));
+        assert_eq!(check(&l, &cert), Ok(()));
     }
 
     #[test]
@@ -379,7 +397,7 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(l.check_certificate(&full), Ok(()));
+        assert_eq!(check(&l, &full), Ok(()));
         let partial = cert_with(
             2,
             vec![VoteRec {
@@ -388,7 +406,7 @@ mod tests {
                 value: 7,
             }],
         );
-        assert!(l.check_certificate(&partial).is_err());
+        assert!(check(&l, &partial).is_err());
     }
 
     #[test]
@@ -412,7 +430,7 @@ mod tests {
                 },
             ],
         );
-        assert!(l.check_certificate(&swapped).is_err());
+        assert!(check(&l, &swapped).is_err());
     }
 
     #[test]
@@ -420,14 +438,38 @@ mod tests {
         let l = Ledger::new();
         assert!(l.is_empty());
         let cert = cert_with(0, vec![]);
-        assert_eq!(l.check_certificate(&cert), Ok(()));
+        assert_eq!(check(&l, &cert), Ok(()));
     }
 
     #[test]
-    fn shared_intent_lists_are_cheap() {
-        // IntentList is an Shared<[..]>: cloning shares the allocation.
-        let list = intents(&[(1, 1), (2, 2)]);
-        let clone = list.clone();
-        assert!(IntentList::ptr_eq(&list, &clone));
+    fn one_list_checked_against_alternating_owners() {
+        // v=5 declared (7 -> A=2) at index 0 and (9 -> B=1) at index 1. The
+        // same list is checked against A's, B's and again A's certificate:
+        // each verdict must equal the one a fresh ledger gives alone.
+        let list = intents(&[(7, 2), (9, 1)]);
+        let mut l = Ledger::new();
+        l.declare(5, 0, list);
+        let vote = |round, value| VoteRec {
+            voter: 5,
+            round,
+            value,
+        };
+        let a_ok = cert_with(2, vec![vote(0, 7)]);
+        let b_missing = cert_with(1, vec![]);
+        let a_missing = cert_with(2, vec![]);
+        for cert in [&a_ok, &b_missing, &a_ok, &a_missing, &b_missing] {
+            let mut alone = Ledger::new();
+            alone.declare(5, 0, intents(&[(7, 2), (9, 1)]));
+            assert_eq!(check(&l, cert), check(&alone, cert));
+        }
+        assert_eq!(check(&l, &a_ok), Ok(()));
+        assert_eq!(
+            check(&l, &b_missing),
+            Err(ConsistencyError::VoteMismatch { voter: 5 })
+        );
+        assert_eq!(
+            check(&l, &a_missing),
+            Err(ConsistencyError::VoteMismatch { voter: 5 })
+        );
     }
 }

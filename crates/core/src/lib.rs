@@ -24,7 +24,9 @@
 //! ```
 //!
 //! The module map mirrors those phases: [`params`] (q, m, schedules),
-//! [`msg`] (wire messages), [`certificate`] (`CE_u`), [`ledger`] (`L_u`),
+//! [`msg`] (wire messages), [`certificate`] (`CE_u`), [`payload`] (the
+//! per-network pool messages and agents name payloads in by handle),
+//! [`ledger`] (`L_u`),
 //! [`engine`] (the per-agent state machine), [`runner`] (whole-run
 //! orchestration and the reusable [`runner::TrialArena`]), [`audit`]
 //! (good-execution checks, Definition 2), [`election`] (the
@@ -62,13 +64,13 @@ pub mod ledger;
 pub mod msg;
 pub mod outcome;
 pub mod params;
+pub mod payload;
 pub mod runner;
-pub mod sharing;
 pub mod strategies;
 
 pub use agent_plane::AgentSlot;
 pub use asynchronous::{run_protocol_async, run_protocol_events, DELAY_STREAM, SCHEDULER_STREAM};
-pub use certificate::{CertData, Certificate, VoteRec};
+pub use certificate::{CertData, VoteRec};
 pub use checkpoint::{
     checkpoint_network, restore_network, resume_protocol, run_protocol_with_checkpoints,
     CheckpointError,
@@ -83,12 +85,14 @@ pub use instances::{
     run_plane, InstanceKind, InstancePlan, InstanceSpec, MuxAgent, PlaneReport, Priority,
 };
 pub use ledger::{ConsistencyError, Declaration, Ledger};
-pub use msg::{Batch, BatchPart, IntentEntry, IntentList, Msg, INSTANCE_TAG_BITS};
+pub use msg::{Batch, BatchPart, IntentEntry, Msg, INSTANCE_TAG_BITS};
 pub use outcome::{combine_decisions, utility, Decision, Outcome};
 pub use params::{Params, Phase, PhaseSchedule, ScheduleError};
+pub use payload::{CertId, ListId, PayloadPool};
 pub use runner::{
-    build_network_slots, collect_report, drive_network, honest_slot_factory, run_protocol,
-    ColorSpec, RunConfig, RunConfigBuilder, RunReport, SlotFactory, TopologySpec, TrialArena,
+    build_network_in, build_network_slots, collect_report, drive_network, honest_slot_factory,
+    run_protocol, ColorSpec, RunConfig, RunConfigBuilder, RunReport, SlotFactory, TopologySpec,
+    TrialArena,
 };
 pub use strategies::{standard_attacks, Strategy};
 
@@ -109,12 +113,13 @@ pub mod prelude {
     pub use crate::asynchronous::run_protocol_async;
     pub use crate::runner::TrialArena;
     pub use crate::audit::GoodExecutionReport;
-    pub use crate::certificate::{CertData, Certificate, VoteRec};
+    pub use crate::certificate::{CertData, VoteRec};
     pub use crate::election::{elect_leader, election_config, ElectionResult};
     pub use crate::engine::{ConsensusAgent, HonestAgent, ProtocolCore, Role, VerifyFailure};
     pub use crate::msg::{IntentEntry, Msg};
     pub use crate::outcome::{utility, Decision, Outcome};
     pub use crate::params::{Params, Phase};
+    pub use crate::payload::{CertId, ListId, PayloadPool};
     pub use crate::runner::{run_protocol, ColorSpec, RunConfig, RunReport, TopologySpec};
     pub use gossip_net::dynamics::{LossSchedule, PartitionCut, ScenarioEvent, ScenarioScript};
     pub use gossip_net::rng::RngDiscipline;

@@ -13,13 +13,15 @@
 //! The certificate is the largest message: it carries `Θ(log n)` votes of
 //! `Θ(log n)` bits each (Theorem 4's `O(log² n)` bound — validated by
 //! experiment E2).
+//!
+//! Payload-bearing messages carry a handle into their network's
+//! [`PayloadPool`](crate::payload::PayloadPool) and the payload's length:
+//! the length is all [`MsgSize`] metering reads, so pricing a message
+//! never consults the pool, and every message stays 16 bytes.
 
-use crate::certificate::{CertData, Certificate};
-use crate::sharing::Shared;
+use crate::payload::{CertId, ListId};
 use gossip_net::ids::AgentId;
 use gossip_net::size::{MsgSize, SizeEnv};
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// One entry `(h, z)` of a vote-intention list `H_u`: "I will send value
 /// `h` to agent `z`".
@@ -31,139 +33,18 @@ pub struct IntentEntry {
     pub target: AgentId,
 }
 
-/// Payload of a shared intention list: the immutable entries plus two
-/// **receiver-side memos** for verdicts that are pure functions of the
-/// entries (and of run-wide parameters every agent shares).
-///
-/// One list is answered to ~`q` different pullers, and each of them
-/// re-derives the same facts: "is this list plausible?" (Commitment) and
-/// "how many of its votes target the winner?" (Verification). The memos
-/// let the first receiver's computation serve all later ones. This is a
-/// *simulator* optimization, not a trust shortcut: the memo is written
-/// only by the receivers' own verdict code, over bytes that never change
-/// after construction — every receiver still gets exactly the verdict it
-/// would have computed itself.
-///
-/// The memos are relaxed atomics (not `Cell`) because the staged round
-/// engine shares one list across apply-stage shards. A memo race is
-/// benign by construction: the cached verdict is a pure function of the
-/// immutable entries (plus run-wide parameters every agent shares), so
-/// concurrent writers can only store the same value — losing a race
-/// costs a recomputation, never a wrong answer.
-#[derive(Debug)]
-pub struct IntentListData {
-    entries: Box<[IntentEntry]>,
-    /// Memo: `intents_plausible` verdict (parameters are run-constant).
-    /// 0 = unset, 1 = implausible, 2 = plausible.
-    plausible: AtomicU8,
-    /// Memo: `(owner, #entries targeting owner)` of the last queried
-    /// owner, packed `owner << 32 | count`; `u64::MAX` = unset (a real
-    /// count is bounded by `q` and can never be `u32::MAX`).
-    winner_count: AtomicU64,
-}
-
-const WINNER_MEMO_UNSET: u64 = u64::MAX;
-
-impl IntentListData {
-    /// Cached plausibility verdict: computes via `check` on first use.
-    #[inline]
-    pub fn memo_plausible(&self, check: impl FnOnce(&[IntentEntry]) -> bool) -> bool {
-        match self.plausible.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => {
-                let v = check(&self.entries);
-                self.plausible.store(if v { 2 } else { 1 }, Ordering::Relaxed);
-                v
-            }
-        }
-    }
-
-    /// Cached count of entries targeting `owner` (recomputed when a
-    /// different owner is queried — verifiers converge on one winner).
-    #[inline]
-    pub fn votes_for(&self, owner: AgentId) -> u32 {
-        let packed = self.winner_count.load(Ordering::Relaxed);
-        if packed != WINNER_MEMO_UNSET && (packed >> 32) as AgentId == owner {
-            return packed as u32;
-        }
-        let c = self.entries.iter().filter(|e| e.target == owner).count() as u32;
-        self.winner_count
-            .store((owner as u64) << 32 | c as u64, Ordering::Relaxed);
-        c
-    }
-}
-
-impl PartialEq for IntentListData {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries // memos are caches, not identity
-    }
-}
-impl Eq for IntentListData {}
-
-impl Deref for IntentListData {
-    type Target = [IntentEntry];
-    fn deref(&self) -> &[IntentEntry] {
-        &self.entries
-    }
-}
-
-impl From<Vec<IntentEntry>> for IntentListData {
-    fn from(entries: Vec<IntentEntry>) -> Self {
-        IntentListData {
-            entries: entries.into_boxed_slice(),
-            plausible: AtomicU8::new(0),
-            winner_count: AtomicU64::new(WINNER_MEMO_UNSET),
-        }
-    }
-}
-
-/// A full vote-intention list, shared cheaply (one refcount bump) between
-/// the owner and every commitment reply it sends out. Dereferences to
-/// [`IntentListData`] and through it to the entry slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntentList(Shared<IntentListData>);
-
-impl IntentList {
-    /// Do both handles share one allocation (and thus one memo)?
-    pub fn ptr_eq(a: &IntentList, b: &IntentList) -> bool {
-        Shared::ptr_eq(&a.0, &b.0)
-    }
-
-    /// Stable identity of the shared payload — the interning key
-    /// `rfc_core::checkpoint` uses to preserve sharing (and file
-    /// compactness) across snapshot/restore.
-    pub fn as_ptr(list: &IntentList) -> *const IntentListData {
-        Shared::as_ptr(&list.0)
-    }
-}
-
-impl Deref for IntentList {
-    type Target = IntentListData;
-    fn deref(&self) -> &IntentListData {
-        &self.0
-    }
-}
-
-impl From<Vec<IntentEntry>> for IntentList {
-    fn from(entries: Vec<IntentEntry>) -> Self {
-        IntentList(Shared::new(IntentListData::from(entries)))
-    }
-}
-
-impl FromIterator<IntentEntry> for IntentList {
-    fn from_iter<I: IntoIterator<Item = IntentEntry>>(iter: I) -> Self {
-        IntentList::from(iter.into_iter().collect::<Vec<_>>())
-    }
-}
-
 /// Protocol messages.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Msg {
     /// Commitment pull query: "send me your vote intentions".
     QIntent,
     /// Commitment pull reply: the sender's full intention list `H_v`.
-    Intents(IntentList),
+    Intents {
+        /// The list, in the network's payload pool.
+        list: ListId,
+        /// Its number of entries.
+        len: u32,
+    },
     /// Voting push: `value` is `h_{u,round}`, `round` its index in `H_u`.
     Vote {
         /// The vote value `h ∈ [m]`.
@@ -174,15 +55,15 @@ pub enum Msg {
     /// Find-Min pull query: "send me your current minimum certificate".
     QMinCert,
     /// A certificate (Find-Min reply, Coherence push).
-    Cert(Certificate),
+    Cert {
+        /// The certificate, in the network's payload pool.
+        cert: CertId,
+        /// Its number of votes.
+        votes: u32,
+    },
 }
 
 impl Msg {
-    /// Convenience constructor wrapping cert data in an [`Shared`].
-    pub fn cert(data: CertData) -> Msg {
-        Msg::Cert(Shared::new(data))
-    }
-
     /// Is this one of the two constant-size query tags?
     pub fn is_query(&self) -> bool {
         matches!(self, Msg::QIntent | Msg::QMinCert)
@@ -194,14 +75,14 @@ impl MsgSize for Msg {
         SizeEnv::TAG_BITS
             + match self {
                 Msg::QIntent | Msg::QMinCert => 0,
-                Msg::Intents(list) => list.len() as u64 * env.intent_entry_bits(),
+                Msg::Intents { len, .. } => *len as u64 * env.intent_entry_bits(),
                 Msg::Vote { .. } => env.value_bits as u64 + env.round_bits as u64,
-                Msg::Cert(data) => {
+                Msg::Cert { votes, .. } => {
                     // k + color + owner + votes
                     env.value_bits as u64
                         + env.color_bits as u64
                         + env.id_bits as u64
-                        + data.votes.len() as u64 * env.vote_record_bits()
+                        + *votes as u64 * env.vote_record_bits()
                 }
             }
     }
@@ -296,7 +177,9 @@ impl<P: MsgSize> MsgSize for Batch<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certificate::VoteRec;
+    use crate::certificate::{CertData, VoteRec};
+    use crate::params::Params;
+    use crate::payload::PayloadPool;
 
     fn env() -> SizeEnv {
         SizeEnv::for_n(1024) // id 10, value 30, round ~5, color 10
@@ -333,6 +216,12 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn messages_stay_sixteen_bytes() {
+        assert!(std::mem::size_of::<Msg>() <= 16);
+    }
+
+    #[test]
     fn queries_are_constant_size() {
         let e = env();
         assert_eq!(Msg::QIntent.size_bits(&e), SizeEnv::TAG_BITS);
@@ -358,13 +247,17 @@ mod tests {
     #[test]
     fn intents_scale_with_list_length() {
         let e = env();
-        let list: IntentList = (0..20)
-            .map(|i| IntentEntry {
-                value: i,
-                target: (i % 7) as AgentId,
-            })
-            .collect();
-        let m = Msg::Intents(list);
+        let pool = PayloadPool::new(Params::new(1024, 1.0), 0);
+        let list = pool.insert_list(
+            (0..20)
+                .map(|i| IntentEntry {
+                    value: i,
+                    target: (i % 7) as AgentId,
+                })
+                .collect(),
+        );
+        let m = pool.list_msg(list);
+        assert_eq!(m, Msg::Intents { list, len: 20 });
         assert_eq!(
             m.size_bits(&e),
             SizeEnv::TAG_BITS + 20 * e.intent_entry_bits()
@@ -381,8 +274,8 @@ mod tests {
                 value: i as u64,
             })
             .collect();
-        let cert = CertData::build(3, 1, votes, 1 << 30);
-        let m = Msg::cert(cert);
+        let pool = PayloadPool::new(Params::new(1024, 1.0), 0);
+        let m = pool.cert_msg(pool.insert_cert(CertData::build(3, 1, votes, 1 << 30)));
         let fixed = e.value_bits as u64 + e.color_bits as u64 + e.id_bits as u64;
         assert_eq!(
             m.size_bits(&e),
@@ -393,7 +286,8 @@ mod tests {
     #[test]
     fn empty_cert_still_pays_fixed_fields() {
         let e = env();
-        let m = Msg::cert(CertData::build(0, 0, vec![], 100));
+        let pool = PayloadPool::new(Params::new(1024, 1.0), 0);
+        let m = pool.cert_msg(pool.insert_cert(CertData::build(0, 0, vec![], 100)));
         assert!(m.size_bits(&e) > SizeEnv::TAG_BITS);
     }
 
@@ -412,8 +306,9 @@ mod tests {
                     value: 1,
                 })
                 .collect();
-            let bits = Msg::cert(CertData::build(0, 0, votes, (n as u64).pow(3)))
-                .size_bits(&e);
+            let pool = PayloadPool::new(Params::new(1024, 1.0), 0);
+            let cert = pool.insert_cert(CertData::build(0, 0, votes, (n as u64).pow(3)));
+            let bits = pool.cert_msg(cert).size_bits(&e);
             let log2n = exp as u64;
             // 2·log n votes · ~4.5·log n bits each ⇒ bits ≈ 9·log²n.
             assert!(bits < 16 * log2n * log2n, "cert too large: {bits}");

@@ -36,6 +36,7 @@ use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::msg::Msg;
 use crate::outcome::{combine_decisions, Decision, Outcome};
 use crate::params::{Params, Phase};
+use crate::payload::PayloadPool;
 use gossip_net::agent::Agent;
 use gossip_net::dynamics::{FaultState, LossSchedule, ScenarioScript};
 use gossip_net::fault::{FaultPlan, Placement};
@@ -45,6 +46,7 @@ use gossip_net::network::{Network, NetworkConfig, StageTimes};
 use gossip_net::rng::{DetRng, RngDiscipline};
 use gossip_net::size::SizeEnv;
 use gossip_net::topology::Topology;
+use std::sync::Arc;
 
 /// RNG stream labels: one sub-stream per independent randomness consumer.
 /// Public so external drivers — the instance plane replicating the legacy
@@ -561,17 +563,31 @@ fn fill_agents<A>(
 
 /// Build a ready-to-run network of the agents `factory` makes — every
 /// world ingredient (topology, colors, faults, per-agent RNG streams,
-/// metering environment) derived from `(cfg, seed)`. Every runner in
-/// this crate builds through here, and so does the `rfc-node` session:
-/// each endpoint builds the network [`crate::run_protocol_async`] builds.
+/// metering environment) derived from `(cfg, seed)`, and a fresh
+/// [`PayloadPool`] the agents' cores join. Every runner in this crate
+/// builds through here or [`build_network_in`].
 pub fn build_network_slots<A: Agent<Msg>>(
     cfg: &RunConfig,
     seed: u64,
     factory: &mut SlotFactory<A>,
 ) -> Network<Msg, A> {
+    build_network_in(cfg, seed, &PayloadPool::for_network(cfg.params()), factory)
+}
+
+/// [`build_network_slots`] with the caller's payload pool — the
+/// `rfc-node` session builds each endpoint's network this way, so it can
+/// encode and decode the endpoint's socket traffic through the pool.
+pub fn build_network_in<A: Agent<Msg>>(
+    cfg: &RunConfig,
+    seed: u64,
+    pool: &Arc<PayloadPool>,
+    factory: &mut SlotFactory<A>,
+) -> Network<Msg, A> {
     let (params, colors, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
     let mut agents: Vec<A> = Vec::new();
-    fill_agents(&mut agents, cfg, seed, params, &colors, &topology, factory);
+    PayloadPool::building(pool, || {
+        fill_agents(&mut agents, cfg, seed, params, &colors, &topology, factory)
+    });
     Network::with_config(topology, env, agents, faults, net_cfg)
 }
 
@@ -589,19 +605,21 @@ pub fn honest_slot_factory(
 
 /// A reusable per-worker simulation arena (see the module docs).
 ///
-/// Holds one slot-typed network across trials and re-arms it in place, so
-/// steady-state trials reuse the agent vector, the op/reply scratch
-/// buffers, the metrics phase table and the op-log event buffer instead
-/// of reallocating them. Dropping the arena frees everything.
+/// Holds one slot-typed network and its payload pool across trials and
+/// re-arms both in place, so steady-state trials reuse the agent vector,
+/// the op/reply scratch buffers, the metrics phase table, the op-log
+/// event buffer and the pool's tables instead of reallocating them.
+/// Dropping the arena frees everything.
 #[derive(Default)]
 pub struct TrialArena {
     net: Option<Network<Msg, AgentSlot>>,
+    pool: Option<Arc<PayloadPool>>,
 }
 
 impl TrialArena {
     /// An empty arena (the first trial builds the network).
     pub fn new() -> Self {
-        TrialArena { net: None }
+        TrialArena::default()
     }
 
     /// Run one fully honest trial in the arena. Bit-identical to
@@ -614,15 +632,26 @@ impl TrialArena {
     /// harness plugs deviating slots in here).
     pub fn run_with(&mut self, cfg: &RunConfig, seed: u64, factory: &mut SlotFactory) -> RunReport {
         let (params, colors, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
+        let pool_slot = &mut self.pool;
+        let mut fill = |agents: &mut Vec<AgentSlot>, topo: &Topology| {
+            // The last trial's agents are gone by now, and with them
+            // every other reference to the pool.
+            let pool = match pool_slot.as_mut().and_then(Arc::get_mut) {
+                Some(pool) => {
+                    pool.rearm(params, cfg.n);
+                    pool_slot.as_ref().expect("pool just re-armed")
+                }
+                None => pool_slot.insert(PayloadPool::for_network(params)),
+            };
+            PayloadPool::building(pool, || {
+                fill_agents(agents, cfg, seed, params, &colors, topo, factory)
+            });
+        };
         match &mut self.net {
-            Some(net) => {
-                net.reset_into(topology, env, faults, net_cfg, |agents, topo| {
-                    fill_agents(agents, cfg, seed, params, &colors, topo, factory);
-                });
-            }
+            Some(net) => net.reset_into(topology, env, faults, net_cfg, fill),
             None => {
                 let mut agents: Vec<AgentSlot> = Vec::new();
-                fill_agents(&mut agents, cfg, seed, params, &colors, &topology, factory);
+                fill(&mut agents, &topology);
                 self.net = Some(Network::with_config(topology, env, agents, faults, net_cfg));
             }
         }
@@ -765,7 +794,7 @@ pub(crate) fn report_of_agents<'a, A: ConsensusAgent + 'a>(
             match effective_decision(core, cfg) {
                 Some(c) => {
                     if winner.is_none() && agent.role() == Role::Honest {
-                        winner = core.min_cert.as_ref().map(|ce| ce.owner);
+                        winner = core.min_cert_data().map(|ce| ce.owner);
                     }
                     Decision::Decided(c)
                 }
@@ -803,13 +832,13 @@ pub(crate) fn effective_decision(core: &ProtocolCore, cfg: &RunConfig) -> Option
         if core.failed && core.verify_failure != Some(crate::engine::VerifyFailure::FailedEarlier)
         {
             // Verification-type failures are bypassed by the ablation…
-            return core.min_cert.as_ref().map(|c| c.color);
+            return core.min_cert_data().map(|c| c.color);
         }
         if core.failed {
             // …but Coherence failures still count (it is a separate phase).
             return None;
         }
-        return core.min_cert.as_ref().map(|c| c.color);
+        return core.min_cert_data().map(|c| c.color);
     }
     core.decision()
 }

@@ -15,7 +15,8 @@
 use crate::agent_plane::AgentSlot;
 use crate::coalition::Coalition;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
-use crate::msg::{IntentEntry, IntentList, Msg};
+use crate::msg::{IntentEntry, Msg};
+use crate::payload::ListId;
 use crate::strategies::Strategy;
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::AgentId;
@@ -38,13 +39,13 @@ impl Strategy for Equivocate {
         // Version B: an independent draw from the same distribution.
         let m = core.params.m;
         let n = core.params.n;
-        let version_b: IntentList = (0..core.params.q)
+        let entries = (0..core.params.q)
             .map(|_| IntentEntry {
                 value: core.rng.below(m),
                 target: core.rng.index(n) as AgentId,
             })
-            .collect::<Vec<_>>()
-            .into();
+            .collect();
+        let version_b = core.pool().insert_list(entries);
         AgentSlot::Equivocate(EquivocatorAgent {
             core,
             version_b,
@@ -56,7 +57,7 @@ impl Strategy for Equivocate {
 /// The equivocating agent: version A to odd pullers, B to even ones.
 pub struct EquivocatorAgent {
     core: ProtocolCore,
-    version_b: IntentList,
+    version_b: ListId,
     pulls_seen: usize,
 }
 
@@ -68,10 +69,12 @@ impl Agent<Msg> for EquivocatorAgent {
     fn on_pull(&mut self, from: AgentId, query: &Msg, ctx: &RoundCtx) -> Option<Msg> {
         if matches!(query, Msg::QIntent) {
             self.pulls_seen += 1;
-            if self.pulls_seen.is_multiple_of(2) {
-                return Some(Msg::Intents(self.version_b.clone()));
-            }
-            return Some(Msg::Intents(self.core.intents.clone()));
+            let list = if self.pulls_seen.is_multiple_of(2) {
+                self.version_b
+            } else {
+                self.core.intents
+            };
+            return Some(self.core.pool().list_msg(list));
         }
         self.core.on_pull_honest(from, query, ctx)
     }
@@ -106,9 +109,9 @@ mod tests {
     use gossip_net::topology::Topology;
     use crate::params::Params;
 
-    fn extract(reply: Option<Msg>) -> IntentList {
+    fn extract(agent: &AgentSlot, reply: Option<Msg>) -> Vec<IntentEntry> {
         match reply {
-            Some(Msg::Intents(l)) => l,
+            Some(Msg::Intents { list, .. }) => agent.core().pool().list(list).to_vec(),
             other => panic!("expected intents, got {other:?}"),
         }
     }
@@ -129,11 +132,16 @@ mod tests {
             round: 0,
             topology: &topo,
         };
-        let first = extract(agent.on_pull(3, &Msg::QIntent, &ctx));
-        let second = extract(agent.on_pull(4, &Msg::QIntent, &ctx));
-        let third = extract(agent.on_pull(5, &Msg::QIntent, &ctx));
-        assert_ne!(first.to_vec(), second.to_vec(), "A and B must differ");
-        assert_eq!(first.to_vec(), third.to_vec(), "odd pulls get version A");
+        let first = agent.on_pull(3, &Msg::QIntent, &ctx);
+        let second = agent.on_pull(4, &Msg::QIntent, &ctx);
+        let third = agent.on_pull(5, &Msg::QIntent, &ctx);
+        let (first, second, third) = (
+            extract(&agent, first),
+            extract(&agent, second),
+            extract(&agent, third),
+        );
+        assert_ne!(first, second, "A and B must differ");
+        assert_eq!(first, third, "odd pulls get version A");
     }
 
     #[test]
@@ -148,9 +156,13 @@ mod tests {
         );
         let agent_box = Equivocate.build(core, new_coalition(vec![1], 0));
         let c = agent_box.core();
-        assert_eq!(c.intents.len(), params.q);
-        // Version A (core) passes the same plausibility test honest
-        // verifiers apply.
-        assert!(c.intents_plausible(&c.intents));
+        assert_eq!(c.intent_list().len(), params.q);
+        // Both versions pass the same plausibility test honest verifiers
+        // apply.
+        let AgentSlot::Equivocate(eq) = &agent_box else {
+            panic!("equivocate builds its own variant");
+        };
+        assert!(c.pool().plausible(c.intents));
+        assert!(c.pool().plausible(eq.version_b));
     }
 }

@@ -29,10 +29,10 @@ use crate::coalition::Coalition;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
 use crate::msg::Msg;
 use crate::params::Phase;
+use crate::payload::CertId;
 use crate::strategies::Strategy;
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::AgentId;
-use crate::sharing::Shared;
 
 /// Fabrication mode for the forged certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +120,7 @@ impl ForgeAgent {
     /// Reads the receipt-order vote buffer, so it must run *before*
     /// `ensure_certificate` (which consumes the buffer into the honest
     /// own-certificate) — see the call-site ordering in `act`.
-    fn forge(&mut self) -> crate::Certificate {
+    fn forge(&mut self) -> CertId {
         let m = self.core.params.m;
         let (votes, k) = match self.mode {
             ForgeMode::ZeroK => (self.core.votes.clone(), 0),
@@ -147,24 +147,25 @@ impl ForgeAgent {
                 (votes, 0)
             }
         };
-        let cert = Shared::new(CertData {
+        let cert = self.core.pool().insert_cert(CertData {
             k,
             votes,
             color: self.coalition.color,
             owner: self.core.id,
         });
-        self.coalition.intel().promoted_cert = Some(Shared::clone(&cert));
+        self.coalition.intel().promoted_cert = Some(cert);
         cert
     }
 
     /// The certificate this member currently advertises: the promoted
     /// forgery once it exists, else the honest minimum.
-    fn advertised(&mut self) -> Option<crate::Certificate> {
-        if let Some(ce) = self.coalition.intel().promoted_cert.as_ref() {
-            return Some(Shared::clone(ce));
-        }
-        self.core.ensure_certificate();
-        self.core.min_cert.clone()
+    fn advertised(&mut self) -> Option<Msg> {
+        let promoted = self.coalition.intel().promoted_cert;
+        let cert = promoted.or_else(|| {
+            self.core.ensure_certificate();
+            self.core.min_cert
+        })?;
+        Some(self.core.pool().cert_msg(cert))
     }
 }
 
@@ -197,7 +198,7 @@ impl Agent<Msg> for ForgeAgent {
             Phase::Coherence => {
                 let cert = self.advertised()?;
                 let peer = ctx.topology.sample_peer(self.core.id, &mut self.core.rng);
-                Some(Op::push(peer, Msg::Cert(cert)))
+                Some(Op::push(peer, cert))
             }
             Phase::Finished => None,
         }
@@ -210,7 +211,7 @@ impl Agent<Msg> for ForgeAgent {
             Msg::QIntent => self.core.on_pull_honest(from, query, ctx),
             Msg::QMinCert => {
                 if self.core.phase(ctx.round) >= Phase::FindMin {
-                    self.advertised().map(Msg::Cert)
+                    self.advertised()
                 } else {
                     None
                 }
@@ -284,7 +285,8 @@ mod tests {
             round: 0,
             value: 123,
         });
-        let cert = a.forge();
+        let forged = a.forge();
+        let cert = a.core.pool().cert(forged);
         assert_eq!(cert.k, 0);
         assert_ne!(cert.derived_k(a.core.params.m), 0, "sum check must fail");
         assert_eq!(cert.color, 1);
@@ -299,7 +301,8 @@ mod tests {
             round: 0,
             value: 123,
         });
-        let cert = a.forge();
+        let forged = a.forge();
+        let cert = a.core.pool().cert(forged);
         assert_eq!(cert.k, 0);
         assert_eq!(cert.derived_k(a.core.params.m), 0, "sum check must pass");
         // The balancing vote is attributed to the accomplice (id 7).
@@ -314,7 +317,8 @@ mod tests {
             round: 0,
             value: 99,
         });
-        let cert = a.forge();
+        let forged = a.forge();
+        let cert = a.core.pool().cert(forged);
         assert_eq!(cert.k, 0);
         assert!(cert.votes.is_empty());
         assert_eq!(cert.derived_k(a.core.params.m), 0);
@@ -336,7 +340,8 @@ mod tests {
             round: 1,
             value: 7,
         });
-        let cert = a.forge();
+        let forged = a.forge();
+        let cert = a.core.pool().cert(forged);
         assert!(cert.votes.iter().any(|v| v.voter == 4));
     }
 }

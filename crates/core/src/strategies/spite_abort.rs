@@ -19,10 +19,10 @@ use crate::coalition::Coalition;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
 use crate::msg::Msg;
 use crate::params::Phase;
+use crate::payload::CertId;
 use crate::strategies::Strategy;
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::AgentId;
-use crate::sharing::Shared;
 
 /// The spite-abort strategy (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -51,31 +51,31 @@ pub struct SpiteAgent {
     core: ProtocolCore,
     coalition: Coalition,
     /// Fabricated certificate used for sabotage (built lazily).
-    poison: Option<crate::Certificate>,
+    poison: Option<CertId>,
 }
 
 impl SpiteAgent {
     fn losing(&self) -> bool {
-        match &self.core.min_cert {
+        match self.core.min_cert_data() {
             Some(ce) => ce.color != self.coalition.color,
             None => false,
         }
     }
 
-    fn poison_cert(&mut self) -> crate::Certificate {
-        if let Some(p) = &self.poison {
-            return Shared::clone(p);
-        }
+    /// The sabotage message: the poison certificate, built once.
+    fn poison_msg(&mut self) -> Msg {
+        let pool = self.core.pool();
         // A structurally valid certificate that cannot equal the honest
         // minimum: claims our id as owner with an empty vote set.
-        let p = Shared::new(CertData {
-            k: 0,
-            votes: VoteLanes::new(),
-            color: self.coalition.color,
-            owner: self.core.id,
+        let p = *self.poison.get_or_insert_with(|| {
+            pool.insert_cert(CertData {
+                k: 0,
+                votes: VoteLanes::new(),
+                color: self.coalition.color,
+                owner: self.core.id,
+            })
         });
-        self.poison = Some(Shared::clone(&p));
-        p
+        pool.cert_msg(p)
     }
 }
 
@@ -83,9 +83,9 @@ impl Agent<Msg> for SpiteAgent {
     fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Msg>> {
         match self.core.phase(ctx.round) {
             Phase::Coherence if self.losing() => {
-                let poison = self.poison_cert();
+                let poison = self.poison_msg();
                 let peer = ctx.topology.sample_peer(self.core.id, &mut self.core.rng);
-                Some(Op::push(peer, Msg::Cert(poison)))
+                Some(Op::push(peer, poison))
             }
             _ => self.core.act_honest(ctx),
         }
@@ -98,8 +98,7 @@ impl Agent<Msg> for SpiteAgent {
             && self.core.phase(ctx.round) == Phase::Coherence
             && self.losing()
         {
-            let poison = self.poison_cert();
-            return Some(Msg::Cert(poison));
+            return Some(self.poison_msg());
         }
         self.core.on_pull_honest(from, query, ctx)
     }
@@ -107,7 +106,7 @@ impl Agent<Msg> for SpiteAgent {
     fn on_push(&mut self, from: AgentId, msg: &Msg, ctx: &RoundCtx) {
         // Ignore Coherence mismatches against ourselves; stay honest
         // otherwise.
-        if let (Phase::Coherence, Msg::Cert(_)) = (self.core.phase(ctx.round), msg) {
+        if let (Phase::Coherence, Msg::Cert { .. }) = (self.core.phase(ctx.round), msg) {
             return;
         }
         self.core.on_push_honest(from, msg, ctx)
@@ -160,7 +159,7 @@ mod tests {
         let mut a = mk();
         a.core.ensure_certificate();
         assert!(!a.losing(), "own color == coalition color");
-        a.core.min_cert = Some(Shared::new(CertData {
+        a.core.min_cert = Some(a.core.pool().insert_cert(CertData {
             k: 0,
             votes: VoteLanes::new(),
             color: 0, // not the coalition color
@@ -174,7 +173,7 @@ mod tests {
         let mut a = mk();
         let q = a.core.params.q;
         a.core.ensure_certificate();
-        a.core.min_cert = Some(Shared::new(CertData {
+        a.core.min_cert = Some(a.core.pool().insert_cert(CertData {
             k: 0,
             votes: VoteLanes::new(),
             color: 0,
@@ -187,8 +186,10 @@ mod tests {
         };
         match a.act(&ctx) {
             Some(Op::Push {
-                msg: Msg::Cert(ce), ..
+                msg: Msg::Cert { cert, .. },
+                ..
             }) => {
+                let ce = a.core.pool().cert(cert);
                 assert_eq!(ce.owner, 3, "poison claims own ownership");
                 assert_ne!(ce.color, 0);
             }
@@ -209,8 +210,9 @@ mod tests {
         };
         match a.act(&ctx) {
             Some(Op::Push {
-                msg: Msg::Cert(ce), ..
-            }) => assert_eq!(ce, a.core.min_cert.clone().unwrap()),
+                msg: Msg::Cert { cert, .. },
+                ..
+            }) => assert_eq!(Some(cert), a.core.min_cert),
             other => panic!("expected honest coherence push, got {other:?}"),
         }
     }
@@ -218,8 +220,9 @@ mod tests {
     #[test]
     fn poison_is_cached() {
         let mut a = mk();
-        let p1 = a.poison_cert();
-        let p2 = a.poison_cert();
-        assert!(Shared::ptr_eq(&p1, &p2));
+        let p1 = a.poison_msg();
+        let p2 = a.poison_msg();
+        assert_eq!(p1, p2, "one poison certificate, one handle");
+        assert_eq!(a.core.pool().cert_count(), 1);
     }
 }

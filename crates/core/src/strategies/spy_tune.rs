@@ -26,8 +26,9 @@
 use crate::agent_plane::AgentSlot;
 use crate::coalition::Coalition;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
-use crate::msg::{IntentEntry, IntentList, Msg};
+use crate::msg::{IntentEntry, Msg};
 use crate::params::Phase;
+use crate::payload::ListId;
 use crate::strategies::Strategy;
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::AgentId;
@@ -92,12 +93,12 @@ impl SpyAgent {
         });
         let total: u64 = entries.iter().fold(0, |acc, e| (acc + e.value) % m);
         intel.planned_tuned_votes = (intel.planned_tuned_votes + total) % m;
-        self.core.intents = entries.into();
+        self.core.intents = self.core.pool().insert_list(entries);
         self.declared = true;
     }
 
     /// Record a harvested intention list into the shared blackboard.
-    fn harvest(&mut self, owner: AgentId, list: &IntentList) {
+    fn harvest(&mut self, owner: AgentId, list: ListId) {
         if self.coalition.contains(owner) {
             return; // our own plans are tracked separately
         }
@@ -107,13 +108,16 @@ impl SpyAgent {
         if intel.learned_intents.iter().any(|(o, _)| *o == owner) {
             return; // already harvested — avoid double counting
         }
-        let contribution: u64 = list
+        let contribution: u64 = self
+            .core
+            .pool()
+            .list(list)
             .iter()
             .filter(|e| e.target == leader)
             .fold(0, |acc, e| (acc + e.value) % m);
         intel.known_sum_for_leader = (intel.known_sum_for_leader + contribution) % m;
         intel.coverage += 1;
-        intel.learned_intents.push((owner, list.clone()));
+        intel.learned_intents.push((owner, list));
     }
 
     /// Next spy target: sweep all non-member ids round-robin, starting
@@ -163,8 +167,8 @@ impl Agent<Msg> for SpyAgent {
 
     fn on_reply(&mut self, from: AgentId, reply: Option<Msg>, ctx: &RoundCtx) {
         if self.core.phase(ctx.round) == Phase::Commitment {
-            if let Some(Msg::Intents(list)) = &reply {
-                if self.core.intents_plausible(list) {
+            if let Some(Msg::Intents { list, .. }) = reply {
+                if self.core.pool().plausible(list) {
                     self.harvest(from, list);
                 }
             }
@@ -221,9 +225,13 @@ mod tests {
         spy.coalition.intel().known_sum_for_leader = 1000;
         spy.finalize_intents();
         let m = spy.core.params.m;
-        let own: u64 = spy.core.intents.iter().fold(0, |a, e| (a + e.value) % m);
+        let own: u64 = spy
+            .core
+            .intent_list()
+            .iter()
+            .fold(0, |a, e| (a + e.value) % m);
         assert_eq!((1000 + own) % m, 0, "known + own ≡ 0 (mod m)");
-        assert!(spy.core.intents.iter().all(|e| e.target == 3));
+        assert!(spy.core.intent_list().iter().all(|e| e.target == 3));
     }
 
     #[test]
@@ -248,8 +256,16 @@ mod tests {
         a.finalize_intents();
         b.finalize_intents();
         let m = params.m;
-        let sum_a: u64 = a.core.intents.iter().fold(0, |x, e| (x + e.value) % m);
-        let sum_b: u64 = b.core.intents.iter().fold(0, |x, e| (x + e.value) % m);
+        let sum_a: u64 = a
+            .core
+            .intent_list()
+            .iter()
+            .fold(0, |x, e| (x + e.value) % m);
+        let sum_b: u64 = b
+            .core
+            .intent_list()
+            .iter()
+            .fold(0, |x, e| (x + e.value) % m);
         assert_eq!((777 + sum_a + sum_b) % m, 0, "joint tuning nets to zero");
     }
 
@@ -257,31 +273,31 @@ mod tests {
     fn finalize_is_idempotent() {
         let mut spy = mk_spy(3, vec![3]);
         spy.finalize_intents();
-        let first: Vec<_> = spy.core.intents.to_vec();
+        let first: Vec<_> = spy.core.intent_list().to_vec();
         spy.finalize_intents();
-        assert_eq!(first, spy.core.intents.to_vec());
+        assert_eq!(first, spy.core.intent_list().to_vec());
     }
 
     #[test]
     fn harvest_ignores_members_and_duplicates() {
         let mut spy = mk_spy(3, vec![3, 8]);
-        let list: IntentList = (0..spy.core.params.q)
-            .map(|_| IntentEntry {
+        let list = spy.core.pool().insert_list(vec![
+            IntentEntry {
                 value: 10,
-                target: 3,
-            })
-            .collect::<Vec<_>>()
-            .into();
-        spy.harvest(8, &list); // member: ignored
+                target: 3
+            };
+            spy.core.params.q
+        ]);
+        spy.harvest(8, list); // member: ignored
         assert_eq!(spy.coalition.intel().coverage, 0);
-        spy.harvest(5, &list);
+        spy.harvest(5, list);
         assert_eq!(spy.coalition.intel().coverage, 1);
         let expected = (10 * spy.core.params.q as u64) % spy.core.params.m;
         assert_eq!(
             spy.coalition.intel().known_sum_for_leader,
             expected
         );
-        spy.harvest(5, &list); // duplicate: ignored
+        spy.harvest(5, list); // duplicate: ignored
         assert_eq!(spy.coalition.intel().coverage, 1);
     }
 
@@ -304,7 +320,11 @@ mod tests {
         // Simulate total knowledge: honest votes for leader sum to 5555.
         spy.coalition.intel().known_sum_for_leader = 5555;
         spy.finalize_intents();
-        let own: u64 = spy.core.intents.iter().fold(0, |a, e| (a + e.value) % m);
+        let own: u64 = spy
+            .core
+            .intent_list()
+            .iter()
+            .fold(0, |a, e| (a + e.value) % m);
         assert_eq!((5555 + own) % m, 0);
     }
 }

@@ -18,11 +18,10 @@ use crate::coalition::Coalition;
 use crate::engine::{ConsensusAgent, ProtocolCore, Role};
 use crate::msg::Msg;
 use crate::params::Phase;
+use crate::payload::CertId;
 use crate::strategies::Strategy;
-use crate::Certificate;
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::AgentId;
-use crate::sharing::Shared;
 
 /// The minimum-suppression strategy (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -51,19 +50,21 @@ pub struct CensorAgent {
     core: ProtocolCore,
     coalition: Coalition,
     /// Best (lowest-k) certificate owned by a coalition member seen so far.
-    best_coalition_cert: Option<Certificate>,
+    best_coalition_cert: Option<CertId>,
 }
 
 impl CensorAgent {
     /// Track coalition-owned certificates passing by.
-    fn observe(&mut self, ce: &Certificate) {
-        if self.coalition.contains(ce.owner) {
-            let better = match &self.best_coalition_cert {
+    fn observe(&mut self, ce: CertId) {
+        let pool = self.core.pool();
+        let seen = pool.cert(ce);
+        if self.coalition.contains(seen.owner) {
+            let better = match self.best_coalition_cert {
                 None => true,
-                Some(cur) => ce.k < cur.k,
+                Some(cur) => seen.k < pool.cert(cur).k,
             };
             if better {
-                self.best_coalition_cert = Some(Shared::clone(ce));
+                self.best_coalition_cert = Some(ce);
             }
         }
     }
@@ -71,12 +72,10 @@ impl CensorAgent {
     /// What this censor advertises: the best coalition certificate if any,
     /// else its own (it must answer *something* plausible to avoid being
     /// marked faulty-looking in a phase where silence is suspicious).
-    fn advertised(&mut self) -> Option<Certificate> {
+    fn advertised(&mut self) -> Option<Msg> {
         self.core.ensure_certificate();
-        if let Some(ce) = &self.best_coalition_cert {
-            return Some(Shared::clone(ce));
-        }
-        self.core.min_cert.clone()
+        let cert = self.best_coalition_cert.or(self.core.min_cert)?;
+        Some(self.core.pool().cert_msg(cert))
     }
 }
 
@@ -86,7 +85,7 @@ impl Agent<Msg> for CensorAgent {
             Phase::Coherence => {
                 let cert = self.advertised()?;
                 let peer = ctx.topology.sample_peer(self.core.id, &mut self.core.rng);
-                Some(Op::push(peer, Msg::Cert(cert)))
+                Some(Op::push(peer, cert))
             }
             // Everything else (incl. Find-Min pulls, to keep tracking the
             // true minimum) is honest-shaped.
@@ -98,27 +97,27 @@ impl Agent<Msg> for CensorAgent {
         if matches!(query, Msg::QMinCert) && self.core.phase(ctx.round) >= Phase::FindMin {
             // The censoring move: advertise coalition certs, not the truth.
             self.core.ensure_certificate();
-            if let Some(own) = &self.core.min_cert {
-                self.observe(&Shared::clone(own));
+            if let Some(own) = self.core.min_cert {
+                self.observe(own);
             }
-            return self.advertised().map(Msg::Cert);
+            return self.advertised();
         }
         self.core.on_pull_honest(from, query, ctx)
     }
 
     fn on_push(&mut self, from: AgentId, msg: &Msg, ctx: &RoundCtx) {
         match (self.core.phase(ctx.round), msg) {
-            (Phase::Coherence, Msg::Cert(ce)) => {
+            (Phase::Coherence, Msg::Cert { cert, .. }) => {
                 // Track, never fail ourselves.
-                self.observe(ce);
+                self.observe(*cert);
             }
             _ => self.core.on_push_honest(from, msg, ctx),
         }
     }
 
     fn on_reply(&mut self, from: AgentId, reply: Option<Msg>, ctx: &RoundCtx) {
-        if let Some(Msg::Cert(ce)) = &reply {
-            self.observe(ce);
+        if let Some(Msg::Cert { cert, .. }) = reply {
+            self.observe(cert);
         }
         // Keep the true minimum internally (honest adoption) so the censor
         // knows what the network will converge to.
@@ -163,8 +162,8 @@ mod tests {
         }
     }
 
-    fn cert(owner: AgentId, k: u64) -> Certificate {
-        Shared::new(CertData {
+    fn cert(a: &CensorAgent, owner: AgentId, k: u64) -> CertId {
+        a.core.pool().insert_cert(CertData {
             k,
             votes: VoteLanes::new(),
             color: 1,
@@ -172,17 +171,29 @@ mod tests {
         })
     }
 
+    fn best_k(a: &CensorAgent) -> u64 {
+        a.core.pool().cert(a.best_coalition_cert.unwrap()).k
+    }
+
+    /// The owner of the certificate a censor's message advertises.
+    fn owner(a: &CensorAgent, msg: Msg) -> AgentId {
+        match msg {
+            Msg::Cert { cert, .. } => a.core.pool().cert(cert).owner,
+            other => panic!("expected a certificate, got {other:?}"),
+        }
+    }
+
     #[test]
     fn tracks_best_coalition_cert_only() {
         let mut a = mk();
-        a.observe(&cert(2, 1)); // honest-owned: ignored
+        a.observe(cert(&a, 2, 1)); // honest-owned: ignored
         assert!(a.best_coalition_cert.is_none());
-        a.observe(&cert(9, 500));
-        assert_eq!(a.best_coalition_cert.as_ref().unwrap().k, 500);
-        a.observe(&cert(9, 100));
-        assert_eq!(a.best_coalition_cert.as_ref().unwrap().k, 100);
-        a.observe(&cert(9, 300)); // worse: kept at 100
-        assert_eq!(a.best_coalition_cert.as_ref().unwrap().k, 100);
+        a.observe(cert(&a, 9, 500));
+        assert_eq!(best_k(&a), 500);
+        a.observe(cert(&a, 9, 100));
+        assert_eq!(best_k(&a), 100);
+        a.observe(cert(&a, 9, 300)); // worse: kept at 100
+        assert_eq!(best_k(&a), 100);
     }
 
     #[test]
@@ -197,18 +208,18 @@ mod tests {
         });
         a.core.ensure_certificate();
         // The censor knows a tiny honest minimum…
-        a.core.consider_certificate(cert(2, 1));
-        assert_eq!(a.core.min_cert.as_ref().unwrap().owner, 2);
+        a.core.consider_certificate(cert(&a, 2, 1));
+        assert_eq!(a.core.min_cert_data().unwrap().owner, 2);
         // …but advertises the (worse) coalition one.
-        a.observe(&cert(9, 100));
+        a.observe(cert(&a, 9, 100));
         let adv = a.advertised().unwrap();
-        assert_eq!(adv.owner, 9);
+        assert_eq!(owner(&a, adv), 9);
     }
 
     #[test]
     fn falls_back_to_own_when_no_coalition_cert() {
         let mut a = mk();
         let adv = a.advertised().unwrap();
-        assert_eq!(adv.owner, 5, "own certificate is the fallback");
+        assert_eq!(owner(&a, adv), 5, "own certificate is the fallback");
     }
 }

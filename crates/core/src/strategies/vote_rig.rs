@@ -37,13 +37,13 @@ impl Strategy for VoteRig {
         // Voting-Intention phase, before any communication.
         let leader = coalition.leader;
         let m = core.params.m;
-        core.intents = (0..core.params.q)
+        let entries = (0..core.params.q)
             .map(|_| IntentEntry {
                 value: core.rng.below(m),
                 target: leader,
             })
-            .collect::<Vec<_>>()
-            .into();
+            .collect();
+        core.intents = core.pool().insert_list(entries);
         AgentSlot::VoteRig(VoteRigAgent { core })
     }
 }
@@ -100,9 +100,9 @@ mod tests {
         let coalition = new_coalition(vec![4, 9, 20], 1);
         let agent = VoteRig.build(core, coalition);
         let c = agent.core();
-        assert_eq!(c.intents.len(), params.q);
-        assert!(c.intents.iter().all(|e| e.target == 4));
-        assert!(c.intents.iter().all(|e| e.value < params.m));
+        assert_eq!(c.intent_list().len(), params.q);
+        assert!(c.intent_list().iter().all(|e| e.target == 4));
+        assert!(c.intent_list().iter().all(|e| e.value < params.m));
     }
 
     #[test]
@@ -116,7 +116,7 @@ mod tests {
             DetRng::seeded(3, 9),
         );
         let agent = VoteRig.build(core, new_coalition(vec![9], 1));
-        let values: Vec<u64> = agent.core().intents.iter().map(|e| e.value).collect();
+        let values: Vec<u64> = agent.core().intent_list().iter().map(|e| e.value).collect();
         let first = values[0];
         assert!(
             values.iter().any(|&v| v != first),

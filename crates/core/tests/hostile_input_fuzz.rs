@@ -15,25 +15,43 @@ use proptest::prelude::*;
 use rfc_core::certificate::{CertData, VoteRec};
 use rfc_core::engine::{HonestAgent, ProtocolCore};
 use rfc_core::msg::{IntentEntry, Msg};
-use rfc_core::Params;
-use rfc_core::sharing::Shared;
+use rfc_core::{Params, PayloadPool};
+
+/// An arbitrary message with its payload spelled out; [`Spec::into_msg`]
+/// puts the payload into the receiving agent's pool, as a decoder would.
+#[derive(Debug, Clone)]
+enum Spec {
+    Plain(Msg),
+    Intents(Vec<IntentEntry>),
+    Cert(CertData),
+}
+
+impl Spec {
+    fn into_msg(self, pool: &PayloadPool) -> Msg {
+        match self {
+            Spec::Plain(msg) => msg,
+            Spec::Intents(entries) => pool.list_msg(pool.intern_list(entries)),
+            Spec::Cert(cert) => pool.cert_msg(pool.intern_cert(cert)),
+        }
+    }
+}
 
 /// Generator for arbitrary protocol messages (including malformed ones).
-fn arb_msg() -> impl proptest::strategy::Strategy<Value = Msg> {
+fn arb_msg() -> impl proptest::strategy::Strategy<Value = Spec> {
     prop_oneof![
-        Just(Msg::QIntent),
-        Just(Msg::QMinCert),
-        (any::<u64>(), any::<u16>()).prop_map(|(value, round)| Msg::Vote { value, round }),
+        Just(Spec::Plain(Msg::QIntent)),
+        Just(Spec::Plain(Msg::QMinCert)),
+        (any::<u64>(), any::<u16>())
+            .prop_map(|(value, round)| Spec::Plain(Msg::Vote { value, round })),
         proptest::collection::vec((any::<u64>(), any::<u32>()), 0..40).prop_map(|entries| {
-            Msg::Intents(
+            Spec::Intents(
                 entries
                     .into_iter()
                     .map(|(value, target)| IntentEntry {
                         value,
                         target: target % 64,
                     })
-                    .collect::<Vec<_>>()
-                    .into(),
+                    .collect(),
             )
         }),
         (
@@ -43,7 +61,7 @@ fn arb_msg() -> impl proptest::strategy::Strategy<Value = Msg> {
             proptest::collection::vec((any::<u32>(), any::<u16>(), any::<u64>()), 0..30)
         )
             .prop_map(|(k, color, owner, votes)| {
-                Msg::Cert(Shared::new(CertData {
+                Spec::Cert(CertData {
                     k,
                     votes: votes
                         .into_iter()
@@ -55,7 +73,7 @@ fn arb_msg() -> impl proptest::strategy::Strategy<Value = Msg> {
                         .collect(),
                     color,
                     owner: owner % 64,
-                }))
+                })
             }),
     ]
 }
@@ -86,7 +104,8 @@ proptest! {
     ) {
         let topo = Topology::complete(32);
         let (mut agent, params) = fresh_agent(seed);
-        for (msg, from, round) in msgs {
+        for (spec, from, round) in msgs {
+            let msg = spec.into_msg(agent.core().pool());
             let ctx = RoundCtx { round, topology: &topo };
             // Alternate between delivery paths.
             match round % 3 {
@@ -97,7 +116,7 @@ proptest! {
         }
         // Invariants after the storm:
         let core = agent.core();
-        if let Some(ce) = &core.min_cert {
+        if let Some(ce) = core.min_cert_data() {
             prop_assert!(
                 ce.structurally_valid(params.n, params.m, params.q)
                     || ce.owner == core.id,
@@ -122,7 +141,8 @@ proptest! {
         for round in 0..total {
             let ctx = RoundCtx { round, topology: &topo };
             let _ = agent.act(&ctx);
-            if let Some((msg, from)) = g.next() {
+            if let Some((spec, from)) = g.next() {
+                let msg = spec.into_msg(agent.core().pool());
                 agent.on_push(from, &msg, &ctx);
             }
         }
@@ -144,27 +164,28 @@ proptest! {
     ) {
         let topo = Topology::complete(32);
         let (mut agent, _) = fresh_agent(seed);
-        let before: Vec<IntentEntry> = agent.core().intents.to_vec();
-        for (q, from, round) in queries {
+        let before: Vec<IntentEntry> = agent.core().intent_list().to_vec();
+        for (spec, from, round) in queries {
+            let q = spec.into_msg(agent.core().pool());
             let ctx = RoundCtx { round, topology: &topo };
             let _ = agent.on_pull(from, &q, &ctx);
         }
-        prop_assert_eq!(before, agent.core().intents.to_vec());
+        prop_assert_eq!(before, agent.core().intent_list().to_vec());
     }
 
     /// Replies carrying wrong message kinds during Commitment mark the
     /// peer faulty rather than corrupting the ledger.
     #[test]
     fn wrong_kind_replies_mark_faulty(
-        msg in arb_msg(),
+        spec in arb_msg(),
         from in 0u32..32,
         seed in any::<u64>(),
     ) {
         let topo = Topology::complete(32);
         let (mut agent, params) = fresh_agent(seed);
         let ctx = RoundCtx { round: 0, topology: &topo };
-        let is_good_intents = match &msg {
-            Msg::Intents(list) => {
+        let is_good_intents = match &spec {
+            Spec::Intents(list) => {
                 list.len() == params.q
                     && list
                         .iter()
@@ -172,6 +193,7 @@ proptest! {
             }
             _ => false,
         };
+        let msg = spec.into_msg(agent.core().pool());
         agent.on_reply(from, Some(msg), &ctx);
         let entry = agent.core().ledger.find(from).expect("entry recorded");
         match (&entry.decl, is_good_intents) {

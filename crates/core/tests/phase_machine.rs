@@ -56,17 +56,17 @@ fn find_min_converges_before_coherence() {
     let mut net = build_network_slots(&cfg, 9, &mut honest_slot_factory);
     let q = cfg.params().q;
     net.run(3 * q); // through find-min
-    let first = net.agent(0).core().min_cert.clone().unwrap();
+    let first = net.agent(0).core().min_cert_data().unwrap();
     for id in 1..n as u32 {
         assert_eq!(
-            net.agent(id).core().min_cert.as_ref(),
-            Some(&first),
+            net.agent(id).core().min_cert_data(),
+            Some(first),
             "agent {id} disagrees after find-min"
         );
     }
     // And the minimum is genuine.
     let min_k = (0..n as u32)
-        .map(|id| net.agent(id).core().own_cert.as_ref().unwrap().k)
+        .map(|id| net.agent(id).core().own_cert_data().unwrap().k)
         .min()
         .unwrap();
     assert_eq!(first.k, min_k);

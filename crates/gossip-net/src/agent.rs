@@ -84,10 +84,11 @@ impl<'a> RoundCtx<'a> {
 ///
 /// Deliveries are **by reference**: the engine retains ownership of the
 /// in-flight operation and hands each receiver a `&M`, so a delivery
-/// costs no clone — an agent clones only the parts it actually keeps
-/// (protocol messages make that cheap via `Arc` payloads). The reply to
-/// a pull is the one owned message an agent produces per delivery, and
-/// it is *moved* to the puller via [`Agent::on_reply`].
+/// costs no clone — an agent copies only the parts it actually keeps
+/// (rfc-core's protocol messages are `Copy`: their payloads are handles
+/// into a per-network pool). The reply to a pull is the one owned
+/// message an agent produces per delivery, and it is *moved* to the
+/// puller via [`Agent::on_reply`].
 ///
 /// Implementations must be deterministic functions of (constructor
 /// arguments, observed messages, own RNG stream) — the simulator provides

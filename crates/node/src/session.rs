@@ -1,8 +1,9 @@
 //! The lockstep session: two processes, one sequential-GOSSIP run.
 //!
 //! Each endpoint builds the network [`rfc_core::run_protocol_async`]
-//! builds — through [`build_network_slots`], from the same [`RunConfig`]
-//! and seed — and drives it with the engine's own tick loop
+//! builds — through [`build_network_in`], from the same [`RunConfig`]
+//! and seed, into a payload pool the endpoint keeps — and drives it
+//! with the engine's own tick loop
 //! ([`gossip_net::network::Network::run_async`]) on the shared
 //! scheduler stream ([`SCHEDULER_STREAM`]). Both endpoints therefore
 //! agree tick by tick on **which agent wakes** without exchanging a byte.
@@ -20,7 +21,10 @@
 //!
 //! The owner of a tick always sends exactly one tick packet —
 //! [`Packet::TickNothing`] when the operation stayed local — so the peer
-//! never guesses. Only cross-process traffic goes on the socket.
+//! never guesses. Only cross-process traffic goes on the socket: each
+//! message's payload is encoded from the endpoint's pool and interned
+//! into the receiving endpoint's, so each pool holds one entry per
+//! distinct payload however often it crosses.
 //!
 //! After the last phase both sides exchange [`Packet::Summary`] and
 //! independently combine the full decision vector — same outcome, same
@@ -28,7 +32,7 @@
 //! `tests/loopback_corpus.rs` pins sessions to `run_protocol_async`: same
 //! decisions, and each endpoint's written bytes.
 
-use crate::wire::{read_packet, write_packet, Packet};
+use crate::wire::{codec_err, read_msg_frame, read_packet, write_packet, Packet};
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
@@ -40,10 +44,11 @@ use rfc_core::engine::{ConsensusAgent, ProtocolCore};
 use rfc_core::msg::Msg;
 use rfc_core::outcome::{combine_decisions, Decision, Outcome};
 use rfc_core::params::{Params, Phase};
-use rfc_core::runner::{build_network_slots, RunConfig};
+use rfc_core::payload::PayloadPool;
+use rfc_core::runner::{build_network_in, RunConfig};
 use std::io::{self, Read, Write};
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which half of the id space this endpoint hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,6 +120,11 @@ pub struct SessionReport {
     pub bytes_sent: u64,
     /// The full per-agent decision vector.
     pub decisions: Vec<Decision>,
+    /// Intention lists this endpoint's payload pool held at the end: its
+    /// hosted agents' own plus each distinct list decoded from the peer.
+    pub pool_lists: usize,
+    /// Certificates this endpoint's payload pool held at the end.
+    pub pool_certs: usize,
 }
 
 /// FNV-1a over u64 words (the same fold the test-suite digests use).
@@ -146,6 +156,9 @@ fn input_err(what: impl Into<String>) -> io::Error {
 /// The socket and this endpoint's account of it, shared by every slot.
 struct Link<S> {
     sock: S,
+    /// The endpoint network's payload pool: outgoing payloads are read
+    /// from it, incoming ones interned into it.
+    pool: Arc<PayloadPool>,
     /// The agent ids this endpoint hosts.
     hosted: Range<usize>,
     /// Protocol messages sent by hosted agents (see
@@ -187,8 +200,14 @@ impl<S: Read + Write> Link<S> {
     fn read_tick(&mut self) -> io::Result<Option<Op<Msg>>> {
         let op = match read_packet(&mut self.sock)? {
             Packet::TickNothing => None,
-            Packet::TickPush { to, msg } => Some(Op::Push { to, msg }),
-            Packet::TickQuery { to, query } => Some(Op::Pull { from: to, query }),
+            Packet::TickPush { to, frame } => Some(Op::Push {
+                to,
+                msg: self.decode(&frame)?,
+            }),
+            Packet::TickQuery { to, frame } => Some(Op::Pull {
+                from: to,
+                query: self.decode(&frame)?,
+            }),
             other => return Err(proto_err(format!("unexpected tick packet {other:?}"))),
         };
         match op {
@@ -197,6 +216,13 @@ impl<S: Read + Write> Link<S> {
             }
             op => Ok(op),
         }
+    }
+}
+
+impl<S> Link<S> {
+    /// A packet's message, its payload interned into the pool.
+    fn decode(&self, frame: &[u8]) -> io::Result<Msg> {
+        read_msg_frame(frame, &self.pool).map_err(codec_err)
     }
 }
 
@@ -236,11 +262,7 @@ impl<S: Read + Write> Agent<Msg> for NodeSlot<'_, S> {
         match &mut self.hosted {
             Some(agent) => agent.on_push(from, msg, ctx),
             None => {
-                let pkt = Packet::TickPush {
-                    to: self.id,
-                    msg: msg.clone(),
-                };
-                lock(self.link).turn(|l| l.write(&pkt));
+                lock(self.link).turn(|l| l.write(&Packet::push(self.id, msg, &l.pool)));
             }
         }
     }
@@ -251,15 +273,11 @@ impl<S: Read + Write> Agent<Msg> for NodeSlot<'_, S> {
             lock(self.link).msgs_sent += reply.is_some() as u64;
             return reply;
         }
-        let pkt = Packet::TickQuery {
-            to: self.id,
-            query: query.clone(),
-        };
         lock(self.link)
             .turn(|l| {
-                l.write(&pkt)?;
+                l.write(&Packet::query(self.id, query, &l.pool))?;
                 match read_packet(&mut l.sock)? {
-                    Packet::Reply { reply } => Ok(reply),
+                    Packet::Reply { reply } => reply.map(|frame| l.decode(&frame)).transpose(),
                     other => Err(proto_err(format!("expected Reply to query, got {other:?}"))),
                 }
             })
@@ -270,7 +288,7 @@ impl<S: Read + Write> Agent<Msg> for NodeSlot<'_, S> {
         match &mut self.hosted {
             Some(agent) => agent.on_reply(from, reply, ctx),
             None => {
-                lock(self.link).turn(|l| l.write(&Packet::Reply { reply }));
+                lock(self.link).turn(|l| l.write(&Packet::reply(reply.as_ref(), &l.pool)));
             }
         }
     }
@@ -326,8 +344,10 @@ pub fn run_session<S: Read + Write + Send>(
     // The network `run_protocol_async` builds, with the peer's agents
     // played by stand-ins.
     let hosted = side.hosted(np.n);
+    let pool = PayloadPool::for_network(cfg.params());
     let link = Mutex::new(Link {
         sock,
+        pool: Arc::clone(&pool),
         hosted: hosted.clone(),
         msgs_sent: 0,
         bytes_sent: 0,
@@ -341,7 +361,7 @@ pub fn run_session<S: Read + Write + Send>(
             }),
             link: &link,
         };
-    let mut net = build_network_slots(&cfg, np.seed, &mut factory);
+    let mut net = build_network_in(&cfg, np.seed, &pool, &mut factory);
 
     let hello = Packet::Hello {
         fingerprint: np.fingerprint(),
@@ -432,6 +452,8 @@ pub fn run_session<S: Read + Write + Send>(
         msgs_sent: link.msgs_sent,
         bytes_sent: link.bytes_sent,
         decisions,
+        pool_lists: pool.list_count(),
+        pool_certs: pool.cert_count(),
     })
 }
 

@@ -3,7 +3,11 @@
 //! One lockstep session exchanges **packets**; protocol messages inside
 //! packets travel as full `rfc_core::codec` frames (magic, version,
 //! kind, length — the same bytes a standalone capture of the socket
-//! would have to parse). Packet layout:
+//! would have to parse). A packet holds its message as that frame: a
+//! message names its payload in the sender's payload pool, so it is
+//! encoded through that pool ([`Packet::push`], [`Packet::query`],
+//! [`Packet::reply`]) and decoded into the receiver's ([`read_msg_frame`]),
+//! while this layer only delimits bytes. Packet layout:
 //!
 //! ```text
 //! packet := type (1 byte) | varint body_len | body
@@ -23,6 +27,7 @@
 use gossip_net::ids::{AgentId, ColorId};
 use rfc_core::codec::{self, CodecError, Reader};
 use rfc_core::msg::Msg;
+use rfc_core::payload::PayloadPool;
 use std::io::{self, Read, Write};
 
 /// One lockstep packet.
@@ -38,25 +43,25 @@ pub enum Packet {
     },
     /// The tick owner performed no cross-process communication.
     TickNothing,
-    /// The tick owner pushed `msg` to the peer-hosted agent `to`.
+    /// The tick owner pushed a message to the peer-hosted agent `to`.
     TickPush {
         /// The receiving agent (hosted by the packet's receiver).
         to: AgentId,
-        /// The pushed message.
-        msg: Msg,
+        /// The pushed message's codec frame.
+        frame: Vec<u8>,
     },
     /// The tick owner pulls the peer-hosted agent `to`; a [`Packet::Reply`]
     /// must come back before the tick completes.
     TickQuery {
         /// The pullee (hosted by the packet's receiver).
         to: AgentId,
-        /// The query message.
-        query: Msg,
+        /// The query message's codec frame.
+        frame: Vec<u8>,
     },
     /// The pull reply (`None` = the pullee stayed silent).
     Reply {
-        /// The reply message, if the pullee produced one.
-        reply: Option<Msg>,
+        /// The reply message's codec frame, if the pullee produced one.
+        reply: Option<Vec<u8>>,
     },
     /// Terminal exchange: the sender's local agents' decisions.
     Summary {
@@ -76,8 +81,41 @@ fn bad(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-fn codec_err(e: CodecError) -> io::Error {
+/// A codec error as the session's I/O error.
+pub fn codec_err(e: CodecError) -> io::Error {
     bad(format!("wire codec: {e}"))
+}
+
+/// `msg`'s codec frame, its payload read from `pool`.
+fn frame(msg: &Msg, pool: &PayloadPool) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::encode_msg_frame(msg, pool, &mut out);
+    out
+}
+
+impl Packet {
+    /// The push of `msg` to the peer-hosted agent `to`.
+    pub fn push(to: AgentId, msg: &Msg, pool: &PayloadPool) -> Packet {
+        Packet::TickPush {
+            to,
+            frame: frame(msg, pool),
+        }
+    }
+
+    /// The pull of the peer-hosted agent `to` with `query`.
+    pub fn query(to: AgentId, query: &Msg, pool: &PayloadPool) -> Packet {
+        Packet::TickQuery {
+            to,
+            frame: frame(query, pool),
+        }
+    }
+
+    /// The reply to a pull (`None` = silence).
+    pub fn reply(reply: Option<&Msg>, pool: &PayloadPool) -> Packet {
+        Packet::Reply {
+            reply: reply.map(|msg| frame(msg, pool)),
+        }
+    }
 }
 
 /// Serialize `pkt` into `out` (appended).
@@ -90,22 +128,22 @@ pub fn encode_packet(pkt: &Packet, out: &mut Vec<u8>) {
             PKT_HELLO
         }
         Packet::TickNothing => PKT_TICK_NOTHING,
-        Packet::TickPush { to, msg } => {
+        Packet::TickPush { to, frame } => {
             codec::put_varint(&mut body, *to as u64);
-            codec::encode_msg_frame(msg, &mut body);
+            body.extend_from_slice(frame);
             PKT_TICK_PUSH
         }
-        Packet::TickQuery { to, query } => {
+        Packet::TickQuery { to, frame } => {
             codec::put_varint(&mut body, *to as u64);
-            codec::encode_msg_frame(query, &mut body);
+            body.extend_from_slice(frame);
             PKT_TICK_QUERY
         }
         Packet::Reply { reply } => {
             match reply {
                 None => body.push(0),
-                Some(msg) => {
+                Some(frame) => {
                     body.push(1);
-                    codec::encode_msg_frame(msg, &mut body);
+                    body.extend_from_slice(frame);
                 }
             }
             PKT_REPLY
@@ -159,9 +197,12 @@ fn read_len_varint<R: Read>(r: &mut R) -> io::Result<u64> {
 /// message — refuse before allocating.
 const MAX_BODY: u64 = 64 << 20;
 
-/// A codec frame that must carry one instance-0 message.
-fn read_msg_frame(r: &mut Reader) -> Result<Msg, CodecError> {
-    let mut parts = codec::read_frame(r)?.into_parts();
+/// Decode a packet's frame, which must be exactly one codec frame
+/// carrying one instance-0 message; its payload is interned into `pool`.
+pub fn read_msg_frame(frame: &[u8], pool: &PayloadPool) -> Result<Msg, CodecError> {
+    let mut r = Reader::new(frame);
+    let mut parts = codec::read_frame(&mut r, pool)?.into_parts();
+    r.finish("trailing bytes after the packet's frame")?;
     if parts.len() != 1 || parts[0].instance != 0 {
         return Err(CodecError::Corrupt(
             "node packets carry single-instance frames",
@@ -174,6 +215,8 @@ fn read_msg_frame(r: &mut Reader) -> Result<Msg, CodecError> {
 fn decode_body(ty: u8, body: &[u8]) -> Result<Packet, CodecError> {
     const AGENT: &str = "agent id exceeds u32";
     let mut r = Reader::new(body);
+    // A message frame runs to the end of its packet body.
+    let frame = |r: &mut Reader| r.take(body.len() - r.pos()).map(<[u8]>::to_vec);
     let pkt = match ty {
         PKT_HELLO => Packet::Hello {
             fingerprint: r.varint()?,
@@ -182,16 +225,16 @@ fn decode_body(ty: u8, body: &[u8]) -> Result<Packet, CodecError> {
         PKT_TICK_NOTHING => Packet::TickNothing,
         PKT_TICK_PUSH => Packet::TickPush {
             to: r.int(AGENT)?,
-            msg: read_msg_frame(&mut r)?,
+            frame: frame(&mut r)?,
         },
         PKT_TICK_QUERY => Packet::TickQuery {
             to: r.int(AGENT)?,
-            query: read_msg_frame(&mut r)?,
+            frame: frame(&mut r)?,
         },
         PKT_REPLY => Packet::Reply {
             reply: match r.u8()? {
                 0 => None,
-                1 => Some(read_msg_frame(&mut r)?),
+                1 => Some(frame(&mut r)?),
                 _ => return Err(CodecError::Corrupt("reply flag must be 0 or 1")),
             },
         },
@@ -231,6 +274,11 @@ pub fn read_packet<R: Read>(r: &mut R) -> io::Result<Packet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfc_core::params::Params;
+
+    fn pool() -> PayloadPool {
+        PayloadPool::new(Params::new(16, 3.0), 0)
+    }
 
     fn roundtrip(pkt: Packet) {
         let mut buf = Vec::new();
@@ -241,12 +289,20 @@ mod tests {
 
     #[test]
     fn packets_round_trip() {
+        let pool = pool();
         roundtrip(Packet::Hello { fingerprint: 0xDEAD_BEEF, side: 1 });
         roundtrip(Packet::TickNothing);
-        roundtrip(Packet::TickPush { to: 7, msg: Msg::Vote { value: 300, round: 2 } });
-        roundtrip(Packet::TickQuery { to: 1, query: Msg::QIntent });
+        roundtrip(Packet::push(
+            7,
+            &Msg::Vote {
+                value: 300,
+                round: 2,
+            },
+            &pool,
+        ));
+        roundtrip(Packet::query(1, &Msg::QIntent, &pool));
         roundtrip(Packet::Reply { reply: None });
-        roundtrip(Packet::Reply { reply: Some(Msg::QMinCert) });
+        roundtrip(Packet::reply(Some(&Msg::QMinCert), &pool));
         roundtrip(Packet::Summary {
             decisions: vec![(0, Some(3)), (1, None), (2, Some(0))],
         });
@@ -256,12 +312,36 @@ mod tests {
     fn truncated_packets_error_cleanly() {
         let mut buf = Vec::new();
         encode_packet(
-            &Packet::TickPush { to: 3, msg: Msg::Vote { value: 9, round: 1 } },
+            &Packet::push(3, &Msg::Vote { value: 9, round: 1 }, &pool()),
             &mut buf,
         );
         for cut in 0..buf.len() {
             assert!(read_packet(&mut &buf[..cut]).is_err(), "prefix {cut} parsed");
         }
+    }
+
+    #[test]
+    fn frames_decode_into_the_receivers_pool() {
+        use rfc_core::certificate::CertData;
+        let (sender, receiver) = (pool(), pool());
+        let cert = sender.insert_cert(CertData::build(3, 1, vec![], 4096));
+        let Packet::Reply { reply: Some(frame) } =
+            Packet::reply(Some(&sender.cert_msg(cert)), &sender)
+        else {
+            panic!("a reply with a message");
+        };
+        let got = read_msg_frame(&frame, &receiver).expect("decodes");
+        let Msg::Cert { cert: back, .. } = got else {
+            panic!("a certificate, got {got:?}");
+        };
+        assert_eq!(receiver.cert(back), sender.cert(cert));
+        // A second copy is the same entry, and garbage is an error.
+        assert_eq!(read_msg_frame(&frame, &receiver).unwrap(), got);
+        assert_eq!(receiver.cert_count(), 1);
+        assert!(read_msg_frame(&frame[..frame.len() - 1], &receiver).is_err());
+        let mut padded = frame.clone();
+        padded.push(0);
+        assert!(read_msg_frame(&padded, &receiver).is_err());
     }
 
     #[test]

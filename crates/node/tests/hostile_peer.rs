@@ -7,7 +7,7 @@
 
 use gossip_net::ids::AgentId;
 use gossip_net::rng::DetRng;
-use rfc_core::{Msg, SCHEDULER_STREAM};
+use rfc_core::{Msg, Params, PayloadPool, SCHEDULER_STREAM};
 use rfc_node::{read_packet, run_session, write_packet, NodeParams, Packet, Side};
 use std::io::{self, ErrorKind};
 use std::os::unix::net::UnixStream;
@@ -52,6 +52,12 @@ fn low_against(script: Vec<Packet>) -> io::Error {
     session.expect_err("a hostile peer must fail the session")
 }
 
+/// The pool a scripted message's payload is encoded from (the scripts
+/// send payload-free messages, so any pool does).
+fn pool() -> PayloadPool {
+    PayloadPool::new(Params::new(N, 3.0), 0)
+}
+
 /// Agent ids Low must refuse: out of range, or on the peer's own half.
 const BAD_IDS: [AgentId; 3] = [N as AgentId, AgentId::MAX, N as AgentId - 1];
 
@@ -59,7 +65,7 @@ const BAD_IDS: [AgentId; 3] = [N as AgentId, AgentId::MAX, N as AgentId - 1];
 fn push_to_an_agent_not_hosted_here_is_invalid_data() {
     for to in BAD_IDS {
         let msg = Msg::Vote { value: 1, round: 0 };
-        let err = low_against(vec![Packet::TickPush { to, msg }]);
+        let err = low_against(vec![Packet::push(to, &msg, &pool())]);
         assert_eq!(err.kind(), ErrorKind::InvalidData, "push to {to}: {err}");
     }
 }
@@ -67,11 +73,26 @@ fn push_to_an_agent_not_hosted_here_is_invalid_data() {
 #[test]
 fn query_to_an_agent_not_hosted_here_is_invalid_data() {
     for to in BAD_IDS {
-        let err = low_against(vec![Packet::TickQuery {
-            to,
-            query: Msg::QIntent,
-        }]);
+        let err = low_against(vec![Packet::query(to, &Msg::QIntent, &pool())]);
         assert_eq!(err.kind(), ErrorKind::InvalidData, "query to {to}: {err}");
+    }
+}
+
+#[test]
+fn a_tick_whose_frame_does_not_decode_is_invalid_data() {
+    let Packet::TickPush { frame, .. } = Packet::push(0, &Msg::QMinCert, &pool()) else {
+        unreachable!("push builds a TickPush");
+    };
+    for bad in [
+        Vec::new(),
+        frame[..frame.len() - 1].to_vec(),
+        [frame.as_slice(), &[0]].concat(),
+    ] {
+        let err = low_against(vec![Packet::TickPush {
+            to: 0,
+            frame: bad.clone(),
+        }]);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "frame {bad:?}: {err}");
     }
 }
 

@@ -143,3 +143,26 @@ fn loopback_sessions_match_the_simulator_byte_for_byte() {
         assert_eq!([low_fnv, high_fnv], fnv, "{row}: written bytes");
     }
 }
+
+#[test]
+fn endpoint_pools_grow_with_distinct_payloads_not_traffic() {
+    // Each of the n agents owns one list and one certificate, so no
+    // endpoint may hold more, however many copies cross the socket
+    // (about n·q certificates per session).
+    let n = 64;
+    let np = NodeParams {
+        n,
+        gamma: GAMMA,
+        seed: 3,
+        slack: SLACK,
+    };
+    for (r, _) in session(&np) {
+        assert!(r.msgs_sent > 4 * n as u64, "the session moved real traffic");
+        assert!(r.pool_lists <= n, "{} lists held", r.pool_lists);
+        assert!(r.pool_certs <= n, "{} certificates held", r.pool_certs);
+        assert!(
+            r.pool_lists >= n / 2,
+            "at least the hosted agents' own lists"
+        );
+    }
+}

@@ -20,8 +20,11 @@
 //! out-of-tree strategy cannot add a variant, so its `build` returns
 //! [`AgentSlot::Custom`] (a `Box<dyn ConsensusAgent>`): *that slot* pays
 //! one boxed indirect call per delivery, while every honest agent in the
-//! same run still rides the enum fast path. Note the deliveries are
-//! by-reference (`&Msg`); clone only what you keep.
+//! same run still rides the enum fast path. Messages are small `Copy`
+//! values: a certificate or intention list travels as a handle into the
+//! network's payload pool, which the agent's core reaches through
+//! `core.pool()` (resolve a handle with `pool().cert(id)`, build a
+//! message with `pool().cert_msg(id)`).
 //!
 //! Prediction: self-promotion cannot help. The deviator's own `k` is
 //! still uniform (it cannot choose it), honest agents learn the true
@@ -36,7 +39,6 @@ use rational_fair_consensus::rfc_core::agent_plane::AgentSlot;
 use rational_fair_consensus::rfc_core::engine::{ConsensusAgent, ProtocolCore, Role};
 use rational_fair_consensus::rfc_core::msg::Msg;
 use rational_fair_consensus::rfc_core::params::Phase;
-use rational_fair_consensus::rfc_core::sharing::Shared;
 
 /// The strategy object: a factory for deviating agents.
 #[derive(Debug)]
@@ -61,17 +63,25 @@ struct SelfPromoterAgent {
     core: ProtocolCore,
 }
 
+impl SelfPromoterAgent {
+    /// The message carrying this agent's own certificate.
+    fn own_cert_msg(&mut self) -> Msg {
+        self.core.ensure_certificate();
+        let own = self.core.own_cert.expect("certificate just ensured");
+        self.core.pool().cert_msg(own)
+    }
+}
+
 impl Agent<Msg> for SelfPromoterAgent {
     fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Msg>> {
         match self.core.phase(ctx.round) {
             Phase::Coherence => {
                 // Push own certificate, not the network minimum.
-                self.core.ensure_certificate();
-                let own = Shared::clone(self.core.own_cert.as_ref().unwrap());
+                let own = self.own_cert_msg();
                 let peer = ctx
                     .topology
                     .sample_peer(self.core.id, &mut self.core.rng);
-                Some(Op::push(peer, Msg::Cert(own)))
+                Some(Op::push(peer, own))
             }
             _ => self.core.act_honest(ctx),
         }
@@ -80,15 +90,14 @@ impl Agent<Msg> for SelfPromoterAgent {
     fn on_pull(&mut self, from: AgentId, query: &Msg, ctx: &RoundCtx) -> Option<Msg> {
         if matches!(query, Msg::QMinCert) && self.core.phase(ctx.round) >= Phase::FindMin {
             // Advertise own certificate, whatever we have seen.
-            self.core.ensure_certificate();
-            return Some(Msg::Cert(Shared::clone(self.core.own_cert.as_ref().unwrap())));
+            return Some(self.own_cert_msg());
         }
         self.core.on_pull_honest(from, query, ctx)
     }
 
     fn on_push(&mut self, from: AgentId, msg: &Msg, ctx: &RoundCtx) {
         // Ignore Coherence mismatches against ourselves; accept votes.
-        if let (Phase::Coherence, Msg::Cert(_)) = (self.core.phase(ctx.round), msg) {
+        if let (Phase::Coherence, Msg::Cert { .. }) = (self.core.phase(ctx.round), msg) {
             return;
         }
         self.core.on_push_honest(from, msg, ctx)

@@ -58,7 +58,7 @@ fn main() {
             let core = net.agent(id).core();
             (
                 id,
-                core.own_cert.as_ref().map(|c| c.k).unwrap_or(0),
+                core.own_cert_data().map(|c| c.k).unwrap_or(0),
                 core.votes.len(),
             )
         })

@@ -881,7 +881,7 @@ fn engine_states_the_config_cannot_hold_are_corrupt() {
     // An agent's own intent target outside the network (its vote push
     // would address no agent). Agent 0's list is the first pool entry.
     let net = build_network_slots(&cfg, 1, &mut honest_slot_factory);
-    let own = &net.agent(0).core().intents;
+    let own = net.agent(0).core().intent_list();
     let mut list = Vec::new();
     put_varint(&mut list, own.len() as u64);
     for e in own.iter() {

@@ -13,10 +13,43 @@ use rfc_core::codec::{
     decode_frame, decode_msg, encode_frame, encode_msg, encode_msg_frame, encoded_msg_len,
 };
 use rfc_core::msg::{Batch, IntentEntry, Msg};
+use rfc_core::params::Params;
+use rfc_core::payload::PayloadPool;
 
 /// Value domain `[m]` used by the certificate strategy (`m = n³` in the
 /// protocol; any bound below `u64::MAX` works for the codec).
 const M: u64 = 1 << 40;
+
+/// A message with its payload spelled out: the strategies draw these, and
+/// each test puts them into its own payload pool.
+#[derive(Debug, Clone)]
+enum Spec {
+    Plain(Msg),
+    Intents(Vec<IntentEntry>),
+    Cert(CertData),
+}
+
+impl Spec {
+    fn into_msg(self, pool: &PayloadPool) -> Msg {
+        match self {
+            Spec::Plain(msg) => msg,
+            Spec::Intents(entries) => pool.list_msg(pool.insert_list(entries)),
+            Spec::Cert(cert) => pool.cert_msg(pool.insert_cert(cert)),
+        }
+    }
+}
+
+fn pool() -> PayloadPool {
+    PayloadPool::new(Params::new(1 << 14, 2.0), 0)
+}
+
+/// A message as its resolved payload: its encoding. Two messages from
+/// different pools (or two handles of equal payloads) compare by this.
+fn resolved(msg: &Msg, pool: &PayloadPool) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_msg(msg, pool, &mut out);
+    out
+}
 
 fn intent_entries() -> impl Strategy<Value = Vec<IntentEntry>> {
     proptest::collection::vec(
@@ -36,89 +69,109 @@ fn vote_recs() -> impl Strategy<Value = Vec<VoteRec>> {
     )
 }
 
-fn msgs() -> impl Strategy<Value = Msg> {
+fn msgs() -> impl Strategy<Value = Spec> {
     prop_oneof![
-        Just(Msg::QIntent),
-        intent_entries().prop_map(|e| Msg::Intents(e.into())),
-        (any::<u64>(), any::<u16>()).prop_map(|(value, round)| Msg::Vote { value, round }),
-        Just(Msg::QMinCert),
+        Just(Spec::Plain(Msg::QIntent)),
+        intent_entries().prop_map(Spec::Intents),
+        (any::<u64>(), any::<u16>())
+            .prop_map(|(value, round)| Spec::Plain(Msg::Vote { value, round })),
+        Just(Spec::Plain(Msg::QMinCert)),
         (any::<u32>(), any::<u32>(), vote_recs())
-            .prop_map(|(owner, color, votes)| Msg::cert(CertData::build(owner, color, votes, M))),
+            .prop_map(|(owner, color, votes)| Spec::Cert(CertData::build(owner, color, votes, M))),
     ]
 }
 
-fn batches() -> impl Strategy<Value = Batch<Msg>> {
-    proptest::collection::vec((any::<u32>(), msgs()), 1..5).prop_map(|parts| {
-        let mut it = parts.into_iter();
-        let (instance, payload) = it.next().unwrap();
-        let mut b = Batch::single(instance, payload);
-        for (instance, payload) in it {
-            b.push(instance, payload);
-        }
-        b
-    })
+fn batches() -> impl Strategy<Value = Vec<(u32, Spec)>> {
+    proptest::collection::vec((any::<u32>(), msgs()), 1..5)
+}
+
+fn batch_in(parts: Vec<(u32, Spec)>, pool: &PayloadPool) -> Batch<Msg> {
+    let mut b = Batch::new();
+    for (instance, spec) in parts {
+        b.push(instance, spec.into_msg(pool));
+    }
+    b
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_message_round_trips(msg in msgs()) {
+    fn every_message_round_trips(spec in msgs()) {
+        let pool = pool();
+        let msg = spec.into_msg(&pool);
         let mut buf = Vec::new();
-        encode_msg(&msg, &mut buf);
-        prop_assert_eq!(buf.len(), encoded_msg_len(&msg), "length oracle disagrees");
-        let (back, used) = decode_msg(&buf).expect("round trip");
+        encode_msg(&msg, &pool, &mut buf);
+        prop_assert_eq!(buf.len(), encoded_msg_len(&msg, &pool), "length oracle disagrees");
+        // Into its own pool, a message decodes to its own handle...
+        let (back, used) = decode_msg(&buf, &pool).expect("round trip");
         prop_assert_eq!(used, buf.len());
         prop_assert_eq!(back, msg);
+        // ...and into another pool, to the same payload.
+        let other = self::pool();
+        let (moved, _) = decode_msg(&buf, &other).expect("round trip");
+        prop_assert_eq!(resolved(&moved, &other), buf);
     }
 
     #[test]
-    fn every_batch_round_trips_through_a_frame(batch in batches()) {
+    fn every_batch_round_trips_through_a_frame(parts in batches()) {
+        let (pool, other) = (pool(), pool());
+        let batch = batch_in(parts, &pool);
         let mut buf = Vec::new();
-        encode_frame(&batch, &mut buf);
-        let (back, used) = decode_frame(&buf).expect("round trip");
+        encode_frame(&batch, &pool, &mut buf);
+        let (back, used) = decode_frame(&buf, &other).expect("round trip");
         prop_assert_eq!(used, buf.len());
-        prop_assert_eq!(back.parts(), batch.parts());
+        prop_assert_eq!(back.len(), batch.len());
+        for (b, a) in back.parts().iter().zip(batch.parts()) {
+            prop_assert_eq!(b.instance, a.instance);
+            prop_assert_eq!(resolved(&b.payload, &other), resolved(&a.payload, &pool));
+        }
     }
 
     #[test]
-    fn singleton_instance0_elision_is_invisible_to_decoders(msg in msgs()) {
+    fn singleton_instance0_elision_is_invisible_to_decoders(spec in msgs()) {
         // The realized first-part tag elision: framing the bare message
         // and framing its singleton instance-0 batch are the same bytes,
         // and both decode to the same batch.
+        let pool = pool();
+        let msg = spec.into_msg(&pool);
         let mut bare = Vec::new();
-        encode_msg_frame(&msg, &mut bare);
+        encode_msg_frame(&msg, &pool, &mut bare);
         let mut asbatch = Vec::new();
-        encode_frame(&Batch::single(0, msg.clone()), &mut asbatch);
+        encode_frame(&Batch::single(0, msg), &pool, &mut asbatch);
         prop_assert_eq!(&bare, &asbatch, "elision must be bit-for-bit");
-        let (back, _) = decode_frame(&bare).expect("decode");
+        let (back, _) = decode_frame(&bare, &pool).expect("decode");
         prop_assert_eq!(back.parts().len(), 1);
         prop_assert_eq!(back.parts()[0].instance, 0);
         prop_assert_eq!(&back.parts()[0].payload, &msg);
     }
 
     #[test]
-    fn truncated_prefixes_error_and_never_panic(batch in batches()) {
+    fn truncated_prefixes_error_and_never_panic(parts in batches()) {
+        let pool = pool();
+        let batch = batch_in(parts, &pool);
         let mut buf = Vec::new();
-        encode_frame(&batch, &mut buf);
+        encode_frame(&batch, &pool, &mut buf);
         for cut in 0..buf.len() {
             prop_assert!(
-                decode_frame(&buf[..cut]).is_err(),
+                decode_frame(&buf[..cut], &pool).is_err(),
                 "a {cut}-byte prefix of a {}-byte frame parsed", buf.len()
             );
         }
     }
 
     #[test]
-    fn bit_flips_never_panic(batch in batches(), pos in any::<usize>(), bit in 0u8..8) {
+    fn bit_flips_never_panic(parts in batches(), pos in any::<usize>(), bit in 0u8..8) {
+        let pool = pool();
+        let batch = batch_in(parts, &pool);
         let mut buf = Vec::new();
-        encode_frame(&batch, &mut buf);
+        encode_frame(&batch, &pool, &mut buf);
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
         // A flipped byte may still decode (a changed value is a legal
         // different message) — the contract is a clean Ok/Err, no panic,
         // and a consumed length that never exceeds the input.
-        if let Ok((_, used)) = decode_frame(&buf) {
+        if let Ok((_, used)) = decode_frame(&buf, &pool) {
             prop_assert!(used <= buf.len());
         }
     }

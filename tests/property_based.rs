@@ -6,8 +6,8 @@ use rational_fair_consensus::gossip_net::rng::DetRng;
 use rational_fair_consensus::prelude::*;
 use rational_fair_consensus::rfc_core::certificate::{sum_votes_mod, CertData, VoteRec};
 use rational_fair_consensus::rfc_core::ledger::Ledger;
-use rational_fair_consensus::rfc_core::msg::{IntentEntry, IntentList};
-use rational_fair_consensus::rfc_core::{Decision, Params};
+use rational_fair_consensus::rfc_core::msg::IntentEntry;
+use rational_fair_consensus::rfc_core::{Decision, Params, PayloadPool};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -96,11 +96,13 @@ proptest! {
         let winner: u32 = 3;
         let m: u64 = 1 << 40;
         // One declaring agent (id 50) with `declared` intents.
-        let intents: IntentList = declared
-            .iter()
-            .map(|&(value, target)| IntentEntry { value, target })
-            .collect::<Vec<_>>()
-            .into();
+        let pool = PayloadPool::new(Params::new(64, 2.0), 0);
+        let intents = pool.insert_list(
+            declared
+                .iter()
+                .map(|&(value, target)| IntentEntry { value, target })
+                .collect(),
+        );
         let mut ledger = Ledger::new();
         ledger.declare(50, 0, intents);
         // The honest winner certificate contains exactly the declared
@@ -112,7 +114,7 @@ proptest! {
             .map(|(i, &(value, _))| VoteRec { voter: 50, round: i as u16, value })
             .collect();
         let honest = CertData::build(winner, 0, votes.clone(), m);
-        prop_assert!(ledger.check_certificate(&honest).is_ok());
+        prop_assert!(ledger.check_certificate(&pool, &honest).is_ok());
 
         // Tamper with one vote (if any exist for the winner).
         if !votes.is_empty() {
@@ -120,7 +122,7 @@ proptest! {
             let mut tampered = votes;
             tampered[idx].value = tampered[idx].value.wrapping_add(1) % m;
             let bad = CertData::build(winner, 0, tampered, m);
-            prop_assert!(ledger.check_certificate(&bad).is_err());
+            prop_assert!(ledger.check_certificate(&pool, &bad).is_err());
         }
     }
 
@@ -134,12 +136,20 @@ proptest! {
         id_b in 0u32..4,
     ) {
         let params = Params::new(n, 2.0);
-        let a = rational_fair_consensus::rfc_core::ProtocolCore::new(
-            id_a.min(n as u32 - 1), params, params.sync_schedule(), 0, DetRng::seeded(seed, 1));
+        // `a` draws into a network pool's reserved slot, `b` into a
+        // standalone pool; each list is plausible where the other's
+        // verifiers would meet it.
+        let pool = PayloadPool::for_network(params);
+        let a = PayloadPool::building(&pool, || {
+            rational_fair_consensus::rfc_core::ProtocolCore::new(
+                id_a.min(n as u32 - 1), params, params.sync_schedule(), 0, DetRng::seeded(seed, 1))
+        });
         let b = rational_fair_consensus::rfc_core::ProtocolCore::new(
             id_b.min(n as u32 - 1), params, params.sync_schedule(), 0, DetRng::seeded(seed, 2));
-        prop_assert!(b.intents_plausible(&a.intents));
-        prop_assert!(a.intents_plausible(&b.intents));
+        prop_assert!(b.pool().plausible(b.pool().intern_list(a.intent_list().to_vec())));
+        prop_assert!(a.pool().plausible(a.pool().intern_list(b.intent_list().to_vec())));
+        prop_assert!(a.pool().plausible(a.intents));
+        prop_assert!(b.pool().plausible(b.intents));
     }
 
     /// Fault plans never mark more agents faulty than requested and keep
