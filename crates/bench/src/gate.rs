@@ -1,17 +1,13 @@
 //! The perf-regression gate: compare a committed `BENCH_scale.json`
 //! against freshly measured tables and fail on throughput drops.
 //!
-//! `BENCH_scale.json` is a concatenation of single-line JSON objects,
-//! one per experiment table, each in the exact shape
-//! `experiments::Table::to_json` emits: `{"title", "columns", "rows",
-//! "notes"}` with every value a string. This module carries its own
-//! dependency-free parser for that subset (strict on structure, full
-//! string-escape support), a comparator keyed on *(experiment id, row
-//! identity)*, and the policy knob CI applies:
+//! `BENCH_scale.json` is a stream of [`Table::to_json`] objects, one per
+//! line, read back with [`experiments::table::parse_tables`]. The
+//! comparator matches cells by *(experiment id, row identity, column)*:
 //!
-//! * **experiment id** — the title up to the first `" — "` separator
-//!   (`"E16 — single-trial scaling …"` → `E16`), so cosmetic title edits
-//!   don't orphan a baseline;
+//! * **experiment id** — [`Table::id`], the title up to the first
+//!   `" — "` separator (`"E16 — single-trial scaling …"` → `E16`), so
+//!   cosmetic title edits don't orphan a baseline;
 //! * **row identity** — the cells of every column *before* the first
 //!   throughput column, which by table convention are the configuration
 //!   columns (`n`, `q`, `shards`, `outcome`, …);
@@ -29,313 +25,10 @@
 //! milestone — e.g. the 10⁷-agent E16 row, ~107 min of compute — that
 //! no CI capture reproduces; when absent from the fresh set it is
 //! skipped with a note instead of failing. When a landmark table *is*
-//! present in the fresh set (the selftest's regressed copy, or a
+//! present in the fresh set (the self-test's edge copies, or a
 //! deliberate re-capture), its cells are gated like any other.
 
-/// One parsed experiment table (the `Table::to_json` schema).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableData {
-    /// Table caption, e.g. `"E16 — single-trial scaling …"`.
-    pub title: String,
-    /// Column headers.
-    pub columns: Vec<String>,
-    /// String cells, one `Vec` per row.
-    pub rows: Vec<Vec<String>>,
-    /// Footnotes.
-    pub notes: Vec<String>,
-}
-
-impl TableData {
-    /// The experiment id: the title up to the first `" — "`.
-    pub fn id(&self) -> &str {
-        self.title.split(" — ").next().unwrap_or(&self.title).trim()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (strings / arrays / objects; atoms kept as text)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-type PResult<T> = Result<T, String>;
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {}", self.pos, msg)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> PResult<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> PResult<Json> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(_) => Err(self.err("expected a string, array, or object")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn string(&mut self) -> PResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = self
-                        .peek()
-                        .ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("bad low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                // Multi-byte UTF-8: copy the raw continuation bytes.
-                _ => {
-                    let start = self.pos - 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&c| c & 0xC0 == 0x80)
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> PResult<u32> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("short \\u escape"))?;
-            self.pos += 1;
-            v = v * 16
-                + (b as char)
-                    .to_digit(16)
-                    .ok_or_else(|| self.err("non-hex in \\u escape"))?;
-        }
-        Ok(v)
-    }
-
-    fn array(&mut self) -> PResult<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> PResult<Json> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn str_array(v: &Json, what: &str) -> PResult<Vec<String>> {
-    match v {
-        Json::Arr(items) => items
-            .iter()
-            .map(|i| match i {
-                Json::Str(s) => Ok(s.clone()),
-                _ => Err(format!("{what}: expected an array of strings")),
-            })
-            .collect(),
-        _ => Err(format!("{what}: expected an array")),
-    }
-}
-
-fn table_from_json(v: Json) -> PResult<TableData> {
-    let Json::Obj(fields) = v else {
-        return Err("table: expected a JSON object".into());
-    };
-    let mut t = TableData {
-        title: String::new(),
-        columns: Vec::new(),
-        rows: Vec::new(),
-        notes: Vec::new(),
-    };
-    let mut seen_title = false;
-    for (key, val) in fields {
-        match key.as_str() {
-            "title" => match val {
-                Json::Str(s) => {
-                    t.title = s;
-                    seen_title = true;
-                }
-                _ => return Err("title: expected a string".into()),
-            },
-            "columns" => t.columns = str_array(&val, "columns")?,
-            "rows" => match val {
-                Json::Arr(rows) => {
-                    t.rows = rows
-                        .iter()
-                        .map(|r| str_array(r, "row"))
-                        .collect::<PResult<_>>()?;
-                }
-                _ => return Err("rows: expected an array".into()),
-            },
-            "notes" => t.notes = str_array(&val, "notes")?,
-            other => return Err(format!("unknown table field {other:?}")),
-        }
-    }
-    if !seen_title {
-        return Err("table: missing title".into());
-    }
-    for (i, row) in t.rows.iter().enumerate() {
-        if row.len() != t.columns.len() {
-            return Err(format!(
-                "table {:?}: row {} has {} cells for {} columns",
-                t.title,
-                i,
-                row.len(),
-                t.columns.len()
-            ));
-        }
-    }
-    Ok(t)
-}
-
-/// Parse one `Table::to_json` object.
-pub fn parse_table(input: &str) -> PResult<TableData> {
-    let mut r = Reader::new(input);
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(r.err("trailing content after table"));
-    }
-    table_from_json(v)
-}
-
-/// Parse a concatenated stream of table objects (the `BENCH_scale.json`
-/// layout: one object per line, but any whitespace separation works).
-pub fn parse_tables(input: &str) -> PResult<Vec<TableData>> {
-    let mut r = Reader::new(input);
-    let mut out = Vec::new();
-    loop {
-        r.skip_ws();
-        if r.pos == r.bytes.len() {
-            break;
-        }
-        out.push(table_from_json(r.value()?)?);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Comparator
-// ---------------------------------------------------------------------
+use experiments::Table;
 
 /// Result of gating fresh tables against a committed baseline.
 #[derive(Debug, Clone, Default)]
@@ -358,13 +51,9 @@ impl GateReport {
 }
 
 /// Is this column a gated throughput column (floor: fresh must not
-/// drop below the committed value beyond tolerance)? `ops/s` also
-/// matches the serial-section micro-bench's `Mops/s` columns.
+/// drop below the committed value beyond tolerance)?
 pub fn is_gated_column(header: &str) -> bool {
-    header.contains("rounds/s")
-        || header.contains("instances/s")
-        || header.contains("msgs/s")
-        || header.contains("ops/s")
+    header.contains("rounds/s") || header.contains("instances/s")
 }
 
 /// Is this column a gated memory column (ceiling: fresh must not *rise*
@@ -413,10 +102,10 @@ fn row_key(columns: &[String], row: &[String]) -> String {
 /// busy machine reads throughput low and memory high, never the
 /// opposite, so best-of-N damps flaky failures without ever hiding a
 /// real regression that shows in every sample.
-pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> GateReport {
+pub fn compare(committed: &[Table], fresh: &[Table], tolerance: f64) -> GateReport {
     let mut report = GateReport::default();
     for base in committed {
-        let curs: Vec<&TableData> = fresh.iter().filter(|t| t.id() == base.id()).collect();
+        let curs: Vec<&Table> = fresh.iter().filter(|t| t.id() == base.id()).collect();
         if curs.is_empty() {
             if is_landmark_table(&base.title) {
                 report.notes.push(format!(
@@ -448,7 +137,7 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
         for brow in &base.rows {
             let key = row_key(&base.columns, brow);
             // Every sample of this row across all fresh captures.
-            let matches: Vec<(&TableData, &Vec<String>)> = curs
+            let matches: Vec<(&Table, &Vec<String>)> = curs
                 .iter()
                 .flat_map(|t| {
                     t.rows
@@ -531,6 +220,13 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
                 let Some(f) = best else {
                     continue; // memory column with only n/a samples
                 };
+                if !memory && b <= 0.0 {
+                    report.notes.push(format!(
+                        "{} [{key}] {header}: committed {b} leaves no floor to gate against, skipped",
+                        base.id()
+                    ));
+                    continue;
+                }
                 report.checks += 1;
                 let samples = if matches.len() > 1 {
                     format!(" (best of {})", matches.len())
@@ -552,9 +248,6 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
                         ));
                     }
                     continue;
-                }
-                if b <= 0.0 {
-                    continue; // nothing to gate against
                 }
                 let ratio = f / b;
                 if ratio < 1.0 - tolerance {
@@ -598,50 +291,139 @@ pub fn compare(committed: &[TableData], fresh: &[TableData], tolerance: f64) -> 
     report
 }
 
+/// A copy of `tables` with every gated cell moved to the gate's edge at
+/// `tolerance`, then `margin` past it (positive) or inside it
+/// (negative): a throughput cell `b` becomes
+/// `b · (1 − tolerance) · (1 − margin)` and a ΔRSS cell becomes
+/// `(b · (1 + tolerance) + MEM_SLACK_MIB) · (1 + margin)`. Cells that do
+/// not parse as numbers stay as they are.
+fn at_gate_edge(tables: &[Table], tolerance: f64, margin: f64) -> Vec<Table> {
+    let mut out = tables.to_vec();
+    for t in &mut out {
+        for (c, header) in t.columns.iter().enumerate() {
+            let memory = is_memory_column(header);
+            if !memory && !is_gated_column(header) {
+                continue;
+            }
+            for row in &mut t.rows {
+                let Ok(b) = row[c].parse::<f64>() else {
+                    continue;
+                };
+                let edge = if memory {
+                    (b * (1.0 + tolerance) + MEM_SLACK_MIB) * (1.0 + margin)
+                } else {
+                    b * (1.0 - tolerance) * (1.0 - margin)
+                };
+                row[c] = edge.to_string();
+            }
+        }
+    }
+    out
+}
+
+/// Prove the gate fires at its own `tolerance`: against `committed`,
+/// every gated cell moved 1% past the edge (throughput 1% below the
+/// floor, ΔRSS 1% above the ceiling) must fail its check, while cells
+/// 1% inside the edge and an identical copy must pass. Returns the
+/// number of cells checked.
+pub fn selftest(committed: &[Table], tolerance: f64) -> Result<usize, String> {
+    let past = compare(
+        committed,
+        &at_gate_edge(committed, tolerance, 0.01),
+        tolerance,
+    );
+    if past.checks == 0 {
+        return Err("the baseline has no throughput or ΔRSS cells to gate".into());
+    }
+    if past.failures.len() != past.checks {
+        return Err(format!(
+            "only {} of {} cells moved 1% past the {:.0}% tolerance tripped the gate",
+            past.failures.len(),
+            past.checks,
+            tolerance * 100.0
+        ));
+    }
+    for (what, fresh) in [
+        (
+            "1% inside the tolerance",
+            at_gate_edge(committed, tolerance, -0.01),
+        ),
+        ("identical to the baseline", committed.to_vec()),
+    ] {
+        let r = compare(committed, &fresh, tolerance);
+        if !r.pass() {
+            return Err(format!(
+                "cells {what} tripped the gate: {}",
+                r.failures.join("; ")
+            ));
+        }
+    }
+    Ok(past.checks)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn table(id: &str, cols: &[&str], rows: &[&[&str]]) -> TableData {
-        TableData {
-            title: format!("{id} — synthetic"),
-            columns: cols.iter().map(|s| s.to_string()).collect(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(|s| s.to_string()).collect())
-                .collect(),
-            notes: vec![],
+    fn table(id: &str, cols: &[&str], rows: &[&[&str]]) -> Table {
+        let mut t = Table::new(format!("{id} — synthetic"), cols);
+        for r in rows {
+            t.row(r.iter().map(|s| s.to_string()).collect());
+        }
+        t
+    }
+
+    /// The experiments whose `--quick` tables ci.sh captures and gates
+    /// (`rfc-experiments e14 e16 e17 --quick`).
+    const CAPTURED: [&str; 3] = ["E14", "E16", "E17"];
+
+    #[test]
+    fn committed_baseline_parses_passes_itself_and_has_live_producers() {
+        let committed =
+            experiments::table::parse_tables(include_str!("../../../BENCH_scale.json")).unwrap();
+        let r = compare(&committed, &committed, 0.20);
+        assert!(r.pass(), "{:?}", r.failures);
+        assert!(r.checks > 0);
+        let registry = experiments::all_experiments();
+        for id in CAPTURED {
+            assert!(
+                registry.iter().any(|e| e.id.eq_ignore_ascii_case(id)),
+                "{id} unregistered"
+            );
+            assert!(
+                committed.iter().any(|t| t.id() == id),
+                "{id} has no baseline"
+            );
+        }
+        for t in &committed {
+            assert!(
+                is_landmark_table(&t.title) || CAPTURED.contains(&t.id()),
+                "{}: no CI capture produces this baseline table",
+                t.id()
+            );
         }
     }
 
     #[test]
-    fn parses_the_committed_bench_layout() {
-        let src = concat!(
-            "{\"title\":\"E16 — scaling (γ = 3)\",\"columns\":[\"n\",\"rounds/s\"],",
-            "\"rows\":[[\"512\",\"22274.2\"]],\"notes\":[\"a \\\"note\\\"\"]}\n",
-            "{\"title\":\"E14b — dispatch\",\"columns\":[\"n\",\"speedup\"],",
-            "\"rows\":[],\"notes\":[]}\n",
-        );
-        let tables = parse_tables(src).unwrap();
-        assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].id(), "E16");
-        assert_eq!(tables[0].title, "E16 — scaling (γ = 3)");
-        assert_eq!(tables[0].rows, vec![vec!["512", "22274.2"]]);
-        assert_eq!(tables[0].notes, vec!["a \"note\""]);
-        assert_eq!(tables[1].id(), "E14b");
-    }
-
-    #[test]
-    fn rejects_malformed_tables() {
-        assert!(parse_tables("{\"title\":1}").is_err());
-        assert!(parse_tables("{\"columns\":[]}").is_err(), "missing title");
-        assert!(parse_tables("[1,2]").is_err());
-        assert!(parse_tables("{\"title\":\"x\",\"bogus\":[]}").is_err());
-        // Row width must match the columns.
-        let ragged = "{\"title\":\"x\",\"columns\":[\"a\"],\"rows\":[[\"1\",\"2\"]],\"notes\":[]}";
-        assert!(parse_tables(ragged).is_err());
-        // Truncated input.
-        assert!(parse_tables("{\"title\":\"x").is_err());
+    fn selftest_trips_just_past_the_tolerance_and_passes_just_inside() {
+        let committed =
+            experiments::table::parse_tables(include_str!("../../../BENCH_scale.json")).unwrap();
+        for tol in [0.05, 0.20, 0.35] {
+            assert!(selftest(&committed, tol).unwrap() > 0);
+        }
+        let base = vec![table(
+            "E16",
+            &["n", "rounds/s", "ΔRSS MiB"],
+            &[&["512", "1000", "10"]],
+        )];
+        let past = at_gate_edge(&base, 0.20, 0.01);
+        assert_eq!(past[0].rows[0][1..], ["792", "20.2"]);
+        let r = compare(&base, &past, 0.20);
+        assert_eq!((r.failures.len(), r.checks), (2, 2), "{:?}", r.failures);
+        assert!(compare(&base, &at_gate_edge(&base, 0.20, -0.01), 0.20).pass());
+        // A column the gate does not read cannot prove anything.
+        let ungated = vec![table("E16", &["n", "digest"], &[&["512", "abc"]])];
+        assert!(selftest(&ungated, 0.20).is_err());
     }
 
     #[test]
@@ -661,8 +443,6 @@ mod tests {
     fn instances_per_s_columns_are_gated() {
         assert!(is_gated_column("instances/s"));
         assert!(is_gated_column("rounds/s"));
-        assert!(is_gated_column("serial Mops/s"));
-        assert!(is_gated_column("sharded Mops/s"));
         assert!(!is_gated_column("rtd mean"));
         let base = vec![table("E17", &["instances", "instances/s"], &[&["1000", "500"]])];
         let slow = vec![table("E17", &["instances", "instances/s"], &[&["1000", "200"]])];
@@ -847,30 +627,5 @@ mod tests {
         let mut fresh = base.clone();
         fresh.title = "E16 — scaling under the staged engine (γ = 3)".into();
         assert!(compare(&[base], &[fresh], 0.20).pass());
-    }
-
-    #[test]
-    fn to_json_round_trips_through_the_parser() {
-        // Regression test for `Table::to_json` escaping: every escape
-        // class it can emit must decode back to the original cells.
-        let mut t = experiments::Table::new(
-            "E0 — \"quoted\" \\ back\nslash\ttab\u{1}ctl — γ≤δ",
-            &["col \"a\"", "b\\c"],
-        );
-        t.row(vec!["line1\nline2".into(), "quote\" and \\ and \r end".into()]);
-        t.row(vec!["\u{0}\u{1f}".into(), "π ≈ 3.14159".into()]);
-        t.note("note with \"everything\": \\ \n \t");
-        let parsed = parse_table(&t.to_json()).unwrap();
-        assert_eq!(parsed.title, t.title);
-        assert_eq!(parsed.columns, t.columns);
-        assert_eq!(parsed.rows, t.rows);
-        assert_eq!(parsed.notes, t.notes);
-    }
-
-    #[test]
-    fn parser_handles_surrogate_pairs() {
-        let src = "{\"title\":\"\\ud83d\\ude00 ok\",\"columns\":[],\"rows\":[],\"notes\":[]}";
-        assert_eq!(parse_table(src).unwrap().title, "😀 ok");
-        assert!(parse_table("{\"title\":\"\\ud83d x\",\"columns\":[],\"rows\":[],\"notes\":[]}").is_err());
     }
 }

@@ -1,20 +1,17 @@
-//! # rfc-bench — the CI perf-regression gate and its two measurements
+//! # rfc-bench — the CI perf-regression gate
 //!
-//! The crate ships the **perf-regression gate** ([`gate`]): a
-//! dependency-free parser for the committed `BENCH_scale.json` baseline
-//! plus a throughput and ΔRSS comparator. The `rfc-bench` binary drives
-//! it and measures the two rows no experiment emits:
+//! The crate ships the **perf-regression gate** ([`gate`]): a throughput
+//! and ΔRSS comparator over the committed `BENCH_scale.json` baseline,
+//! whose tables it reads with `experiments::table::parse_tables`. The
+//! `rfc-bench` binary drives it:
 //!
 //! * `rfc-bench gate <committed> <fresh>...` — compare fresh tables
 //!   against the baseline and fail on a drop beyond tolerance;
-//! * `rfc-bench selftest <committed>` — prove the gate can fire;
-//! * `rfc-bench codec <out>` — wire-codec encode/decode throughput (E18);
-//! * `rfc-bench serial <out>` — the staged engine's drained serial
-//!   sections, serial vs sharded (E19).
+//! * `rfc-bench selftest <committed>` — prove the gate fires just past
+//!   its tolerance and holds just inside it.
 //!
-//! Protocol P's costs are measured elsewhere: the experiment tables
-//! (E14 trials/s, E16 rounds/s) and the `perfbench/` benchmark.
+//! The gated tables come from the experiments (E14 trials/s, E16
+//! rounds/s, E17 instances/s); per-layer costs of protocol P, the wire
+//! codec included, are timed in place by the `perfbench/` benchmark.
 
 pub mod gate;
-
-pub use gate::{compare, parse_table, parse_tables, GateReport, TableData};

@@ -70,6 +70,7 @@ use crate::codec::{
     CodecError, Reader,
 };
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
+use crate::fnv::Fnv1a;
 use crate::ledger::{ConsistencyError, Declaration};
 use crate::msg::Msg;
 use crate::payload::{CertId, ListId, PayloadPool};
@@ -191,17 +192,6 @@ pub struct Header {
     pub round: usize,
 }
 
-/// FNV-1a 64-bit (the corpus digest primitive, reused for the config
-/// fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprint of everything in a [`RunConfig`] that determines run
 /// *behavior*. `threads`, `shard_floor` and `time_stages` are
 /// normalized out: staged output is bit-identical for every thread
@@ -214,7 +204,9 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
     norm.threads = 1;
     norm.shard_floor = None;
     norm.time_stages = false;
-    fnv1a(format!("{norm:?}").as_bytes())
+    let mut h = Fnv1a::short_multiplier();
+    h.write(format!("{norm:?}").as_bytes());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

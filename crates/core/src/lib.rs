@@ -35,7 +35,8 @@
 //! the agent plane: [`agent_plane`] (the monomorphic [`AgentSlot`] enum
 //! every simulation dispatches through), [`coalition`] (the deviators'
 //! shared blackboard) and [`strategies`] (the deviation suite — honest
-//! and deviating agents share one jump table).
+//! and deviating agents share one jump table). [`fnv`] holds the digest
+//! behind every printed or pinned fingerprint.
 //!
 //! ## Example
 //!
@@ -59,6 +60,7 @@ pub mod coalition;
 pub mod codec;
 pub mod election;
 pub mod engine;
+pub mod fnv;
 pub mod instances;
 pub mod ledger;
 pub mod msg;
@@ -81,6 +83,7 @@ pub use codec::{
     CodecError, FRAME_MAGIC, FRAME_VERSION,
 };
 pub use engine::{ConsensusAgent, HonestAgent, ProtocolCore, Role, VerifyFailure};
+pub use fnv::Fnv1a;
 pub use instances::{
     run_plane, InstanceKind, InstancePlan, InstanceSpec, MuxAgent, PlaneReport, Priority,
 };

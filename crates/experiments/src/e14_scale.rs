@@ -59,12 +59,21 @@ impl Acc {
 }
 
 /// Process peak-RSS proxy in MiB (`VmHWM` from `/proc/self/status`);
-/// `None` off Linux.
-fn peak_rss_mib() -> Option<f64> {
+/// `None` off Linux. E14 and E16 read it before and after a row.
+pub(crate) fn peak_rss_mib() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024.0)
+}
+
+/// The `ΔRSS MiB` cell: peak-RSS growth since `before` was read, or
+/// `n/a` where there is no `VmHWM`.
+pub(crate) fn rss_growth(before: Option<f64>) -> String {
+    match (before, peak_rss_mib()) {
+        (Some(before), Some(after)) => fmt::f2(after - before),
+        _ => "n/a".into(),
+    }
 }
 
 /// Run E14 and produce its table.
@@ -127,10 +136,6 @@ pub fn run_with_budget(opts: &ExpOptions, budget: usize) -> Vec<Table> {
         let rounds_per_s = acc.rounds.sum() as f64 / secs;
         let agent_rounds_per_s = rounds_per_s * n as f64 / 1e6;
         let bytes_per_agent = acc.bits.mean() / 8.0 / n as f64;
-        let rss_growth = match (rss_before, peak_rss_mib()) {
-            (Some(before), Some(after)) => fmt::f2(after - before),
-            _ => "n/a".into(),
-        };
         table.row(vec![
             n.to_string(),
             cfg.params().q.to_string(),
@@ -139,7 +144,7 @@ pub fn run_with_budget(opts: &ExpOptions, budget: usize) -> Vec<Table> {
             format!("{rounds_per_s:.0}"),
             fmt::f2(agent_rounds_per_s),
             fmt::f2(bytes_per_agent),
-            rss_growth,
+            rss_growth(rss_before),
             format!("{} (≤ {})", stats.peak_pending, 3 * threads),
         ]);
     }

@@ -27,9 +27,11 @@
 //! Like E14, the throughput/ΔRSS columns are measurements of this
 //! machine; outcome, traffic, and digest are pure functions of the seed.
 
+use crate::e14_scale::{peak_rss_mib, rss_growth};
 use crate::opts::ExpOptions;
 use crate::table::{fmt, Table};
 use rfc_core::runner::{RunConfig, RunReport, TrialArena};
+use rfc_core::Fnv1a;
 
 /// Default landing directory for `--checkpoint-every` snapshots.
 const DEFAULT_CHECKPOINT_DIR: &str = "target/checkpoints";
@@ -100,41 +102,26 @@ const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// counts, deliberately cheaper than the full golden digest in
 /// `tests/common/mod.rs`, which remains the pinned-corpus definition.
 fn report_digest(r: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    eat(format!("{:?}", r.outcome).as_bytes());
-    eat(&(r.rounds as u64).to_le_bytes());
-    eat(format!("{:?}", r.winner).as_bytes());
-    eat(&r.metrics.messages_sent.to_le_bytes());
-    eat(&r.metrics.bits_sent.to_le_bytes());
-    eat(&r.metrics.undelivered.to_le_bytes());
-    eat(&r.metrics.max_message_bits.to_le_bytes());
-    eat(&r.metrics.max_active_links.to_le_bytes());
-    eat(&(r.n_active as u64).to_le_bytes());
+    let mut h = Fnv1a::short_multiplier();
+    h.write(format!("{:?}", r.outcome).as_bytes());
+    h.write_u64(r.rounds as u64);
+    h.write(format!("{:?}", r.winner).as_bytes());
+    h.write_u64(r.metrics.messages_sent);
+    h.write_u64(r.metrics.bits_sent);
+    h.write_u64(r.metrics.undelivered);
+    h.write_u64(r.metrics.max_message_bits);
+    h.write_u64(r.metrics.max_active_links);
+    h.write_u64(r.n_active as u64);
     // Decisions hashed numerically — at n = 10⁶ this loop runs a
     // million times per row, so no per-entry formatting.
     for d in &r.decisions {
-        let code: u64 = match d {
+        h.write_u64(match d {
             rfc_core::Decision::Faulty => 1 << 32,
             rfc_core::Decision::Failed => 2 << 32,
             rfc_core::Decision::Decided(c) => (3 << 32) | *c as u64,
-        };
-        eat(&code.to_le_bytes());
+        });
     }
-    h
-}
-
-/// Process peak-RSS proxy in MiB (`VmHWM`); `None` off Linux.
-fn peak_rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib / 1024.0)
+    h.finish()
 }
 
 /// Run E16 and produce its table.
@@ -227,10 +214,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 ),
             }
             let rounds_per_s = report.rounds as f64 / secs;
-            let rss_growth = match (rss_before, peak_rss_mib()) {
-                (Some(b), Some(a)) => fmt::f2(a - b),
-                _ => "n/a".into(),
-            };
             table.row(vec![
                 n.to_string(),
                 cfg.params().q.to_string(),
@@ -239,7 +222,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 format!("{rounds_per_s:.1}"),
                 fmt::f2(rounds_per_s * n as f64 / 1e6),
                 fmt::f2(report.metrics.bits_sent as f64 / 8.0 / n as f64),
-                rss_growth,
+                rss_growth(rss_before),
                 format!("{:016x}", digest),
             ]);
             if let Some(st) = report.stage_times {

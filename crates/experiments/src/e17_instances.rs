@@ -34,32 +34,26 @@ use crate::opts::ExpOptions;
 use crate::table::{fmt, Table};
 use rfc_core::instances::InstanceReport;
 use rfc_core::runner::RunConfig;
-use rfc_core::{run_plane, InstanceKind, InstancePlan, InstanceSpec, PlaneReport, Priority};
+use rfc_core::{run_plane, Fnv1a, InstanceKind, InstancePlan, InstanceSpec, PlaneReport, Priority};
 
 /// FNV-1a 64 over the deterministic per-instance fields of a plane
 /// report (outcome, decision counts/rounds, payload meters) plus the
 /// aggregate wire meters — wall-clock excluded. The sweep's digest
 /// column is seed-deterministic at every thread count.
 fn plane_digest(plane: &PlaneReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::short_multiplier();
     for inst in &plane.instances {
-        eat(format!("{:?}", inst.outcome).as_bytes());
-        eat(&(inst.decided as u64).to_le_bytes());
-        eat(&(inst.rounds_to_decision.unwrap_or(usize::MAX) as u64).to_le_bytes());
-        eat(&inst.metrics.messages_sent.to_le_bytes());
-        eat(&inst.metrics.bits_sent.to_le_bytes());
-        eat(&inst.metrics.undelivered.to_le_bytes());
+        h.write(format!("{:?}", inst.outcome).as_bytes());
+        h.write_u64(inst.decided as u64);
+        h.write_u64(inst.rounds_to_decision.unwrap_or(usize::MAX) as u64);
+        h.write_u64(inst.metrics.messages_sent);
+        h.write_u64(inst.metrics.bits_sent);
+        h.write_u64(inst.metrics.undelivered);
     }
-    eat(&plane.aggregate.messages_sent.to_le_bytes());
-    eat(&plane.aggregate.bits_sent.to_le_bytes());
-    eat(&(plane.rounds as u64).to_le_bytes());
-    h
+    h.write_u64(plane.aggregate.messages_sent);
+    h.write_u64(plane.aggregate.bits_sent);
+    h.write_u64(plane.rounds as u64);
+    h.finish()
 }
 
 /// min/mean/max of the decision rounds across instances; undecided

@@ -1,12 +1,15 @@
-//! Plain-text and CSV table rendering for experiment reports.
+//! Plain-text, CSV and JSON table rendering for experiment reports.
 //!
 //! The paper is theory-only, so the experiments define the result tables
 //! (the index is in the crate docs); this module renders them
 //! identically on the terminal and into CSV so every number in the docs
-//! can be regenerated by `rfc-experiments`.
+//! can be regenerated by `rfc-experiments`. JSON is the one form that
+//! reads back: [`parse_tables`] is the reader for [`Table::to_json`]
+//! (the committed `BENCH_scale.json` perf baseline is a stream of such
+//! objects).
 
 /// A result table: title, column headers, string rows, footnotes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
     /// Table caption (includes the experiment id, e.g. "E4 — fairness").
     pub title: String,
@@ -27,6 +30,12 @@ impl Table {
             rows: Vec::new(),
             notes: Vec::new(),
         }
+    }
+
+    /// The experiment id: the title up to the first `" — "`
+    /// (`"E16 — single-trial scaling …"` → `"E16"`).
+    pub fn id(&self) -> &str {
+        self.title.split(" — ").next().unwrap_or(&self.title).trim()
     }
 
     /// Append a row (must match the column count).
@@ -151,6 +160,262 @@ impl Table {
     }
 }
 
+/// Read a stream of [`Table::to_json`] objects: one per line in
+/// `BENCH_scale.json`, though any whitespace separates them. The reader
+/// is strict on structure (every value a string, every row as wide as
+/// the columns, no unknown fields) and decodes every string escape.
+pub fn parse_tables(input: &str) -> Result<Vec<Table>, String> {
+    let mut r = Reader::new(input);
+    let mut out = Vec::new();
+    loop {
+        r.skip_ws();
+        if r.pos == r.bytes.len() {
+            break;
+        }
+        out.push(table_from_json(r.value()?)?);
+    }
+    Ok(out)
+}
+
+// ---------------------------------------------------------------------
+// Minimal JSON reader: strings, arrays and objects, the only values
+// `to_json` writes (numbers, booleans and null are rejected)
+// ---------------------------------------------------------------------
+
+enum Json {
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+type PResult<T> = Result<T, String>;
+
+impl<'a> Reader<'a> {
+    fn new(s: &'a str) -> Self {
+        Reader {
+            bytes: s.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    fn err(&self, msg: &str) -> String {
+        format!("json error at byte {}: {}", self.pos, msg)
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> PResult<()> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn value(&mut self) -> PResult<Json> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(_) => Err(self.err("expected a string, array, or object")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn string(&mut self) -> PResult<String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let e = self.peek().ok_or_else(|| self.err("dangling escape"))?;
+                    self.pos += 1;
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hi = self.hex4()?;
+                            let cp = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair: require the low half.
+                                self.expect(b'\\')?;
+                                self.expect(b'u')?;
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("bad low surrogate"));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            } else {
+                                hi
+                            };
+                            out.push(char::from_u32(cp).ok_or_else(|| self.err("bad \\u escape"))?);
+                        }
+                        _ => return Err(self.err("unknown escape")),
+                    }
+                }
+                // Multi-byte UTF-8: copy the raw continuation bytes.
+                _ => {
+                    let start = self.pos - 1;
+                    while self.bytes.get(self.pos).is_some_and(|&c| c & 0xC0 == 0x80) {
+                        self.pos += 1;
+                    }
+                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(chunk);
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> PResult<u32> {
+        let mut v = 0u32;
+        for _ in 0..4 {
+            let b = self.peek().ok_or_else(|| self.err("short \\u escape"))?;
+            self.pos += 1;
+            v = v * 16
+                + (b as char)
+                    .to_digit(16)
+                    .ok_or_else(|| self.err("non-hex in \\u escape"))?;
+        }
+        Ok(v)
+    }
+
+    fn array(&mut self) -> PResult<Json> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> PResult<Json> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+}
+
+fn str_array(v: &Json, what: &str) -> PResult<Vec<String>> {
+    match v {
+        Json::Arr(items) => items
+            .iter()
+            .map(|i| match i {
+                Json::Str(s) => Ok(s.clone()),
+                _ => Err(format!("{what}: expected an array of strings")),
+            })
+            .collect(),
+        _ => Err(format!("{what}: expected an array")),
+    }
+}
+
+fn table_from_json(v: Json) -> PResult<Table> {
+    let Json::Obj(fields) = v else {
+        return Err("table: expected a JSON object".into());
+    };
+    let mut t = Table::default();
+    let mut seen_title = false;
+    for (key, val) in fields {
+        match key.as_str() {
+            "title" => match val {
+                Json::Str(s) => {
+                    t.title = s;
+                    seen_title = true;
+                }
+                _ => return Err("title: expected a string".into()),
+            },
+            "columns" => t.columns = str_array(&val, "columns")?,
+            "rows" => match val {
+                Json::Arr(rows) => {
+                    t.rows = rows
+                        .iter()
+                        .map(|r| str_array(r, "row"))
+                        .collect::<PResult<_>>()?;
+                }
+                _ => return Err("rows: expected an array".into()),
+            },
+            "notes" => t.notes = str_array(&val, "notes")?,
+            other => return Err(format!("unknown table field {other:?}")),
+        }
+    }
+    if !seen_title {
+        return Err("table: missing title".into());
+    }
+    for (i, row) in t.rows.iter().enumerate() {
+        if row.len() != t.columns.len() {
+            return Err(format!(
+                "table {:?}: row {} has {} cells for {} columns",
+                t.title,
+                i,
+                row.len(),
+                t.columns.len()
+            ));
+        }
+    }
+    Ok(t)
+}
+
 /// Format helpers shared by experiment modules.
 pub mod fmt {
     /// Fixed 3-decimal float.
@@ -225,6 +490,63 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
+    }
+
+    #[test]
+    fn parses_the_committed_bench_layout() {
+        let src = concat!(
+            "{\"title\":\"E16 — scaling (γ = 3)\",\"columns\":[\"n\",\"rounds/s\"],",
+            "\"rows\":[[\"512\",\"22274.2\"]],\"notes\":[\"a \\\"note\\\"\"]}\n",
+            "{\"title\":\"E14b — dispatch\",\"columns\":[\"n\",\"speedup\"],",
+            "\"rows\":[],\"notes\":[]}\n",
+        );
+        let tables = parse_tables(src).unwrap();
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0].id(), "E16");
+        assert_eq!(tables[0].title, "E16 — scaling (γ = 3)");
+        assert_eq!(tables[0].rows, vec![vec!["512", "22274.2"]]);
+        assert_eq!(tables[0].notes, vec!["a \"note\""]);
+        assert_eq!(tables[1].id(), "E14b");
+    }
+
+    #[test]
+    fn rejects_malformed_tables() {
+        assert!(parse_tables("{\"title\":1}").is_err());
+        assert!(parse_tables("{\"columns\":[]}").is_err(), "missing title");
+        assert!(parse_tables("[1,2]").is_err());
+        assert!(parse_tables("{\"title\":\"x\",\"bogus\":[]}").is_err());
+        // Row width must match the columns.
+        let ragged = "{\"title\":\"x\",\"columns\":[\"a\"],\"rows\":[[\"1\",\"2\"]],\"notes\":[]}";
+        assert!(parse_tables(ragged).is_err());
+        // Truncated input.
+        assert!(parse_tables("{\"title\":\"x").is_err());
+    }
+
+    #[test]
+    fn to_json_round_trips_through_the_parser() {
+        // Every escape class `to_json` can emit must decode back to the
+        // original cells.
+        let mut t = Table::new(
+            "E0 — \"quoted\" \\ back\nslash\ttab\u{1}ctl — γ≤δ",
+            &["col \"a\"", "b\\c"],
+        );
+        t.row(vec![
+            "line1\nline2".into(),
+            "quote\" and \\ and \r end".into(),
+        ]);
+        t.row(vec!["\u{0}\u{1f}".into(), "π ≈ 3.14159".into()]);
+        t.note("note with \"everything\": \\ \n \t");
+        assert_eq!(parse_tables(&t.to_json()).unwrap(), vec![t]);
+    }
+
+    #[test]
+    fn parser_handles_surrogate_pairs() {
+        let src = "{\"title\":\"\\ud83d\\ude00 ok\",\"columns\":[],\"rows\":[],\"notes\":[]}";
+        assert_eq!(parse_tables(src).unwrap()[0].title, "😀 ok");
+        assert!(
+            parse_tables("{\"title\":\"\\ud83d x\",\"columns\":[],\"rows\":[],\"notes\":[]}")
+                .is_err()
+        );
     }
 
     #[test]

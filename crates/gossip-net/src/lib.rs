@@ -93,7 +93,7 @@ pub mod ids;
 pub mod metrics;
 pub mod network;
 pub mod oplog;
-pub mod pool;
+mod pool;
 pub mod rng;
 pub mod size;
 pub mod topology;
@@ -107,7 +107,6 @@ pub use metrics::Metrics;
 pub use network::staged::MIN_AGENTS_PER_SHARD;
 pub use network::{Network, NetworkConfig, StageTimes};
 pub use oplog::{OpEvent, OpKind, OpLog};
-pub use pool::ScopedPool;
 pub use rng::RngDiscipline;
 pub use size::{MsgSize, SizeEnv};
 pub use topology::Topology;

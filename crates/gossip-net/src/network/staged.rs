@@ -30,8 +30,8 @@
 //!    the interleaving across shards is unobservable.
 //!
 //! One shard is not a special case: it is the same pipeline at `k = 1`,
-//! whose single job per stage runs inline on the caller (a zero-worker
-//! [`crate::pool::ScopedPool`]).
+//! whose single job per stage runs inline on the caller (the network's
+//! worker pool, `ScopedPool`, holds no worker then).
 //!
 //! ## Determinism: bit-identical for any thread count
 //!

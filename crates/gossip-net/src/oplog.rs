@@ -78,7 +78,7 @@ impl OpLog {
     /// positions — this is the pre-sized buffer that scatter lands in.
     /// The caller must overwrite **every** slot of the returned slice;
     /// a slot left untouched would hold a placeholder `Push 0→0` event.
-    pub fn scatter_tail(&mut self, count: usize) -> &mut [OpEvent] {
+    pub(crate) fn scatter_tail(&mut self, count: usize) -> &mut [OpEvent] {
         let start = self.events.len();
         self.events.resize(
             start + count,

@@ -154,7 +154,7 @@ impl Shared {
 
 /// A fixed-size pool of persistent worker threads with scoped dispatch
 /// (see module docs).
-pub struct ScopedPool {
+pub(crate) struct ScopedPool {
     handles: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
@@ -256,7 +256,7 @@ impl std::fmt::Debug for ScopedPool {
 }
 
 /// Dispatch handle passed to the closure of [`ScopedPool::scope`].
-pub struct Scope<'env, 'pool> {
+pub(crate) struct Scope<'env, 'pool> {
     pool: &'pool mut ScopedPool,
     /// Jobs spawned so far in this scope.
     dispatched: usize,

@@ -41,6 +41,7 @@ use rfc_core::agent_plane::AgentSlot;
 use rfc_core::asynchronous::SCHEDULER_STREAM;
 use rfc_core::codec::FRAME_VERSION;
 use rfc_core::engine::{ConsensusAgent, ProtocolCore};
+use rfc_core::fnv::Fnv1a;
 use rfc_core::msg::Msg;
 use rfc_core::outcome::{combine_decisions, Decision, Outcome};
 use rfc_core::params::{Params, Phase};
@@ -93,12 +94,12 @@ impl NodeParams {
     /// Session fingerprint: both ends must derive the same value or the
     /// handshake fails (they would silently disagree on every tick).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.n as u64);
-        h.write(self.gamma.to_bits());
-        h.write(self.seed);
-        h.write(self.slack as u64);
-        h.write(FRAME_VERSION as u64);
+        let mut h = Fnv1a::standard();
+        h.write_u64(self.n as u64);
+        h.write_u64(self.gamma.to_bits());
+        h.write_u64(self.seed);
+        h.write_u64(self.slack as u64);
+        h.write_u64(FRAME_VERSION as u64);
         h.finish()
     }
 }
@@ -125,24 +126,6 @@ pub struct SessionReport {
     pub pool_lists: usize,
     /// Certificates this endpoint's payload pool held at the end.
     pub pool_certs: usize,
-}
-
-/// FNV-1a over u64 words (the same fold the test-suite digests use).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 fn proto_err(what: impl Into<String>) -> io::Error {
@@ -433,15 +416,15 @@ pub fn run_session<S: Read + Write + Send>(
         .collect::<io::Result<_>>()?;
 
     let outcome = combine_decisions(&decisions);
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::standard();
     for (id, d) in decisions.iter().enumerate() {
-        h.write(id as u64);
+        h.write_u64(id as u64);
         match d {
-            Decision::Faulty => h.write(0),
-            Decision::Failed => h.write(1),
+            Decision::Faulty => h.write_u64(0),
+            Decision::Failed => h.write_u64(1),
             Decision::Decided(c) => {
-                h.write(2);
-                h.write(*c as u64);
+                h.write_u64(2);
+                h.write_u64(*c as u64);
             }
         }
     }
