@@ -149,44 +149,48 @@ if ! diff -q target/ckpt-smoke/digests-a target/ckpt-smoke/digests-b >/dev/null;
 fi
 echo "    resume smoke OK: $(wc -l < target/ckpt-smoke/digests-a) row digests identical across the seam"
 
-echo "==> node smoke: two rfc-node processes over a Unix socket must agree (outcome + digest)"
+echo "==> node smoke: two rfc-node processes over a Unix socket == loopback, at three (n, seed) rows"
 # The real-wire acceptance check: serve and join are *separate OS
 # processes* talking through the codec frames on an actual socket. Both
-# print "<mode> outcome=... digest=0x..."; consensus AND bit-identical
-# digests are required. Loopback (in-process socketpair) rides along as
-# the fallback diagnostic if the two-process form ever fails.
-rm -f target/rfc-node-smoke.sock
+# print "<mode> outcome=... digest=0x... ticks=... msgs_sent=...
+# bytes_sent=..."; the two digests must be equal, and loopback
+# (in-process socketpair) must print the same report lines, label aside.
+# The node crate's loopback corpus pins loopback to the simulator, so
+# this closes two processes == loopback == simulator. Odd n = 5 splits
+# the agents 2 | 3; the n = 16 row must also reach consensus.
 cargo build --release -q -p rfc-node
-./target/release/rfc-node serve --listen unix:target/rfc-node-smoke.sock \
-    --n 16 --gamma 3.0 --seed 21 --slack 3 > target/rfc-node-serve.out &
-serve_pid=$!
-./target/release/rfc-node join --connect unix:target/rfc-node-smoke.sock \
-    --n 16 --gamma 3.0 --seed 21 --slack 3 > target/rfc-node-join.out
-wait "$serve_pid"
-grep -q "outcome=Consensus" target/rfc-node-serve.out
-grep -q "outcome=Consensus" target/rfc-node-join.out
-digest_serve=$(grep -oE 'digest=0x[0-9a-f]+' target/rfc-node-serve.out)
-digest_join=$(grep -oE 'digest=0x[0-9a-f]+' target/rfc-node-join.out)
-if [ -z "$digest_serve" ] || [ "$digest_serve" != "$digest_join" ]; then
-    echo "FAIL: rfc-node endpoints disagree (serve: ${digest_serve:-none}, join: ${digest_join:-none})" >&2
-    cat target/rfc-node-serve.out target/rfc-node-join.out >&2
-    exit 1
-fi
-echo "    node smoke OK: both processes $(grep -oE 'outcome=[A-Za-z()0-9]+' target/rfc-node-serve.out | head -1), $digest_serve"
+for row in "16 21" "5 1" "8 5"; do
+    read -r n seed <<< "$row"
+    out="target/rfc-node-n$n-s$seed"
+    params=(--n "$n" --gamma 3.0 --seed "$seed" --slack 3)
+    rm -f "$out.sock"
+    ./target/release/rfc-node serve --listen "unix:$out.sock" "${params[@]}" > "$out.serve" &
+    serve_pid=$!
+    ./target/release/rfc-node join --connect "unix:$out.sock" "${params[@]}" > "$out.join"
+    wait "$serve_pid"
+    digest_serve=$(grep -oE 'digest=0x[0-9a-f]+' "$out.serve" || true)
+    digest_join=$(grep -oE 'digest=0x[0-9a-f]+' "$out.join" || true)
+    if [ -z "$digest_serve" ] || [ "$digest_serve" != "$digest_join" ]; then
+        echo "FAIL: rfc-node endpoints disagree at n=$n seed=$seed (serve: ${digest_serve:-none}, join: ${digest_join:-none})" >&2
+        cat "$out.serve" "$out.join" >&2
+        exit 1
+    fi
+    if [ "$n" = 16 ] && ! grep -q "outcome=Consensus" "$out.serve"; then
+        echo "FAIL: the n=16 two-process session did not reach consensus" >&2
+        cat "$out.serve" >&2
+        exit 1
+    fi
+    ./target/release/rfc-node loopback "${params[@]}" > "$out.loopback"
+    cat "$out.serve" "$out.join" | cut -d' ' -f2- > "$out.procs.cmp"
+    cut -d' ' -f2- "$out.loopback" > "$out.loopback.cmp"
+    if ! diff "$out.procs.cmp" "$out.loopback.cmp" >&2; then
+        echo "FAIL: rfc-node loopback reports differ from the two-process session at n=$n seed=$seed" >&2
+        exit 1
+    fi
+    echo "    node n=$n seed=$seed OK: $(grep -oE 'outcome=[A-Za-z()0-9]+' "$out.serve"), $digest_serve on both processes and in loopback"
+done
 
-echo "==> node loopback == two processes; bad input fails cleanly"
-# Loopback must print the same report lines (label aside) as the two
-# processes: outcome, digest, ticks, msgs_sent, bytes_sent. The node
-# crate's loopback corpus pins loopback to the simulator, so this closes
-# two processes == loopback == simulator.
-./target/release/rfc-node loopback \
-    --n 16 --gamma 3.0 --seed 21 --slack 3 > target/rfc-node-loopback.out
-cat target/rfc-node-serve.out target/rfc-node-join.out | cut -d' ' -f2- > target/rfc-node-procs.cmp
-cut -d' ' -f2- target/rfc-node-loopback.out > target/rfc-node-loopback.cmp
-if ! diff target/rfc-node-procs.cmp target/rfc-node-loopback.cmp >&2; then
-    echo "FAIL: rfc-node loopback reports differ from the two-process session" >&2
-    exit 1
-fi
+echo "==> node: bad input fails cleanly"
 # Unusable parameters exit non-zero with a message, not a panic.
 if ./target/release/rfc-node loopback --slack 0 >/dev/null 2> target/rfc-node-slack0.err; then
     echo "FAIL: rfc-node loopback --slack 0 succeeded" >&2
@@ -210,7 +214,7 @@ if [ "$(cat target/rfc-node-regular-file 2>/dev/null)" != "not a socket" ]; then
     echo "FAIL: rfc-node serve replaced a regular file at its socket path" >&2
     exit 1
 fi
-echo "    node loopback OK: same reports as the two processes; --slack 0 and a non-socket path refused"
+echo "    node bad input OK: --slack 0 and a non-socket path refused"
 
 echo "==> perf snapshot: e14/e16/e17 --quick -> fresh JSON (two captures for a best-of-2 gate)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e14 e16 e17 --quick --json target/bench-json >/dev/null

@@ -22,10 +22,12 @@
 //! the failure probability decays exponentially in `q` (measured in E12).
 //!
 //! One driver, [`run_protocol_events`], runs the scheduler on the event
-//! runtime ([`gossip_net::network::Network::drive_events`]): every
-//! message leg draws a delivery delay from [`DELAY_STREAM`], uniform in
-//! `[0, max_delay]` ticks. With `max_delay > 0` replies can outlive the
-//! phase budget, and the terminal
+//! runtime ([`gossip_net::network::Network::drive_events`]), one tick
+//! per unit of the phase clock ([`crate::runner::drive_phases`]) over
+//! the async schedule's windows: every message leg draws a delivery
+//! delay from [`DELAY_STREAM`], uniform in `[0, max_delay]` ticks. With
+//! `max_delay > 0` replies can outlive the phase budget, and the clock's
+//! terminal
 //! [`drain_in_flight`](gossip_net::network::Network::drain_in_flight)
 //! keeps the metering contract honest (`messages_sent - undelivered`
 //! == handler invocations, in-flight messages counted undelivered).
@@ -35,8 +37,10 @@
 
 use crate::agent_plane::AgentSlot;
 use crate::engine::ProtocolCore;
-use crate::params::{Params, Phase};
-use crate::runner::{build_network_slots, collect_report, RunConfig, RunReport};
+use crate::params::Params;
+use crate::runner::{
+    build_network_slots, collect_report, drive_phases, unchecked, RunConfig, RunReport,
+};
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
 
@@ -86,14 +90,8 @@ pub fn run_protocol_events(
     slack: usize,
     max_delay: usize,
 ) -> RunReport {
-    assert!(slack >= 1);
-    let params = cfg.params();
-    // Checked: a silent wrap here would truncate the per-phase tick
-    // loop below (each phase runs exactly `schedule.phase_len` ticks).
-    let schedule = match params.try_async_schedule(slack) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    };
+    // Checked: a silent wrap would truncate every phase window.
+    let schedule = cfg.params().async_schedule(slack);
     let mut factory = move |id: AgentId,
                             params: Params,
                             color: ColorId,
@@ -104,17 +102,16 @@ pub fn run_protocol_events(
     let mut net = build_network_slots(cfg, seed, &mut factory);
     let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
     let mut delays = DetRng::seeded(seed, DELAY_STREAM);
-    for phase in Phase::COMMUNICATING {
-        net.enter_phase(phase.name());
-        // The delivery queue deliberately survives the phase boundary: a
-        // delayed message sent near the end of one phase lands during
-        // the next, exactly as on a real wire.
-        net.drive_events(schedule.phase_len, &mut scheduler, &mut delays, max_delay);
-    }
-    // Budget over: whatever is still in flight was metered at send but
-    // will never reach a handler — count it undelivered.
-    net.drain_in_flight();
-    net.finalize();
+    // The delivery queue deliberately survives the phase boundary: a
+    // delayed message sent near the end of one phase lands during the
+    // next, exactly as on a real wire. What is still in flight when the
+    // budget runs out, the clock's drain counts undelivered.
+    let Ok(()) = drive_phases(
+        &mut net,
+        schedule.windows(),
+        |net| net.drive_events(1, &mut scheduler, &mut delays, max_delay),
+        unchecked,
+    );
     collect_report(&net, cfg)
 }
 

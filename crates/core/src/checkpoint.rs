@@ -51,9 +51,9 @@
 //! [`CheckpointError::UnsupportedAgent`] for them (equilibrium
 //! experiments checkpoint at *trial* granularity instead — see
 //! `adversary::run_equilibrium_span`). Async (sequential-GOSSIP) runs
-//! are likewise out of scope: [`drive_with_checkpoints`] is
-//! [`crate::runner::drive_network`]'s synchronous phase clock plus a
-//! snapshot hook.
+//! are likewise out of scope: [`drive_with_checkpoints`] is the phase
+//! clock ([`crate::runner::drive_phases`]) over the synchronous windows
+//! plus a snapshot hook.
 
 use std::fmt;
 use std::sync::Arc;
@@ -75,8 +75,8 @@ use crate::ledger::{ConsistencyError, Declaration};
 use crate::msg::Msg;
 use crate::payload::{CertId, ListId, PayloadPool};
 use crate::runner::{
-    build_network_slots, collect_report, drive_network_with, honest_slot_factory,
-    network_ingredients, sync_rounds, RunConfig, RunReport,
+    build_network_slots, collect_report, drive_phases, honest_slot_factory, network_ingredients,
+    sync_rounds, sync_windows, RunConfig, RunReport,
 };
 
 /// File magic: the first four bytes of every checkpoint.
@@ -204,7 +204,7 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
     norm.threads = 1;
     norm.shard_floor = None;
     norm.time_stages = false;
-    let mut h = Fnv1a::short_multiplier();
+    let mut h = Fnv1a::sim_digest();
     h.write(format!("{norm:?}").as_bytes());
     h.finish()
 }
@@ -860,12 +860,13 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
 // Snapshots on the phase clock
 // ---------------------------------------------------------------------
 
-/// Drive `net` from its current round to completion on
-/// [`crate::runner::drive_network`]'s phase clock, emitting a checkpoint
-/// into `sink` every `every` rounds (`None` = never). The snapshot hook
-/// only reads the network, so the run is operation-for-operation the
-/// hook-free one; a mid-phase restore re-enters the in-flight phase
-/// label, which continues its metrics tally (the metering contract).
+/// Drive `net` from its current round to completion on the phase clock
+/// ([`drive_phases`]) over [`crate::runner::drive_network`]'s windows,
+/// emitting a checkpoint into `sink` every `every` rounds (`None` =
+/// never). The snapshot hook only reads the network, so the run is
+/// operation-for-operation the hook-free one; a mid-phase restore
+/// re-enters the in-flight phase label, which continues its metrics
+/// tally (the metering contract).
 pub fn drive_with_checkpoints(
     net: &mut Network<Msg, AgentSlot>,
     cfg: &RunConfig,
@@ -874,7 +875,7 @@ pub fn drive_with_checkpoints(
     sink: &mut dyn FnMut(usize, &[u8]),
 ) -> Result<(), CheckpointError> {
     let every = every.filter(|&k| k > 0);
-    drive_network_with(net, cfg, |net| {
+    drive_phases(net, sync_windows(cfg), Network::step_staged, |net| {
         if every.is_some_and(|k| net.round().is_multiple_of(k)) {
             sink(net.round(), &checkpoint_network(net, cfg, seed)?);
         }

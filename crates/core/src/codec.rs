@@ -1,4 +1,4 @@
-//! The real wire codec: `Msg`/`Batch` as measurable bytes.
+//! The real wire codec: `Msg` as measurable bytes.
 //!
 //! `gossip_net::size` prices messages in *idealized* information-
 //! theoretic bits (fixed field widths, a free first-part batch tag) —
@@ -24,23 +24,19 @@
 //!
 //! # Frames
 //!
-//! A frame wraps one [`Batch`] for transport:
+//! A frame wraps one message for transport:
 //!
 //! ```text
 //! frame := "RW" (2 bytes) | version (1 byte) | kind (1 byte)
 //!          | varint body_len | body
-//! kind 0 (MSG):   body is one bare message — the batch is the
-//!                 singleton `{instance 0, msg}`, its instance tag
-//!                 elided exactly as the idealized accounting elides
-//!                 the first part's tag (the frame header, not the
-//!                 payload, carries the singleton-ness).
-//! kind 1 (BATCH): body is `varint count, count × (varint instance,
-//!                 msg)`.
+//! kind 0 (MSG): body is one bare message, with no instance tag —
+//!               the idealized accounting likewise charges none for
+//!               a batch's first part.
 //! ```
 //!
-//! So the overwhelmingly common single-instance payload costs the
-//! 4-byte header + `body_len` + the bare message, with no per-part tag
-//! — mirroring `msg.rs`'s first-part tag elision byte for byte.
+//! Kind 0 is the only kind: a decoder refuses any other as
+//! [`CodecError::Corrupt`]. A frame costs the 4-byte header +
+//! `body_len` + the bare message.
 //!
 //! # Honesty contract vs the idealized accounting
 //!
@@ -76,7 +72,7 @@
 //! `checkpoint` module and `rfc-node`'s packets reuse both.
 
 use crate::certificate::{CertData, VoteLanes, VoteRec};
-use crate::msg::{Batch, IntentEntry, Msg};
+use crate::msg::{IntentEntry, Msg};
 use crate::payload::PayloadPool;
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::size::SizeEnv;
@@ -87,10 +83,8 @@ pub const FRAME_MAGIC: [u8; 2] = *b"RW";
 /// Wire format version this build encodes and accepts.
 pub const FRAME_VERSION: u8 = 1;
 
-/// Frame kind: one bare message (singleton instance-0 batch, tag elided).
+/// Frame kind: one bare message, the only kind.
 const KIND_MSG: u8 = 0;
-/// Frame kind: an explicit multi-part (or non-instance-0) batch.
-const KIND_BATCH: u8 = 1;
 
 const TAG_QINTENT: u8 = 0;
 const TAG_INTENTS: u8 = 1;
@@ -397,29 +391,7 @@ pub fn encoded_msg_len(msg: &Msg, pool: &PayloadPool) -> usize {
 // Frames
 // ---------------------------------------------------------------------
 
-/// Append one framed batch: header, length, body. A singleton
-/// instance-0 batch takes the `MSG` kind — its body is bit-for-bit the
-/// bare message (the first-part tag elision, realized).
-pub fn encode_frame(batch: &Batch<Msg>, pool: &PayloadPool, out: &mut Vec<u8>) {
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(FRAME_VERSION);
-    let mut body = Vec::new();
-    if batch.len() == 1 && batch.parts()[0].instance == 0 {
-        out.push(KIND_MSG);
-        encode_msg(&batch.parts()[0].payload, pool, &mut body);
-    } else {
-        out.push(KIND_BATCH);
-        put_varint(&mut body, batch.len() as u64);
-        for part in batch.parts() {
-            put_varint(&mut body, part.instance as u64);
-            encode_msg(&part.payload, pool, &mut body);
-        }
-    }
-    put_varint(out, body.len() as u64);
-    out.extend_from_slice(&body);
-}
-
-/// Convenience: frame one bare message (a singleton instance-0 batch).
+/// Append one message frame: header, length, body (the bare message).
 pub fn encode_msg_frame(msg: &Msg, pool: &PayloadPool, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(FRAME_VERSION);
@@ -428,18 +400,9 @@ pub fn encode_msg_frame(msg: &Msg, pool: &PayloadPool, out: &mut Vec<u8>) {
     encode_msg(msg, pool, out);
 }
 
-/// Decode one frame from the front of `bytes`, interning its payloads
-/// into `pool`; returns the batch and the total bytes consumed (header +
-/// body). Bytes after the frame are the next frame's business.
-pub fn decode_frame(bytes: &[u8], pool: &PayloadPool) -> Result<(Batch<Msg>, usize), CodecError> {
-    let mut r = Reader::new(bytes);
-    let batch = read_frame(&mut r, pool)?;
-    Ok((batch, r.pos()))
-}
-
-/// Read one frame written by [`encode_frame`], interning its payloads
-/// into `pool`.
-pub fn read_frame(r: &mut Reader, pool: &PayloadPool) -> Result<Batch<Msg>, CodecError> {
+/// Read one frame written by [`encode_msg_frame`], interning its payload
+/// into `pool`. Bytes after the frame are the next frame's business.
+pub fn read_frame(r: &mut Reader, pool: &PayloadPool) -> Result<Msg, CodecError> {
     if r.take(2)? != FRAME_MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -450,24 +413,12 @@ pub fn read_frame(r: &mut Reader, pool: &PayloadPool) -> Result<Batch<Msg>, Code
     let kind = r.u8()?;
     let body_len = r.count()?;
     let mut body = Reader::new(r.take(body_len)?);
-    match kind {
-        KIND_MSG => {
-            let msg = read_msg(&mut body, pool)?;
-            body.finish("trailing bytes after bare message body")?;
-            Ok(Batch::single(0, msg))
-        }
-        KIND_BATCH => {
-            let count = body.count()?;
-            let mut batch = Batch::new();
-            for _ in 0..count {
-                let instance = body.int("batch instance exceeds u32")?;
-                batch.push(instance, read_msg(&mut body, pool)?);
-            }
-            body.finish("trailing bytes after batch body")?;
-            Ok(batch)
-        }
-        _ => Err(CodecError::Corrupt("unknown frame kind")),
+    if kind != KIND_MSG {
+        return Err(CodecError::Corrupt("unknown frame kind"));
     }
+    let msg = read_msg(&mut body, pool)?;
+    body.finish("trailing bytes after bare message body")?;
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------
@@ -611,80 +562,49 @@ mod tests {
     }
 
     #[test]
-    fn singleton_instance0_frame_elides_the_batch_layer() {
+    fn message_frame_body_is_the_bare_message() {
         let pool = &pool();
-        // The realized first-part tag elision: a singleton instance-0
-        // batch's frame body is bit-for-bit the bare message.
-        let msg = sample_cert(pool, 12);
-        let mut bare = Vec::new();
-        encode_msg(&msg, pool, &mut bare);
-        let mut framed = Vec::new();
-        encode_frame(&Batch::single(0, msg), pool, &mut framed);
-        assert_eq!(&framed[framed.len() - bare.len()..], &bare[..]);
-        let mut msg_framed = Vec::new();
-        encode_msg_frame(&msg, pool, &mut msg_framed);
-        assert_eq!(framed, msg_framed);
-        let (batch, used) = decode_frame(&framed, pool).unwrap();
-        assert_eq!(used, framed.len());
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.parts()[0].instance, 0);
-        assert_eq!(batch.parts()[0].payload, msg);
-    }
-
-    #[test]
-    fn multi_part_batches_round_trip_with_instances() {
-        let pool = &pool();
-        let mut b = Batch::new();
-        b.push(5, Msg::QIntent);
-        b.push(0, Msg::Vote { value: 9, round: 1 });
-        b.push(4096, sample_intents(pool, 3));
-        let mut buf = Vec::new();
-        encode_frame(&b, pool, &mut buf);
-        let (back, used) = decode_frame(&buf, pool).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!(back, b);
-        // A singleton on a non-zero instance cannot elide its tag.
-        let single5 = Batch::single(5, Msg::QIntent);
-        let mut buf5 = Vec::new();
-        encode_frame(&single5, pool, &mut buf5);
-        let (back5, _) = decode_frame(&buf5, pool).unwrap();
-        assert_eq!(back5, single5);
-        // Empty batches are legal on the wire.
-        let empty: Batch<Msg> = Batch::new();
-        let mut bufe = Vec::new();
-        encode_frame(&empty, pool, &mut bufe);
-        assert!(decode_frame(&bufe, pool).unwrap().0.is_empty());
+        for msg in variants(pool) {
+            let mut bare = Vec::new();
+            encode_msg(&msg, pool, &mut bare);
+            let mut framed = Vec::new();
+            encode_msg_frame(&msg, pool, &mut framed);
+            assert_eq!(&framed[framed.len() - bare.len()..], &bare[..], "{msg:?}");
+            let mut r = Reader::new(&framed);
+            assert_eq!(read_frame(&mut r, pool).unwrap(), msg);
+            assert_eq!(r.pos(), framed.len());
+        }
     }
 
     #[test]
     fn frame_error_taxonomy() {
         let pool = &pool();
+        let decode = |bytes: &[u8]| read_frame(&mut Reader::new(bytes), pool);
         let mut good = Vec::new();
         encode_msg_frame(&Msg::QIntent, pool, &mut good);
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(decode_frame(&bad, pool).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(decode(&bad).unwrap_err(), CodecError::BadMagic);
         // Wrong version.
         let mut bad = good.clone();
         bad[2] = 9;
         assert_eq!(
-            decode_frame(&bad, pool).unwrap_err(),
+            decode(&bad).unwrap_err(),
             CodecError::WrongVersion { found: 9 }
         );
-        // Unknown kind.
-        let mut bad = good.clone();
-        bad[3] = 7;
-        assert!(matches!(
-            decode_frame(&bad, pool).unwrap_err(),
-            CodecError::Corrupt(_)
-        ));
+        // Every kind but 0 is refused, the retired batch kind 1 included.
+        for kind in [1, 7] {
+            let mut bad = good.clone();
+            bad[3] = kind;
+            assert_eq!(
+                decode(&bad).unwrap_err(),
+                CodecError::Corrupt("unknown frame kind")
+            );
+        }
         // Every truncated prefix errors without panicking.
         for cut in 0..good.len() {
-            assert!(
-                decode_frame(&good[..cut], pool).is_err(),
-                "prefix {cut} decoded"
-            );
+            assert!(decode(&good[..cut]).is_err(), "prefix {cut} decoded");
         }
     }
 

@@ -1,19 +1,22 @@
-//! FNV-1a 64, the one digest behind the fingerprints the product code
-//! prints or pins. Two multipliers are in use, and every pinned value
-//! depends on which:
+//! The xor-multiply 64-bit hash behind the fingerprints the product
+//! code prints or pins. It starts from FNV's offset basis and folds each
+//! byte in as `state = (state ^ byte) · multiplier`. Two multipliers are
+//! in use, and every pinned value depends on which:
 //!
 //! * [`Fnv1a::standard`] multiplies by FNV's published 64-bit prime,
-//!   `0x100_0000_01b3`: `rfc-node`'s session fingerprint and decision
-//!   digest;
-//! * [`Fnv1a::short_multiplier`] multiplies by `0x1_0000_01b3`, the
-//!   published prime with two zero digits missing (and not a prime): the
-//!   checkpoint's config fingerprint and E16's and E17's digest columns
-//!   were captured with it, as were the test corpora's digests.
+//!   `0x100_0000_01b3`, so it is FNV-1a 64: `rfc-node`'s session
+//!   fingerprint and decision digest;
+//! * [`Fnv1a::sim_digest`] multiplies by `0x1_0000_01b3`, which is not
+//!   FNV's prime (nor a prime), so its output is not FNV-1a: the
+//!   simulator's digest. The checkpoint's config fingerprint, E16's and
+//!   E17's digest columns and the test corpora's digests were captured
+//!   with it.
 //!
 //! Words fold in as their little-endian bytes, so a digest is the same
 //! on every host.
 
-/// An FNV-1a 64-bit hasher.
+/// A 64-bit xor-multiply hasher: FNV-1a 64 from [`Fnv1a::standard`],
+/// the simulator's digest from [`Fnv1a::sim_digest`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a {
     state: u64,
@@ -31,8 +34,9 @@ impl Fnv1a {
         }
     }
 
-    /// FNV-1a 64 with the short multiplier `0x1_0000_01b3`.
-    pub fn short_multiplier() -> Self {
+    /// The simulator's digest: FNV-1a's offset basis and step with the
+    /// multiplier `0x1_0000_01b3`, which is not FNV's prime.
+    pub fn sim_digest() -> Self {
         Fnv1a {
             state: Self::OFFSET_BASIS,
             multiplier: 0x1_0000_01b3,
@@ -75,17 +79,11 @@ mod tests {
     }
 
     #[test]
-    fn short_multiplier_keeps_its_pinned_values() {
+    fn sim_digest_keeps_its_pinned_values() {
+        assert_eq!(digest(Fnv1a::sim_digest(), b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(Fnv1a::sim_digest(), b"a"), 0x1162_bb90_8601_ec8c);
         assert_eq!(
-            digest(Fnv1a::short_multiplier(), b""),
-            0xcbf2_9ce4_8422_2325
-        );
-        assert_eq!(
-            digest(Fnv1a::short_multiplier(), b"a"),
-            0x1162_bb90_8601_ec8c
-        );
-        assert_eq!(
-            digest(Fnv1a::short_multiplier(), b"foobar"),
+            digest(Fnv1a::sim_digest(), b"foobar"),
             0x3fef_ab5e_f739_67e8
         );
     }

@@ -14,11 +14,13 @@
 //! ## Guarantees
 //!
 //! * **Single-instance identity.** A plan of exactly one consensus
-//!   instance (start 0, no send budget) runs through [`drive_network`]
-//!   with engine-level loss, and a singleton [`Batch`] is bit-for-bit
-//!   the size of its bare payload — so the multiplexed run is
-//!   *digest-identical* to the legacy [`crate::run_protocol`] path
-//!   (pinned by `tests/dispatch_equivalence.rs` and a golden row).
+//!   instance (start 0, no send budget) runs the phase clock
+//!   ([`crate::runner::drive_phases`]) over
+//!   [`crate::runner::drive_network`]'s windows, with engine-level loss,
+//!   and a singleton [`Batch`] is bit-for-bit the size of its bare
+//!   payload — so the multiplexed run is *digest-identical* to the
+//!   legacy [`crate::run_protocol`] path (pinned by
+//!   `tests/dispatch_equivalence.rs` and a golden row).
 //! * **Per-instance phase clocks.** A cell's local round is
 //!   `engine_round - start_round`; instances start and finish
 //!   independently, and a consensus cell finalizes (Verification) the
@@ -56,7 +58,8 @@ use crate::msg::{Batch, Msg};
 use crate::outcome::{Decision, Outcome};
 use crate::payload::PayloadPool;
 use crate::runner::{
-    drive_network, network_ingredients, report_of_agents, streams, RunConfig, RunReport,
+    drive_phases, network_ingredients, report_of_agents, streams, sync_windows, unchecked,
+    RunConfig, RunReport,
 };
 use gossip_net::agent::{Agent, Op, RoundCtx};
 use gossip_net::dynamics::LossSchedule;
@@ -791,11 +794,12 @@ pub struct PlaneReport {
 
 /// Execute the instance plan of `cfg.instances` (see module docs).
 ///
-/// Single-instance plans take the legacy driver with engine-level loss
-/// (bit-identical to [`crate::run_protocol`]); multi-instance plans run
-/// one "instances" phase with loss drawn per part inside the
-/// multiplexer. Op-log audits are not supported on the plane
-/// (`record_ops` must be off).
+/// Single-instance plans run the legacy phase windows with engine-level
+/// loss (bit-identical to [`crate::run_protocol`]); multi-instance plans
+/// run one "instances" window with loss drawn per part inside the
+/// multiplexer. Both run on the phase clock,
+/// [`crate::runner::drive_phases`]. Op-log audits are not supported on
+/// the plane (`record_ops` must be off).
 pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
     let plan = &cfg.instances;
     assert!(!plan.is_empty(), "an instance plan needs at least one instance");
@@ -896,21 +900,17 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
         .collect();
 
     let mut net = Network::with_config(topology, env, agents, faults, net_cfg);
-    if single_legacy {
-        // The legacy cadence (one metrics phase per protocol phase,
-        // honoring skip_coherence) — what pins the phase-table identity.
-        drive_network(&mut net, cfg);
+    // A single legacy instance keeps the legacy cadence (one metrics
+    // phase per protocol phase, honoring skip_coherence) — what pins the
+    // phase-table identity. Otherwise every instance's rounds share one
+    // "instances" window.
+    let phases: Vec<(&'static str, usize)> = if single_legacy {
+        sync_windows(cfg).collect()
     } else {
-        let total = plan
-            .specs
-            .iter()
-            .map(|s| s.start_round + window)
-            .max()
-            .expect("non-empty plan");
-        net.enter_phase("instances");
-        net.run_staged(total);
-        net.finalize();
-    }
+        let total = plan.specs.iter().map(|s| s.start_round + window).max();
+        vec![("instances", total.expect("non-empty plan"))]
+    };
+    let Ok(()) = drive_phases(&mut net, phases, Network::step_staged, unchecked);
 
     collect_plane_report(&net, cfg)
 }

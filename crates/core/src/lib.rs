@@ -79,8 +79,8 @@ pub use checkpoint::{
 };
 pub use coalition::{new_coalition, select_members, Coalition, CoalitionSelection};
 pub use codec::{
-    decode_frame, decode_msg, encode_frame, encode_msg, encode_msg_frame, encoded_msg_len,
-    CodecError, FRAME_MAGIC, FRAME_VERSION,
+    decode_msg, encode_msg, encode_msg_frame, encoded_msg_len, CodecError, FRAME_MAGIC,
+    FRAME_VERSION,
 };
 pub use engine::{ConsensusAgent, HonestAgent, ProtocolCore, Role, VerifyFailure};
 pub use fnv::Fnv1a;

@@ -12,7 +12,8 @@
 //! The run consists of four communicating phases of `q` rounds each —
 //! Commitment, Voting, Find-Min, Coherence — preceded by the local
 //! Voting-Intention draw and followed by the local Verification step.
-//! [`PhaseSchedule`] maps a global round number to a phase; the
+//! [`PhaseSchedule`] maps a global round number to a phase and yields
+//! the phase windows every run walks; the
 //! synchronous schedule uses `phase_len = q`, while the asynchronous
 //! (sequential-GOSSIP) extension stretches each phase to `Θ(n·q)` ticks so
 //! every agent gets `≥ q` activations per phase w.h.p.
@@ -96,18 +97,16 @@ impl PhaseSchedule {
         4 * self.phase_len
     }
 
-    /// Round window `[lo, hi)` occupied by `phase` (Finished is empty).
-    pub fn window(&self, phase: Phase) -> (usize, usize) {
-        let idx = match phase {
-            Phase::Commitment => 0,
-            Phase::Voting => 1,
-            Phase::FindMin => 2,
-            Phase::Coherence => 3,
-            Phase::Finished => {
-                return (self.total_rounds(), self.total_rounds());
-            }
-        };
-        (idx * self.phase_len, (idx + 1) * self.phase_len)
+    /// The communicating phases as `(label, end)` windows in execution
+    /// order: phase `i` runs rounds `[i·phase_len, (i+1)·phase_len)`
+    /// under its metrics label. This is the list
+    /// [`crate::runner::drive_phases`] walks.
+    pub fn windows(&self) -> [(&'static str, usize); 4] {
+        let mut end = 0;
+        Phase::COMMUNICATING.map(|phase| {
+            end += self.phase_len;
+            (phase.name(), end)
+        })
     }
 }
 
@@ -290,16 +289,16 @@ mod tests {
     #[test]
     fn windows_tile_the_schedule() {
         let s = Params::new(256, 1.5).sync_schedule();
-        let mut expected_lo = 0;
-        for ph in Phase::COMMUNICATING {
-            let (lo, hi) = s.window(ph);
-            assert_eq!(lo, expected_lo);
-            assert_eq!(hi - lo, s.phase_len);
-            expected_lo = hi;
+        let mut lo = 0;
+        for ((label, end), ph) in s.windows().into_iter().zip(Phase::COMMUNICATING) {
+            assert_eq!(label, ph.name());
+            assert_eq!(end - lo, s.phase_len);
+            assert_eq!(s.phase_of(lo), ph);
+            assert_eq!(s.phase_of(end - 1), ph);
+            lo = end;
         }
-        assert_eq!(expected_lo, s.total_rounds());
-        let (lo, hi) = s.window(Phase::Finished);
-        assert_eq!(lo, hi);
+        assert_eq!(lo, s.total_rounds());
+        assert_eq!(s.phase_of(lo), Phase::Finished);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! under `PerAgent` (on `threads` shards, one included). Fully dynamic
 //! agents plug into the same pipeline as [`AgentSlot::Custom`].
 //!
+//! Every run — synchronous rounds, checkpointed runs, the instance
+//! plane, async ticks, the `rfc-node` session — walks one phase clock,
+//! [`drive_phases`], the only code that enters phase labels, drains and
+//! finalizes.
+//!
 //! Determinism: every run is a pure function of `(RunConfig, seed)`. The
 //! master seed is split into independent streams for color assignment,
 //! fault placement, and each agent's private coins.
@@ -35,7 +40,7 @@ use crate::audit::{audit_good_execution, GoodExecutionReport};
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::msg::Msg;
 use crate::outcome::{combine_decisions, Decision, Outcome};
-use crate::params::{Params, Phase};
+use crate::params::Params;
 use crate::payload::PayloadPool;
 use gossip_net::agent::Agent;
 use gossip_net::dynamics::{FaultState, LossSchedule, ScenarioScript};
@@ -672,72 +677,73 @@ fn color_space_size(cfg: &RunConfig) -> usize {
     }
 }
 
-/// Drive the communicating phases (with metrics phase labels) from the
-/// network's current round, and finalize (Verification). Respects the
-/// `skip_coherence` ablation by ending the run after Find-Min: the
-/// phase's rounds simply don't happen, and agents proceed to
-/// verification with whatever certificate they hold.
+/// The phase clock every run walks, for rounds and ticks alike.
 ///
-/// Generic over the agent representation (every
-/// [`crate::ConsensusAgent`] is `Send`, which the staged engine needs).
-/// Each round is one [`Network::step_staged`] call, so the round engine
-/// is the one [`RunConfig::rng_discipline`] selects: the monolithic
-/// [`Network::step`] under `Sequential` — every historical digest,
-/// the golden corpus included — and the staged pipeline under
-/// `PerAgent`, bit-identical across thread counts.
-///
-/// Also generic over the *message* type: the instance plane drives a
-/// `Network<Batch<InstPayload>, MuxAgent>` through this exact function on
-/// its single-instance path, which is what pins its phase cadence (and
-/// the metrics phase table) to the legacy one.
-pub fn drive_network<M, A>(net: &mut Network<M, A>, cfg: &RunConfig)
-where
-    M: gossip_net::size::MsgSize + Send + Sync,
-    A: Agent<M> + Send,
-{
-    let Ok(()) = drive_network_with(net, cfg, |_| Ok::<(), std::convert::Infallible>(()));
-}
-
-/// The synchronous phase clock behind [`drive_network`] and
-/// `checkpoint::drive_with_checkpoints`: round by round from
-/// `net.round()`, entering each round's phase label when it changes (so
-/// a mid-phase restore re-enters the in-flight label once), calling
-/// `after_round` after every round — an error ends the run unfinalized
-/// — and finalizing at the end.
-pub(crate) fn drive_network_with<M, A, E>(
+/// `phases` lists `(label, end)` windows in order; windows `net.round()`
+/// has already passed are skipped, so a mid-phase restore re-enters only
+/// the in-flight label. Each remaining window enters its metrics label
+/// once, then calls `advance` (one round or tick) and `after` until the
+/// round reaches `end`. An `after` error is returned at once, nothing
+/// drained or finalized. After the last window the clock drains the
+/// delivery queue ([`Network::drain_in_flight`]) and runs Verification
+/// ([`Network::finalize`]).
+pub fn drive_phases<M, A, E>(
     net: &mut Network<M, A>,
-    cfg: &RunConfig,
-    mut after_round: impl FnMut(&Network<M, A>) -> Result<(), E>,
+    phases: impl IntoIterator<Item = (&'static str, usize)>,
+    mut advance: impl FnMut(&mut Network<M, A>),
+    mut after: impl FnMut(&Network<M, A>) -> Result<(), E>,
 ) -> Result<(), E>
 where
     M: gossip_net::size::MsgSize + Send + Sync,
     A: Agent<M> + Send,
 {
-    let schedule = cfg.params().sync_schedule();
-    let end = sync_rounds(cfg);
-    let mut entered = None;
-    while net.round() < end {
-        let phase = schedule.phase_of(net.round());
-        if entered != Some(phase) {
-            net.enter_phase(phase.name());
-            entered = Some(phase);
+    for (label, end) in phases {
+        if net.round() >= end {
+            continue;
         }
-        net.step_staged();
-        after_round(net)?;
+        net.enter_phase(label);
+        while net.round() < end {
+            advance(net);
+            after(net)?;
+        }
     }
+    net.drain_in_flight();
     net.finalize();
     Ok(())
 }
 
-/// The synchronous rounds a run of `cfg` takes: all four communicating
-/// phases, or three under the `skip_coherence` ablation.
+/// The `after` hook of a run that checks nothing.
+pub(crate) fn unchecked<M, A>(_: &Network<M, A>) -> Result<(), std::convert::Infallible> {
+    Ok(())
+}
+
+/// Drive the communicating phases from the network's current round and
+/// finalize: [`drive_phases`] over the synchronous windows, one
+/// [`Network::step_staged`] per round — so the engine is the one
+/// [`RunConfig::rng_discipline`] selects: the monolithic
+/// [`Network::step`] under `Sequential` (every historical digest) and
+/// the staged pipeline under `PerAgent`, bit-identical across thread
+/// counts.
+pub fn drive_network<M, A>(net: &mut Network<M, A>, cfg: &RunConfig)
+where
+    M: gossip_net::size::MsgSize + Send + Sync,
+    A: Agent<M> + Send,
+{
+    let Ok(()) = drive_phases(net, sync_windows(cfg), Network::step_staged, unchecked);
+}
+
+/// The synchronous phase windows of `cfg`: all four, or three under the
+/// `skip_coherence` ablation, whose agents proceed to Verification with
+/// whatever certificate Find-Min left them.
+pub(crate) fn sync_windows(cfg: &RunConfig) -> impl Iterator<Item = (&'static str, usize)> {
+    let kept = if cfg.skip_coherence { 3 } else { 4 };
+    let windows = cfg.params().sync_schedule().windows();
+    windows.into_iter().take(kept)
+}
+
+/// The synchronous rounds a run of `cfg` takes.
 pub(crate) fn sync_rounds(cfg: &RunConfig) -> usize {
-    let last = if cfg.skip_coherence {
-        Phase::FindMin
-    } else {
-        Phase::Coherence
-    };
-    cfg.params().sync_schedule().window(last).1
+    sync_windows(cfg).last().map_or(0, |(_, end)| end)
 }
 
 /// Extract a [`RunReport`] from a finished network.
@@ -1037,6 +1043,32 @@ mod tests {
         assert_eq!(report_key(&arena.run_protocol(&cfg, 5)), fresh);
         let _ = arena.run_protocol(&other, 2);
         assert_eq!(report_key(&arena.run_protocol(&cfg, 5)), fresh);
+    }
+
+    #[test]
+    fn clock_error_ends_the_run_at_that_unit_unfinalized() {
+        let cfg = RunConfig::builder(16).colors(vec![8, 8]).build();
+        let q = cfg.params().q;
+        let labels = ["commitment", "voting", "find-min", "coherence"];
+        for k in [1, q, q + 1, 3 * q + 2, 4 * q] {
+            let mut net = build_network_slots(&cfg, 3, &mut honest_slot_factory);
+            let stopped = drive_phases(&mut net, sync_windows(&cfg), Network::step_staged, |net| {
+                if net.round() == k {
+                    Err(net.round())
+                } else {
+                    Ok(())
+                }
+            });
+            assert_eq!(stopped, Err(k));
+            assert_eq!(net.round(), k);
+            assert!(
+                net.agents().iter().all(|a| a.core().decision().is_none()),
+                "unit {k}: an agent decided without Verification"
+            );
+            let metrics = net.metrics();
+            let entered: Vec<&str> = metrics.phases.iter().map(|(l, _)| l.as_str()).collect();
+            assert_eq!(entered, labels[..(k - 1) / q + 1], "unit {k}");
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rfc_core::params::Phase;
-use rfc_core::runner::{build_network_slots, honest_slot_factory, RunConfig};
+use gossip_net::network::Network;
+use rfc_core::runner::{build_network_slots, drive_phases, honest_slot_factory, RunConfig};
 use rfc_core::RngDiscipline;
 
 /// `System`, plus a relaxed counter of every allocating entry point.
@@ -89,47 +90,40 @@ fn alloc_calls() -> u64 {
 /// read them in its own window.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Drive every communicating phase like `drive_network`, but measure the
+/// Drive every communicating phase on the phase clock, measuring the
 /// allocator inside each phase: rounds `[warmup, q)` must be silent.
 /// Returns per-phase `(name, allocs_after_warmup)`. `all_threads` picks
-/// the arming mode (see [`CountingAlloc`]).
-fn measure(
-    cfg: &RunConfig,
-    seed: u64,
-    staged: bool,
-    all_threads: bool,
-) -> Vec<(&'static str, u64)> {
+/// the arming mode (see [`CountingAlloc`]). The engine is the one the
+/// config's discipline selects, as in every run.
+fn measure(cfg: &RunConfig, seed: u64, all_threads: bool) -> Vec<(&'static str, u64)> {
     let _serial = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let q = cfg.params().q;
+    let schedule = cfg.params().sync_schedule();
+    let q = schedule.phase_len;
     let warmup = 4.min(q);
+    let arm = |on: bool| {
+        if all_threads {
+            ALL_THREADS.store(on, Ordering::Relaxed);
+        } else {
+            MEASURING.with(|m| m.set(on));
+        }
+    };
     let mut net = build_network_slots(cfg, seed, &mut honest_slot_factory);
-    let mut out = Vec::new();
-    for phase in Phase::COMMUNICATING {
-        net.enter_phase(phase.name());
-        if staged {
-            net.run_staged(warmup);
-        } else {
-            net.run(warmup);
+    let mut out = Vec::with_capacity(schedule.windows().len());
+    let mut before = 0;
+    // Between arming and disarming the hook only reads two counters.
+    let Ok(()) = drive_phases(&mut net, schedule.windows(), Network::step_staged, |net| {
+        let done_in_phase = (net.round() - 1) % q + 1;
+        if done_in_phase == warmup {
+            before = alloc_calls();
+            arm(true);
         }
-        let before = alloc_calls();
-        if all_threads {
-            ALL_THREADS.store(true, Ordering::Relaxed);
-        } else {
-            MEASURING.with(|m| m.set(true));
+        if done_in_phase == q {
+            arm(false);
+            let allocs = alloc_calls() - before;
+            out.push((schedule.phase_of(net.round() - 1).name(), allocs));
         }
-        if staged {
-            net.run_staged(q - warmup);
-        } else {
-            net.run(q - warmup);
-        }
-        if all_threads {
-            ALL_THREADS.store(false, Ordering::Relaxed);
-        } else {
-            MEASURING.with(|m| m.set(false));
-        }
-        out.push((phase.name(), alloc_calls() - before));
-    }
-    net.finalize();
+        Ok::<(), Infallible>(())
+    });
     out
 }
 
@@ -149,7 +143,7 @@ fn assert_steady(engine: &str, phase: &str, allocs: u64) {
 #[test]
 fn monolithic_steady_state_rounds_are_zero_alloc() {
     let cfg = RunConfig::builder(64).gamma(3.0).colors(vec![32, 32]).build();
-    for (phase, allocs) in measure(&cfg, 7, false, false) {
+    for (phase, allocs) in measure(&cfg, 7, false) {
         assert_steady("monolithic engine", phase, allocs);
     }
 }
@@ -163,7 +157,7 @@ fn staged_single_shard_steady_state_rounds_are_zero_alloc() {
     // the monolithic path.
     let mut cfg = RunConfig::builder(64).gamma(3.0).colors(vec![32, 32]).build();
     cfg.rng_discipline = RngDiscipline::PerAgent;
-    for (phase, allocs) in measure(&cfg, 7, true, false) {
+    for (phase, allocs) in measure(&cfg, 7, false) {
         assert_steady("staged engine (1 shard)", phase, allocs);
     }
 }
@@ -184,7 +178,7 @@ fn staged_multi_shard_steady_state_allocs_are_dispatch_only() {
     let measured_rounds = (q - 4.min(q)) as u64;
     // ≤ 4 shards × ~6 dispatch points per round × 2 allocations each.
     let per_round_ceiling = 48;
-    for (phase, allocs) in measure(&cfg, 7, true, true) {
+    for (phase, allocs) in measure(&cfg, 7, true) {
         assert!(
             allocs <= measured_rounds * per_round_ceiling,
             "staged engine (4 shards): {phase} allocated {allocs}× over \
@@ -202,12 +196,10 @@ fn lossy_steady_state_rounds_are_zero_alloc() {
         .colors(vec![24, 24])
         .message_loss(0.2)
         .build();
-    for staged in [false, true] {
-        if staged {
-            cfg.rng_discipline = RngDiscipline::PerAgent;
-        }
-        for (phase, allocs) in measure(&cfg, 11, staged, false) {
-            assert_steady(&format!("lossy run (staged={staged})"), phase, allocs);
+    for discipline in [RngDiscipline::Sequential, RngDiscipline::PerAgent] {
+        cfg.rng_discipline = discipline;
+        for (phase, allocs) in measure(&cfg, 11, false) {
+            assert_steady(&format!("lossy run ({discipline:?})"), phase, allocs);
         }
     }
 }

@@ -19,7 +19,8 @@
 //! * **bytes/agent** — wire traffic per agent (seed-deterministic);
 //! * **ΔRSS** — `VmHWM` growth attributed to the row (the first row of
 //!   each `n` pays the arena's build; later rows reuse it);
-//! * **digest** — an FNV-1a fingerprint over the deterministic headline
+//! * **digest** — the simulator's digest
+//!   ([`Fnv1a::sim_digest`], not FNV-1a) over the deterministic headline
 //!   fields of the [`RunReport`]. The experiment *asserts* that every
 //!   shard count of an `n` produces the same digest: the scaling sweep
 //!   is also a live bit-identity check, machine-verified on every run.
@@ -96,13 +97,22 @@ fn run_row(
 /// CLI flag drives the engine it asks about).
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// FNV-1a 64 over a compact deterministic subset of the report
-/// (outcome, winner, wire meters, per-agent decisions — wall-clock
-/// excluded). This is E16's *in-run invariance check* across shard
-/// counts, deliberately cheaper than the full golden digest in
-/// `tests/common/mod.rs`, which remains the pinned-corpus definition.
+/// `x` with at least four significant digits, so the 10⁷ row's ~0.045
+/// rounds/s does not read "0.0"; no exponent: ci.sh and the gate parse
+/// it.
+fn rate_cell(x: f64) -> String {
+    let decimals = (3.0 - x.log10().floor()).clamp(1.0, 9.0) as usize;
+    format!("{x:.decimals$}")
+}
+
+/// The simulator's digest ([`Fnv1a::sim_digest`], not FNV-1a) over a
+/// compact deterministic subset of the report (outcome, winner, wire
+/// meters, per-agent decisions — wall-clock excluded). This is E16's
+/// *in-run invariance check* across shard counts, deliberately cheaper
+/// than the full golden digest in `tests/common/mod.rs`, which remains
+/// the pinned-corpus definition.
 fn report_digest(r: &RunReport) -> u64 {
-    let mut h = Fnv1a::short_multiplier();
+    let mut h = Fnv1a::sim_digest();
     h.write(format!("{:?}", r.outcome).as_bytes());
     h.write_u64(r.rounds as u64);
     h.write(format!("{:?}", r.winner).as_bytes());
@@ -219,7 +229,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 cfg.params().q.to_string(),
                 threads.to_string(),
                 format!("{:?}", report.outcome),
-                format!("{rounds_per_s:.1}"),
+                rate_cell(rounds_per_s),
                 fmt::f2(rounds_per_s * n as f64 / 1e6),
                 fmt::f2(report.metrics.bits_sent as f64 / 8.0 / n as f64),
                 rss_growth(rss_before),
@@ -246,7 +256,7 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
         }
     }
     table.note("single trial per row; one TrialArena reused across the whole sweep (ΔRSS of later rows ≈ 0 is the arena-reuse witness)");
-    table.note("digest = FNV-1a over the deterministic RunReport fields; equal digests across the shard column are asserted, not just printed");
+    table.note("digest = xor-multiply hash (FNV-1a's step, multiplier 0x1_0000_01b3) over the deterministic RunReport fields; equal digests across the shard column are asserted, not just printed");
     table.note("PerAgent discipline: loss draws keyed (seed, round, agent) — this table is loss-free, so digests also equal the sequential engine's");
     table.note("rounds/s and ΔRSS are wall-clock measurements of this machine; shard counts beyond the core count still pin determinism");
     if !markers.is_empty() {
@@ -286,6 +296,14 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rate_cells_keep_four_significant_digits() {
+        assert_eq!(rate_cell(0.045_123), "0.04512");
+        assert_eq!(rate_cell(12.345_6), "12.35");
+        assert_eq!(rate_cell(1308.84), "1308.8");
+        assert_eq!(rate_cell(17_046.0), "17046.0");
+    }
 
     #[test]
     fn e16_sweeps_and_pins_digest_across_shards() {

@@ -36,12 +36,13 @@ use rfc_core::instances::InstanceReport;
 use rfc_core::runner::RunConfig;
 use rfc_core::{run_plane, Fnv1a, InstanceKind, InstancePlan, InstanceSpec, PlaneReport, Priority};
 
-/// FNV-1a 64 over the deterministic per-instance fields of a plane
-/// report (outcome, decision counts/rounds, payload meters) plus the
-/// aggregate wire meters — wall-clock excluded. The sweep's digest
+/// The simulator's digest ([`Fnv1a::sim_digest`], not FNV-1a) over the
+/// deterministic per-instance fields of a plane report (outcome,
+/// decision counts/rounds, payload meters) plus the aggregate wire
+/// meters — wall-clock excluded. The sweep's digest
 /// column is seed-deterministic at every thread count.
 fn plane_digest(plane: &PlaneReport) -> u64 {
-    let mut h = Fnv1a::short_multiplier();
+    let mut h = Fnv1a::sim_digest();
     for inst in &plane.instances {
         h.write(format!("{:?}", inst.outcome).as_bytes());
         h.write_u64(inst.decided as u64);

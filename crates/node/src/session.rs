@@ -3,10 +3,13 @@
 //! Each endpoint builds the network [`rfc_core::run_protocol_async`]
 //! builds — through [`build_network_in`], from the same [`RunConfig`]
 //! and seed, into a payload pool the endpoint keeps — and drives it
-//! with the engine's own tick loop
-//! ([`gossip_net::network::Network::run_async`]) on the shared
-//! scheduler stream ([`SCHEDULER_STREAM`]). Both endpoints therefore
-//! agree tick by tick on **which agent wakes** without exchanging a byte.
+//! on the simulator's phase clock ([`drive_phases`]), one tick of the
+//! engine's own tick loop
+//! ([`gossip_net::network::Network::run_async`]) per unit, on the
+//! shared scheduler stream ([`SCHEDULER_STREAM`]). Both endpoints
+//! therefore agree tick by tick on **which agent wakes** without
+//! exchanging a byte. The clock's hook checks the link after every
+//! tick, so a failed socket turn ends the session at its tick.
 //!
 //! The serve side hosts agents `[0, n/2)`, the join side `[n/2, n)`. A
 //! hosted agent is an ordinary [`AgentSlot`]; an agent the peer hosts is
@@ -44,9 +47,9 @@ use rfc_core::engine::{ConsensusAgent, ProtocolCore};
 use rfc_core::fnv::Fnv1a;
 use rfc_core::msg::Msg;
 use rfc_core::outcome::{combine_decisions, Decision, Outcome};
-use rfc_core::params::{Params, Phase};
+use rfc_core::params::Params;
 use rfc_core::payload::PayloadPool;
-use rfc_core::runner::{build_network_in, RunConfig};
+use rfc_core::runner::{build_network_in, drive_phases, RunConfig};
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -364,19 +367,15 @@ pub fn run_session<S: Read + Write + Send>(
         other => return Err(proto_err(format!("expected Hello, got {other:?}"))),
     }
 
-    // `run_protocol_events`' phase sequence, one tick at a time: a dead
-    // link ends the session at the tick where it failed.
+    // `run_protocol_async`'s phase clock: a dead link ends the session
+    // at the tick where it failed.
     let mut scheduler = DetRng::seeded(np.seed, SCHEDULER_STREAM);
-    for phase in Phase::COMMUNICATING {
-        net.enter_phase(phase.name());
-        for _ in 0..schedule.phase_len {
-            net.run_async(1, &mut scheduler);
-            if let Some(e) = lock(&link).error.take() {
-                return Err(e);
-            }
-        }
-    }
-    net.finalize();
+    drive_phases(
+        &mut net,
+        schedule.windows(),
+        |net| net.run_async(1, &mut scheduler),
+        |_| lock(&link).error.take().map_or(Ok(()), Err),
+    )?;
     let ticks = net.round() as u64;
     let local: Vec<(AgentId, Option<ColorId>)> = net
         .agents()

@@ -197,18 +197,13 @@ fn read_len_varint<R: Read>(r: &mut R) -> io::Result<u64> {
 /// message — refuse before allocating.
 const MAX_BODY: u64 = 64 << 20;
 
-/// Decode a packet's frame, which must be exactly one codec frame
-/// carrying one instance-0 message; its payload is interned into `pool`.
+/// Decode a packet's frame, which must be exactly one codec frame; its
+/// payload is interned into `pool`.
 pub fn read_msg_frame(frame: &[u8], pool: &PayloadPool) -> Result<Msg, CodecError> {
     let mut r = Reader::new(frame);
-    let mut parts = codec::read_frame(&mut r, pool)?.into_parts();
+    let msg = codec::read_frame(&mut r, pool)?;
     r.finish("trailing bytes after the packet's frame")?;
-    if parts.len() != 1 || parts[0].instance != 0 {
-        return Err(CodecError::Corrupt(
-            "node packets carry single-instance frames",
-        ));
-    }
-    Ok(parts.remove(0).payload)
+    Ok(msg)
 }
 
 /// Parse one packet body of type `ty`.

@@ -606,8 +606,8 @@ fn checkpoints_are_compact_and_self_describing() {
     assert_eq!(header.config_fingerprint, config_fingerprint(&cfg));
 }
 
-/// FNV-1a 64 over every cadence snapshot of `(cfg, seed)`, each
-/// prefixed by its round.
+/// The simulator's digest (`tests/common`'s `Digest`) over every
+/// cadence snapshot of `(cfg, seed)`, each prefixed by its round.
 fn snapshot_bytes_digest(cfg: &RunConfig, seed: u64) -> u64 {
     let mut d = Digest::new();
     for (round, bytes) in straight_with_snapshots(cfg, seed, cadence(cfg)).snapshots {

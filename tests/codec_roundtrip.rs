@@ -1,8 +1,9 @@
-//! Property-based wire-codec corpus: for *random* messages and batches —
-//! every `Msg` variant, arbitrary intention lists and vote sets, batch
-//! tag elision — encode → decode must be the identity, and the two
-//! negative paths every real decoder meets (truncated prefix, flipped
-//! byte) must return `CodecError`s, never panic. The hand-written rows
+//! Property-based wire-codec corpus: for *random* messages — every
+//! `Msg` variant, arbitrary intention lists and vote sets — encode →
+//! decode must be the identity, a frame must be its header around the
+//! bare message, and the negative paths every real frame decoder meets
+//! (truncated prefix, flipped byte, a kind other than 0) must return
+//! `CodecError`s, never panic. The hand-written rows
 //! in `rfc_core::codec`'s unit tests pin the format; this file searches
 //! the message space around them, mirroring how `checkpoint_prop.rs`
 //! searches around `checkpoint_resume.rs`.
@@ -10,9 +11,10 @@
 use proptest::prelude::*;
 use rfc_core::certificate::{CertData, VoteRec};
 use rfc_core::codec::{
-    decode_frame, decode_msg, encode_frame, encode_msg, encode_msg_frame, encoded_msg_len,
+    decode_msg, encode_msg, encode_msg_frame, encoded_msg_len, put_varint, read_frame, CodecError,
+    Reader, FRAME_MAGIC, FRAME_VERSION,
 };
-use rfc_core::msg::{Batch, IntentEntry, Msg};
+use rfc_core::msg::{IntentEntry, Msg};
 use rfc_core::params::Params;
 use rfc_core::payload::PayloadPool;
 
@@ -81,16 +83,19 @@ fn msgs() -> impl Strategy<Value = Spec> {
     ]
 }
 
-fn batches() -> impl Strategy<Value = Vec<(u32, Spec)>> {
-    proptest::collection::vec((any::<u32>(), msgs()), 1..5)
+/// `msg`'s frame.
+fn frame(msg: &Msg, pool: &PayloadPool) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_msg_frame(msg, pool, &mut out);
+    out
 }
 
-fn batch_in(parts: Vec<(u32, Spec)>, pool: &PayloadPool) -> Batch<Msg> {
-    let mut b = Batch::new();
-    for (instance, spec) in parts {
-        b.push(instance, spec.into_msg(pool));
-    }
-    b
+/// Decode one frame from the front of `bytes`: the message and the bytes
+/// consumed.
+fn decode_frame(bytes: &[u8], pool: &PayloadPool) -> Result<(Msg, usize), CodecError> {
+    let mut r = Reader::new(bytes);
+    let msg = read_frame(&mut r, pool)?;
+    Ok((msg, r.pos()))
 }
 
 proptest! {
@@ -114,44 +119,45 @@ proptest! {
     }
 
     #[test]
-    fn every_batch_round_trips_through_a_frame(parts in batches()) {
+    fn every_message_round_trips_through_a_frame(spec in msgs()) {
         let (pool, other) = (pool(), pool());
-        let batch = batch_in(parts, &pool);
-        let mut buf = Vec::new();
-        encode_frame(&batch, &pool, &mut buf);
+        let msg = spec.into_msg(&pool);
+        let buf = frame(&msg, &pool);
         let (back, used) = decode_frame(&buf, &other).expect("round trip");
         prop_assert_eq!(used, buf.len());
-        prop_assert_eq!(back.len(), batch.len());
-        for (b, a) in back.parts().iter().zip(batch.parts()) {
-            prop_assert_eq!(b.instance, a.instance);
-            prop_assert_eq!(resolved(&b.payload, &other), resolved(&a.payload, &pool));
-        }
+        prop_assert_eq!(resolved(&back, &other), resolved(&msg, &pool));
     }
 
     #[test]
-    fn singleton_instance0_elision_is_invisible_to_decoders(spec in msgs()) {
-        // The realized first-part tag elision: framing the bare message
-        // and framing its singleton instance-0 batch are the same bytes,
-        // and both decode to the same batch.
+    fn message_frames_are_a_header_around_the_bare_message(spec in msgs()) {
+        // The bytes `rfc-node` writes: magic, version, kind 0, the body
+        // length, then exactly the bare message encoding.
         let pool = pool();
         let msg = spec.into_msg(&pool);
-        let mut bare = Vec::new();
-        encode_msg_frame(&msg, &pool, &mut bare);
-        let mut asbatch = Vec::new();
-        encode_frame(&Batch::single(0, msg), &pool, &mut asbatch);
-        prop_assert_eq!(&bare, &asbatch, "elision must be bit-for-bit");
-        let (back, _) = decode_frame(&bare, &pool).expect("decode");
-        prop_assert_eq!(back.parts().len(), 1);
-        prop_assert_eq!(back.parts()[0].instance, 0);
-        prop_assert_eq!(&back.parts()[0].payload, &msg);
+        let mut want = FRAME_MAGIC.to_vec();
+        want.extend_from_slice(&[FRAME_VERSION, 0]);
+        put_varint(&mut want, encoded_msg_len(&msg, &pool) as u64);
+        encode_msg(&msg, &pool, &mut want);
+        prop_assert_eq!(frame(&msg, &pool), want);
     }
 
     #[test]
-    fn truncated_prefixes_error_and_never_panic(parts in batches()) {
+    fn frames_of_any_other_kind_are_refused(spec in msgs(), kind in 1u8..=255) {
+        // Kind 1 was the batch frame; it and every other non-zero kind
+        // come back as a typed error, however well-formed the body.
         let pool = pool();
-        let batch = batch_in(parts, &pool);
-        let mut buf = Vec::new();
-        encode_frame(&batch, &pool, &mut buf);
+        let mut buf = frame(&spec.into_msg(&pool), &pool);
+        buf[3] = kind;
+        prop_assert_eq!(
+            decode_frame(&buf, &pool).err(),
+            Some(CodecError::Corrupt("unknown frame kind"))
+        );
+    }
+
+    #[test]
+    fn truncated_prefixes_error_and_never_panic(spec in msgs()) {
+        let pool = pool();
+        let buf = frame(&spec.into_msg(&pool), &pool);
         for cut in 0..buf.len() {
             prop_assert!(
                 decode_frame(&buf[..cut], &pool).is_err(),
@@ -161,11 +167,9 @@ proptest! {
     }
 
     #[test]
-    fn bit_flips_never_panic(parts in batches(), pos in any::<usize>(), bit in 0u8..8) {
+    fn bit_flips_never_panic(spec in msgs(), pos in any::<usize>(), bit in 0u8..8) {
         let pool = pool();
-        let batch = batch_in(parts, &pool);
-        let mut buf = Vec::new();
-        encode_frame(&batch, &pool, &mut buf);
+        let mut buf = frame(&spec.into_msg(&pool), &pool);
         let pos = pos % buf.len();
         buf[pos] ^= 1 << bit;
         // A flipped byte may still decode (a changed value is a legal

@@ -6,7 +6,9 @@
 
 use rfc_core::runner::RunReport;
 
-/// FNV-1a 64-bit.
+/// The simulator's digest: FNV-1a's offset basis and xor-multiply step
+/// with the multiplier `0x1_0000_01b3`, which is not FNV's prime — the
+/// same hash as `rfc_core::Fnv1a::sim_digest`.
 pub struct Digest(u64);
 
 impl Digest {

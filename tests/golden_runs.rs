@@ -15,7 +15,8 @@
 //! ```
 //!
 //! then paste the printed table over `GOLDEN` below and say in the PR
-//! why the digests moved. A digest is an FNV-1a-64 over every
+//! why the digests moved. A digest is the simulator's 64-bit
+//! xor-multiply hash (`tests/common`'s `Digest`, not FNV-1a) over every
 //! deterministic pre-dynamics field of the report (outcome, per-agent
 //! decisions, colors, verify failures, winner, wire meters incl.
 //! per-phase tallies, and the good-execution audit when recorded) —
