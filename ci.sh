@@ -148,6 +148,24 @@ if ! diff -q target/ckpt-smoke/digests-a target/ckpt-smoke/digests-b >/dev/null;
     exit 1
 fi
 echo "    resume smoke OK: $(wc -l < target/ckpt-smoke/digests-a) row digests identical across the seam"
+# An altered snapshot must not resume: the checksum after the version
+# covers every later byte. Flip bit 0 of byte 24 (inside the config
+# fingerprint) of one row's file; the resume must exit non-zero and
+# name the checksum.
+ckpt=target/ckpt-smoke/e16_n512_s1.rfck
+byte=$(od -An -tu1 -j24 -N1 "$ckpt" | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 1)))" | dd of="$ckpt" bs=1 seek=24 count=1 conv=notrunc 2>/dev/null
+if cargo run --release -q -p experiments --bin rfc-experiments -- \
+    e16 --quick --resume-from target/ckpt-smoke >/dev/null 2>target/ckpt-smoke/altered.err; then
+    echo "FAIL: $ckpt resumed with a flipped bit" >&2
+    exit 1
+fi
+if ! grep -q "checksum mismatch" target/ckpt-smoke/altered.err; then
+    echo "FAIL: the altered $ckpt was refused without naming the checksum" >&2
+    cat target/ckpt-smoke/altered.err >&2
+    exit 1
+fi
+echo "    altered checkpoint OK: one flipped bit in $ckpt is refused (checksum mismatch)"
 
 echo "==> node smoke: two rfc-node processes over a Unix socket == loopback, at three (n, seed) rows"
 # The real-wire acceptance check: serve and join are *separate OS
@@ -224,9 +242,11 @@ echo "==> perf gate: self-test (every cell 1% past the tolerance must trip the c
 cargo run --release -q -p rfc-bench --bin rfc-bench -- selftest BENCH_scale.json
 
 echo "==> perf gate: fresh throughput + ΔRSS vs committed BENCH_scale.json (tolerance ${RFC_GATE_TOLERANCE:-0.20})"
-# Gates every rounds/s and instances/s column as a floor AND every
-# ΔRSS MiB column as a ceiling (committed·(1+tol) + 8 MiB slack): the
-# best of the two fresh captures — max throughput, min memory — must
+# Gates every column headed exactly rounds/s or instances/s as a floor
+# (Magent·rounds/s is rounds/s · n / 10⁶ on the same row, so it is not
+# gated a second time) AND every ΔRSS MiB column as a ceiling
+# (committed·(1+tol) + 8 MiB slack): the best of the two fresh
+# captures — max throughput, min memory — must
 # stay within tolerance of the committed baseline, and the check runs
 # *before* the baseline is refreshed below. Both noises are one-sided (a busy machine reads
 # throughput low and memory high, never the opposite), so best-of-2

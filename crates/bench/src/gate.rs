@@ -11,9 +11,11 @@
 //! * **row identity** — the cells of every column *before* the first
 //!   throughput column, which by table convention are the configuration
 //!   columns (`n`, `q`, `shards`, `outcome`, …);
-//! * **throughput columns** — headers containing `"rounds/s"` or
-//!   `"instances/s"` (the instance-plane sweep, E17); each is compared
-//!   as `fresh ≥ committed · (1 − tolerance)`.
+//! * **throughput columns** — the headers `"rounds/s"` and
+//!   `"instances/s"` (the instance-plane sweep, E17), matched exactly;
+//!   each is compared as `fresh ≥ committed · (1 − tolerance)`. A
+//!   column derived from one of them, such as `Magent·rounds/s`
+//!   (`rounds/s · n / 10⁶` on the same row), is not gated again.
 //!
 //! Tolerance is a fraction (CI reads `RFC_GATE_TOLERANCE`, default
 //! `0.20`). Missing tables, missing rows, and unparseable throughput
@@ -51,9 +53,10 @@ impl GateReport {
 }
 
 /// Is this column a gated throughput column (floor: fresh must not
-/// drop below the committed value beyond tolerance)?
+/// drop below the committed value beyond tolerance)? Only the headers
+/// `rounds/s` and `instances/s`: each quantity is gated once.
 pub fn is_gated_column(header: &str) -> bool {
-    header.contains("rounds/s") || header.contains("instances/s")
+    header == "rounds/s" || header == "instances/s"
 }
 
 /// Is this column a gated memory column (ceiling: fresh must not *rise*
@@ -444,6 +447,7 @@ mod tests {
         assert!(is_gated_column("instances/s"));
         assert!(is_gated_column("rounds/s"));
         assert!(!is_gated_column("rtd mean"));
+        assert!(!is_gated_column("Magent·rounds/s"));
         let base = vec![table("E17", &["instances", "instances/s"], &[&["1000", "500"]])];
         let slow = vec![table("E17", &["instances", "instances/s"], &[&["1000", "200"]])];
         assert!(!compare(&base, &slow, 0.20).pass());

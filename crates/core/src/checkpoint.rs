@@ -14,9 +14,9 @@
 //!
 //! ## What a checkpoint carries
 //!
-//! * a self-describing header: magic `RFCK`, format version, the run
-//!   `seed`, a fingerprint of the (thread-normalized) [`RunConfig`],
-//!   `n`, and the round;
+//! * a self-describing header: magic `RFCK`, format version, a
+//!   checksum, the run `seed`, a fingerprint of the (thread-normalized)
+//!   [`RunConfig`], `n`, and the round;
 //! * the engine's mutable layer ([`gossip_net::network::EngineState`]):
 //!   round, scenario cursor, live fault flags, installed partition cut,
 //!   and the sequential loss stream's raw xoshiro256++ words;
@@ -30,6 +30,13 @@
 //! script, loss schedule, params — all derived from `(cfg, seed)` by the
 //! restorer, which is also what lets the header detect a config/seed
 //! mismatch instead of deserializing garbage.
+//!
+//! The checksum is FNV-1a 64 ([`Fnv1a::standard`]) of every byte after
+//! it: the rest of the header and the whole body. FNV's multiplier is
+//! odd, so each step is one-to-one and any changed byte changes the
+//! hash. [`restore_network`] checks it right after reading the header,
+//! before the `n`, fingerprint and round checks and before decoding any
+//! body byte, so an altered file never resumes as another run.
 //!
 //! ## Sharing-preserving encoding
 //!
@@ -85,7 +92,7 @@ pub const MAGIC: [u8; 4] = *b"RFCK";
 /// Current checkpoint format version. Bump on any layout change; old
 /// versions are rejected with [`CheckpointError::WrongVersion`], never
 /// best-effort parsed.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Why a checkpoint could not be written or read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,6 +189,9 @@ impl From<CodecError> for CheckpointError {
 pub struct Header {
     /// Format version (always [`FORMAT_VERSION`] after a successful read).
     pub version: u16,
+    /// FNV-1a 64 of every byte after this field, as written (see the
+    /// module docs); [`peek_header`] reads it without checking it.
+    pub checksum: u64,
     /// The run seed.
     pub seed: u64,
     /// [`config_fingerprint`] of the originating config.
@@ -290,9 +300,22 @@ fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
 // Header
 // ---------------------------------------------------------------------
 
+/// Where the checksummed bytes start: after magic, version and the
+/// checksum itself.
+const SEALED_FROM: usize = 4 + 2 + 8;
+
+/// The checksum of a checkpoint's bytes, which hold at least a whole
+/// header: FNV-1a 64 of everything from [`SEALED_FROM`] on.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::standard();
+    h.write(&bytes[SEALED_FROM..]);
+    h.finish()
+}
+
 fn encode_header(out: &mut Vec<u8>, h: &Header) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&h.version.to_le_bytes());
+    put_word(out, h.checksum);
     put_word(out, h.seed);
     put_word(out, h.config_fingerprint);
     put_varint(out, h.n as u64);
@@ -310,6 +333,7 @@ fn decode_header(r: &mut Reader) -> Result<Header, CheckpointError> {
     }
     Ok(Header {
         version,
+        checksum: read_word(r)?,
         seed: read_word(r)?,
         config_fingerprint: read_word(r)?,
         n: r.int("count overflows usize")?,
@@ -777,6 +801,7 @@ pub fn checkpoint_network(
         &mut out,
         &Header {
             version: FORMAT_VERSION,
+            checksum: 0,
             seed,
             config_fingerprint: config_fingerprint(cfg),
             n: net.n(),
@@ -792,6 +817,8 @@ pub fn checkpoint_network(
     for core in &cores {
         encode_core(&mut out, core, &mut pools);
     }
+    let sum = checksum(&out);
+    out[SEALED_FROM - 8..SEALED_FROM].copy_from_slice(&sum.to_le_bytes());
     Ok(out)
 }
 
@@ -809,15 +836,20 @@ pub struct RestoredRun {
 /// Rebuild a run from checkpoint bytes under `cfg`.
 ///
 /// The header is validated **before** any state is constructed: bad
-/// magic, an unknown version, an `n` mismatch, or a config-fingerprint
-/// mismatch all error out cleanly without deserializing the body. A
-/// snapshot whose state the config cannot hold (a round past the end of
-/// the run, a scenario cursor past the script, loss-stream words without
-/// a loss process or the reverse, a plan fault marked up, an agent's
-/// intent target outside the network) is [`CheckpointError::Corrupt`].
+/// magic, an unknown version, a checksum mismatch (checked next, as
+/// `Corrupt("checksum mismatch")`), an `n` mismatch, or a
+/// config-fingerprint mismatch all error out cleanly without
+/// deserializing the body. A snapshot whose state the config cannot
+/// hold (a round past the end of the run, a scenario cursor past the
+/// script, loss-stream words without a loss process or the reverse, a
+/// plan fault marked up, an agent's intent target outside the network)
+/// is [`CheckpointError::Corrupt`].
 pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, CheckpointError> {
     let mut r = Reader::new(bytes);
     let header = decode_header(&mut r)?;
+    if header.checksum != checksum(bytes) {
+        return Err(CheckpointError::Corrupt("checksum mismatch"));
+    }
     if header.n != cfg.n {
         return Err(CheckpointError::NMismatch { expected: cfg.n, found: header.n });
     }
@@ -917,16 +949,6 @@ pub fn resume_protocol_with_checkpoints(
     Ok(collect_report(&net, cfg))
 }
 
-/// The checkpoint rounds a driver with cadence `every` emits for a run
-/// of `total` rounds: multiples of `every` in `[every, total]` (a
-/// snapshot exactly at `total` is legal — resume just finalizes).
-pub fn checkpoint_rounds(total: usize, every: usize) -> Vec<usize> {
-    if every == 0 {
-        return Vec::new();
-    }
-    (1..=total / every).map(|i| i * every).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,6 +979,7 @@ mod tests {
     fn header_round_trips_and_rejects() {
         let h = Header {
             version: FORMAT_VERSION,
+            checksum: 7,
             seed: 0xdead_beef,
             config_fingerprint: 42,
             n: 1024,
@@ -980,13 +1003,5 @@ mod tests {
         for cut in 0..buf.len() {
             assert_eq!(peek_header(&buf[..cut]), Err(CheckpointError::Truncated));
         }
-    }
-
-    #[test]
-    fn checkpoint_rounds_cadence() {
-        assert_eq!(checkpoint_rounds(96, 24), vec![24, 48, 72, 96]);
-        assert_eq!(checkpoint_rounds(96, 40), vec![40, 80]);
-        assert_eq!(checkpoint_rounds(96, 0), Vec::<usize>::new());
-        assert_eq!(checkpoint_rounds(10, 96), Vec::<usize>::new());
     }
 }

@@ -406,7 +406,7 @@ impl ProtocolCore {
             Err(VerifyFailure::BadSum)
         } else if let Err(e) = self.ledger.check_certificate(&self.pool, win) {
             Err(VerifyFailure::Inconsistent(e))
-        } else if self.params.check_self_votes && !self.self_votes_consistent(win) {
+        } else if !self.self_votes_consistent(win) {
             Err(VerifyFailure::SelfVoteMismatch)
         } else {
             Ok(win.color)

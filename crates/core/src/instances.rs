@@ -133,8 +133,7 @@ impl InstanceSpec {
     }
 }
 
-/// The set of concurrent instances one run multiplexes, part of
-/// [`RunConfig`] (and therefore of checkpoint config fingerprints).
+/// The set of concurrent instances one [`run_plane`] call multiplexes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstancePlan {
     /// The instances, index-addressed (the index is the wire tag).
@@ -145,16 +144,8 @@ pub struct InstancePlan {
 }
 
 impl InstancePlan {
-    /// The default plan: one consensus instance, no budget — the plan
-    /// every legacy entry point implicitly runs.
-    pub fn single_consensus() -> Self {
-        InstancePlan {
-            specs: vec![InstanceSpec::new(InstanceKind::Consensus)],
-            send_budget: None,
-        }
-    }
-
     /// `count` consensus instances, all high priority, all starting at 0.
+    /// `consensus(1)` is the plan every legacy entry point runs.
     pub fn consensus(count: usize) -> Self {
         InstancePlan {
             specs: vec![InstanceSpec::new(InstanceKind::Consensus); count],
@@ -201,12 +192,6 @@ impl InstancePlan {
             && self.specs.len() == 1
             && self.specs[0].kind == InstanceKind::Consensus
             && self.specs[0].start_round == 0
-    }
-}
-
-impl Default for InstancePlan {
-    fn default() -> Self {
-        InstancePlan::single_consensus()
     }
 }
 
@@ -792,7 +777,7 @@ pub struct PlaneReport {
     pub legacy: Option<RunReport>,
 }
 
-/// Execute the instance plan of `cfg.instances` (see module docs).
+/// Execute `plan` over the network of `(cfg, seed)` (see module docs).
 ///
 /// Single-instance plans run the legacy phase windows with engine-level
 /// loss (bit-identical to [`crate::run_protocol`]); multi-instance plans
@@ -800,8 +785,7 @@ pub struct PlaneReport {
 /// multiplexer. Both run on the phase clock,
 /// [`crate::runner::drive_phases`]. Op-log audits are not supported on
 /// the plane (`record_ops` must be off).
-pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
-    let plan = &cfg.instances;
+pub fn run_plane(cfg: &RunConfig, plan: &InstancePlan, seed: u64) -> PlaneReport {
     assert!(!plan.is_empty(), "an instance plan needs at least one instance");
     assert!(!cfg.record_ops, "instance planes do not support op-log audits");
     let single_legacy = plan.is_single_consensus();
@@ -816,12 +800,8 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
     let local_loss = if single_legacy {
         None
     } else {
-        let schedule = net_cfg
-            .loss_schedule
-            .take()
-            .unwrap_or_else(|| LossSchedule::constant(net_cfg.loss_probability));
+        let schedule = std::mem::replace(&mut net_cfg.loss, LossSchedule::constant(0.0));
         let loss_seed = net_cfg.loss_seed;
-        net_cfg.loss_probability = 0.0;
         (schedule.max_p() > 0.0).then_some(LocalLoss { schedule, loss_seed })
     };
 
@@ -912,11 +892,14 @@ pub fn run_plane(cfg: &RunConfig, seed: u64) -> PlaneReport {
     };
     let Ok(()) = drive_phases(&mut net, phases, Network::step_staged, unchecked);
 
-    collect_plane_report(&net, cfg)
+    collect_plane_report(&net, cfg, plan)
 }
 
-fn collect_plane_report(net: &Network<PlaneMsg, MuxAgent>, cfg: &RunConfig) -> PlaneReport {
-    let plan = &cfg.instances;
+fn collect_plane_report(
+    net: &Network<PlaneMsg, MuxAgent>,
+    cfg: &RunConfig,
+    plan: &InstancePlan,
+) -> PlaneReport {
     let faults = net.fault_state();
     let n = net.n();
     let mut instances = Vec::with_capacity(plan.len());
@@ -1025,11 +1008,11 @@ mod tests {
 
     #[test]
     fn default_plan_is_the_legacy_shape() {
-        let plan = InstancePlan::default();
+        let plan = InstancePlan::consensus(1);
         assert!(plan.is_single_consensus());
         assert_eq!(plan.len(), 1);
         // Budgets and staggering leave the legacy shape.
-        assert!(!InstancePlan::single_consensus().budget(1).is_single_consensus());
+        assert!(!plan.budget(1).is_single_consensus());
         assert!(!InstancePlan::rumor(1, 3).is_single_consensus());
         let staggered = InstancePlan {
             specs: vec![InstanceSpec::new(InstanceKind::Consensus).start_at(4)],
@@ -1054,10 +1037,8 @@ mod tests {
 
     #[test]
     fn rumor_instances_all_decide_on_complete_graph() {
-        let cfg = RunConfig::builder(16)
-            .instances(InstancePlan::rumor(3, 11))
-            .build();
-        let report = run_plane(&cfg, 7);
+        let cfg = RunConfig::builder(16).build();
+        let report = run_plane(&cfg, &InstancePlan::rumor(3, 11), 7);
         assert_eq!(report.instances.len(), 3);
         for (j, inst) in report.instances.iter().enumerate() {
             assert_eq!(inst.decided, 16, "instance {j}: every agent sees k votes");
@@ -1069,11 +1050,8 @@ mod tests {
 
     #[test]
     fn consensus_instances_each_reach_consensus() {
-        let cfg = RunConfig::builder(24)
-            .colors(vec![12, 12])
-            .instances(InstancePlan::consensus(3))
-            .build();
-        let report = run_plane(&cfg, 11);
+        let cfg = RunConfig::builder(24).colors(vec![12, 12]).build();
+        let report = run_plane(&cfg, &InstancePlan::consensus(3), 11);
         for (j, inst) in report.instances.iter().enumerate() {
             let outcome = inst.outcome.as_ref().expect("consensus instance");
             assert!(outcome.is_consensus(), "instance {j}: {outcome:?}");
@@ -1094,8 +1072,7 @@ mod tests {
             ],
             send_budget: None,
         };
-        let cfg = RunConfig::builder(16).instances(plan).build();
-        let report = run_plane(&cfg, 3);
+        let report = run_plane(&RunConfig::builder(16).build(), &plan, 3);
         assert_eq!(report.rounds, window + 5, "engine covers the staggered window");
         for inst in &report.instances {
             assert_eq!(inst.decided, 16);
@@ -1113,8 +1090,7 @@ mod tests {
             plan.specs
                 .push(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(prio));
         }
-        let cfg = RunConfig::builder(16).instances(plan).build();
-        let report = run_plane(&cfg, 19);
+        let report = run_plane(&RunConfig::builder(16).build(), &plan, 19);
         let mean = |range: std::ops::Range<usize>| {
             let rs: Vec<usize> = range
                 .filter_map(|j| report.instances[j].rounds_to_decision)
@@ -1135,11 +1111,8 @@ mod tests {
         // rides along — per-instance loss streams and seeds are keyed by
         // instance index, never by plan size.
         let mk = |count: usize| {
-            let cfg = RunConfig::builder(16)
-                .instances(InstancePlan::rumor(count, 12))
-                .message_loss(0.25)
-                .build();
-            run_plane(&cfg, 23)
+            let cfg = RunConfig::builder(16).message_loss(0.25).build();
+            run_plane(&cfg, &InstancePlan::rumor(count, 12), 23)
         };
         let two = mk(2);
         let three = mk(3);
@@ -1156,11 +1129,10 @@ mod tests {
 
     #[test]
     fn plane_rejects_op_log_audits() {
-        let cfg = RunConfig::builder(8)
-            .record_ops(true)
-            .instances(InstancePlan::rumor(2, 4))
-            .build();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_plane(&cfg, 1)));
+        let cfg = RunConfig::builder(8).record_ops(true).build();
+        let plan = InstancePlan::rumor(2, 4);
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_plane(&cfg, &plan, 1)));
         assert!(err.is_err(), "record_ops must be rejected on the plane");
     }
 }

@@ -150,10 +150,6 @@ pub struct Params {
     pub m: u64,
     /// The constant `γ` used to derive `q`.
     pub gamma: f64,
-    /// Whether verification also checks the agent's *own* declared votes
-    /// against `W_min` (a refinement the paper's proof implies; on by
-    /// default, toggleable for the E11 ablation).
-    pub check_self_votes: bool,
 }
 
 impl Params {
@@ -167,7 +163,6 @@ impl Params {
             q,
             m: (n as u64).saturating_pow(3),
             gamma,
-            check_self_votes: true,
         }
     }
 
@@ -176,19 +171,6 @@ impl Params {
     pub fn with_m(mut self, m: u64) -> Self {
         assert!(m >= 2, "vote space must have at least two values");
         self.m = m;
-        self
-    }
-
-    /// Override the per-phase round budget directly.
-    pub fn with_q(mut self, q: usize) -> Self {
-        assert!(q >= 1);
-        self.q = q;
-        self
-    }
-
-    /// Disable the self-vote verification refinement.
-    pub fn without_self_vote_check(mut self) -> Self {
-        self.check_self_votes = false;
         self
     }
 
@@ -312,11 +294,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let p = Params::new(64, 1.0).with_m(64).with_q(3);
+        let p = Params::new(64, 1.0).with_m(64);
         assert_eq!(p.m, 64);
-        assert_eq!(p.q, 3);
-        assert!(p.check_self_votes);
-        assert!(!p.without_self_vote_check().check_self_votes);
     }
 
     #[test]
@@ -335,7 +314,6 @@ mod tests {
             q: 16,
             m: u64::MAX,
             gamma: 3.0,
-            check_self_votes: true,
         };
         let err = p.try_async_schedule(2).unwrap_err();
         assert!(matches!(
@@ -349,7 +327,6 @@ mod tests {
             q: 1,
             m: u64::MAX,
             gamma: 3.0,
-            check_self_votes: true,
         };
         assert!(p.try_async_schedule(1).is_err());
         // Sane parameters still succeed and agree with the panicking form.
@@ -365,7 +342,6 @@ mod tests {
             q: 8,
             m: u64::MAX,
             gamma: 3.0,
-            check_self_votes: true,
         };
         let _ = p.async_schedule(4);
     }

@@ -1,11 +1,14 @@
 //! Orchestration: configure, build, drive, and report on protocol runs.
 //!
-//! [`RunConfig`] captures everything that defines an experiment instance —
-//! network size, `γ`, the initial color configuration, fault fraction and
-//! placement, parameter ablations. [`run_protocol`] executes one fully
-//! honest run on the monomorphic agent plane; [`build_network_slots`] +
-//! [`drive_network`] + [`collect_report`] expose the pieces so the
-//! adversary harness can inject deviating agents into the same pipeline.
+//! [`RunConfig`] captures everything that defines one run — network
+//! size, `γ`, the initial color configuration, fault fraction and
+//! placement, loss schedule and scenario, parameter ablations — and
+//! nothing a run does not read: the instance plane takes its
+//! [`InstancePlan`](crate::instances::InstancePlan) as an argument.
+//! [`run_protocol`] executes one fully honest run on the monomorphic
+//! agent plane; [`build_network_slots`] + [`drive_network`] +
+//! [`collect_report`] expose the pieces so the adversary harness can
+//! inject deviating agents into the same pipeline.
 //!
 //! ## The trial arena
 //!
@@ -111,8 +114,6 @@ pub struct RunConfig {
     pub gamma: f64,
     /// Override the vote-space size `m` (default `n³`; E11 ablation).
     pub m_override: Option<u64>,
-    /// Override the per-phase round budget `q`.
-    pub q_override: Option<usize>,
     /// Initial color configuration.
     pub colors: ColorSpec,
     /// Fraction `α` of faulty agents.
@@ -123,20 +124,16 @@ pub struct RunConfig {
     pub topology: TopologySpec,
     /// Record the operation log and produce a good-execution audit.
     pub record_ops: bool,
-    /// Verification checks the verifier's own sent votes too (paper-implied
-    /// refinement; disable for the E11 ablation).
-    pub check_self_votes: bool,
     /// Disable the Coherence phase (E11 ablation: equivocation becomes
     /// undetectable and coalition attacks succeed).
     pub skip_coherence: bool,
     /// Disable ledger verification (E11 ablation: fake-min attacks win).
     pub skip_verification: bool,
-    /// Per-message drop probability (failure injection, E13; the paper's
-    /// model assumes reliable channels, i.e. 0.0).
-    pub loss_probability: f64,
-    /// Time-varying loss schedule; overrides `loss_probability` when
-    /// set. `None` is the static path.
-    pub loss_schedule: Option<LossSchedule>,
+    /// Per-message drop probability over rounds (failure injection,
+    /// E13/E15). The paper's model assumes reliable channels, the
+    /// default `LossSchedule::constant(0.0)`; a constant schedule with
+    /// an empty script is the static path.
+    pub loss: LossSchedule,
     /// Timed adversity events (churn, partitions; E15). The empty
     /// script is the static path, bit-identical to the pre-dynamics
     /// engine.
@@ -173,14 +170,6 @@ pub struct RunConfig {
     /// unaffected. Only the staged engine is instrumented, so only
     /// `PerAgent` runs report it; `Sequential` runs report `None`.
     pub time_stages: bool,
-    /// Concurrent protocol instances multiplexed over the network (the
-    /// instance plane, `crate::instances`). The default — one consensus
-    /// instance starting at round 0 — is what every legacy entry point
-    /// ([`run_protocol`], [`TrialArena`], …) executes; those paths ignore
-    /// this field entirely, while [`crate::instances::run_plane`] consumes
-    /// it. Part of [`RunConfig`]'s `Debug` form, so checkpoint config
-    /// fingerprints cover the instance plan automatically.
-    pub instances: crate::instances::InstancePlan,
 }
 
 impl RunConfig {
@@ -192,17 +181,8 @@ impl RunConfig {
 
     /// The derived protocol parameters.
     pub fn params(&self) -> Params {
-        let mut p = Params::new(self.n, self.gamma);
-        if let Some(m) = self.m_override {
-            p = p.with_m(m);
-        }
-        if let Some(q) = self.q_override {
-            p = p.with_q(q);
-        }
-        if !self.check_self_votes {
-            p = p.without_self_vote_check();
-        }
-        p
+        let p = Params::new(self.n, self.gamma);
+        self.m_override.map_or(p, |m| p.with_m(m))
     }
 
     /// Build the topology instance (seeded for the random families).
@@ -272,23 +252,19 @@ impl RunConfigBuilder {
                 n,
                 gamma: 3.0,
                 m_override: None,
-                q_override: None,
                 colors: ColorSpec::Counts(vec![n - n / 2, n / 2]),
                 fault_fraction: 0.0,
                 fault_placement: Placement::Random { seed: 0 },
                 topology: TopologySpec::Complete,
                 record_ops: false,
-                check_self_votes: true,
                 skip_coherence: false,
                 skip_verification: false,
-                loss_probability: 0.0,
-                loss_schedule: None,
+                loss: LossSchedule::constant(0.0),
                 scenario: ScenarioScript::new(),
                 rng_discipline: RngDiscipline::Sequential,
                 threads: 1,
                 shard_floor: None,
                 time_stages: false,
-                instances: crate::instances::InstancePlan::single_consensus(),
             },
         }
     }
@@ -330,12 +306,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Override the phase budget `q`.
-    pub fn q(mut self, q: usize) -> Self {
-        self.cfg.q_override = Some(q);
-        self
-    }
-
     /// Select a non-complete topology.
     pub fn topology(mut self, t: TopologySpec) -> Self {
         self.cfg.topology = t;
@@ -345,12 +315,6 @@ impl RunConfigBuilder {
     /// Record the op log and produce a good-execution audit.
     pub fn record_ops(mut self, yes: bool) -> Self {
         self.cfg.record_ops = yes;
-        self
-    }
-
-    /// Toggle the self-vote verification refinement.
-    pub fn check_self_votes(mut self, yes: bool) -> Self {
-        self.cfg.check_self_votes = yes;
         self
     }
 
@@ -366,16 +330,15 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Failure injection: independent per-message drop probability.
-    pub fn message_loss(mut self, p: f64) -> Self {
-        self.cfg.loss_probability = p;
-        self
+    /// Failure injection: independent per-message drop probability `p`
+    /// in every round (panics unless `p ∈ [0, 1]`).
+    pub fn message_loss(self, p: f64) -> Self {
+        self.loss_schedule(LossSchedule::constant(p))
     }
 
-    /// Time-varying loss: a piecewise-constant schedule (overrides
-    /// [`Self::message_loss`]).
+    /// Time-varying loss: a piecewise-constant schedule.
     pub fn loss_schedule(mut self, schedule: LossSchedule) -> Self {
-        self.cfg.loss_schedule = Some(schedule);
+        self.cfg.loss = schedule;
         self
     }
 
@@ -416,13 +379,6 @@ impl RunConfigBuilder {
     /// [`RunReport::stage_times`].
     pub fn time_stages(mut self, on: bool) -> Self {
         self.cfg.time_stages = on;
-        self
-    }
-
-    /// Set the instance plan consumed by [`crate::instances::run_plane`]
-    /// (legacy single-run entry points ignore it).
-    pub fn instances(mut self, plan: crate::instances::InstancePlan) -> Self {
-        self.cfg.instances = plan;
         self
     }
 
@@ -531,9 +487,8 @@ pub(crate) fn network_ingredients(
     let env = SizeEnv::with_params(cfg.n, params.m, params.q, color_space_size(cfg));
     let net_cfg = NetworkConfig {
         record_ops: cfg.record_ops,
-        loss_probability: cfg.loss_probability,
+        loss: cfg.loss.clone(),
         loss_seed: gossip_net::rng::derive_seed(seed, streams::LOSS),
-        loss_schedule: cfg.loss_schedule.clone(),
         scenario: cfg.scenario.clone(),
         rng_discipline: cfg.rng_discipline,
         threads: cfg.threads,

@@ -15,7 +15,7 @@ use rfc_core::runner::{
     build_network_slots, collect_report, drive_network, run_protocol, RunConfig, RunReport,
     TrialArena,
 };
-use rfc_core::{AgentSlot, ProtocolCore};
+use rfc_core::{AgentSlot, InstancePlan, ProtocolCore};
 
 /// Field-by-field report equality (audit included when requested).
 fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
@@ -120,33 +120,6 @@ fn arena_reuse_equals_fresh_networks() {
 }
 
 #[test]
-fn empty_script_and_constant_schedule_equal_the_static_path() {
-    // The acceptance bar for the dynamics subsystem: spelling the static
-    // configuration through the new vocabulary — an explicitly empty
-    // `ScenarioScript` and a constant `LossSchedule` — must produce
-    // bit-identical reports to the legacy `loss_probability`-only path
-    // (which itself is pinned against the pre-dynamics engine by the
-    // golden-run corpus).
-    for (p, seed) in [(0.0f64, 3u64), (0.2, 7), (0.2, 0xBEEF)] {
-        let legacy = RunConfig::builder(24)
-            .gamma(3.0)
-            .colors(vec![12, 12])
-            .message_loss(p)
-            .build();
-        let spelled = RunConfig::builder(24)
-            .gamma(3.0)
-            .colors(vec![12, 12])
-            .message_loss(p)
-            .loss_schedule(LossSchedule::constant(p))
-            .scenario(ScenarioScript::new())
-            .build();
-        let a = run_protocol(&legacy, seed);
-        let b = run_protocol(&spelled, seed);
-        assert_reports_identical(&a, &b, &format!("static spelling p={p} seed={seed}"));
-    }
-}
-
-#[test]
 fn arena_reuse_equals_fresh_networks_under_dynamic_scenarios() {
     // One arena cycling through churn, partition and burst configs in an
     // interleaved schedule: every report must match a fresh network's —
@@ -195,7 +168,7 @@ fn single_instance_plane_equals_legacy_path() {
             cfg.threads = threads;
             let seed = 13;
             let legacy = run_protocol(&cfg, seed);
-            let plane = rfc_core::run_plane(&cfg, seed);
+            let plane = rfc_core::run_plane(&cfg, &InstancePlan::consensus(1), seed);
             let mux = plane.legacy.as_ref().expect("single-consensus plan has a legacy view");
             assert_reports_identical(
                 mux,
@@ -211,7 +184,7 @@ fn single_instance_plane_equals_legacy_path() {
         cfg.rng_discipline = gossip_net::rng::RngDiscipline::PerAgent;
         cfg.threads = 4;
         let legacy = run_protocol(&cfg, 29);
-        let plane = rfc_core::run_plane(&cfg, 29);
+        let plane = rfc_core::run_plane(&cfg, &InstancePlan::consensus(1), 29);
         assert_reports_identical(
             plane.legacy.as_ref().expect("legacy view"),
             &legacy,

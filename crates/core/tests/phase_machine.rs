@@ -165,24 +165,3 @@ fn tiny_network_edge_case_n2() {
     // but the machinery must not panic and must often succeed.
     assert!(consensuses >= 10, "n=2 too fragile: {consensuses}/20");
 }
-
-#[test]
-fn q_override_shortens_the_run() {
-    let cfg = RunConfig::builder(64).gamma(3.0).q(5).build();
-    let report = run_protocol(&cfg, 23);
-    assert_eq!(report.rounds, 20);
-    // q = 5 ≪ 3·log2(64) = 18: good executions become unreliable, but
-    // the run still terminates cleanly either way.
-    assert_eq!(report.decisions.len(), 64);
-}
-
-#[test]
-fn self_vote_check_toggle_is_respected() {
-    let with = RunConfig::builder(32).gamma(3.0).check_self_votes(true).build();
-    let without = RunConfig::builder(32).gamma(3.0).check_self_votes(false).build();
-    assert!(with.params().check_self_votes);
-    assert!(!without.params().check_self_votes);
-    // Honest runs succeed under both.
-    assert!(run_protocol(&with, 29).outcome.is_consensus());
-    assert!(run_protocol(&without, 29).outcome.is_consensus());
-}

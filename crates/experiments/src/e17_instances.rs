@@ -90,11 +90,10 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
     let n = if opts.quick { 16 } else { 32 };
     let gamma = 3.0;
     let (kind, kind_name) = sweep_kind(opts, n);
-    let base = || {
-        RunConfig::builder(n)
-            .gamma(gamma)
-            .colors(vec![n - n / 2, n / 2])
-    };
+    let cfg = RunConfig::builder(n)
+        .gamma(gamma)
+        .colors(vec![n - n / 2, n / 2])
+        .build();
 
     // ── Table 1: throughput sweep ────────────────────────────────────
     let mut sweep = Table::new(
@@ -118,9 +117,8 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
             InstanceKind::Consensus => InstancePlan::consensus(count),
             InstanceKind::RumorVote { k } => InstancePlan::rumor(count, k),
         };
-        let cfg = base().instances(plan).build();
         let started = std::time::Instant::now();
-        let plane = run_plane(&cfg, opts.seed);
+        let plane = run_plane(&cfg, &plan, opts.seed);
         let secs = started.elapsed().as_secs_f64().max(1e-9);
         let (min, max, mean, undecided) = decision_spread(&plane.instances);
         let decided = plane.instances.len() - undecided;
@@ -151,9 +149,7 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
         let pri = if j < class_count { Priority::High } else { Priority::Low };
         plan = plan.with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(pri));
     }
-    let plan = plan.budget(2);
-    let cfg = base().instances(plan).build();
-    let plane = run_plane(&cfg, opts.seed);
+    let plane = run_plane(&cfg, &plan.budget(2), opts.seed);
     let mut classes = Table::new(
         format!(
             "E17 — priority classes: {class_count}+{class_count} rumor instances, budget 2 ops/agent/round"
@@ -214,8 +210,7 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
         for _ in 0..extra {
             plan = plan.with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }));
         }
-        let cfg = base().instances(plan).build();
-        let plane = run_plane(&cfg, opts.seed);
+        let plane = run_plane(&cfg, &plan, opts.seed);
         let inst0 = plane.instances[0].clone();
         inst0_reports.push(format!("{inst0:?}"));
         let identical = inst0_reports[0] == *inst0_reports.last().unwrap();

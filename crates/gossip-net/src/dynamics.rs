@@ -22,8 +22,8 @@
 //!   non-edge.
 //! * **Scheduled loss** — [`LossSchedule`]: a piecewise-constant drop
 //!   probability over rounds (with [`LossSchedule::burst`] as the common
-//!   special case), replacing the single
-//!   [`crate::NetworkConfig::loss_probability`].
+//!   special case), the network's [`crate::NetworkConfig::loss`]; the
+//!   paper's one constant probability is [`LossSchedule::constant`].
 //!
 //! The mutable per-run fault flags live in [`FaultState`], layered over
 //! the immutable `FaultPlan`: the plan is what the pre-round-0 adversary
@@ -60,8 +60,8 @@ pub struct LossSchedule {
 }
 
 impl LossSchedule {
-    /// The constant schedule `p` for every round (the legacy
-    /// `loss_probability` as a schedule).
+    /// The constant schedule `p` for every round (panics unless
+    /// `p ∈ [0, 1]`).
     pub fn constant(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "loss probability must be in [0, 1]");
         LossSchedule { steps: vec![(0, p)] }
@@ -110,8 +110,8 @@ impl LossSchedule {
         self.steps.iter().fold(0.0f64, |m, &(_, p)| m.max(p))
     }
 
-    /// True when the schedule is a single piece — the static case that
-    /// must stay bit-identical to the legacy `loss_probability` path.
+    /// True when the schedule is a single piece — the static case, whose
+    /// single loss stream keeps every historical digest.
     pub fn is_constant(&self) -> bool {
         self.steps.len() == 1
     }

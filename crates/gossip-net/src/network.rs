@@ -96,21 +96,18 @@ pub mod staged;
 pub struct NetworkConfig {
     /// Record every active operation into an [`OpLog`] for audits.
     pub record_ops: bool,
-    /// Independent per-message drop probability in the closed interval
-    /// `[0.0, 1.0]` (failure injection; the paper's model assumes
-    /// reliable channels, i.e. 0.0, and 1.0 models total channel
-    /// failure). Applies to pushes, pull queries, and pull replies;
-    /// dropped messages are still metered (they were sent) but never
-    /// delivered, and a dropped query or reply is indistinguishable from
-    /// the peer's silence.
-    pub loss_probability: f64,
+    /// Independent per-message drop probability in `[0.0, 1.0]`, per
+    /// round (failure injection; the paper's model assumes reliable
+    /// channels, the default `LossSchedule::constant(0.0)`, and 1.0
+    /// models total channel failure). Applies to pushes, pull queries,
+    /// and pull replies; dropped messages are still metered (they were
+    /// sent) but never delivered, and a dropped query or reply is
+    /// indistinguishable from the peer's silence. A constant schedule
+    /// with an empty scenario is the static path.
+    pub loss: LossSchedule,
     /// Seed for the loss process (kept separate from agent randomness so
     /// loss patterns are reproducible and orthogonal).
     pub loss_seed: u64,
-    /// Time-varying loss: a piecewise-constant [`LossSchedule`] that
-    /// **overrides** `loss_probability` when set. `None` (the default)
-    /// means the constant `loss_probability` — the legacy static path.
-    pub loss_schedule: Option<LossSchedule>,
     /// Timed adversity events (churn, partitions). The empty script is
     /// the static case and takes the historical code path bit for bit.
     pub scenario: ScenarioScript,
@@ -144,9 +141,8 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             record_ops: false,
-            loss_probability: 0.0,
+            loss: LossSchedule::constant(0.0),
             loss_seed: 0,
-            loss_schedule: None,
             scenario: ScenarioScript::new(),
             rng_discipline: RngDiscipline::Sequential,
             threads: 1,
@@ -322,13 +318,12 @@ pub struct Network<M, A = Box<dyn Agent<M>>> {
     faults: FaultPlan,
     // Dynamic-adversity state, layered over the immutable plan/topology:
     // the live fault flags, the installed partition overlay (if any), the
-    // cursor into the scenario timeline, the resolved loss schedule and
-    // the round's probability, and whether the run is dynamic at all
-    // (decides the loss-draw discipline; see `begin_round`).
+    // cursor into the scenario timeline, the round's loss probability,
+    // and whether the run is dynamic at all (decides the loss-draw
+    // discipline; see `begin_round`).
     fault_state: FaultState,
     partition: Option<PartitionCut>,
     next_event: usize,
-    loss: LossSchedule,
     current_p: f64,
     dynamic: bool,
     metrics: Metrics,
@@ -392,7 +387,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             fault_state: FaultState::from_plan(&FaultPlan::none(0)),
             partition: None,
             next_event: 0,
-            loss: LossSchedule::constant(0.0),
             current_p: 0.0,
             dynamic: false,
             metrics: Metrics::new(),
@@ -442,7 +436,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
 
     /// Check `faults` and `config` against the agents and topology in
     /// place, then set every piece of per-trial state from them: fault
-    /// plan and live flags, scenario cursor, loss schedule and stream,
+    /// plan and live flags, scenario cursor, loss stream,
     /// round counter, metrics, op log, scratch buffers and stage clocks.
     /// The worker pool outlives trials (that is its whole point); its
     /// next use re-sizes it if the new config wants a different thread
@@ -451,22 +445,14 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         let n = self.agents.len();
         assert_eq!(n, self.topology.n(), "agent count must match topology size");
         assert_eq!(n, faults.n(), "fault plan size must match agent count");
-        assert!(
-            (0.0..=1.0).contains(&config.loss_probability),
-            "loss probability must be in [0, 1]"
-        );
         config.scenario.validate(n);
         self.faults = faults;
         self.fault_state.reset_from(&self.faults);
         self.partition = None;
         self.next_event = 0;
-        self.loss = config
-            .loss_schedule
-            .clone()
-            .unwrap_or_else(|| LossSchedule::constant(config.loss_probability));
-        self.dynamic = !config.scenario.is_empty() || !self.loss.is_constant();
+        self.dynamic = !config.scenario.is_empty() || !config.loss.is_constant();
         self.current_p = 0.0;
-        self.loss_rng = (self.loss.max_p() > 0.0).then(|| DetRng::seeded(config.loss_seed, 0x1055));
+        self.loss_rng = (config.loss.max_p() > 0.0).then(|| DetRng::seeded(config.loss_seed, 0x1055));
         self.config = config;
         self.round = 0;
         self.metrics.reset();
@@ -510,7 +496,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
                 ScenarioEvent::Heal { .. } => self.partition = None,
             }
         }
-        self.current_p = self.loss.p_at(round);
+        self.current_p = self.config.loss.p_at(round);
         if self.dynamic {
             if let Some(rng) = &mut self.loss_rng {
                 *rng = DetRng::seeded(
@@ -1408,7 +1394,7 @@ mod tests {
             agents,
             FaultPlan::none(2),
             NetworkConfig {
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: 5,
                 ..NetworkConfig::default()
             },
@@ -1428,7 +1414,7 @@ mod tests {
             agents,
             FaultPlan::none(2),
             NetworkConfig {
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: 5,
                 ..NetworkConfig::default()
             },
@@ -1511,7 +1497,7 @@ mod tests {
             agents,
             FaultPlan::none(2),
             NetworkConfig {
-                loss_probability: 0.5,
+                loss: LossSchedule::constant(0.5),
                 loss_seed: 9,
                 ..NetworkConfig::default()
             },
@@ -1585,7 +1571,7 @@ mod tests {
             agents,
             FaultPlan::none(3),
             NetworkConfig {
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: 17,
                 ..NetworkConfig::default()
             },
@@ -1639,7 +1625,7 @@ mod tests {
                 agents,
                 FaultPlan::none(4),
                 NetworkConfig {
-                    loss_probability: loss,
+                    loss: LossSchedule::constant(loss),
                     loss_seed: 1,
                     ..NetworkConfig::default()
                 },
@@ -1659,7 +1645,7 @@ mod tests {
             pushers(2, 0),
             FaultPlan::none(2),
             NetworkConfig {
-                loss_probability: 1.5,
+                loss: LossSchedule::constant(1.5),
                 loss_seed: 0,
                 ..NetworkConfig::default()
             },
@@ -1668,7 +1654,7 @@ mod tests {
 
     #[test]
     fn total_loss_is_accepted_and_delivers_nothing() {
-        // loss_probability = 1.0 is a legitimate failure-injection
+        // A constant loss of 1.0 is a legitimate failure-injection
         // scenario (total channel failure): everything sent is metered,
         // nothing arrives.
         let agents = vec![ProbeAgent::sender(), ProbeAgent::receiver()];
@@ -1678,7 +1664,7 @@ mod tests {
             agents,
             FaultPlan::none(2),
             NetworkConfig {
-                loss_probability: 1.0,
+                loss: LossSchedule::constant(1.0),
                 loss_seed: 4,
                 ..NetworkConfig::default()
             },
@@ -1775,7 +1761,7 @@ mod tests {
         let n = 8;
         let mk_cfg = || NetworkConfig {
             record_ops: true,
-            loss_probability: 0.25,
+            loss: LossSchedule::constant(0.25),
             loss_seed: 13,
             ..NetworkConfig::default()
         };
@@ -1934,7 +1920,7 @@ mod tests {
                 FaultPlan::none(n),
                 NetworkConfig {
                     record_ops: true,
-                    loss_probability: 0.2,
+                    loss: LossSchedule::constant(0.2),
                     loss_seed: 5,
                     scenario: ScenarioScript::new().crash(100, vec![2]).recover(200, vec![2]),
                     ..NetworkConfig::default()

@@ -1325,7 +1325,7 @@ mod tests {
     fn per_agent_discipline_is_thread_invariant() {
         let cfg = NetworkConfig {
             record_ops: true,
-            loss_probability: 0.25,
+            loss: LossSchedule::constant(0.25),
             loss_seed: 7,
             rng_discipline: RngDiscipline::PerAgent,
             ..NetworkConfig::default()
@@ -1365,7 +1365,7 @@ mod tests {
     fn per_agent_metering_identity_holds_under_loss() {
         // messages_sent - undelivered == handler invocations, exactly.
         let cfg = NetworkConfig {
-            loss_probability: 0.4,
+            loss: LossSchedule::constant(0.4),
             loss_seed: 3,
             rng_discipline: RngDiscipline::PerAgent,
             threads: 4,

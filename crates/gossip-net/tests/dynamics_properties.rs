@@ -342,7 +342,7 @@ fn scheduled_loss_follows_the_piecewise_probability() {
         2,
         0,
         NetworkConfig {
-            loss_schedule: Some(schedule),
+            loss: schedule,
             loss_seed: 7,
             ..NetworkConfig::default()
         },
@@ -383,7 +383,7 @@ fn editing_a_burst_window_cannot_perturb_other_rounds() {
             4,
             0,
             NetworkConfig {
-                loss_schedule: Some(schedule),
+                loss: schedule,
                 loss_seed: 99,
                 ..NetworkConfig::default()
             },
@@ -413,7 +413,7 @@ fn enabling_a_scenario_script_cannot_perturb_loss_draws_elsewhere() {
             4,
             0,
             NetworkConfig {
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: 41,
                 scenario,
                 ..NetworkConfig::default()
@@ -439,46 +439,10 @@ fn enabling_a_scenario_script_cannot_perturb_loss_draws_elsewhere() {
 }
 
 #[test]
-fn static_lossy_run_keeps_the_legacy_single_stream() {
-    // A constant schedule with no scenario must replay the legacy
-    // loss_probability path exactly — same stream, same deliveries.
-    let legacy = {
-        let mut net = recorder_net(
-            4,
-            0,
-            NetworkConfig {
-                loss_probability: 0.3,
-                loss_seed: 13,
-                ..NetworkConfig::default()
-            },
-        );
-        net.run(50);
-        net
-    };
-    let scheduled = {
-        let mut net = recorder_net(
-            4,
-            0,
-            NetworkConfig {
-                loss_probability: 0.0, // overridden by the schedule
-                loss_seed: 13,
-                loss_schedule: Some(LossSchedule::constant(0.3)),
-                ..NetworkConfig::default()
-            },
-        );
-        net.run(50);
-        net
-    };
-    assert_eq!(legacy.agent(0).heard, scheduled.agent(0).heard);
-    assert_eq!(legacy.metrics(), scheduled.metrics());
-}
-
-#[test]
 fn reset_into_replays_dynamic_scenarios_bit_for_bit() {
     let mk_cfg = || NetworkConfig {
-        loss_probability: 0.2,
+        loss: LossSchedule::burst(0.2, 0.9, 5, 9),
         loss_seed: 5,
-        loss_schedule: Some(LossSchedule::burst(0.2, 0.9, 5, 9)),
         scenario: ScenarioScript::new()
             .crash(3, vec![2])
             .partition(6, PartitionCut::split_at(4, 2))

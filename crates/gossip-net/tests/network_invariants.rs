@@ -3,6 +3,7 @@
 //! agent behaviours, fault plans, and loss processes.
 
 use gossip_net::agent::{Agent, Op, RoundCtx};
+use gossip_net::dynamics::LossSchedule;
 use gossip_net::fault::{FaultPlan, Placement};
 use gossip_net::network::{Network, NetworkConfig};
 use gossip_net::rng::DetRng;
@@ -104,7 +105,7 @@ fn run_chaos(
         faults,
         NetworkConfig {
             record_ops: true,
-            loss_probability: loss,
+            loss: LossSchedule::constant(loss),
             loss_seed: seed,
             ..NetworkConfig::default()
         },
@@ -279,7 +280,7 @@ fn fresh_run(topology: Topology, seed: u64, rounds: usize) -> Fingerprint {
         FaultPlan::none(n),
         NetworkConfig {
             record_ops: true,
-            loss_probability: 0.2,
+            loss: LossSchedule::constant(0.2),
             loss_seed: seed,
             ..NetworkConfig::default()
         },
@@ -302,7 +303,7 @@ fn reset_run(
         FaultPlan::none(n),
         NetworkConfig {
             record_ops: true,
-            loss_probability: 0.2,
+            loss: LossSchedule::constant(0.2),
             loss_seed: seed,
             ..NetworkConfig::default()
         },
@@ -344,7 +345,7 @@ fn reset_into_survives_topology_size_and_shape_changes() {
         FaultPlan::none(first.0.n()),
         NetworkConfig {
             record_ops: true,
-            loss_probability: 0.2,
+            loss: LossSchedule::constant(0.2),
             loss_seed: first.1,
             ..NetworkConfig::default()
         },
@@ -385,7 +386,7 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
             FaultPlan::none(n),
             NetworkConfig {
                 record_ops: true,
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: seed,
                 rng_discipline: RngDiscipline::PerAgent,
                 threads: 3,
@@ -412,7 +413,7 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
         FaultPlan::none(first.0.n()),
         NetworkConfig {
             record_ops: true,
-            loss_probability: 0.3,
+            loss: LossSchedule::constant(0.3),
             loss_seed: first.1,
             rng_discipline: RngDiscipline::PerAgent,
             threads: 3,
@@ -429,7 +430,7 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
             FaultPlan::none(n),
             NetworkConfig {
                 record_ops: true,
-                loss_probability: 0.3,
+                loss: LossSchedule::constant(0.3),
                 loss_seed: *seed,
                 rng_discipline: RngDiscipline::PerAgent,
                 threads: 3,

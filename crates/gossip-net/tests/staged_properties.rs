@@ -10,6 +10,7 @@
 //! ledger's only cross-engine check, plus the per-agent discipline's
 //! shard invariance under loss and the sharded metering merge.
 
+use gossip_net::dynamics::LossSchedule;
 use gossip_net::fault::{FaultPlan, Placement};
 use gossip_net::metrics::Metrics;
 use gossip_net::network::{Network, NetworkConfig};
@@ -206,7 +207,7 @@ proptest! {
                 faults.clone(),
                 NetworkConfig {
                     record_ops: true,
-                    loss_probability: loss_p,
+                    loss: LossSchedule::constant(loss_p),
                     loss_seed,
                     rng_discipline: RngDiscipline::PerAgent,
                     threads,

@@ -6,7 +6,8 @@
 //!
 //! Hosts two independent k-of-n rumor-vote instances on the same
 //! 32-agent complete graph — one `High` priority, one `Low` — and runs
-//! them through `rfc_core::run_plane`. Every message an agent emits
+//! them through `rfc_core::run_plane(&cfg, &plan, seed)`: the config
+//! describes the network, the plan the instances it hosts. Every message an agent emits
 //! toward a peer in a round rides one `Batch` (the first part's
 //! instance tag is elided, so a lone instance pays zero wire overhead),
 //! yet each instance keeps its own phase clock, RNG/loss streams, and
@@ -40,10 +41,10 @@ fn main() {
     }
     .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(Priority::High))
     .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(Priority::Low));
-    let cfg = RunConfig::builder(n).gamma(3.0).instances(plan).build();
+    let cfg = RunConfig::builder(n).gamma(3.0).build();
 
     println!("two concurrent {k}-of-{n} rumor votes on K_{n}\n");
-    let plane = run_plane(&cfg, 7);
+    let plane = run_plane(&cfg, &plan, 7);
     for (j, inst) in plane.instances.iter().enumerate() {
         println!("instance {j}: {}", describe(inst));
     }
@@ -65,7 +66,7 @@ fn main() {
         send_budget: None,
     }
     .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k }).priority(Priority::High));
-    let alone = run_plane(&RunConfig::builder(n).gamma(3.0).instances(alone_plan).build(), 7);
+    let alone = run_plane(&cfg, &alone_plan, 7);
     let same = format!("{:?}", alone.instances[0]) == format!("{:?}", plane.instances[0]);
     println!("\ninstance 0 alone vs co-hosted: reports identical = {same}");
     assert!(same, "co-hosting must not perturb instance 0");

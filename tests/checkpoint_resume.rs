@@ -15,8 +15,8 @@
 //! capture.
 //!
 //! Negative paths ride along: truncated files, wrong version, wrong
-//! `n`, wrong config, and garbage bodies must come back as typed
-//! [`CheckpointError`]s, never panics.
+//! `n`, wrong config, altered bytes (the checksum) and garbage bodies
+//! must come back as typed [`CheckpointError`]s, never panics.
 
 mod common;
 
@@ -24,13 +24,12 @@ use common::{report_digest, Digest};
 use gossip_net::fault::Placement;
 use gossip_net::oplog::OpEvent;
 use rfc_core::checkpoint::{
-    self, checkpoint_rounds, config_fingerprint, drive_with_checkpoints, peek_header,
-    restore_network, CheckpointError,
+    self, config_fingerprint, drive_with_checkpoints, peek_header, restore_network, CheckpointError,
 };
 use rfc_core::codec::{put_varint, varint_len};
 use rfc_core::runner::{RunConfig, RunReport, TopologySpec};
 use rfc_core::{
-    build_network_slots, collect_report, honest_slot_factory, run_protocol, ConsensusAgent,
+    build_network_slots, collect_report, honest_slot_factory, run_protocol, ConsensusAgent, Fnv1a,
     LossSchedule, PartitionCut, RngDiscipline, ScenarioScript,
 };
 
@@ -334,7 +333,7 @@ fn assert_resume_equivalent(label: &str, cfg: &RunConfig, seed: u64) {
     let total = if cfg.skip_coherence { 3 * q } else { 4 * q };
     assert_eq!(
         base.snapshots.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-        checkpoint_rounds(total, every),
+        (every..=total).step_by(every).collect::<Vec<_>>(),
         "{label}: snapshot rounds off-cadence"
     );
     for (round, bytes) in &base.snapshots {
@@ -622,10 +621,10 @@ fn checkpoint_bytes_are_pinned() {
     // The byte format itself, not just its round trip: every snapshot
     // of four rows (static lossy, sharded faults+loss, a scenario with
     // a crash and a partition, plan faults) hashes to the value
-    // captured before the checkpoint wrote its pools through the wire
-    // codec's body functions. A layout change must move these AND bump
+    // captured when format version 2 put the checksum after the
+    // version. A layout change must move these AND bump
     // `FORMAT_VERSION`; a failure prints the fresh hash.
-    assert_eq!(checkpoint::FORMAT_VERSION, 1);
+    assert_eq!(checkpoint::FORMAT_VERSION, 2);
     let q = RunConfig::builder(32).gamma(3.0).build().params().q;
     let row = |corpus: Vec<(&'static str, RunConfig, u64)>, label: &str| {
         corpus
@@ -660,10 +659,10 @@ fn checkpoint_bytes_are_pinned() {
     }
     let pinned = |label: &str| -> u64 {
         match label.split('@').next().unwrap() {
-            "static/loss-0.25" => 0x425566b851e908a0,
-            "static/faults-random" => 0xfef9dd59c3326498,
-            "dynamic/crash+partition" => 0x16aebc3358edfe57,
-            "sharded/faults+loss" => 0x686ac08c9ad7277d,
+            "static/loss-0.25" => 0x0073c104a184469e,
+            "static/faults-random" => 0x05a93df6adb30a13,
+            "dynamic/crash+partition" => 0x959ce44ddd6ba917,
+            "sharded/faults+loss" => 0xab29cb7252c76904,
             other => panic!("no pin for {other}"),
         }
     };
@@ -757,46 +756,55 @@ fn config_mismatch_is_reported() {
     assert!(restore_network(&resharded, &bytes).is_ok());
 }
 
+/// Where a checkpoint's checksum lives: the eight bytes after magic and
+/// version.
+const CHECKSUM: std::ops::Range<usize> = 6..14;
+
+/// Re-seal crafted bytes: write the FNV-1a 64 checksum of everything
+/// after the checksum field, so the restorer reaches the checks past it.
+fn reseal(bytes: &mut [u8]) {
+    let mut h = Fnv1a::standard();
+    h.write(&bytes[CHECKSUM.end..]);
+    bytes[CHECKSUM].copy_from_slice(&h.finish().to_le_bytes());
+}
+
 #[test]
-fn instance_plan_mismatch_is_reported() {
-    // A checkpoint taken under the default single-consensus plan must
-    // refuse to restore into a differently-shaped instance plane: the
-    // instance plan is part of RunConfig's Debug form, so the config
-    // fingerprint covers instance count *and* kinds end to end.
+fn every_bit_flip_is_refused() {
+    // The checksum covers every byte after itself, header fields and
+    // body alike, and FNV-1a's odd multiplier makes each step one-to-one:
+    // any single-bit flip must be refused, by the magic, the version or
+    // the checksum, before the header's fields are checked or the body
+    // is decoded.
     let (cfg, bytes) = some_checkpoint();
-    let mut two_instances = cfg.clone();
-    two_instances.instances = rfc_core::InstancePlan::consensus(2);
-    match restore_network(&two_instances, &bytes) {
-        Err(CheckpointError::ConfigMismatch { expected, found }) => {
-            assert_ne!(expected, found, "fingerprints must differ");
+    assert!(restore_network(&cfg, &bytes).is_ok());
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut b = bytes.clone();
+            b[pos] ^= 1 << bit;
+            match (pos, restore_network(&cfg, &b)) {
+                (0..=3, Err(CheckpointError::BadMagic)) => {}
+                (4..=5, Err(CheckpointError::WrongVersion { .. })) => {}
+                (6.., Err(CheckpointError::Corrupt("checksum mismatch"))) => {}
+                (_, Err(other)) => panic!("byte {pos} bit {bit}: unexpected error {other}"),
+                (_, Ok(_)) => panic!("byte {pos} bit {bit}: altered checkpoint accepted"),
+            }
         }
-        Err(other) => panic!("expected ConfigMismatch, got {other}"),
-        Ok(_) => panic!("instance-plan mismatch accepted"),
     }
-    // A different *kind* at the same count is also rejected.
-    let mut rumor = cfg.clone();
-    rumor.instances = rfc_core::InstancePlan::rumor(1, 8);
-    assert!(matches!(
-        restore_network(&rumor, &bytes),
-        Err(CheckpointError::ConfigMismatch { .. })
-    ));
-    // The same plan spelled explicitly is accepted (it IS the default).
-    let mut same = cfg.clone();
-    same.instances = rfc_core::InstancePlan::single_consensus();
-    assert!(restore_network(&same, &bytes).is_ok());
 }
 
 #[test]
 fn garbage_bodies_error_cleanly() {
     let (cfg, bytes) = some_checkpoint();
-    // Flip bytes throughout the body; any outcome but a panic or an
+    // Flip bytes throughout the body and re-seal the checksum, so the
+    // decoder itself meets the garbage; any outcome but a panic or an
     // accepted-but-different run is fine, and most flips must be caught.
-    let header_len = 4 + 2 + 8 + 8; // magic + version + seed + fingerprint
+    let header_len = 4 + 2 + 8 + 8 + 8; // magic + version + checksum + seed + fingerprint
     let mut caught = 0usize;
     let mut tried = 0usize;
     for pos in (header_len..bytes.len()).step_by(11) {
         let mut b = bytes.clone();
         b[pos] ^= 0xA5;
+        reseal(&mut b);
         tried += 1;
         match restore_network(&cfg, &b) {
             Err(_) => caught += 1,
@@ -821,10 +829,10 @@ fn garbage_bodies_error_cleanly() {
 }
 
 /// Offset of a checkpoint's engine section. It follows the header:
-/// magic, version, seed, fingerprint, varint n, varint round.
+/// magic, version, checksum, seed, fingerprint, varint n, varint round.
 fn engine_offset(bytes: &[u8]) -> usize {
     let h = peek_header(bytes).expect("header");
-    4 + 2 + 8 + 8 + varint_len(h.n as u64) + varint_len(h.round as u64)
+    4 + 2 + 8 + 8 + 8 + varint_len(h.n as u64) + varint_len(h.round as u64)
 }
 
 #[test]
@@ -834,10 +842,19 @@ fn engine_states_the_config_cannot_hold_are_corrupt() {
     // be a typed `Corrupt`, not a panic inside the network or a run that
     // cannot happen. The engine section is: varint scenario cursor, n
     // down bits, partition tag (+ n sides), loss tag (+ four u64 words).
-    let expect_corrupt = |label: &str, cfg: &RunConfig, b: &[u8]| match restore_network(cfg, b) {
-        Err(CheckpointError::Corrupt(_)) => {}
-        Err(other) => panic!("{label}: expected Corrupt, got {other}"),
-        Ok(_) => panic!("{label}: accepted"),
+    // Each crafted snapshot is re-sealed, so the checksum passes and the
+    // check under test is the one that refuses it.
+    let expect_corrupt = |label: &str, cfg: &RunConfig, b: &[u8]| {
+        let mut b = b.to_vec();
+        reseal(&mut b);
+        match restore_network(cfg, &b) {
+            Err(CheckpointError::Corrupt("checksum mismatch")) => {
+                panic!("{label}: refused by the checksum, not by the check under test")
+            }
+            Err(CheckpointError::Corrupt(_)) => {}
+            Err(other) => panic!("{label}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("{label}: accepted"),
+        }
     };
     let (cfg, bytes) = some_checkpoint();
     let cursor = engine_offset(&bytes);

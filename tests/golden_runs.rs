@@ -216,7 +216,7 @@ fn golden_single_instance_plane_matches_pinned_rows() {
             .into_iter()
             .find(|(l, _, _)| *l == label)
             .expect("corpus row exists");
-        let plane = rfc_core::run_plane(&cfg, seed);
+        let plane = rfc_core::run_plane(&cfg, &rfc_core::InstancePlan::consensus(1), seed);
         let report = plane.legacy.as_ref().expect("single-consensus legacy view");
         let got = report_digest(report);
         let (_, want, want_u) = GOLDEN

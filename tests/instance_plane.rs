@@ -34,12 +34,11 @@ fn mixed_plan(extra_rumor: usize) -> InstancePlan {
     plan
 }
 
-fn lossy_cfg(plan: InstancePlan, threads: usize) -> RunConfig {
+fn lossy_cfg(threads: usize) -> RunConfig {
     let mut cfg = RunConfig::builder(16)
         .gamma(3.0)
         .colors(vec![8, 8])
         .message_loss(0.25)
-        .instances(plan)
         .build();
     cfg.threads = threads;
     cfg.shard_floor = Some(0); // tiny n: keep real multi-shard runs
@@ -75,8 +74,8 @@ fn appending_instances_never_perturbs_existing_reports() {
     // loss — is invariant to co-hosting more instances, under loss, at
     // several thread counts (engine sharding included).
     for threads in [1usize, 4] {
-        let small = run_plane(&lossy_cfg(mixed_plan(0), threads), 21);
-        let large = run_plane(&lossy_cfg(mixed_plan(8), threads), 21);
+        let small = run_plane(&lossy_cfg(threads), &mixed_plan(0), 21);
+        let large = run_plane(&lossy_cfg(threads), &mixed_plan(8), 21);
         assert_eq!(small.instances.len() + 8, large.instances.len());
         for (j, (a, b)) in small.instances.iter().zip(&large.instances).enumerate() {
             assert_eq!(
@@ -90,11 +89,11 @@ fn appending_instances_never_perturbs_existing_reports() {
 
 #[test]
 fn multi_instance_plane_is_thread_invariant() {
-    let baseline = run_plane(&lossy_cfg(mixed_plan(3), 1), 9);
+    let baseline = run_plane(&lossy_cfg(1), &mixed_plan(3), 9);
     let want: Vec<String> =
         baseline.instances.iter().map(|i| format!("{i:?}")).collect();
     for threads in [2usize, 8] {
-        let plane = run_plane(&lossy_cfg(mixed_plan(3), threads), 9);
+        let plane = run_plane(&lossy_cfg(threads), &mixed_plan(3), 9);
         let got: Vec<String> = plane.instances.iter().map(|i| format!("{i:?}")).collect();
         assert_eq!(got, want, "instance reports drifted at threads={threads}");
         assert_eq!(plane.rounds, baseline.rounds);

@@ -242,7 +242,7 @@ fn loss_free_rows_meter_identically_on_both_engines() {
     let counts = thread_counts();
     let mut checked = 0;
     for (label, cfg, seed) in corpus() {
-        if cfg.loss_probability > 0.0 || cfg.loss_schedule.is_some() {
+        if cfg.loss.max_p() > 0.0 {
             continue;
         }
         checked += 1;
