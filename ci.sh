@@ -21,6 +21,18 @@ cargo test -q
 echo "==> workspace tests (all member crates)"
 cargo test --workspace -q
 
+echo "==> no test name is registered twice within one test binary"
+# `--list` ends each binary's names with an "N tests, M benchmarks"
+# line; a name seen twice before that line is a double registration
+# (each property inside `proptest!` writes its own `#[test]`).
+dups=$(cargo test --workspace -q -- --list 2>/dev/null \
+    | awk '/^[0-9]+ tests?, [0-9]+ benchmarks?$/ {delete seen; next} /: test$/ && seen[$0]++')
+if [ -n "$dups" ]; then
+    echo "FAIL: test names registered twice in one binary:" >&2
+    echo "$dups" >&2
+    exit 1
+fi
+
 echo "==> clippy: every workspace target, warnings are errors"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
@@ -41,7 +53,7 @@ echo "==> tier-2: sharded golden rows at RFC_THREADS=1,2,8 (digest must be ident
 # the pinned capture — the staged engine's thread-invariance contract.
 RFC_THREADS=1,2,8 RUST_TEST_THREADS=2 cargo test -q --test sharded_engine
 
-echo "==> tier-2: checkpoint/resume equivalence corpus (static + sharded + equilibrium rows)"
+echo "==> tier-2: checkpoint/resume equivalence corpus (static + sharded rows)"
 # Every golden row snapshotted mid-run, restored, and run to completion
 # must be bit-identical (digest, Metrics, op-log) to straight-through;
 # sharded rows repeat at every RFC_THREADS count incl. cross-thread

@@ -106,36 +106,6 @@ impl ArmStats {
         wilson95(self.winner_in_coalition, self.trials.max(1))
     }
 
-    /// Raw utility sum (checkpoint support: persist the exact f64 bits
-    /// and feed them back through [`ArmStats::restore`]).
-    pub fn utility_sum(&self) -> f64 {
-        self.utility_sum
-    }
-
-    /// Rebuild an arm from persisted fields (checkpoint support). With
-    /// `utility_sum` restored bit-exactly, continuing to [`record`]
-    /// trials into the result reproduces a straight-through run's float
-    /// addition order — merging two separately-built arms would not.
-    ///
-    /// [`record`]: ArmStats::record
-    pub fn restore(
-        trials: u64,
-        consensus: u64,
-        fails: u64,
-        coalition_color_wins: u64,
-        winner_in_coalition: u64,
-        utility_sum: f64,
-    ) -> Self {
-        Self {
-            trials,
-            consensus,
-            fails,
-            coalition_color_wins,
-            winner_in_coalition,
-            utility_sum,
-        }
-    }
-
     /// Merge another arm's tallies (parallel aggregation).
     pub fn merge(&mut self, other: &ArmStats) {
         self.trials += other.trials;
@@ -270,87 +240,44 @@ pub fn run_equilibrium(
 
 /// Like [`run_equilibrium`] but over a caller-prepared config builder
 /// (to add faults, ablations, …). The color spec is overwritten with the
-/// coalition assignment.
+/// coalition assignment: members, drawn from `master_seed`, support
+/// [`COALITION_COLOR`]. Trial `i` runs both arms on the seed
+/// `derive_seed(master_seed, i)`.
 pub fn run_equilibrium_with(
     builder: rfc_core::runner::RunConfigBuilder,
     spec: &AttackSpec,
     trials: u64,
     master_seed: u64,
 ) -> EquilibriumReport {
-    let (cfg, members) = equilibrium_config(builder, spec, master_seed);
-    let mut honest = ArmStats::default();
-    let mut deviating = ArmStats::default();
-    run_equilibrium_span(
-        &cfg,
-        spec,
-        &members,
-        0..trials,
-        master_seed,
-        &mut honest,
-        &mut deviating,
-    );
-    EquilibriumReport {
-        strategy: spec.strategy.name(),
-        n: cfg.n,
-        t: spec.t,
-        trials,
-        fair_share: spec.t as f64 / cfg.n as f64,
-        honest,
-        deviating,
-    }
-}
-
-/// Resolve the deterministic equilibrium setup: coalition membership
-/// (drawn from `master_seed`), the explicit color assignment, and the
-/// sequential-engine pinning both arms run under. Pure function of its
-/// inputs, so a resumed sweep rebuilds the identical configuration.
-pub fn equilibrium_config(
-    builder: rfc_core::runner::RunConfigBuilder,
-    spec: &AttackSpec,
-    master_seed: u64,
-) -> (RunConfig, Vec<AgentId>) {
-    let cfg_proto = builder.build();
-    let n = cfg_proto.n;
+    let mut cfg = builder.build();
+    let n = cfg.n;
     let members = select_members(n, spec.t, spec.selection, master_seed);
-    let colors = coalition_colors(n, &members);
-    let mut cfg = cfg_proto;
-    cfg.colors = rfc_core::runner::ColorSpec::Explicit(colors);
+    cfg.colors = rfc_core::runner::ColorSpec::Explicit(coalition_colors(n, &members));
     // Both arms on the sequential engine (the attack arm is forced
     // there anyway — see `run_attack_trial_in`): the paired comparison
     // needs one loss discipline across honest and deviating runs.
     cfg.threads = 1;
     cfg.rng_discipline = gossip_net::rng::RngDiscipline::Sequential;
-    (cfg, members)
-}
-
-/// Run a **span** of paired trials, accumulating in place — the
-/// trial-index resume point for equilibrium sweeps.
-///
-/// Trial `i` (for `i` in `trials`) derives its seed from `master_seed`
-/// exactly as the full run does, and `record`s into the provided arms
-/// *in place*, so splitting `0..T` into `0..k` + `k..T` across two calls
-/// (persisting the arms in between — see [`ArmStats::restore`]) is
-/// bit-identical to one `0..T` call, float addition order included.
-/// `cfg`/`members` must come from [`equilibrium_config`] with the same
-/// `master_seed`.
-pub fn run_equilibrium_span(
-    cfg: &RunConfig,
-    spec: &AttackSpec,
-    members: &[AgentId],
-    trials: std::ops::Range<u64>,
-    master_seed: u64,
-    honest: &mut ArmStats,
-    deviating: &mut ArmStats,
-) {
+    let mut honest = ArmStats::default();
+    let mut deviating = ArmStats::default();
     // One arena serves both arms of every paired trial: honest and
     // deviating runs alternate through the same recycled network.
     let mut arena = TrialArena::new();
-    for i in trials {
+    for i in 0..trials {
         let seed = derive_seed(master_seed, i);
-        let h = arena.run_protocol(cfg, seed);
-        honest.record(&h, members, spec.chi);
-        let d = run_attack_trial_in(&mut arena, cfg, spec.strategy, members, seed);
-        deviating.record(&d, members, spec.chi);
+        let h = arena.run_protocol(&cfg, seed);
+        honest.record(&h, &members, spec.chi);
+        let d = run_attack_trial_in(&mut arena, &cfg, spec.strategy, &members, seed);
+        deviating.record(&d, &members, spec.chi);
+    }
+    EquilibriumReport {
+        strategy: spec.strategy.name(),
+        n,
+        t: spec.t,
+        trials,
+        fair_share: spec.t as f64 / n as f64,
+        honest,
+        deviating,
     }
 }
 

@@ -40,9 +40,8 @@ pub mod harness;
 
 pub use coalition::{new_coalition, select_members, Coalition, CoalitionSelection};
 pub use harness::{
-    coalition_colors, equilibrium_config, run_attack_trial, run_attack_trial_in,
-    run_equilibrium, run_equilibrium_span, run_equilibrium_with, ArmStats,
-    AttackSpec, EquilibriumReport, COALITION_COLOR,
+    coalition_colors, run_attack_trial, run_attack_trial_in, run_equilibrium,
+    run_equilibrium_with, ArmStats, AttackSpec, EquilibriumReport, COALITION_COLOR,
 };
 pub use strategies::{standard_attacks, Strategy};
 

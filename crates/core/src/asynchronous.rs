@@ -21,19 +21,13 @@
 //! declared votes are never delivered and Verification can fail the run —
 //! the failure probability decays exponentially in `q` (measured in E12).
 //!
-//! One driver, [`run_protocol_events`], runs the scheduler on the event
-//! runtime ([`gossip_net::network::Network::drive_events`]), one tick
-//! per unit of the phase clock ([`crate::runner::drive_phases`]) over
-//! the async schedule's windows: every message leg draws a delivery
-//! delay from [`DELAY_STREAM`], uniform in `[0, max_delay]` ticks. With
-//! `max_delay > 0` replies can outlive the phase budget, and the clock's
-//! terminal
-//! [`drain_in_flight`](gossip_net::network::Network::drain_in_flight)
-//! keeps the metering contract honest (`messages_sent - undelivered`
-//! == handler invocations, in-flight messages counted undelivered).
-//! [`run_protocol_async`] is its `max_delay == 0` case: no delay draws,
-//! and every operation completes (pull round-trip included) inside its
-//! tick. Both are pinned by digest in `tests/event_runtime.rs`.
+//! [`run_protocol_async`] drives the scheduler with the phase clock
+//! ([`crate::runner::drive_phases`]) over the async schedule's windows,
+//! one [`Network::run_async`](gossip_net::network::Network::run_async)
+//! tick per unit — the same advance step the `rfc-node` session takes.
+//! Every operation completes (pull round-trip included) inside its tick,
+//! so nothing is in flight when the budget runs out. The runs are pinned
+//! by digest in `tests/event_runtime.rs`.
 
 use crate::agent_plane::AgentSlot;
 use crate::engine::ProtocolCore;
@@ -50,12 +44,6 @@ use gossip_net::rng::DetRng;
 /// simulated run, which is how both endpoints agree on every tick.
 pub const SCHEDULER_STREAM: u64 = 0x5EC;
 
-/// Delivery-delay RNG stream label for [`run_protocol_events`]. Distinct
-/// from every other stream in `runner::streams`, so turning delays on
-/// (or off) never perturbs agent, color, fault, loss, or scheduler
-/// randomness.
-pub const DELAY_STREAM: u64 = 0xDE1A;
-
 /// Run protocol `P` under the sequential-GOSSIP scheduler.
 ///
 /// `slack` multiplies the per-phase tick budget (`slack·n·q` ticks per
@@ -67,29 +55,6 @@ pub const DELAY_STREAM: u64 = 0xDE1A;
 /// `slack·n·q` overflows `usize` — use [`Params::try_async_schedule`] to
 /// pre-flight landmark-scale budgets on narrow targets.
 pub fn run_protocol_async(cfg: &RunConfig, seed: u64, slack: usize) -> RunReport {
-    run_protocol_events(cfg, seed, slack, 0)
-}
-
-/// Run protocol `P` on the **event-driven** runtime: the same
-/// sequential-GOSSIP wake schedule as [`run_protocol_async`], but every
-/// message leg draws a delivery delay uniform in `[0, max_delay]` ticks
-/// from [`DELAY_STREAM`].
-///
-/// `max_delay == 0` is [`run_protocol_async`]: no delay draws are
-/// consumed. With `max_delay > 0`, messages can land ticks after they
-/// were sent — in a later phase, or never (budget expiry): the terminal
-/// drain counts those metered-but-undelivered, per the metering
-/// contract.
-///
-/// # Panics
-///
-/// As [`run_protocol_async`].
-pub fn run_protocol_events(
-    cfg: &RunConfig,
-    seed: u64,
-    slack: usize,
-    max_delay: usize,
-) -> RunReport {
     // Checked: a silent wrap would truncate every phase window.
     let schedule = cfg.params().async_schedule(slack);
     let mut factory = move |id: AgentId,
@@ -101,15 +66,10 @@ pub fn run_protocol_events(
     };
     let mut net = build_network_slots(cfg, seed, &mut factory);
     let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
-    let mut delays = DetRng::seeded(seed, DELAY_STREAM);
-    // The delivery queue deliberately survives the phase boundary: a
-    // delayed message sent near the end of one phase lands during the
-    // next, exactly as on a real wire. What is still in flight when the
-    // budget runs out, the clock's drain counts undelivered.
     let Ok(()) = drive_phases(
         &mut net,
         schedule.windows(),
-        |net| net.drive_events(1, &mut scheduler, &mut delays, max_delay),
+        |net| net.run_async(1, &mut scheduler),
         unchecked,
     );
     collect_report(&net, cfg)
@@ -163,29 +123,5 @@ mod tests {
             .map(|s| run_protocol_async(&cfg, s, 1).outcome.is_consensus())
             .collect();
         assert!(outcomes.iter().any(|&b| b), "some run should succeed");
-    }
-
-    #[test]
-    fn delayed_events_still_reach_consensus() {
-        // Small delays relative to the phase budget: the protocol has
-        // enough slack to absorb late deliveries.
-        let cfg = RunConfig::builder(24).gamma(3.0).colors(vec![12, 12]).build();
-        let report = run_protocol_events(&cfg, 21, 4, 2);
-        assert!(
-            report.outcome.is_consensus(),
-            "delayed run should still succeed: {:?}",
-            report.outcome
-        );
-    }
-
-    #[test]
-    fn delayed_events_are_deterministic() {
-        let cfg = RunConfig::builder(16).gamma(3.0).colors(vec![8, 8]).build();
-        let a = run_protocol_events(&cfg, 9, 3, 5);
-        let b = run_protocol_events(&cfg, 9, 3, 5);
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.metrics.messages_sent, b.metrics.messages_sent);
-        assert_eq!(a.metrics.bits_sent, b.metrics.bits_sent);
-        assert_eq!(a.metrics.undelivered, b.metrics.undelivered);
     }
 }

@@ -55,10 +55,8 @@
 //! Only fully **honest** networks are checkpointable mid-run: deviating
 //! [`AgentSlot`] variants carry strategy-private state this module
 //! cannot see, so [`checkpoint_network`] returns
-//! [`CheckpointError::UnsupportedAgent`] for them (equilibrium
-//! experiments checkpoint at *trial* granularity instead — see
-//! `adversary::run_equilibrium_span`). Async (sequential-GOSSIP) runs
-//! are likewise out of scope: [`drive_with_checkpoints`] is the phase
+//! [`CheckpointError::UnsupportedAgent`] for them. Async
+//! (sequential-GOSSIP) runs are likewise out of scope: [`drive_with_checkpoints`] is the phase
 //! clock ([`crate::runner::drive_phases`]) over the synchronous windows
 //! plus a snapshot hook.
 

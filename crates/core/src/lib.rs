@@ -71,7 +71,7 @@ pub mod runner;
 pub mod strategies;
 
 pub use agent_plane::AgentSlot;
-pub use asynchronous::{run_protocol_async, run_protocol_events, DELAY_STREAM, SCHEDULER_STREAM};
+pub use asynchronous::{run_protocol_async, SCHEDULER_STREAM};
 pub use certificate::{CertData, VoteRec};
 pub use checkpoint::{
     checkpoint_network, restore_network, resume_protocol, run_protocol_with_checkpoints,

@@ -31,7 +31,7 @@
 //!
 //! Every run — synchronous rounds, checkpointed runs, the instance
 //! plane, async ticks, the `rfc-node` session — walks one phase clock,
-//! [`drive_phases`], the only code that enters phase labels, drains and
+//! [`drive_phases`], the only code that enters phase labels and
 //! finalizes.
 //!
 //! Determinism: every run is a pure function of `(RunConfig, seed)`. The
@@ -639,8 +639,7 @@ fn color_space_size(cfg: &RunConfig) -> usize {
 /// the in-flight label. Each remaining window enters its metrics label
 /// once, then calls `advance` (one round or tick) and `after` until the
 /// round reaches `end`. An `after` error is returned at once, nothing
-/// drained or finalized. After the last window the clock drains the
-/// delivery queue ([`Network::drain_in_flight`]) and runs Verification
+/// finalized. After the last window the clock runs Verification
 /// ([`Network::finalize`]).
 pub fn drive_phases<M, A, E>(
     net: &mut Network<M, A>,
@@ -662,7 +661,6 @@ where
             after(net)?;
         }
     }
-    net.drain_in_flight();
     net.finalize();
     Ok(())
 }

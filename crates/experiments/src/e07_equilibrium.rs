@@ -21,7 +21,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     let gamma = 3.0;
     let chi = 1.0;
     let log_n = gossip_net::ids::ceil_log2(n) as usize;
-    let t_values: Vec<usize> = vec![1, log_n, n / 8];
+    // Ascending, so `dedup` drops a size the list repeats: at n = 48,
+    // log₂ n = n/8 = 6, and a repeated row is an identical rerun.
+    let mut t_values: Vec<usize> = vec![1, log_n, n / 8];
+    t_values.dedup();
     let trials = opts.trials(240);
 
     let mut table = Table::new(
@@ -99,14 +102,8 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         format!("E7b — tightness probe: spy-tune vs coalition size (n = {n}, {trials} paired trials)"),
         &["t", "t/n", "fair share", "deviating win", "dev fails", "regime"],
     );
-    let probe_ts: Vec<usize> = vec![
-        1,
-        log_n,
-        n / 8,
-        n / 4,
-        3 * n / 8,
-        n / 2,
-    ];
+    let mut probe_ts: Vec<usize> = vec![1, log_n, n / 8, n / 4, 3 * n / 8, n / 2];
+    probe_ts.dedup();
     for &t in &probe_ts {
         let members = select_members(n, t, CoalitionSelection::Random, opts.seed ^ 0xB);
         let mut cfg = RunConfig::builder(n).gamma(gamma).build();

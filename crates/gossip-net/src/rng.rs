@@ -176,11 +176,6 @@ impl DetRng {
         Self::wrap(SmallRng::seed_from_u64(derive_seed(master, stream)))
     }
 
-    /// RNG from a raw seed, bypassing stream derivation.
-    pub fn from_raw_seed(seed: u64) -> Self {
-        Self::wrap(SmallRng::seed_from_u64(seed))
-    }
-
     fn wrap(rng: SmallRng) -> Self {
         DetRng {
             rng,

@@ -7,7 +7,7 @@
 //! `golden_runs.rs` (sequential engine), every sharded row of
 //! `sharded_engine.rs` under `RngDiscipline::PerAgent` at the
 //! `RFC_THREADS` counts, plus cross-thread resume (snapshot under one
-//! shard count, resume under another) and equilibrium-arm trial resume.
+//! shard count, resume under another).
 //! Straight-through runs go through `run_protocol` — the canonical
 //! runner, itself pinned by the golden suites — so this file needs no
 //! pinned constants of its own: if resume matches straight-through and
@@ -500,69 +500,6 @@ fn resumed_runs_stay_resumable() {
         "{label}: gen-2 resume at round {round} diverged"
     );
     assert_eq!(oplog, base.oplog);
-}
-
-#[test]
-fn equilibrium_arms_resume_at_trial_indices() {
-    use adversary::{
-        equilibrium_config, run_equilibrium_span, run_equilibrium_with, ArmStats, AttackSpec,
-        CoalitionSelection,
-    };
-    let strategy = adversary::standard_attacks()
-        .into_iter()
-        .next()
-        .expect("at least one strategy");
-    let spec = AttackSpec {
-        strategy: strategy.as_ref(),
-        t: 4,
-        selection: CoalitionSelection::Spread,
-        chi: 1.0,
-    };
-    let master_seed = 0xA11CE;
-    let trials = 12u64;
-    let builder = || RunConfig::builder(24).gamma(3.0).message_loss(0.1);
-    let full = run_equilibrium_with(builder(), &spec, trials, master_seed);
-    // Split the sweep at every boundary; the in-place span accumulation
-    // must reproduce the one-shot arms exactly (PartialEq covers the
-    // f64 utility sums, so float addition order is checked too).
-    for k in 0..=trials {
-        let (cfg, members) = equilibrium_config(builder(), &spec, master_seed);
-        let mut honest = ArmStats::default();
-        let mut deviating = ArmStats::default();
-        run_equilibrium_span(&cfg, &spec, &members, 0..k, master_seed, &mut honest, &mut deviating);
-        // "Persist" through the restore constructor, as a checkpointing
-        // caller would.
-        let mut honest = ArmStats::restore(
-            honest.trials,
-            honest.consensus,
-            honest.fails,
-            honest.coalition_color_wins,
-            honest.winner_in_coalition,
-            honest.utility_sum(),
-        );
-        let mut deviating = ArmStats::restore(
-            deviating.trials,
-            deviating.consensus,
-            deviating.fails,
-            deviating.coalition_color_wins,
-            deviating.winner_in_coalition,
-            deviating.utility_sum(),
-        );
-        run_equilibrium_span(
-            &cfg,
-            &spec,
-            &members,
-            k..trials,
-            master_seed,
-            &mut honest,
-            &mut deviating,
-        );
-        assert_eq!(honest, full.honest, "honest arm diverged when split at {k}");
-        assert_eq!(
-            deviating, full.deviating,
-            "deviating arm diverged when split at {k}"
-        );
-    }
 }
 
 #[test]

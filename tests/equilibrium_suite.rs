@@ -167,3 +167,118 @@ fn attack_trials_report_outcomes_for_all_agents() {
     assert_eq!(report.decisions.len(), N);
     assert_eq!(report.outcome, Outcome::Fail, "drop-votes should fail the run");
 }
+
+mod paired_trials {
+    //! `run_equilibrium_with` runs both arms of every paired trial
+    //! through one recycled `TrialArena`. These tests rebuild its sweep
+    //! from fresh single runs — trial `i` plays both arms on
+    //! `derive_seed(master_seed, i)` — so state one run leaves in the
+    //! arena cannot leak into the next without a test noticing.
+
+    use super::*;
+    use rational_fair_consensus::adversary::harness::{coalition_colors, run_equilibrium_with};
+    use rational_fair_consensus::gossip_net::rng::{derive_seed, RngDiscipline};
+    use rational_fair_consensus::rfc_core::{run_protocol, ColorSpec, RunConfig, RunConfigBuilder};
+    use std::ops::Range;
+
+    const MASTER_SEED: u64 = 0xA11CE;
+    const TRIALS: u64 = 12;
+
+    fn builder() -> RunConfigBuilder {
+        RunConfig::builder(24).gamma(3.0).message_loss(0.1)
+    }
+
+    fn paired_spec(strategy: &dyn Strategy) -> AttackSpec<'_> {
+        AttackSpec {
+            strategy,
+            t: 4,
+            selection: CoalitionSelection::Spread,
+            chi: 1.0,
+        }
+    }
+
+    /// The honest and deviating arms of `trials`, each run on a fresh
+    /// network.
+    fn fresh_arms(spec: &AttackSpec, trials: Range<u64>) -> (ArmStats, ArmStats) {
+        let mut cfg = builder().build();
+        let members = select_members(cfg.n, spec.t, spec.selection, MASTER_SEED);
+        cfg.colors = ColorSpec::Explicit(coalition_colors(cfg.n, &members));
+        cfg.threads = 1;
+        cfg.rng_discipline = RngDiscipline::Sequential;
+        let mut honest = ArmStats::default();
+        let mut deviating = ArmStats::default();
+        for i in trials {
+            let seed = derive_seed(MASTER_SEED, i);
+            honest.record(&run_protocol(&cfg, seed), &members, spec.chi);
+            let attack = run_attack_trial(&cfg, spec.strategy, &members, seed);
+            deviating.record(&attack, &members, spec.chi);
+        }
+        (honest, deviating)
+    }
+
+    #[test]
+    fn honest_arm_replays_as_fresh_runs() {
+        let strategy = VoteRig;
+        let spec = paired_spec(&strategy);
+        let rep = run_equilibrium_with(builder(), &spec, TRIALS, MASTER_SEED);
+        assert_eq!(rep.honest.trials, TRIALS);
+        assert_eq!(rep.honest, fresh_arms(&spec, 0..TRIALS).0);
+    }
+
+    #[test]
+    fn deviating_arm_replays_as_fresh_attack_trials() {
+        for strategy in standard_attacks() {
+            let spec = paired_spec(strategy.as_ref());
+            let rep = run_equilibrium_with(builder(), &spec, TRIALS, MASTER_SEED);
+            assert_eq!(rep.deviating.trials, TRIALS);
+            assert_eq!(
+                rep.deviating,
+                fresh_arms(&spec, 0..TRIALS).1,
+                "{}: deviating arm left its fresh replay",
+                strategy.name()
+            );
+        }
+    }
+
+    #[test]
+    fn honest_arm_does_not_depend_on_the_strategy() {
+        // The arena runs each strategy's deviating agents between honest
+        // runs; the honest arm must come out the same whichever it was.
+        let arms: Vec<(&str, ArmStats)> = standard_attacks()
+            .iter()
+            .map(|s| {
+                let rep =
+                    run_equilibrium_with(builder(), &paired_spec(s.as_ref()), TRIALS, MASTER_SEED);
+                (s.name(), rep.honest)
+            })
+            .collect();
+        for (name, arm) in &arms[1..] {
+            assert_eq!(
+                arm, &arms[0].1,
+                "{name}'s honest arm differs from {}'s",
+                arms[0].0
+            );
+        }
+    }
+
+    #[test]
+    fn arm_tallies_merge_across_any_split_of_the_trials() {
+        // E7 folds the trials on several workers and merges their arms.
+        // With χ = 1 every utility is -1, 0 or 1, so the merged float sums
+        // are exact and any split must reproduce the one-pass sweep.
+        let strategy = ForgeCert::zero_k();
+        let spec = paired_spec(&strategy);
+        let rep = run_equilibrium_with(builder(), &spec, TRIALS, MASTER_SEED);
+        for k in 0..=TRIALS {
+            let (mut honest, mut deviating) = fresh_arms(&spec, 0..k);
+            let (tail_honest, tail_deviating) = fresh_arms(&spec, k..TRIALS);
+            honest.merge(&tail_honest);
+            deviating.merge(&tail_deviating);
+            assert_eq!(honest, rep.honest, "honest arm diverged when split at {k}");
+            assert_eq!(
+                deviating, rep.deviating,
+                "deviating arm diverged when split at {k}"
+            );
+        }
+    }
+}

@@ -148,3 +148,43 @@ fn experiments_registry_runs_a_small_one() {
     let csv = tables[0].to_csv();
     assert!(csv.lines().count() > 1);
 }
+
+#[test]
+fn e07_runs_each_coalition_size_once() {
+    // At the quick size n = 48, log₂ n = n/8 = 6: the coalition-size
+    // sweeps name t = 6 twice, and each size must still get one row.
+    let opts = rational_fair_consensus::experiments::ExpOptions {
+        quick: true,
+        seed: 1,
+        threads: 2,
+        ..Default::default()
+    };
+    let tables = rational_fair_consensus::experiments::run_by_id("e07", &opts).expect("e07 exists");
+    let [e7, e7b] = &tables[..] else {
+        panic!("e07 prints E7 and E7b, got {} tables", tables.len());
+    };
+    let strategies = rational_fair_consensus::adversary::standard_attacks().len();
+    let mut cells: Vec<(&str, &str)> = e7
+        .rows
+        .iter()
+        .map(|r| (r[0].as_str(), r[1].as_str()))
+        .collect();
+    assert_eq!(
+        cells.len(),
+        strategies * 2,
+        "E7 sweeps t ∈ {{1, 6}} per strategy"
+    );
+    cells.sort();
+    cells.dedup();
+    assert_eq!(
+        cells.len(),
+        strategies * 2,
+        "E7 repeats a (strategy, t) row"
+    );
+    let probe: Vec<&str> = e7b.rows.iter().map(|r| r[0].as_str()).collect();
+    assert_eq!(
+        probe,
+        ["1", "6", "12", "18", "24"],
+        "E7b sweeps each t once"
+    );
+}

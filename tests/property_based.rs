@@ -208,3 +208,108 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The sequential-GOSSIP twin of the first property: any (n, γ,
+    /// split, seed, slack) spends its whole tick budget and ends with
+    /// every agent decided-or-failed, and agreement holds whenever
+    /// consensus does.
+    #[test]
+    fn async_runs_terminate_and_agreement_holds(
+        n in 8usize..48,
+        gamma in 1.5f64..4.0,
+        frac in 0.1f64..0.9,
+        seed in any::<u64>(),
+        slack in 1usize..4,
+    ) {
+        let c0 = ((n as f64 * frac) as usize).clamp(1, n - 1);
+        let cfg = RunConfig::builder(n).gamma(gamma).colors(vec![c0, n - c0]).build();
+        let report = run_protocol_async(&cfg, seed, slack);
+        prop_assert_eq!(report.decisions.len(), n);
+        prop_assert_eq!(
+            report.metrics.ticks as usize,
+            cfg.params().async_schedule(slack).total_rounds()
+        );
+        if let Outcome::Consensus(c) = report.outcome {
+            prop_assert!(c < 2);
+            for d in &report.decisions {
+                prop_assert_eq!(*d, Decision::Decided(c));
+            }
+        }
+    }
+
+    /// Async determinism under loss: identical (config, seed) ⇒ an
+    /// identical report, for arbitrary seeds and loss rates.
+    #[test]
+    fn async_runs_are_reproducible(seed in any::<u64>(), loss in 0.0f64..0.3) {
+        let cfg = RunConfig::builder(24)
+            .gamma(2.0)
+            .colors(vec![12, 12])
+            .message_loss(loss)
+            .build();
+        let a = run_protocol_async(&cfg, seed, 2);
+        let b = run_protocol_async(&cfg, seed, 2);
+        prop_assert_eq!(a.outcome, b.outcome);
+        prop_assert_eq!(a.winner, b.winner);
+        prop_assert_eq!(&a.decisions, &b.decisions);
+        prop_assert_eq!(&a.metrics, &b.metrics);
+    }
+
+    /// Down to two agents, where `q` and each color's support are
+    /// smallest, an async run reports consensus exactly when every agent
+    /// decided the same color.
+    #[test]
+    fn tiny_async_networks_report_consensus_iff_all_agree(
+        n in 2usize..8,
+        seed in any::<u64>(),
+        slack in 1usize..4,
+    ) {
+        let cfg = RunConfig::builder(n).gamma(3.0).colors(vec![n - n / 2, n / 2]).build();
+        let report = run_protocol_async(&cfg, seed, slack);
+        prop_assert_eq!(report.decisions.len(), n);
+        let agreed = match report.decisions[0] {
+            Decision::Decided(c) => report.decisions.iter().all(|d| *d == Decision::Decided(c)),
+            _ => false,
+        };
+        prop_assert_eq!(report.outcome.is_consensus(), agreed, "{:?}", report.decisions);
+    }
+
+    /// Any static fault plan, on either synchronous engine: faulty agents
+    /// never act, every push and pull query is metered plus one reply per
+    /// answered pull, and exactly the sends to faulty agents go
+    /// undelivered.
+    #[test]
+    fn sync_metering_is_exact_for_any_fault_plan(
+        n in 8usize..64,
+        alpha in 0.0f64..0.5,
+        placement_seed in any::<u64>(),
+        seed in any::<u64>(),
+        staged in any::<bool>(),
+    ) {
+        use rational_fair_consensus::gossip_net::fault::Placement;
+        use rational_fair_consensus::gossip_net::oplog::OpKind;
+        use rational_fair_consensus::rfc_core::runner::{
+            build_network_slots, drive_network, honest_slot_factory,
+        };
+        let mut builder = RunConfig::builder(n)
+            .gamma(3.0)
+            .colors(vec![n - n / 2, n / 2])
+            .faults(alpha, Placement::Random { seed: placement_seed })
+            .record_ops(true);
+        if staged {
+            builder = builder.sharded(2).shard_floor(0);
+        }
+        let cfg = builder.build();
+        let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
+        drive_network(&mut net, &cfg);
+        let plan = net.faults();
+        let events = net.oplog().events();
+        prop_assert!(events.iter().all(|ev| !plan.is_faulty(ev.from)));
+        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count() as u64;
+        let to_faulty = events.iter().filter(|ev| plan.is_faulty(ev.to)).count() as u64;
+        prop_assert_eq!(net.metrics().messages_sent, events.len() as u64 + answered);
+        prop_assert_eq!(net.metrics().undelivered, to_faulty);
+    }
+}

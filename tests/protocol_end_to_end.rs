@@ -176,3 +176,102 @@ fn uniform_start_instantly_fair() {
         }
     }
 }
+
+#[test]
+fn crashed_agents_stay_silent_until_they_recover() {
+    // Scripted churn on either synchronous engine: agents 3, 4 and 5
+    // crash early in Voting and agent 4 recovers halfway through
+    // Find-Min. A crashed agent performs no operation, a send to it is
+    // metered but undelivered, and the recovered agent acts again.
+    use rational_fair_consensus::gossip_net::oplog::{OpEvent, OpKind};
+    use rational_fair_consensus::rfc_core::runner::{
+        build_network_slots, drive_network, honest_slot_factory,
+    };
+    let n = 32;
+    let base = RunConfig::builder(n).gamma(3.0).colors(vec![16, 16]);
+    let phase_len = base.clone().build().params().sync_schedule().phase_len;
+    let (crash_at, recover_at) = (phase_len + phase_len / 4, 2 * phase_len + phase_len / 2);
+    let script = ScenarioScript::new()
+        .crash(crash_at, vec![3, 4, 5])
+        .recover(recover_at, vec![4]);
+    let down = |u: AgentId, round: u32| {
+        let round = round as usize;
+        (3..=5).contains(&u) && round >= crash_at && !(u == 4 && round >= recover_at)
+    };
+    for staged in [false, true] {
+        let mut builder = base.clone().scenario(script.clone()).record_ops(true);
+        if staged {
+            builder = builder.sharded(2).shard_floor(0);
+        }
+        let cfg = builder.build();
+        let mut net = build_network_slots(&cfg, 7, &mut honest_slot_factory);
+        drive_network(&mut net, &cfg);
+        let events: &[OpEvent] = net.oplog().events();
+        assert!(
+            events.iter().all(|ev| !down(ev.from, ev.round)),
+            "staged={staged}: a crashed agent acted"
+        );
+        assert!(
+            events
+                .iter()
+                .any(|ev| ev.from == 4 && ev.round as usize >= recover_at),
+            "staged={staged}: the recovered agent never acted again"
+        );
+        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count();
+        let to_down = events.iter().filter(|ev| down(ev.to, ev.round)).count();
+        assert!(
+            to_down > 0,
+            "staged={staged}: nothing was sent to a crashed agent"
+        );
+        assert_eq!(
+            net.metrics().messages_sent,
+            (events.len() + answered) as u64
+        );
+        assert_eq!(net.metrics().undelivered, to_down as u64, "staged={staged}");
+    }
+}
+
+#[test]
+fn sends_across_a_partition_cut_are_metered_undelivered() {
+    // A cut splits the agents in half from mid-Commitment to the end of
+    // Voting, on either synchronous engine: only sends across it while
+    // it stands go undelivered, and every one of them is still metered.
+    use rational_fair_consensus::gossip_net::oplog::OpKind;
+    use rational_fair_consensus::rfc_core::runner::{
+        build_network_slots, drive_network, honest_slot_factory,
+    };
+    let n = 32;
+    let base = RunConfig::builder(n).gamma(3.0).colors(vec![16, 16]);
+    let phase_len = base.clone().build().params().sync_schedule().phase_len;
+    let (cut_at, heal_at) = (phase_len / 2, 2 * phase_len);
+    let cut = PartitionCut::split_at(n, n / 2);
+    let script = ScenarioScript::new()
+        .partition(cut_at, cut.clone())
+        .heal(heal_at);
+    for staged in [false, true] {
+        let mut builder = base.clone().scenario(script.clone()).record_ops(true);
+        if staged {
+            builder = builder.sharded(2).shard_floor(0);
+        }
+        let cfg = builder.build();
+        let mut net = build_network_slots(&cfg, 11, &mut honest_slot_factory);
+        drive_network(&mut net, &cfg);
+        let events = net.oplog().events();
+        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count();
+        let across = events
+            .iter()
+            .filter(|ev| {
+                (cut_at..heal_at).contains(&(ev.round as usize)) && cut.blocks(ev.from, ev.to)
+            })
+            .count();
+        assert!(
+            across > 0,
+            "staged={staged}: nothing was sent across the cut"
+        );
+        assert_eq!(
+            net.metrics().messages_sent,
+            (events.len() + answered) as u64
+        );
+        assert_eq!(net.metrics().undelivered, across as u64, "staged={staged}");
+    }
+}
