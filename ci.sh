@@ -3,7 +3,8 @@
 # runs, plus the targets that must not bitrot (all eight examples, the
 # experiment registry binary and its error paths, the two-process node,
 # the perf gate over BENCH_scale.json's E14, E16 and E17 tables (plus
-# the E16L landmark, gated only when re-captured), the benchmark
+# the E16L landmark, gated only when re-captured) and a check that the
+# fresh E16/E17 digests equal the committed ones, the benchmark
 # package's self-test).
 #
 # Usage: ./ci.sh
@@ -136,7 +137,7 @@ fi
 echo "==> instance-plane smoke: e17 --quick (10^1..10^4 instance sweep + interference assert)"
 # The run itself asserts: High-priority instances never rank behind Low
 # under a send budget, and a consensus instance's report is identical
-# with 0 vs 1000 co-hosted instances (per-instance stream independence).
+# with 0 vs 1000 co-hosted instances (per-instance seed independence).
 cargo run --release -q -p experiments --bin rfc-experiments -- e17 --quick >/dev/null
 
 echo "==> checkpoint/resume smoke: e16 --quick with --checkpoint-every, then --resume-from"
@@ -249,6 +250,23 @@ echo "    node bad input OK: --slack 0 and a non-socket path refused"
 echo "==> perf snapshot: e14/e16/e17 --quick -> fresh JSON (two captures for a best-of-2 gate)"
 cargo run --release -q -p experiments --bin rfc-experiments -- e14 e16 e17 --quick --json target/bench-json >/dev/null
 cargo run --release -q -p experiments --bin rfc-experiments -- e14 e16 e17 --quick --json target/bench-json2 >/dev/null
+
+echo "==> perf snapshot: fresh E16/E17 digest cells == the committed BENCH_scale.json lines"
+# The gate below compares throughput and memory only, so a moved digest
+# would pass it. Each table's seed-determined 16-hex digest cells must
+# form the same set as in its committed line, found by title prefix
+# ("E16 — " skips the E16L landmark; the committed file writes
+# `"title": "`, the CLI `"title":"`).
+for e in 16 17; do
+    fresh=$(grep -oE '"[0-9a-f]{16}"' "target/bench-json/e${e}_0.json" | sort -u)
+    committed=$(grep -E "^\{\"title\": ?\"E$e — " BENCH_scale.json | grep -oE '"[0-9a-f]{16}"' | sort -u)
+    if [ -z "$fresh" ] || [ "$fresh" != "$committed" ]; then
+        echo "FAIL: E$e digest cells differ from BENCH_scale.json (< committed, > fresh)" >&2
+        diff <(echo "$committed") <(echo "$fresh") >&2 || true
+        exit 1
+    fi
+    echo "    E$e digests OK: $(echo "$fresh" | wc -l) distinct cells equal the committed ones"
+done
 
 echo "==> perf gate: self-test (every cell 1% past the tolerance must trip the comparator, 1% inside must pass)"
 cargo run --release -q -p rfc-bench --bin rfc-bench -- selftest BENCH_scale.json

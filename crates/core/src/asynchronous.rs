@@ -22,7 +22,8 @@
 //! the failure probability decays exponentially in `q` (measured in E12).
 //!
 //! [`run_protocol_async`] drives the scheduler with the phase clock
-//! ([`crate::runner::drive_phases`]) over the async schedule's windows,
+//! ([`crate::runner::drive_phases`]) over the async schedule's windows
+//! (three under the `skip_coherence` ablation, as synchronous runs),
 //! one [`Network::run_async`](gossip_net::network::Network::run_async)
 //! tick per unit — the same advance step the `rfc-node` session takes.
 //! Every operation completes (pull round-trip included) inside its tick,
@@ -33,7 +34,7 @@ use crate::agent_plane::AgentSlot;
 use crate::engine::ProtocolCore;
 use crate::params::Params;
 use crate::runner::{
-    build_network_slots, collect_report, drive_phases, unchecked, RunConfig, RunReport,
+    build_network_slots, collect_report, drive_phases, run_windows, unchecked, RunConfig, RunReport,
 };
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::rng::DetRng;
@@ -68,7 +69,7 @@ pub fn run_protocol_async(cfg: &RunConfig, seed: u64, slack: usize) -> RunReport
     let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
     let Ok(()) = drive_phases(
         &mut net,
-        schedule.windows(),
+        run_windows(cfg, schedule),
         |net| net.run_async(1, &mut scheduler),
         unchecked,
     );
@@ -123,5 +124,29 @@ mod tests {
             .map(|s| run_protocol_async(&cfg, s, 1).outcome.is_consensus())
             .collect();
         assert!(outcomes.iter().any(|&b| b), "some run should succeed");
+        assert!(outcomes.iter().any(|&b| !b), "some run should fail");
+    }
+
+    #[test]
+    fn skip_coherence_drops_the_async_coherence_window() {
+        // The ablation removes the Coherence phase under the async
+        // scheduler too: three windows of slack·n·q ticks, no more.
+        let (n, slack) = (24, 3);
+        let cfg = RunConfig::builder(n)
+            .gamma(3.0)
+            .skip_coherence(true)
+            .build();
+        let report = run_protocol_async(&cfg, 7, slack);
+        assert_eq!(
+            report.metrics.ticks as usize,
+            3 * slack * n * cfg.params().q
+        );
+        let labels: Vec<&str> = report
+            .metrics
+            .phases
+            .iter()
+            .map(|(l, _)| l.as_str())
+            .collect();
+        assert_eq!(labels, ["commitment", "voting", "find-min"]);
     }
 }

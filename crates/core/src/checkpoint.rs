@@ -80,8 +80,8 @@ use crate::ledger::{ConsistencyError, Declaration};
 use crate::msg::Msg;
 use crate::payload::{CertId, ListId, PayloadPool};
 use crate::runner::{
-    build_network_slots, collect_report, drive_phases, honest_slot_factory, network_ingredients,
-    sync_rounds, sync_windows, RunConfig, RunReport,
+    build_network_slots, collect_report, drive_network, drive_phases, honest_slot_factory,
+    network_ingredients, sync_rounds, sync_windows, RunConfig, RunReport,
 };
 
 /// File magic: the first four bytes of every checkpoint.
@@ -930,20 +930,8 @@ pub fn run_protocol_with_checkpoints(
 /// report is bit-identical to the straight-through run of the same
 /// `(cfg, seed)` — the resume-equivalence contract.
 pub fn resume_protocol(cfg: &RunConfig, bytes: &[u8]) -> Result<RunReport, CheckpointError> {
-    resume_protocol_with_checkpoints(cfg, bytes, None, &mut |_, _| {})
-}
-
-/// [`resume_protocol`], itself emitting further checkpoints (so a
-/// resumed mega-run stays resumable).
-pub fn resume_protocol_with_checkpoints(
-    cfg: &RunConfig,
-    bytes: &[u8],
-    every: Option<usize>,
-    sink: &mut dyn FnMut(usize, &[u8]),
-) -> Result<RunReport, CheckpointError> {
-    let restored = restore_network(cfg, bytes)?;
-    let mut net = restored.net;
-    drive_with_checkpoints(&mut net, cfg, restored.seed, every, sink)?;
+    let mut net = restore_network(cfg, bytes)?.net;
+    drive_network(&mut net, cfg);
     Ok(collect_report(&net, cfg))
 }
 

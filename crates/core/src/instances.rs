@@ -13,36 +13,28 @@
 //!
 //! ## Guarantees
 //!
-//! * **Single-instance identity.** A plan of exactly one consensus
-//!   instance (start 0, no send budget) runs the phase clock
+//! * **One path.** Every plan runs the phase clock
 //!   ([`crate::runner::drive_phases`]) over
-//!   [`crate::runner::drive_network`]'s windows, with engine-level loss,
-//!   and a singleton [`Batch`] is bit-for-bit the size of its bare
-//!   payload — so the multiplexed run is *digest-identical* to the
-//!   legacy [`crate::run_protocol`] path (pinned by
-//!   `tests/dispatch_equivalence.rs` and a golden row).
-//! * **Per-instance phase clocks.** A cell's local round is
-//!   `engine_round - start_round`; instances start and finish
-//!   independently, and a consensus cell finalizes (Verification) the
-//!   moment its own window closes, regardless of co-hosted stragglers.
-//! * **Stream independence.** Multi-instance loss is drawn *inside* the
-//!   multiplexer, one fresh stream per `(instance, family, round,
-//!   receiver, peer)` event via
-//!   [`gossip_net::rng::loss_streams::per_instance`], and instance
-//!   `j > 0` seeds all its private coins from
-//!   `derive_seed(master, INSTANCE_BASE + j)`. Adding or removing an
-//!   instance therefore never perturbs another instance's draws — the
-//!   interference test pins instance 0's report with 0 and 10³
-//!   co-hosted neighbours.
+//!   [`crate::runner::drive_network`]'s windows, and every instance acts
+//!   on the engine's round from round 0. Loss, faults and partitions
+//!   apply in the engine, per wire message: a lost batch loses every
+//!   part. A singleton [`Batch`] is bit-for-bit the size of its bare
+//!   payload, so a one-consensus plan is *digest-identical* to
+//!   [`crate::run_protocol`] (pinned by `tests/dispatch_equivalence.rs`
+//!   and a golden row).
+//! * **Seed independence.** Instance `j > 0` seeds all its private coins
+//!   from `derive_seed(master, INSTANCE_BASE + j)`. On a loss-free
+//!   network, adding or removing an instance therefore never perturbs
+//!   another instance's report — E17's interference table pins
+//!   instance 0's report with 0 and 10³ co-hosted neighbours.
 //!
 //! ## Metering
 //!
-//! Per-instance meters charge **payload bits only**, at send time, plus
-//! the loss-undelivered count observed at receivers; the batch's
-//! instance-tag overhead ([`crate::msg::INSTANCE_TAG_BITS`] per
-//! non-first part) and engine-level suppression (off-edge, partition,
-//! crashed receiver) appear only in the *aggregate* engine metrics. An
-//! instance's meter is therefore invariant to co-hosting.
+//! Per-instance meters charge **payload bits only**, at send time; the
+//! batch's instance-tag overhead ([`crate::msg::INSTANCE_TAG_BITS`] per
+//! non-first part) and every engine suppression (loss, off-edge,
+//! partition, crashed receiver) appear only in the *aggregate* engine
+//! metrics, so an instance's `undelivered` reads 0.
 //!
 //! ## Priority classes
 //!
@@ -58,15 +50,13 @@ use crate::msg::{Batch, Msg};
 use crate::outcome::{Decision, Outcome};
 use crate::payload::PayloadPool;
 use crate::runner::{
-    drive_phases, network_ingredients, report_of_agents, streams, sync_windows, unchecked,
-    RunConfig, RunReport,
+    drive_network, network_ingredients, report_of_agents, streams, RunConfig, RunReport,
 };
 use gossip_net::agent::{Agent, Op, RoundCtx};
-use gossip_net::dynamics::LossSchedule;
 use gossip_net::ids::AgentId;
 use gossip_net::metrics::{Metrics, Tally};
 use gossip_net::network::Network;
-use gossip_net::rng::{derive_seed, loss_streams, DetRng};
+use gossip_net::rng::{derive_seed, DetRng};
 use gossip_net::size::{MsgSize, SizeEnv};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,25 +100,17 @@ pub struct InstanceSpec {
     pub kind: InstanceKind,
     /// Send-budget class.
     pub priority: Priority,
-    /// Engine round at which the instance's local clock starts.
-    pub start_round: usize,
 }
 
 impl InstanceSpec {
-    /// A high-priority instance starting at round 0.
+    /// A high-priority instance.
     pub fn new(kind: InstanceKind) -> Self {
-        InstanceSpec { kind, priority: Priority::High, start_round: 0 }
+        InstanceSpec { kind, priority: Priority::High }
     }
 
     /// Set the priority class.
     pub fn priority(mut self, p: Priority) -> Self {
         self.priority = p;
-        self
-    }
-
-    /// Set the start round (staggered admission).
-    pub fn start_at(mut self, round: usize) -> Self {
-        self.start_round = round;
         self
     }
 }
@@ -144,8 +126,8 @@ pub struct InstancePlan {
 }
 
 impl InstancePlan {
-    /// `count` consensus instances, all high priority, all starting at 0.
-    /// `consensus(1)` is the plan every legacy entry point runs.
+    /// `count` consensus instances, all high priority.
+    /// `consensus(1)` runs exactly what [`crate::run_protocol`] runs.
     pub fn consensus(count: usize) -> Self {
         InstancePlan {
             specs: vec![InstanceSpec::new(InstanceKind::Consensus); count],
@@ -181,17 +163,6 @@ impl InstancePlan {
     /// True when the plan is empty (invalid for [`run_plane`]).
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
-    }
-
-    /// True when this plan is the legacy shape — exactly one consensus
-    /// instance, starting at round 0, unbudgeted — which
-    /// [`run_plane`] executes through the legacy driver with
-    /// engine-level loss (bit-identical to [`crate::run_protocol`]).
-    pub fn is_single_consensus(&self) -> bool {
-        self.send_budget.is_none()
-            && self.specs.len() == 1
-            && self.specs[0].kind == InstanceKind::Consensus
-            && self.specs[0].start_round == 0
     }
 }
 
@@ -286,7 +257,7 @@ pub struct RumorVoteCore {
     rng: DetRng,
     /// `Some((value, voters))` once informed.
     known: Option<(u64, VoterSet)>,
-    /// Local round at which this agent first saw `k` voters.
+    /// Round at which this agent first saw `k` voters.
     pub decided_at: Option<usize>,
 }
 
@@ -358,81 +329,45 @@ impl RumorVoteCore {
 
 /// One hosted instance inside a [`MuxAgent`].
 struct Cell {
-    start_round: usize,
     priority: Priority,
     inner: CellInner,
 }
 
 enum CellInner {
-    Consensus {
-        slot: AgentSlot,
-        /// Local rounds in the instance's communicating window (`4q`).
-        window: usize,
-        finalized: bool,
-    },
+    Consensus(AgentSlot),
     Rumor(RumorVoteCore),
-}
-
-/// In-handler loss state for multi-instance plans (single-instance
-/// plans keep loss in the engine, legacy-exact).
-#[derive(Clone)]
-struct LocalLoss {
-    schedule: LossSchedule,
-    loss_seed: u64,
-}
-
-impl LocalLoss {
-    /// One fresh draw for a per-part loss event. `receiver` keys the
-    /// stream (matching the engine's per-agent discipline, where the
-    /// receiving side owns the draw).
-    fn dropped(&self, family: u64, round: usize, instance: u32, receiver: AgentId, peer: AgentId) -> bool {
-        let p = self.schedule.p_at(round);
-        p > 0.0
-            && loss_streams::per_instance(self.loss_seed, family, round, instance as u64, receiver, peer)
-                .chance(p)
-    }
 }
 
 /// A pull this node sent and whose reply has not arrived yet:
 /// the engine answers pulls strictly in op order, so a FIFO suffices.
 struct PendingPull {
     peer: AgentId,
-    /// `(instance, local round at which the pull was made)`.
-    covered: Vec<(u32, usize)>,
+    /// The instances whose queries the pull carried, in part order.
+    covered: Vec<u32>,
 }
 
 /// The node-level multiplexer: one per network slot, hosting one cell
 /// per instance of the plan (see the module docs).
 pub struct MuxAgent {
-    id: AgentId,
     env: SizeEnv,
     cells: Vec<Cell>,
     /// Cell indices by priority class, in plan order.
     high: Vec<u32>,
     low: Vec<u32>,
-    local_loss: Option<LocalLoss>,
     send_budget: Option<usize>,
     pending_pulls: VecDeque<PendingPull>,
     /// Budget-skipped pulls owed a synthetic `on_reply(None)`:
-    /// `(instance, local round of the skipped pull)`.
+    /// `(instance, round of the skipped pull)`.
     deferred_silence: Vec<(u32, usize)>,
     /// Per-instance send meters (payload bits only; see module docs).
     inst_sent: Vec<Tally>,
-    /// Per-instance in-handler loss drops observed at this receiver.
-    inst_undelivered: Vec<u64>,
     /// Scratch: `(peer, kind) -> out-op slot + 1` for batch grouping.
     group_slot: Vec<u32>,
     touched: Vec<usize>,
 }
 
 impl MuxAgent {
-    fn new(
-        id: AgentId,
-        env: SizeEnv,
-        cells: Vec<Cell>,
-        local_loss: Option<LocalLoss>,
-        send_budget: Option<usize>,
-    ) -> Self {
+    fn new(env: SizeEnv, cells: Vec<Cell>, send_budget: Option<usize>) -> Self {
         let mut high = Vec::new();
         let mut low = Vec::new();
         for (j, c) in cells.iter().enumerate() {
@@ -443,65 +378,39 @@ impl MuxAgent {
         }
         let k = cells.len();
         MuxAgent {
-            id,
             env,
             cells,
             high,
             low,
-            local_loss,
             send_budget,
             pending_pulls: VecDeque::new(),
             deferred_silence: Vec::new(),
             inst_sent: vec![Tally::default(); k],
-            inst_undelivered: vec![0; k],
             group_slot: Vec::new(),
             touched: Vec::new(),
         }
     }
 
-    fn local_ctx<'a>(&self, ctx: &RoundCtx<'a>, start: usize) -> RoundCtx<'a> {
-        RoundCtx { round: ctx.round - start, topology: ctx.topology }
-    }
-
     /// Deliver the synthetic silences owed to budget-skipped pulls.
     fn flush_deferred(&mut self, ctx: &RoundCtx) {
-        for k in 0..self.deferred_silence.len() {
-            let (inst, local) = self.deferred_silence[k];
-            let cell = &mut self.cells[inst as usize];
-            let lctx = RoundCtx { round: local, topology: ctx.topology };
-            match &mut cell.inner {
-                CellInner::Consensus { slot, .. } => slot.on_reply(0, None, &lctx),
-                CellInner::Rumor(_) => {}
+        for (inst, round) in self.deferred_silence.drain(..) {
+            if let CellInner::Consensus(slot) = &mut self.cells[inst as usize].inner {
+                let silent = RoundCtx {
+                    round,
+                    topology: ctx.topology,
+                };
+                slot.on_reply(0, None, &silent);
             }
         }
-        self.deferred_silence.clear();
     }
 
-    /// One cell's intended op this round, with per-instance window and
-    /// phase-clock bookkeeping (consensus cells finalize the round
-    /// after their window closes).
+    /// One cell's intended op this round.
     fn cell_intent(&mut self, j: u32, ctx: &RoundCtx) -> Option<Op<InstPayload>> {
-        let start = self.cells[j as usize].start_round;
-        if ctx.round < start {
-            return None; // not admitted yet
-        }
-        let lctx = self.local_ctx(ctx, start);
         match &mut self.cells[j as usize].inner {
-            CellInner::Consensus { slot, window, finalized } => {
-                if lctx.round >= *window {
-                    if !*finalized {
-                        let fctx = RoundCtx { round: *window, topology: ctx.topology };
-                        slot.finalize(&fctx);
-                        *finalized = true;
-                    }
-                    return None;
-                }
-                slot.act(&lctx)
-                    .map(|op| map_op(op, InstPayload::Consensus))
+            CellInner::Consensus(slot) => {
+                slot.act(ctx).map(|op| map_op(op, InstPayload::Consensus))
             }
-            CellInner::Rumor(core) => {
-                core.act(&lctx).map(|op| map_op(op, InstPayload::Rumor))
-            }
+            CellInner::Rumor(core) => core.act(ctx).map(|op| map_op(op, InstPayload::Rumor)),
         }
     }
 
@@ -579,8 +488,7 @@ impl Agent<PlaneMsg> for MuxAgent {
                     // suppressed pull is owed a synthetic silence so the
                     // cell observes "peer did not answer".
                     if matches!(op, Op::Pull { .. }) {
-                        let local = ctx.round - self.cells[j as usize].start_round;
-                        self.deferred_silence.push((j, local));
+                        self.deferred_silence.push((j, ctx.round));
                     }
                     continue;
                 }
@@ -597,11 +505,7 @@ impl Agent<PlaneMsg> for MuxAgent {
         // exactly this order) and reset the grouping scratch.
         for op in &out[out_base..] {
             if let Op::Pull { from, query } = op {
-                let covered = query
-                    .parts()
-                    .iter()
-                    .map(|p| (p.instance, ctx.round - self.cells[p.instance as usize].start_round))
-                    .collect();
+                let covered = query.parts().iter().map(|p| p.instance).collect();
                 self.pending_pulls.push_back(PendingPull { peer: *from, covered });
             }
         }
@@ -614,20 +518,9 @@ impl Agent<PlaneMsg> for MuxAgent {
         let mut reply: Option<PlaneMsg> = None;
         for part in query.parts() {
             let inst = part.instance;
-            if let Some(loss) = &self.local_loss {
-                if loss.dropped(loss_streams::QUERY, ctx.round, inst, self.id, from) {
-                    self.inst_undelivered[inst as usize] += 1;
-                    continue;
-                }
-            }
-            let cell = &mut self.cells[inst as usize];
-            if ctx.round < cell.start_round {
-                continue; // dormant cells are silent
-            }
-            let lctx = RoundCtx { round: ctx.round - cell.start_round, topology: ctx.topology };
-            let answer = match (&mut cell.inner, &part.payload) {
-                (CellInner::Consensus { slot, .. }, InstPayload::Consensus(q)) => {
-                    slot.on_pull(from, q, &lctx).map(InstPayload::Consensus)
+            let answer = match (&mut self.cells[inst as usize].inner, &part.payload) {
+                (CellInner::Consensus(slot), InstPayload::Consensus(q)) => {
+                    slot.on_pull(from, q, ctx).map(InstPayload::Consensus)
                 }
                 (CellInner::Rumor(core), InstPayload::Rumor(_)) => {
                     core.on_pull().map(InstPayload::Rumor)
@@ -648,22 +541,11 @@ impl Agent<PlaneMsg> for MuxAgent {
     fn on_push(&mut self, from: AgentId, msg: &PlaneMsg, ctx: &RoundCtx) {
         for part in msg.parts() {
             let inst = part.instance;
-            if let Some(loss) = &self.local_loss {
-                if loss.dropped(loss_streams::PUSH, ctx.round, inst, self.id, from) {
-                    self.inst_undelivered[inst as usize] += 1;
-                    continue;
+            match (&mut self.cells[inst as usize].inner, &part.payload) {
+                (CellInner::Consensus(slot), InstPayload::Consensus(m)) => {
+                    slot.on_push(from, m, ctx)
                 }
-            }
-            let cell = &mut self.cells[inst as usize];
-            if ctx.round < cell.start_round {
-                continue;
-            }
-            let lctx = RoundCtx { round: ctx.round - cell.start_round, topology: ctx.topology };
-            match (&mut cell.inner, &part.payload) {
-                (CellInner::Consensus { slot, .. }, InstPayload::Consensus(m)) => {
-                    slot.on_push(from, m, &lctx)
-                }
-                (CellInner::Rumor(core), InstPayload::Rumor(m)) => core.on_msg(m, lctx.round),
+                (CellInner::Rumor(core), InstPayload::Rumor(m)) => core.on_msg(m, ctx.round),
                 _ => debug_assert!(false, "instance {inst}: payload kind mismatch"),
             }
         }
@@ -676,35 +558,19 @@ impl Agent<PlaneMsg> for MuxAgent {
             .expect("reply delivered with no pull outstanding");
         debug_assert_eq!(pending.peer, from, "replies must arrive in pull order");
         let mut parts = reply.map(Batch::into_parts).unwrap_or_default().into_iter().peekable();
-        for (inst, local) in pending.covered {
+        for inst in pending.covered {
             // The pullee preserved part order and only omitted silent
             // parts, so a single forward pass pairs them back up.
-            let part = match parts.peek() {
-                Some(p) if p.instance == inst => parts.next(),
+            let payload = match parts.peek() {
+                Some(p) if p.instance == inst => parts.next().map(|p| p.payload),
                 _ => None,
             };
-            let payload = match part {
-                Some(p) => {
-                    let lost = self.local_loss.as_ref().is_some_and(|loss| {
-                        loss.dropped(loss_streams::REPLY, ctx.round, inst, self.id, from)
-                    });
-                    if lost {
-                        self.inst_undelivered[inst as usize] += 1;
-                        None
-                    } else {
-                        Some(p.payload)
-                    }
+            match (&mut self.cells[inst as usize].inner, payload) {
+                (CellInner::Consensus(slot), Some(InstPayload::Consensus(m))) => {
+                    slot.on_reply(from, Some(m), ctx)
                 }
-                None => None,
-            };
-            let cell = &mut self.cells[inst as usize];
-            let lctx = RoundCtx { round: local, topology: ctx.topology };
-            match (&mut cell.inner, payload) {
-                (CellInner::Consensus { slot, .. }, Some(InstPayload::Consensus(m))) => {
-                    slot.on_reply(from, Some(m), &lctx)
-                }
-                (CellInner::Consensus { slot, .. }, None) => slot.on_reply(from, None, &lctx),
-                (CellInner::Rumor(core), Some(InstPayload::Rumor(m))) => core.on_msg(&m, local),
+                (CellInner::Consensus(slot), None) => slot.on_reply(from, None, ctx),
+                (CellInner::Rumor(core), Some(InstPayload::Rumor(m))) => core.on_msg(&m, ctx.round),
                 (CellInner::Rumor(_), None) => {}
                 _ => debug_assert!(false, "instance {inst}: payload kind mismatch"),
             }
@@ -714,13 +580,8 @@ impl Agent<PlaneMsg> for MuxAgent {
     fn finalize(&mut self, ctx: &RoundCtx) {
         self.flush_deferred(ctx);
         for cell in &mut self.cells {
-            if let CellInner::Consensus { slot, window, finalized } = &mut cell.inner {
-                if !*finalized {
-                    let local = ctx.round.saturating_sub(cell.start_round).min(*window);
-                    let fctx = RoundCtx { round: local, topology: ctx.topology };
-                    slot.finalize(&fctx);
-                    *finalized = true;
-                }
+            if let CellInner::Consensus(slot) = &mut cell.inner {
+                slot.finalize(ctx);
             }
         }
     }
@@ -736,10 +597,11 @@ const _: () = {
     assert_sync::<PlaneMsg>();
 };
 
-/// Report for one instance of a plane run. All fields are pure
-/// functions of the instance's own seed streams and traffic — adding a
-/// co-hosted instance never changes them (unless a send budget couples
-/// the instances on purpose).
+/// Report for one instance of a plane run. On a loss-free network all
+/// fields are pure functions of the instance's own seed streams and
+/// traffic — adding a co-hosted instance never changes them (unless a
+/// send budget couples the instances on purpose). Under loss, co-hosted
+/// parts share their batch's fate.
 #[derive(Debug, Clone)]
 pub struct InstanceReport {
     /// The spec this instance ran.
@@ -750,12 +612,13 @@ pub struct InstanceReport {
     pub winner: Option<AgentId>,
     /// Consensus instances: per-agent terminal status.
     pub decisions: Vec<Decision>,
-    /// Rumor instances: per-agent local round of decision.
+    /// Rumor instances: per-agent round of decision.
     pub decided_at: Vec<Option<usize>>,
     /// Agents that decided (consensus: `Decided`; rumor: saw `k` votes).
     pub decided: usize,
-    /// Local rounds until the instance as a whole decided (rumor: the
-    /// slowest active agent's decision round; consensus: the window).
+    /// Rounds until the instance as a whole decided (rumor: the
+    /// slowest active agent's decision round; consensus: the run's
+    /// rounds).
     pub rounds_to_decision: Option<usize>,
     /// Payload-only meters (see module docs for the metering contract).
     pub metrics: Metrics,
@@ -771,39 +634,24 @@ pub struct PlaneReport {
     pub aggregate: Metrics,
     /// Engine rounds executed.
     pub rounds: usize,
-    /// When instance 0 is a round-0 consensus instance: a legacy-shaped
-    /// [`RunReport`] over its cells — digest-identical to
+    /// When instance 0 is a consensus instance: a [`RunReport`] over its
+    /// cells and the aggregate engine metrics — digest-identical to
     /// [`crate::run_protocol`] on the single-instance plan.
     pub legacy: Option<RunReport>,
 }
 
 /// Execute `plan` over the network of `(cfg, seed)` (see module docs).
 ///
-/// Single-instance plans run the legacy phase windows with engine-level
-/// loss (bit-identical to [`crate::run_protocol`]); multi-instance plans
-/// run one "instances" window with loss drawn per part inside the
-/// multiplexer. Both run on the phase clock,
-/// [`crate::runner::drive_phases`]. Op-log audits are not supported on
-/// the plane (`record_ops` must be off).
+/// Every plan runs [`crate::runner::drive_network`] — the phase clock
+/// over the synchronous windows, as [`crate::run_protocol`] does — with
+/// the engine's own loss, faults and partitions, so a one-consensus plan
+/// is bit-identical to [`crate::run_protocol`]. Op-log audits are not
+/// supported on the plane (`record_ops` must be off).
 pub fn run_plane(cfg: &RunConfig, plan: &InstancePlan, seed: u64) -> PlaneReport {
     assert!(!plan.is_empty(), "an instance plan needs at least one instance");
     assert!(!cfg.record_ops, "instance planes do not support op-log audits");
-    let single_legacy = plan.is_single_consensus();
-    let (params, colors0, faults, topology, env, mut net_cfg) = network_ingredients(cfg, seed);
-    let window = params.total_rounds();
+    let (params, colors0, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
     let n = cfg.n;
-
-    // Multi-instance plans move loss out of the engine and into the
-    // multiplexer, one stream per (instance, family, round, receiver,
-    // peer) — the engine would otherwise draw one coin per *batch*,
-    // coupling co-hosted instances' streams.
-    let local_loss = if single_legacy {
-        None
-    } else {
-        let schedule = std::mem::replace(&mut net_cfg.loss, LossSchedule::constant(0.0));
-        let loss_seed = net_cfg.loss_seed;
-        (schedule.max_p() > 0.0).then_some(LocalLoss { schedule, loss_seed })
-    };
 
     // Per-instance ingredients: instance 0 replicates the legacy seed
     // streams exactly; instance j > 0 derives everything from its own
@@ -854,11 +702,7 @@ pub fn run_plane(cfg: &RunConfig, plan: &InstancePlan, seed: u64) -> PlaneReport
                                     rng,
                                 )
                             });
-                            CellInner::Consensus {
-                                slot: AgentSlot::honest(core),
-                                window,
-                                finalized: false,
-                            }
+                            CellInner::Consensus(AgentSlot::honest(core))
                         }
                         InstanceKind::RumorVote { k } => {
                             let rng = DetRng::seeded(inst_seeds[j], RUMOR_AGENT_BASE + i as u64);
@@ -872,25 +716,18 @@ pub fn run_plane(cfg: &RunConfig, plan: &InstancePlan, seed: u64) -> PlaneReport
                             ))
                         }
                     };
-                    Cell { start_round: spec.start_round, priority: spec.priority, inner }
+                    Cell {
+                        priority: spec.priority,
+                        inner,
+                    }
                 })
                 .collect();
-            MuxAgent::new(i as AgentId, env, cells, local_loss.clone(), plan.send_budget)
+            MuxAgent::new(env, cells, plan.send_budget)
         })
         .collect();
 
     let mut net = Network::with_config(topology, env, agents, faults, net_cfg);
-    // A single legacy instance keeps the legacy cadence (one metrics
-    // phase per protocol phase, honoring skip_coherence) — what pins the
-    // phase-table identity. Otherwise every instance's rounds share one
-    // "instances" window.
-    let phases: Vec<(&'static str, usize)> = if single_legacy {
-        sync_windows(cfg).collect()
-    } else {
-        let total = plan.specs.iter().map(|s| s.start_round + window).max();
-        vec![("instances", total.expect("non-empty plan"))]
-    };
-    let Ok(()) = drive_phases(&mut net, phases, Network::step_staged, unchecked);
+    drive_network(&mut net, cfg);
 
     collect_plane_report(&net, cfg, plan)
 }
@@ -906,16 +743,12 @@ fn collect_plane_report(
     for (j, spec) in plan.specs.iter().enumerate() {
         // Payload meters: sum every node's per-instance tallies.
         let mut tally = Tally::default();
-        let mut undelivered = 0u64;
-        for i in 0..n as AgentId {
-            let a = net.agent(i);
+        for a in net.agents() {
             tally.merge(&a.inst_sent[j]);
-            undelivered += a.inst_undelivered[j];
         }
         let mut metrics = Metrics::new();
-        metrics.record_bulk(&tally, undelivered);
-        let window = cfg.params().total_rounds();
-        metrics.rounds = net.round().saturating_sub(spec.start_round).min(window) as u64;
+        metrics.record_bulk(&tally, 0);
+        metrics.rounds = net.round() as u64;
 
         let mut report = InstanceReport {
             spec: *spec,
@@ -938,8 +771,7 @@ fn collect_plane_report(
                 );
                 report.decided =
                     r.decisions.iter().filter(|d| matches!(d, Decision::Decided(_))).count();
-                report.rounds_to_decision =
-                    r.outcome.is_consensus().then(|| cfg.params().total_rounds());
+                report.rounds_to_decision = r.outcome.is_consensus().then_some(net.round());
                 report.outcome = Some(r.outcome);
                 report.winner = r.winner;
                 report.decisions = r.decisions;
@@ -969,18 +801,17 @@ fn collect_plane_report(
     }
 
     // Instance 0's report shaped exactly like `collect_report`'s output,
-    // so the single-instance plane run digests identically to the legacy
-    // pipeline.
-    let legacy = (plan.specs[0].kind == InstanceKind::Consensus && plan.specs[0].start_round == 0)
-        .then(|| {
-            report_of_agents(
-                consensus_slots(net, 0),
-                faults,
-                cfg,
-                net.round(),
-                net.metrics().clone(),
-            )
-        });
+    // so the single-instance plane run digests identically to
+    // `run_protocol`.
+    let legacy = (plan.specs[0].kind == InstanceKind::Consensus).then(|| {
+        report_of_agents(
+            consensus_slots(net, 0),
+            faults,
+            cfg,
+            net.round(),
+            net.metrics().clone(),
+        )
+    });
 
     PlaneReport {
         instances,
@@ -996,7 +827,7 @@ fn consensus_slots(
     j: usize,
 ) -> impl ExactSizeIterator<Item = &AgentSlot> {
     net.agents().iter().map(move |a| match &a.cells[j].inner {
-        CellInner::Consensus { slot, .. } => slot,
+        CellInner::Consensus(slot) => slot,
         CellInner::Rumor(_) => unreachable!("cell kind matches spec kind"),
     })
 }
@@ -1005,21 +836,6 @@ fn consensus_slots(
 mod tests {
     use super::*;
     use crate::runner::RunConfig;
-
-    #[test]
-    fn default_plan_is_the_legacy_shape() {
-        let plan = InstancePlan::consensus(1);
-        assert!(plan.is_single_consensus());
-        assert_eq!(plan.len(), 1);
-        // Budgets and staggering leave the legacy shape.
-        assert!(!plan.budget(1).is_single_consensus());
-        assert!(!InstancePlan::rumor(1, 3).is_single_consensus());
-        let staggered = InstancePlan {
-            specs: vec![InstanceSpec::new(InstanceKind::Consensus).start_at(4)],
-            send_budget: None,
-        };
-        assert!(!staggered.is_single_consensus());
-    }
 
     #[test]
     fn voter_set_counts_and_unions() {
@@ -1063,23 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn staggered_instances_finish_on_their_own_clocks() {
-        let window = RunConfig::builder(16).build().params().total_rounds();
-        let plan = InstancePlan {
-            specs: vec![
-                InstanceSpec::new(InstanceKind::RumorVote { k: 12 }),
-                InstanceSpec::new(InstanceKind::RumorVote { k: 12 }).start_at(5),
-            ],
-            send_budget: None,
-        };
-        let report = run_plane(&RunConfig::builder(16).build(), &plan, 3);
-        assert_eq!(report.rounds, window + 5, "engine covers the staggered window");
-        for inst in &report.instances {
-            assert_eq!(inst.decided, 16);
-        }
-    }
-
-    #[test]
     fn send_budget_priority_classes_skew_latency() {
         // 6 rumor instances, half Low priority, 2 ops/node/round: High
         // instances must decide no later on average than Low ones.
@@ -1102,29 +901,6 @@ mod tests {
             mean(0..3) <= mean(3..6),
             "High-priority instances should not be slower than Low"
         );
-    }
-
-    #[test]
-    fn per_instance_meters_are_cohosting_invariant_under_loss() {
-        // Instance reports (decisions, rounds, payload meters) for
-        // instances 0 and 1 must be identical whether or not instance 2
-        // rides along — per-instance loss streams and seeds are keyed by
-        // instance index, never by plan size.
-        let mk = |count: usize| {
-            let cfg = RunConfig::builder(16).message_loss(0.25).build();
-            run_plane(&cfg, &InstancePlan::rumor(count, 12), 23)
-        };
-        let two = mk(2);
-        let three = mk(3);
-        for j in 0..2 {
-            assert_eq!(
-                format!("{:?}", two.instances[j]),
-                format!("{:?}", three.instances[j]),
-                "instance {j} perturbed by a co-hosted instance"
-            );
-        }
-        // The third instance actually did traffic (the plans differ).
-        assert!(three.instances[2].metrics.messages_sent > 0);
     }
 
     #[test]

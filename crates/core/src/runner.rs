@@ -43,7 +43,7 @@ use crate::audit::{audit_good_execution, GoodExecutionReport};
 use crate::engine::{ConsensusAgent, ProtocolCore, Role, VerifyFailure};
 use crate::msg::Msg;
 use crate::outcome::{combine_decisions, Decision, Outcome};
-use crate::params::Params;
+use crate::params::{Params, PhaseSchedule};
 use crate::payload::PayloadPool;
 use gossip_net::agent::Agent;
 use gossip_net::dynamics::{FaultState, LossSchedule, ScenarioScript};
@@ -685,13 +685,20 @@ where
     let Ok(()) = drive_phases(net, sync_windows(cfg), Network::step_staged, unchecked);
 }
 
-/// The synchronous phase windows of `cfg`: all four, or three under the
-/// `skip_coherence` ablation, whose agents proceed to Verification with
-/// whatever certificate Find-Min left them.
-pub(crate) fn sync_windows(cfg: &RunConfig) -> impl Iterator<Item = (&'static str, usize)> {
+/// The phase windows of `schedule` that a run of `cfg` walks: all four,
+/// or three under the `skip_coherence` ablation, whose agents proceed to
+/// Verification with whatever certificate Find-Min left them.
+pub(crate) fn run_windows(
+    cfg: &RunConfig,
+    schedule: PhaseSchedule,
+) -> impl Iterator<Item = (&'static str, usize)> {
     let kept = if cfg.skip_coherence { 3 } else { 4 };
-    let windows = cfg.params().sync_schedule().windows();
-    windows.into_iter().take(kept)
+    schedule.windows().into_iter().take(kept)
+}
+
+/// The synchronous phase windows of `cfg` (see [`run_windows`]).
+pub(crate) fn sync_windows(cfg: &RunConfig) -> impl Iterator<Item = (&'static str, usize)> {
+    run_windows(cfg, cfg.params().sync_schedule())
 }
 
 /// The synchronous rounds a run of `cfg` takes.

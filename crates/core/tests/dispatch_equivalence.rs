@@ -148,8 +148,8 @@ fn arena_reuse_equals_fresh_networks_under_dynamic_scenarios() {
 #[test]
 fn single_instance_plane_equals_legacy_path() {
     // The instance plane's safety net: one consensus instance pushed
-    // through the multiplexer (batched messages, per-instance clocks and
-    // meters) must be a pure generalization — its legacy-shaped report
+    // through the multiplexer (batched messages, per-instance meters)
+    // must be a pure generalization — its legacy-shaped report
     // is field-identical to `run_protocol`'s, for the monolithic engine
     // at several thread counts and the sharded per-agent discipline,
     // lossy configs included.

@@ -6,8 +6,9 @@
 //! hosts one cell per instance, all payloads an agent emits toward a
 //! peer in a round ride one [`rfc_core::Batch`] (the first part's
 //! instance tag is elided, so a single instance pays zero overhead),
-//! and every instance keeps its own phase clock, meters, and loss
-//! streams. This experiment measures that plane along three axes:
+//! and every instance keeps its own seed streams and payload meters
+//! while all of them run on the engine's rounds. This experiment
+//! measures that plane, loss-free, along three axes:
 //!
 //! * **throughput** — a sweep over 10¹…10⁴ concurrent instances
 //!   reporting **instances/s** (wall-clock), per-instance
@@ -157,7 +158,7 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
         &["class", "instances", "decided", "rtd mean", "rtd max"],
     );
     // Penalized mean for the cross-class assertion: an undecided
-    // instance counts as `window + 1` local rounds, so a class that
+    // instance counts as `window + 1` rounds, so a class that
     // starves (never decides inside the window) ranks strictly behind
     // one that finishes — a decided-only mean would read 0.0 there.
     let window = cfg.params().total_rounds();
@@ -198,7 +199,7 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
     // One consensus instance, alone vs co-hosted with 10³ rumor
     // instances (loss-free): its InstanceReport must be Debug-identical
     // — the co-hosting-invariance claim, machine-checked here at
-    // experiment scale (the unit suite pins the lossy case).
+    // experiment scale.
     let co_hosted = 1_000;
     let mut interference = Table::new(
         format!("E17 — interference: consensus instance 0 with 0 vs {co_hosted} co-hosted rumor instances"),
@@ -228,7 +229,7 @@ pub fn run_with_counts(opts: &ExpOptions, counts: &[usize]) -> Vec<Table> {
         "E17: co-hosting {co_hosted} instances perturbed instance 0's report"
     );
     interference.note("identical = instance 0's full InstanceReport (outcome, decisions, meters, clocks) is Debug-equal to the alone run — asserted, not just printed");
-    interference.note("per-instance loss/RNG streams are keyed by instance id, so adding co-hosted instances never perturbs an existing one");
+    interference.note("per-instance RNG streams are keyed by instance id, so on a loss-free network adding co-hosted instances never perturbs an existing one");
 
     vec![sweep, classes, interference]
 }

@@ -729,19 +729,9 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         &self.agents[u as usize]
     }
 
-    /// Mutable access to agent `u` (tests / instrumentation).
-    pub fn agent_mut(&mut self, u: AgentId) -> &mut A {
-        &mut self.agents[u as usize]
-    }
-
     /// All agents, id-indexed (for post-run inspection).
     pub fn agents(&self) -> &[A] {
         &self.agents
-    }
-
-    /// Consume the network, returning the agents for inspection.
-    pub fn into_agents(self) -> Vec<A> {
-        self.agents
     }
 
     /// Capture the mutable engine state at the current round boundary
@@ -921,28 +911,24 @@ mod tests {
     #[test]
     fn pushes_are_delivered_with_authentic_sender() {
         let n = 4;
+        let agents: Vec<FixedPusher> = (0..n as AgentId)
+            .map(|id| FixedPusher {
+                id,
+                target: 0,
+                heard: vec![],
+            })
+            .collect();
         let mut net = Network::new(
             Topology::complete(n),
             SizeEnv::for_n(n),
-            pushers(n, 0),
-            FaultPlan::none(n),
-        );
-        net.run(1);
-        let a0 = net.into_agents().remove(0);
-        // Can't downcast dyn Agent easily; rebuild instead with direct refs.
-        drop(a0);
-
-        // Re-run with agent_mut-based inspection via a second network.
-        let mut net = Network::new(
-            Topology::complete(n),
-            SizeEnv::for_n(n),
-            pushers(n, 0),
+            agents,
             FaultPlan::none(n),
         );
         net.run(1);
         // Everyone (including 0) pushed to 0: agent 0 heard 4 messages with
         // senders 0,1,2,3 in id order.
         assert_eq!(net.metrics().messages_sent, 4);
+        assert_eq!(net.agent(0).heard, [(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 
     #[test]

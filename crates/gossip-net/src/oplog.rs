@@ -99,19 +99,6 @@ impl OpLog {
             .filter(move |e| e.round >= lo && e.round < hi)
     }
 
-    /// Pull events (answered or not) addressed to `to` in `[lo, hi)`.
-    pub fn pulls_to(&self, to: AgentId, lo: u32, hi: u32) -> impl Iterator<Item = &OpEvent> {
-        self.in_rounds(lo, hi).filter(move |e| {
-            e.to == to && matches!(e.kind, OpKind::Pull | OpKind::PullUnanswered)
-        })
-    }
-
-    /// Push events delivered to `to` in `[lo, hi)`.
-    pub fn pushes_to(&self, to: AgentId, lo: u32, hi: u32) -> impl Iterator<Item = &OpEvent> {
-        self.in_rounds(lo, hi)
-            .filter(move |e| e.to == to && e.kind == OpKind::Push)
-    }
-
     /// Number of logged events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -151,21 +138,6 @@ mod tests {
         assert_eq!(log.in_rounds(0, 1).count(), 2);
         assert_eq!(log.in_rounds(1, 3).count(), 3);
         assert_eq!(log.in_rounds(3, 10).count(), 0);
-    }
-
-    #[test]
-    fn pulls_to_includes_unanswered() {
-        let log = sample();
-        let pulls: Vec<_> = log.pulls_to(4, 0, 10).collect();
-        assert_eq!(pulls.len(), 1);
-        assert_eq!(pulls[0].kind, OpKind::PullUnanswered);
-    }
-
-    #[test]
-    fn pushes_to_excludes_pulls() {
-        let log = sample();
-        assert_eq!(log.pushes_to(2, 0, 10).count(), 2);
-        assert_eq!(log.pushes_to(1, 0, 10).count(), 0);
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub enum RngDiscipline {
 /// loss draws for the messages agent `v` *receives* in round `r` come
 /// from `DetRng::seeded(derive_seed(loss_seed, FAMILY + r), v)`. Three
 /// disjoint families keep query, push, and reply legs independent, so
-/// each per-agent stream is opened exactly once per round.
+/// each per-agent stream is opened exactly once per round. Every wire
+/// message draws once, so a multi-instance batch is lost or delivered
+/// whole.
 pub mod loss_streams {
     use super::{derive_seed, DetRng};
     use crate::ids::AgentId;
@@ -84,31 +86,6 @@ pub mod loss_streams {
     #[inline]
     pub fn per_agent(loss_seed: u64, family: u64, round: usize, agent: AgentId) -> DetRng {
         DetRng::seeded(derive_seed(loss_seed, family + round as u64), agent as u64)
-    }
-
-    /// The per-instance loss stream of the multi-instance plane
-    /// (rfc-core's `instances` module): one stream per `(family, round,
-    /// instance, drawing agent, peer)` tuple, of which exactly one draw
-    /// is consumed (each hosted instance emits at most one op per peer
-    /// per round, so the `(agent, peer)` pair pins the draw uniquely).
-    /// Because `instance` is folded into the lane key, adding or
-    /// removing a co-hosted instance can never perturb another
-    /// instance's loss pattern — the independence property pinned by
-    /// `tests/instance_plane.rs`.
-    #[inline]
-    pub fn per_instance(
-        loss_seed: u64,
-        family: u64,
-        round: usize,
-        instance: u64,
-        agent: AgentId,
-        peer: AgentId,
-    ) -> DetRng {
-        let lane = derive_seed(
-            derive_seed(loss_seed, family + round as u64),
-            (instance << 32) | agent as u64,
-        );
-        DetRng::seeded(lane, peer as u64)
     }
 }
 

@@ -10,10 +10,10 @@
 //! describes the network, the plan the instances it hosts. Every message an agent emits
 //! toward a peer in a round rides one `Batch` (the first part's
 //! instance tag is elided, so a lone instance pays zero wire overhead),
-//! yet each instance keeps its own phase clock, RNG/loss streams, and
-//! payload meters. The second half of the example re-runs instance 0
-//! *alone* and prints the co-hosting-invariance witness: its report is
-//! identical with or without the co-hosted instance.
+//! yet each instance keeps its own RNG streams and payload meters. The
+//! second half of the example re-runs instance 0 *alone* and prints the
+//! co-hosting-invariance witness: on this loss-free network its report
+//! is identical with or without the co-hosted instance.
 
 use rfc_core::instances::InstanceReport;
 use rfc_core::runner::RunConfig;
@@ -59,8 +59,8 @@ fn main() {
     );
 
     // Co-hosting invariance: instance 0 run alone is *identical* —
-    // per-instance RNG and loss streams are keyed by instance id, so a
-    // co-hosted instance never perturbs a neighbor.
+    // per-instance RNG streams are keyed by instance id and the network
+    // is loss-free, so a co-hosted instance never perturbs a neighbor.
     let alone_plan = InstancePlan {
         specs: Vec::new(),
         send_budget: None,

@@ -208,8 +208,8 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 fn golden_single_instance_plane_matches_pinned_rows() {
     // The instance plane's golden row: a single-consensus plan through
     // the multiplexer must reproduce the *pre-plane* pinned digests
-    // exactly — including a lossy row, since the single-instance path
-    // keeps loss in the engine. No regeneration story here: if these
+    // exactly — including a lossy row, since the plane keeps loss in
+    // the engine. No regeneration story here: if these
     // move, the plane stopped being a pure generalization.
     for label in ["complete/n24/balanced", "complete/n32/loss-0.25"] {
         let (_, cfg, seed) = corpus()

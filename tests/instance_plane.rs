@@ -1,81 +1,60 @@
 //! Instance-plane independence corpus (tier-2).
 //!
-//! The multi-instance plane's core contract: every instance's behavior
-//! is a pure function of `(master seed, instance index)` — co-hosted
-//! instances share wire batches and engine rounds but can never perturb
-//! each other's RNG or loss streams. These tests pin:
+//! The multi-instance plane's core contract: every instance's private
+//! randomness is a pure function of `(master seed, instance index)`, and
+//! the plane runs on the engine's own rounds, loss and sharding. These
+//! tests pin:
 //!
-//! * **stream keying** — `loss_streams::per_instance` draws are stable
-//!   per key and distinct across instances;
-//! * **co-hosting invariance** — appending instances to a plan leaves
-//!   every existing instance's full `InstanceReport` identical, under
-//!   loss, at several thread counts;
-//! * **thread invariance** — a multi-instance plane produces the same
-//!   reports at every thread count (the per-part keyed loss draws are
-//!   order-free, so the staged engine's sharding is unobservable).
+//! * **co-hosting invariance** — on a loss-free network, appending
+//!   instances to a plan leaves every existing instance's full
+//!   `InstanceReport` identical, at several thread counts;
+//! * **thread invariance** — a lossy multi-instance plane produces the
+//!   same reports at every thread count;
+//! * **shard invariance** — on the staged engine, a multi-instance plane
+//!   produces the same reports at every shard count, lossy or not, and
+//!   loss-free it equals the serial engine's run.
 
-use gossip_net::rng::loss_streams;
+use gossip_net::rng::RngDiscipline;
 use rfc_core::runner::RunConfig;
-use rfc_core::{run_plane, InstanceKind, InstancePlan, InstanceSpec, Priority};
+use rfc_core::{run_plane, InstanceKind, InstancePlan, InstanceSpec, PlaneReport, Priority};
 
-/// A mixed-kind plan: consensus + rumor instances, one staggered start,
-/// one Low priority — exercises every per-instance axis at once.
+/// A mixed-kind plan: consensus + rumor instances, one Low priority —
+/// exercises every per-instance axis at once.
 fn mixed_plan(extra_rumor: usize) -> InstancePlan {
     let mut plan = InstancePlan::consensus(1)
         .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k: 12 }))
-        .with_spec(
-            InstanceSpec::new(InstanceKind::RumorVote { k: 12 })
-                .priority(Priority::Low)
-                .start_at(5),
-        );
+        .with_spec(InstanceSpec::new(InstanceKind::RumorVote { k: 12 }).priority(Priority::Low));
     for _ in 0..extra_rumor {
         plan = plan.with_spec(InstanceSpec::new(InstanceKind::RumorVote { k: 12 }));
     }
     plan
 }
 
-fn lossy_cfg(threads: usize) -> RunConfig {
+fn cfg(threads: usize, loss: f64) -> RunConfig {
     let mut cfg = RunConfig::builder(16)
         .gamma(3.0)
         .colors(vec![8, 8])
-        .message_loss(0.25)
+        .message_loss(loss)
         .build();
     cfg.threads = threads;
     cfg.shard_floor = Some(0); // tiny n: keep real multi-shard runs
     cfg
 }
 
-#[test]
-fn per_instance_loss_streams_are_keyed_independently() {
-    let seed = 0xFEED_BEEF;
-    let draw = |family: u64, round: usize, instance: u64, agent: u32, peer: u32| {
-        loss_streams::per_instance(seed, family, round, instance, agent, peer).chance(0.5)
-    };
-    // Stable: the same key always yields the same coin.
-    for family in [loss_streams::QUERY, loss_streams::PUSH, loss_streams::REPLY] {
-        assert_eq!(draw(family, 3, 7, 2, 9), draw(family, 3, 7, 2, 9));
-    }
-    // Distinct across instances: two instances sharing (family, round,
-    // agent, peer) must not share one coin stream. A single pair could
-    // collide by chance, so check many keys disagree somewhere.
-    let coins = |instance: u64| -> Vec<bool> {
-        (0..64usize)
-            .map(|r| draw(loss_streams::PUSH, r, instance, (r % 16) as u32, ((r + 1) % 16) as u32))
-            .collect()
-    };
-    assert_ne!(coins(0), coins(1), "instances 0 and 1 share a loss stream");
-    assert_ne!(coins(1), coins(2), "instances 1 and 2 share a loss stream");
+/// Everything deterministic a plane run reports.
+fn fingerprint(plane: &PlaneReport) -> (Vec<String>, String, usize) {
+    let instances = plane.instances.iter().map(|i| format!("{i:?}")).collect();
+    (instances, format!("{:?}", plane.aggregate), plane.rounds)
 }
 
 #[test]
 fn appending_instances_never_perturbs_existing_reports() {
-    // The independence property the `per_instance` keying exists for:
-    // instance i's report — decisions, clocks, payload meters, observed
-    // loss — is invariant to co-hosting more instances, under loss, at
+    // Instance i's report — decisions, clocks, payload meters — is
+    // invariant to co-hosting more instances on a loss-free network, at
     // several thread counts (engine sharding included).
     for threads in [1usize, 4] {
-        let small = run_plane(&lossy_cfg(threads), &mixed_plan(0), 21);
-        let large = run_plane(&lossy_cfg(threads), &mixed_plan(8), 21);
+        let small = run_plane(&cfg(threads, 0.0), &mixed_plan(0), 21);
+        let large = run_plane(&cfg(threads, 0.0), &mixed_plan(8), 21);
         assert_eq!(small.instances.len() + 8, large.instances.len());
         for (j, (a, b)) in small.instances.iter().zip(&large.instances).enumerate() {
             assert_eq!(
@@ -89,11 +68,11 @@ fn appending_instances_never_perturbs_existing_reports() {
 
 #[test]
 fn multi_instance_plane_is_thread_invariant() {
-    let baseline = run_plane(&lossy_cfg(1), &mixed_plan(3), 9);
+    let baseline = run_plane(&cfg(1, 0.25), &mixed_plan(3), 9);
     let want: Vec<String> =
         baseline.instances.iter().map(|i| format!("{i:?}")).collect();
     for threads in [2usize, 8] {
-        let plane = run_plane(&lossy_cfg(threads), &mixed_plan(3), 9);
+        let plane = run_plane(&cfg(threads, 0.25), &mixed_plan(3), 9);
         let got: Vec<String> = plane.instances.iter().map(|i| format!("{i:?}")).collect();
         assert_eq!(got, want, "instance reports drifted at threads={threads}");
         assert_eq!(plane.rounds, baseline.rounds);
@@ -101,5 +80,35 @@ fn multi_instance_plane_is_thread_invariant() {
             plane.aggregate, baseline.aggregate,
             "aggregate metrics drifted at threads={threads}"
         );
+    }
+}
+
+#[test]
+fn plane_on_the_staged_engine_is_shard_invariant() {
+    // Multi-op agents (a MuxAgent emits one batch per peer and kind) on
+    // the staged engine at 1..8 real shards: the reports never depend on
+    // the shard count, and loss-free they equal the serial engine's.
+    for loss in [0.0, 0.25] {
+        let staged = |threads: usize| {
+            let mut cfg = cfg(threads, loss);
+            cfg.rng_discipline = RngDiscipline::PerAgent;
+            run_plane(&cfg, &mixed_plan(3), 9)
+        };
+        let one = staged(1);
+        for threads in [2usize, 3, 8] {
+            assert!(
+                fingerprint(&staged(threads)) == fingerprint(&one),
+                "loss {loss}: the plane drifted at {threads} shards"
+            );
+        }
+        if loss == 0.0 {
+            let serial = run_plane(&cfg(1, loss), &mixed_plan(3), 9);
+            assert!(
+                fingerprint(&serial) == fingerprint(&one),
+                "the loss-free staged plane differs from the serial one"
+            );
+        } else {
+            assert!(one.aggregate.undelivered > 0, "loss {loss} dropped nothing");
+        }
     }
 }
