@@ -56,7 +56,7 @@ RFC_THREADS=1,2,8 RUST_TEST_THREADS=2 cargo test -q --test sharded_engine
 
 echo "==> tier-2: checkpoint/resume equivalence corpus (static + sharded rows)"
 # Every golden row snapshotted mid-run, restored, and run to completion
-# must be bit-identical (digest, Metrics, op-log) to straight-through;
+# must be bit-identical (digest, Metrics, audit) to straight-through;
 # sharded rows repeat at every RFC_THREADS count incl. cross-thread
 # resume. Negative paths (truncated/corrupt/mismatched files) ride along.
 RFC_THREADS=1,2,8 RUST_TEST_THREADS=2 cargo test -q --test checkpoint_resume
@@ -66,6 +66,25 @@ cargo test -q --test checkpoint_prop
 
 echo "==> examples build (release)"
 cargo build --release --examples
+
+echo "==> examples run: each exits 0, and inspect_run counts every agent's votes"
+# A build alone does not catch a report that prints the wrong thing:
+# inspect_run once read the receipt buffer after the certificate had
+# taken it, and showed every agent with "(0 votes)".
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    if ! "./target/release/examples/$name" > "target/example-$name.out" 2>&1; then
+        echo "FAIL: example $name exited non-zero" >&2
+        cat "target/example-$name.out" >&2
+        exit 1
+    fi
+done
+if grep -q '(0 votes)' target/example-inspect_run.out; then
+    echo "FAIL: inspect_run printed an agent with (0 votes)" >&2
+    grep '(0 votes)' target/example-inspect_run.out >&2
+    exit 1
+fi
+echo "    examples OK: $(ls examples/*.rs | wc -l) ran to completion"
 
 echo "==> experiment registry lists"
 cargo run --release -q -p experiments --bin rfc-experiments -- list
@@ -93,7 +112,7 @@ echo "==> staged-engine speedup: e16 2 shards >= 1 shard at n=4096 (needs >1 cor
 # two shards must beat one at n >= 4096 (below that the shard floor
 # clamps these PerAgent rows to one shard by design), and with >= 4
 # cores four shards must too — the drained serial sections (sharded
-# metering, scattered op log, scattered plan concat) are what keeps the
+# metering, scattered plan concat) are what keeps the
 # curve from flattening. The 1-shard row is the same staged pipeline on
 # one shard, not the monolithic engine. On a 1-core box the comparison
 # is meaningless — all rows time-slice the same core and the sharded

@@ -149,7 +149,8 @@ mod tests {
 
     fn mk_core(id: AgentId) -> ProtocolCore {
         let params = Params::new(16, 2.0);
-        ProtocolCore::new(id, params, params.sync_schedule(), 1, DetRng::seeded(3, id as u64))
+        let rng = DetRng::seeded(3, id as u64);
+        ProtocolCore::new_on(&Topology::complete(16), id, params, params.sync_schedule(), 1, rng)
     }
 
     #[test]

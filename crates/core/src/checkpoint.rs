@@ -7,7 +7,7 @@
 //! ingredient from `(cfg, seed)` on restore, and continue. The contract
 //! — pinned by `tests/checkpoint_resume.rs` — is absolute:
 //! checkpoint-at-round-`r` + restore + run-to-completion is
-//! **bit-identical** (report digest and op log, event for event) to the
+//! **bit-identical** (report digest, metrics and audit) to the
 //! straight-through run, under both
 //! [`RngDiscipline`](gossip_net::rng::RngDiscipline) variants and any
 //! thread count.
@@ -20,8 +20,10 @@
 //! * the engine's mutable layer ([`gossip_net::network::EngineState`]):
 //!   round, scenario cursor, live fault flags, installed partition cut,
 //!   and the sequential loss stream's raw xoshiro256++ words;
-//! * [`Metrics`] counters and the op log — a restored run **continues
-//!   exact counts** (the metering contract extends across the seam);
+//! * [`Metrics`] counters — a restored run **continues exact counts**
+//!   (the metering contract extends across the seam) — and one zero
+//!   byte, where format 2 reserves an op-log count (the engine keeps no
+//!   op log; restore refuses any other value);
 //! * per-agent protocol state: color, RNG words, the intention list,
 //!   the commitment ledger, received votes, certificates, and the
 //!   verification verdict.
@@ -66,7 +68,6 @@ use std::sync::Arc;
 use gossip_net::ids::{AgentId, ColorId};
 use gossip_net::metrics::{Metrics, Tally};
 use gossip_net::network::{EngineState, Network};
-use gossip_net::oplog::{OpKind, OpLog};
 
 use crate::agent_plane::AgentSlot;
 use crate::certificate::VoteLanes;
@@ -604,7 +605,7 @@ fn decode_core(
 }
 
 // ---------------------------------------------------------------------
-// Engine + metrics + op log sections
+// Engine + metrics sections
 // ---------------------------------------------------------------------
 
 fn encode_engine(out: &mut Vec<u8>, state: &EngineState, n: usize) {
@@ -716,46 +717,6 @@ fn decode_metrics(r: &mut Reader) -> Result<Metrics, CheckpointError> {
     Ok(m)
 }
 
-fn encode_oplog(out: &mut Vec<u8>, log: &OpLog) {
-    put_varint(out, log.len() as u64);
-    let mut prev_round = 0u32;
-    for ev in log.events() {
-        // Rounds are non-decreasing: delta-encode them so long recorded
-        // runs stay one byte per event here.
-        put_varint(out, (ev.round - prev_round) as u64);
-        prev_round = ev.round;
-        out.push(match ev.kind {
-            OpKind::Push => 0,
-            OpKind::Pull => 1,
-            OpKind::PullUnanswered => 2,
-        });
-        put_varint(out, ev.from as u64);
-        put_varint(out, ev.to as u64);
-    }
-}
-
-fn decode_oplog(r: &mut Reader) -> Result<OpLog, CheckpointError> {
-    let mut log = OpLog::new();
-    let count = r.count()?;
-    let mut round = 0u32;
-    for _ in 0..count {
-        let delta: u32 = r.int("op round overflows u32")?;
-        round = round
-            .checked_add(delta)
-            .ok_or(CheckpointError::Corrupt("op round overflows u32"))?;
-        let kind = match r.u8()? {
-            0 => OpKind::Push,
-            1 => OpKind::Pull,
-            2 => OpKind::PullUnanswered,
-            _ => return Err(CheckpointError::Corrupt("bad op kind")),
-        };
-        let from = r.int("agent id overflows u32")?;
-        let to = r.int("agent id overflows u32")?;
-        log.record(round, kind, from, to);
-    }
-    Ok(log)
-}
-
 // ---------------------------------------------------------------------
 // Whole-network snapshot / restore
 // ---------------------------------------------------------------------
@@ -808,7 +769,7 @@ pub fn checkpoint_network(
     );
     encode_engine(&mut out, &state, net.n());
     encode_metrics(&mut out, net.metrics());
-    encode_oplog(&mut out, net.oplog());
+    out.push(0); // the empty op-log section of format 2
     let empty = PayloadPool::new(cfg.params(), 0);
     let mut pools = build_pools(cores.first().map_or(&empty, |c| c.pool()), &cores);
     encode_pools(&mut out, &pools);
@@ -840,8 +801,8 @@ pub struct RestoredRun {
 /// deserializing the body. A snapshot whose state the config cannot
 /// hold (a round past the end of the run, a scenario cursor past the
 /// script, loss-stream words without a loss process or the reverse, a
-/// plan fault marked up, an agent's intent target outside the network)
-/// is [`CheckpointError::Corrupt`].
+/// plan fault marked up, a nonzero op-log count, an agent's intent
+/// target outside the network) is [`CheckpointError::Corrupt`].
 pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, CheckpointError> {
     let mut r = Reader::new(bytes);
     let header = decode_header(&mut r)?;
@@ -863,7 +824,9 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
     }
     let engine = decode_engine(&mut r, header.n, header.round)?;
     let metrics = decode_metrics(&mut r)?;
-    let oplog = decode_oplog(&mut r)?;
+    if r.u8()? != 0 {
+        return Err(CheckpointError::Corrupt("op-log section is not empty"));
+    }
     let (params, _colors, faults, topology, env, net_cfg) = network_ingredients(cfg, header.seed);
     let pool = PayloadPool::for_network(params);
     let (intent_pool, cert_pool) = decode_pools(&mut r, &pool)?;
@@ -881,7 +844,7 @@ pub fn restore_network(cfg: &RunConfig, bytes: &[u8]) -> Result<RestoredRun, Che
     }
     r.finish("trailing bytes after checkpoint body")?;
     let mut net = Network::with_config(topology, env, agents, faults, net_cfg);
-    net.restore_engine_state(engine, metrics, oplog)
+    net.restore_engine_state(engine, metrics)
         .map_err(CheckpointError::Corrupt)?;
     Ok(RestoredRun { net, seed: header.seed, round: header.round })
 }

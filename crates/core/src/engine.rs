@@ -112,30 +112,12 @@ pub struct ProtocolCore {
 
 impl ProtocolCore {
     /// Initialize the agent: draws the vote-intention list `H_u`
-    /// (`q` pairs, values u.a.r. in `[m]`, targets u.a.r. in `[n]`) —
-    /// the paper's `Initialize` + `Voting-Intention` steps — into the
-    /// payload pool of the network being built (see
-    /// [`PayloadPool::building`]). This is the complete-graph
-    /// constructor; see [`ProtocolCore::new_on`] for arbitrary
-    /// topologies.
-    pub fn new(
-        id: AgentId,
-        params: Params,
-        schedule: PhaseSchedule,
-        color: ColorId,
-        mut rng: DetRng,
-    ) -> Self {
-        let pool = PayloadPool::current(params);
-        let intents = pool.draw_list(id, params.q, || IntentEntry {
-            value: rng.below(params.m),
-            target: rng.index(params.n) as AgentId,
-        });
-        Self::with_intents(pool, id, params, schedule, color, rng, intents)
-    }
-
-    /// Topology-aware constructor (the E12 extension): vote targets are
-    /// drawn uniformly from the agent's *neighbors*, which coincides with
-    /// the paper's u.a.r.-in-`[n]` rule on the complete graph.
+    /// (`q` pairs, values u.a.r. in `[m]`, targets u.a.r. among the
+    /// agent's neighbors in `topology`) — the paper's `Initialize` +
+    /// `Voting-Intention` steps — into the payload pool of the network
+    /// being built (see [`PayloadPool::building`]). On the complete
+    /// graph the targets are u.a.r. in `[n]`, the paper's rule; other
+    /// topologies are the E12 extension.
     pub fn new_on(
         topology: &gossip_net::topology::Topology,
         id: AgentId,
@@ -529,7 +511,8 @@ mod tests {
     fn mk_core(id: AgentId, n: usize, seed: u64) -> ProtocolCore {
         let params = Params::new(n, 1.0);
         let schedule = params.sync_schedule();
-        ProtocolCore::new(id, params, schedule, id % 3, DetRng::seeded(seed, id as u64))
+        let rng = DetRng::seeded(seed, id as u64);
+        ProtocolCore::new_on(&Topology::complete(n), id, params, schedule, id % 3, rng)
     }
 
     fn ctx_at(topo: &Topology, round: usize) -> RoundCtx<'_> {
@@ -869,7 +852,8 @@ mod tests {
     fn honest_agent_delegates() {
         let topo = Topology::complete(8);
         let params = Params::new(8, 1.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             0,
             params,
             params.sync_schedule(),

@@ -357,8 +357,8 @@ pub struct MuxAgent {
     send_budget: Option<usize>,
     pending_pulls: VecDeque<PendingPull>,
     /// Budget-skipped pulls owed a synthetic `on_reply(None)`:
-    /// `(instance, round of the skipped pull)`.
-    deferred_silence: Vec<(u32, usize)>,
+    /// `(instance, peer it meant to pull, round of the skipped pull)`.
+    deferred_silence: Vec<(u32, AgentId, usize)>,
     /// Per-instance send meters (payload bits only; see module docs).
     inst_sent: Vec<Tally>,
     /// Scratch: `(peer, kind) -> out-op slot + 1` for batch grouping.
@@ -393,13 +393,13 @@ impl MuxAgent {
 
     /// Deliver the synthetic silences owed to budget-skipped pulls.
     fn flush_deferred(&mut self, ctx: &RoundCtx) {
-        for (inst, round) in self.deferred_silence.drain(..) {
+        for (inst, peer, round) in self.deferred_silence.drain(..) {
             if let CellInner::Consensus(slot) = &mut self.cells[inst as usize].inner {
                 let silent = RoundCtx {
                     round,
                     topology: ctx.topology,
                 };
-                slot.on_reply(0, None, &silent);
+                slot.on_reply(peer, None, &silent);
             }
         }
     }
@@ -487,8 +487,8 @@ impl Agent<PlaneMsg> for MuxAgent {
                     // Over budget: the op is suppressed on the wire. A
                     // suppressed pull is owed a synthetic silence so the
                     // cell observes "peer did not answer".
-                    if matches!(op, Op::Pull { .. }) {
-                        self.deferred_silence.push((j, ctx.round));
+                    if let Op::Pull { from: peer, .. } = op {
+                        self.deferred_silence.push((j, peer, ctx.round));
                     }
                     continue;
                 }
@@ -645,11 +645,11 @@ pub struct PlaneReport {
 /// Every plan runs [`crate::runner::drive_network`] — the phase clock
 /// over the synchronous windows, as [`crate::run_protocol`] does — with
 /// the engine's own loss, faults and partitions, so a one-consensus plan
-/// is bit-identical to [`crate::run_protocol`]. Op-log audits are not
-/// supported on the plane (`record_ops` must be off).
+/// is bit-identical to [`crate::run_protocol`]. Good-execution audits
+/// are not supported on the plane (`record_ops` must be off).
 pub fn run_plane(cfg: &RunConfig, plan: &InstancePlan, seed: u64) -> PlaneReport {
     assert!(!plan.is_empty(), "an instance plan needs at least one instance");
-    assert!(!cfg.record_ops, "instance planes do not support op-log audits");
+    assert!(!cfg.record_ops, "instance planes do not support good-execution audits");
     let (params, colors0, faults, topology, env, net_cfg) = network_ingredients(cfg, seed);
     let n = cfg.n;
 
@@ -835,7 +835,10 @@ fn consensus_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunConfig;
+    use crate::engine::ConsensusAgent;
+    use crate::ledger::{Declaration, LedgerEntry};
+    use crate::params::Params;
+    use gossip_net::topology::Topology;
 
     #[test]
     fn voter_set_counts_and_unions() {
@@ -910,5 +913,41 @@ mod tests {
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_plane(&cfg, &plan, 1)));
         assert!(err.is_err(), "record_ops must be rejected on the plane");
+    }
+
+    #[test]
+    fn budget_skipped_pulls_are_silence_from_the_skipped_peer() {
+        // Two consensus cells share a budget of one op per round, so in
+        // a Commitment round one cell's pull is suppressed; the silence
+        // it is owed must mark the peer it meant to pull, not agent 0.
+        let n = 16;
+        let params = Params::new(n, 4.0);
+        let topo = Topology::complete(n);
+        let core = |stream: u64| {
+            let rng = DetRng::seeded(stream, streams::AGENT_BASE + 5);
+            ProtocolCore::new_on(&topo, 5, params, params.sync_schedule(), 0, rng)
+        };
+        let cells = (0..2)
+            .map(|j| Cell {
+                priority: Priority::High,
+                inner: CellInner::Consensus(AgentSlot::honest(core(j))),
+            })
+            .collect();
+        let mut mux = MuxAgent::new(SizeEnv::for_n(n), cells, Some(1));
+        let ctx = RoundCtx { round: 0, topology: &topo };
+        // Round 0 starts the rotation at cell 0, so cell 1 is skipped.
+        let Some(Op::Pull { from: peer, .. }) = AgentSlot::honest(core(1)).act(&ctx) else {
+            panic!("an honest agent pulls in Commitment");
+        };
+        assert_ne!(peer, 0, "the check needs a peer other than agent 0");
+        let mut out = Vec::new();
+        mux.act_multi(&ctx, &mut out);
+        assert_eq!(out.len(), 1, "the budget lets one op through");
+        mux.flush_deferred(&ctx);
+        let CellInner::Consensus(skipped) = &mux.cells[1].inner else {
+            unreachable!("cell 1 is a consensus cell")
+        };
+        let faulty = LedgerEntry { agent: peer, round: 0, decl: Declaration::Faulty };
+        assert_eq!(skipped.core().ledger.entries(), [faulty]);
     }
 }

@@ -16,8 +16,8 @@
 //! [`TrialArena::run_protocol`] / [`TrialArena::run_with`] per trial: the
 //! arena keeps one `Network<Msg, AgentSlot>` alive and re-arms it in
 //! place ([`Network::reset_into`]), so the per-trial cost is re-seeding
-//! agent state, not reallocating agent storage, scratch buffers, metrics
-//! and op-log. `run_protocol(cfg, seed)` and
+//! agent state, not reallocating agent storage, scratch buffers and
+//! metrics. `run_protocol(cfg, seed)` and
 //! `arena.run_protocol(cfg, seed)` return bit-identical reports.
 //!
 //! ## One engine per discipline
@@ -122,7 +122,10 @@ pub struct RunConfig {
     pub fault_placement: Placement,
     /// Topology (complete graph in the paper).
     pub topology: TopologySpec,
-    /// Record the operation log and produce a good-execution audit.
+    /// Produce the good-execution audit ([`RunReport::audit`]), read
+    /// from the agents' state after the run. The name, from the op log
+    /// the engine once kept, is part of the `Debug` form that the
+    /// checkpoint's config fingerprint hashes.
     pub record_ops: bool,
     /// Disable the Coherence phase (E11 ablation: equivocation becomes
     /// undetectable and coalition attacks succeed).
@@ -312,7 +315,7 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Record the op log and produce a good-execution audit.
+    /// Produce the good-execution audit (see [`RunConfig::record_ops`]).
     pub fn record_ops(mut self, yes: bool) -> Self {
         self.cfg.record_ops = yes;
         self
@@ -486,7 +489,6 @@ pub(crate) fn network_ingredients(
     let topology = cfg.topology(seed);
     let env = SizeEnv::with_params(cfg.n, params.m, params.q, color_space_size(cfg));
     let net_cfg = NetworkConfig {
-        record_ops: cfg.record_ops,
         loss: cfg.loss.clone(),
         loss_seed: gossip_net::rng::derive_seed(seed, streams::LOSS),
         scenario: cfg.scenario.clone(),
@@ -567,8 +569,8 @@ pub fn honest_slot_factory(
 ///
 /// Holds one slot-typed network and its payload pool across trials and
 /// re-arms both in place, so steady-state trials reuse the agent vector,
-/// the op/reply scratch buffers, the metrics phase table, the op-log
-/// event buffer and the pool's tables instead of reallocating them.
+/// the op/reply scratch buffers, the metrics phase table and the pool's
+/// tables instead of reallocating them.
 /// Dropping the arena frees everything.
 #[derive(Default)]
 pub struct TrialArena {
@@ -687,8 +689,10 @@ where
 
 /// The phase windows of `schedule` that a run of `cfg` walks: all four,
 /// or three under the `skip_coherence` ablation, whose agents proceed to
-/// Verification with whatever certificate Find-Min left them.
-pub(crate) fn run_windows(
+/// Verification with whatever certificate Find-Min left them. Every
+/// driver walks these, synchronous or async, so the ablation is decided
+/// here alone.
+pub fn run_windows(
     cfg: &RunConfig,
     schedule: PhaseSchedule,
 ) -> impl Iterator<Item = (&'static str, usize)> {

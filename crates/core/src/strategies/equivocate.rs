@@ -119,7 +119,8 @@ mod tests {
     #[test]
     fn alternates_between_two_versions() {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             1,
             params,
             params.sync_schedule(),
@@ -147,7 +148,8 @@ mod tests {
     #[test]
     fn both_versions_are_plausible() {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             1,
             params,
             params.sync_schedule(),

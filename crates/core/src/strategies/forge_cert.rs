@@ -257,11 +257,13 @@ mod tests {
     use super::*;
     use crate::coalition::new_coalition;
     use gossip_net::rng::DetRng;
+    use gossip_net::topology::Topology;
     use crate::params::Params;
 
     fn agent_with(mode: ForgeMode, members: Vec<AgentId>) -> ForgeAgent {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             members[0],
             params,
             params.sync_schedule(),

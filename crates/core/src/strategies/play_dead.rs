@@ -137,7 +137,8 @@ mod tests {
 
     fn mk(variant: PlayDead) -> crate::agent_plane::AgentSlot {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             2,
             params,
             params.sync_schedule(),

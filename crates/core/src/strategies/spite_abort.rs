@@ -140,7 +140,8 @@ mod tests {
 
     fn mk() -> SpiteAgent {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             3,
             params,
             params.sync_schedule(),

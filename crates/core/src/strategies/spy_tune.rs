@@ -199,11 +199,13 @@ mod tests {
     use super::*;
     use crate::coalition::new_coalition;
     use gossip_net::rng::DetRng;
+    use gossip_net::topology::Topology;
     use crate::params::Params;
 
     fn mk_spy(id: AgentId, members: Vec<AgentId>) -> SpyAgent {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             id,
             params,
             params.sync_schedule(),
@@ -239,7 +241,8 @@ mod tests {
         let coalition = new_coalition(vec![3, 8], 1);
         let params = Params::new(32, 2.0);
         let mk = |id: AgentId| SpyAgent {
-            core: ProtocolCore::new(
+            core: ProtocolCore::new_on(
+                &Topology::complete(params.n),
                 id,
                 params,
                 params.sync_schedule(),

@@ -143,12 +143,14 @@ mod tests {
     use super::*;
     use crate::coalition::new_coalition;
     use gossip_net::rng::DetRng;
+    use gossip_net::topology::Topology;
     use crate::certificate::{CertData, VoteLanes};
     use crate::params::Params;
 
     fn mk() -> CensorAgent {
         let params = Params::new(32, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             5,
             params,
             params.sync_schedule(),

@@ -85,12 +85,14 @@ mod tests {
     use super::*;
     use crate::coalition::new_coalition;
     use gossip_net::rng::DetRng;
+    use gossip_net::topology::Topology;
     use crate::params::Params;
 
     #[test]
     fn all_intents_target_the_leader() {
         let params = Params::new(64, 2.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             9,
             params,
             params.sync_schedule(),
@@ -108,7 +110,8 @@ mod tests {
     #[test]
     fn rigged_values_are_not_constant() {
         let params = Params::new(64, 3.0);
-        let core = ProtocolCore::new(
+        let core = ProtocolCore::new_on(
+            &Topology::complete(params.n),
             9,
             params,
             params.sync_schedule(),

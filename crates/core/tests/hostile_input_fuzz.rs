@@ -80,7 +80,8 @@ fn arb_msg() -> impl proptest::strategy::Strategy<Value = Spec> {
 
 fn fresh_agent(seed: u64) -> (HonestAgent, Params) {
     let params = Params::new(32, 2.0);
-    let core = ProtocolCore::new(
+    let core = ProtocolCore::new_on(
+        &Topology::complete(params.n),
         3,
         params,
         params.sync_schedule(),

@@ -8,6 +8,7 @@
 //! verifiable state — and accepts the genuine certificate.
 
 use gossip_net::rng::DetRng;
+use gossip_net::topology::Topology;
 use proptest::prelude::*;
 use rfc_core::certificate::{CertData, VoteRec};
 use rfc_core::engine::{ConsensusAgent, ProtocolCore};
@@ -202,7 +203,9 @@ fn verification_uses_queries_not_trust() {
     // A verifier with an empty ledger accepts anything sum-consistent —
     // the security is collective (union of ledgers), not individual.
     let params = Params::new(16, 2.0);
-    let mut lone = ProtocolCore::new(0, params, params.sync_schedule(), 0, DetRng::seeded(1, 0));
+    let topo = Topology::complete(params.n);
+    let rng = DetRng::seeded(1, 0);
+    let mut lone = ProtocolCore::new_on(&topo, 0, params, params.sync_schedule(), 0, rng);
     let fake = lone
         .pool()
         .insert_cert(CertData::build(3, 1, vec![], params.m));

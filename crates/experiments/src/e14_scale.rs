@@ -149,7 +149,7 @@ pub fn run_with_budget(opts: &ExpOptions, budget: usize) -> Vec<Table> {
         ]);
     }
     table.note("streaming fold: O(threads) aggregation memory — no per-trial result buffer exists at any n");
-    table.note("per-worker TrialArena: agent storage, network scratch buffers, metrics and op-log recycled across trials");
+    table.note("per-worker TrialArena: agent storage, network scratch buffers and metrics recycled across trials");
     table.note("ΔRSS = VmHWM growth across the point (VmHWM is process-global and monotone; the delta attributes memory to the point)");
     table.note("rounds/s and ΔRSS are wall-clock measurements of this machine; trials/consensus/bytes are seed-deterministic");
     vec![table]

@@ -193,13 +193,6 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 .gamma(gamma)
                 .colors(vec![n - n / 2, n / 2])
                 .sharded(threads)
-                // Production-scale rows skip the op log via the
-                // RunConfig toggle (the builder default): recording is
-                // digest-invariant but costs one event per op, which at
-                // n = 10⁶⁺ is exactly the memory/time this sweep
-                // measures. `tests/sharded_engine.rs` pins the
-                // invariance.
-                .record_ops(false)
                 .time_stages(opts.stage_times)
                 .build()
         };
@@ -243,14 +236,10 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                     (st.exchange_us / 1000).to_string(),
                     (st.build_us / 1000).to_string(),
                     (st.meter_us / 1000).to_string(),
-                    (st.log_us / 1000).to_string(),
                     (st.resolve_us / 1000).to_string(),
                     (st.pull_us / 1000).to_string(),
                     (st.apply_us / 1000).to_string(),
-                    format!(
-                        "{:.1}",
-                        100.0 * st.meter_log_us() as f64 / st.exchange_us.max(1) as f64
-                    ),
+                    format!("{:.1}", 100.0 * st.meter_us as f64 / st.exchange_us.max(1) as f64),
                 ]);
             }
         }
@@ -276,18 +265,17 @@ pub fn run_with_sizes(opts: &ExpOptions, sizes: &[usize]) -> Vec<Table> {
                 "exchange ms",
                 "build ms",
                 "meter ms",
-                "log ms",
                 "resolve ms",
                 "pull ms",
                 "apply ms",
-                "meter+log %",
+                "meter %",
             ],
         );
         for row in stage_rows {
             st.row(row);
         }
-        st.note("cumulative wall-clock per stage across the whole run; build/meter/log/resolve/pull are sub-clocks of exchange (pull = on_pull handlers and reply metering; the small remainder is round bookkeeping)");
-        st.note("meter+log % is the exchange share of the two formerly serial passes the sharded tally-merge and op-log scatter drained");
+        st.note("cumulative wall-clock per stage across the whole run; build/meter/resolve/pull are sub-clocks of exchange (pull = on_pull handlers and reply metering; the small remainder is round bookkeeping)");
+        st.note("meter % is the exchange share of the send-time metering pass (per-shard tallies merged in shard order)");
         tables.push(st);
     }
     tables
@@ -383,9 +371,9 @@ mod tests {
         // One breakdown row per main row, sub-clocks in range.
         assert_eq!(timed[1].rows.len(), timed[0].rows.len());
         for row in &timed[1].rows {
-            assert_eq!(row.len(), 11, "plan/exchange/build/meter/log/resolve/pull/apply row");
-            let pct: f64 = row[10].parse().unwrap();
-            assert!((0.0..=100.0).contains(&pct), "bad meter+log %: {row:?}");
+            assert_eq!(row.len(), 10, "plan/exchange/build/meter/resolve/pull/apply row");
+            let pct: f64 = row[9].parse().unwrap();
+            assert!((0.0..=100.0).contains(&pct), "bad meter %: {row:?}");
         }
     }
 

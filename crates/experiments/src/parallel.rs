@@ -87,7 +87,7 @@ struct Merger<A> {
 /// lifetime spans every block the worker processes. This is how the
 /// simulation arenas ride the harness: pass `rfc_core::TrialArena::new`
 /// as `scratch_init` and run each trial through the arena — agent
-/// storage, scratch buffers, metrics and op-log are then recycled across
+/// storage, scratch buffers and metrics are then recycled across
 /// every trial a worker executes.
 ///
 /// The result is bit-identical for every `threads` value (see the module

@@ -92,7 +92,6 @@ pub mod fault;
 pub mod ids;
 pub mod metrics;
 pub mod network;
-pub mod oplog;
 mod pool;
 pub mod rng;
 pub mod size;
@@ -106,7 +105,6 @@ pub use ids::{AgentId, ColorId};
 pub use metrics::Metrics;
 pub use network::staged::MIN_AGENTS_PER_SHARD;
 pub use network::{Network, NetworkConfig, StageTimes};
-pub use oplog::{OpEvent, OpKind, OpLog};
 pub use rng::RngDiscipline;
 pub use size::{MsgSize, SizeEnv};
 pub use topology::Topology;

@@ -68,8 +68,8 @@
 //! reply) before the next tick. Async metrics count **rounds ==
 //! activations == ticks**, independent of fault placement. A tick sends
 //! through the same two steps as a synchronous round (answer a pull,
-//! deliver a push), so both engines meter, mask, draw losses and log ops
-//! in one place.
+//! deliver a push), so both engines meter, mask and draw losses in one
+//! place.
 //!
 //! Each round model has one code path. A synchronous round under the
 //! default [`RngDiscipline::Sequential`] is [`Network::step`]; under
@@ -86,7 +86,6 @@ use crate::dynamics::{FaultState, LossSchedule, PartitionCut, ScenarioEvent, Sce
 use crate::fault::FaultPlan;
 use crate::ids::AgentId;
 use crate::metrics::Metrics;
-use crate::oplog::{OpKind, OpLog};
 use crate::rng::{DetRng, RngDiscipline};
 use crate::size::{MsgSize, SizeEnv};
 use crate::topology::Topology;
@@ -96,8 +95,6 @@ pub mod staged;
 /// Engine options.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Record every active operation into an [`OpLog`] for audits.
-    pub record_ops: bool,
     /// Independent per-message drop probability in `[0.0, 1.0]`, per
     /// round (failure injection; the paper's model assumes reliable
     /// channels, the default `LossSchedule::constant(0.0)`, and 1.0
@@ -142,7 +139,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            record_ops: false,
             loss: LossSchedule::constant(0.0),
             loss_seed: 0,
             scenario: ScenarioScript::new(),
@@ -156,9 +152,9 @@ impl Default for NetworkConfig {
 
 /// Cumulative wall-clock spent in each staged-engine stage, µs
 /// (see [`NetworkConfig::time_stages`]). `exchange_us` covers the
-/// exchange proper plus the pull-apply leg and op-log pass — everything
-/// between the plan barrier and the final delivery fan-out — and is
-/// itself broken into the five sub-clocks below. Only
+/// exchange proper plus the pull-apply leg — everything between the
+/// plan barrier and the final delivery fan-out — and is itself broken
+/// into the sub-clocks below. Only
 /// [`RngDiscipline::PerAgent`] rounds run the staged pipeline, so a
 /// `Sequential` run's clocks stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,7 +163,7 @@ pub struct StageTimes {
     /// scatter of per-shard plan buffers into the flat op list).
     pub plan_us: u64,
     /// Everything between the plan barrier and the delivery fan-out
-    /// (the sum of the five sub-clocks, plus loose change like the
+    /// (the sum of the sub-clocks, plus loose change like the
     /// `mem::take` bookkeeping the sub-clocks don't cover).
     pub exchange_us: u64,
     /// The sharded push/reply delivery stage.
@@ -178,23 +174,14 @@ pub struct StageTimes {
     /// Sub-clock of `exchange_us`: CSR ledger construction — histograms,
     /// the offset prefix sum, and the entry scatter.
     pub build_us: u64,
-    /// Sub-clock of `exchange_us`: the op-log write (zero when
-    /// [`NetworkConfig::record_ops`] is off).
+    /// Always zero: the engine keeps no op log. The field stays because
+    /// perfbench's `staged.log_s` reads it.
     pub log_us: u64,
     /// Sub-clock of `exchange_us`: mask/loss verdict resolution.
     pub resolve_us: u64,
     /// Sub-clock of `exchange_us`: the pull-apply leg — `on_pull`
     /// handlers, reply metering, and the reply slots they fill.
     pub pull_us: u64,
-}
-
-impl StageTimes {
-    /// The metering + op-log share of the exchange clock — the two
-    /// formerly serial sections the prefix-sum drain attacked; reported
-    /// by E16's breakdown table.
-    pub fn meter_log_us(&self) -> u64 {
-        self.meter_us + self.log_us
-    }
 }
 
 /// Stream base for the **dynamic** loss-draw discipline: in a dynamic
@@ -213,8 +200,8 @@ const LOSS_ROUND_STREAM_BASE: u64 = 0x1055_0000_0000;
 /// round's `current_p` and the `dynamic` flag are recomputed by the next
 /// `begin_round`, which sets them unconditionally.
 ///
-/// `Metrics` and the op log travel alongside (they are plain `Clone`
-/// data with public mutators) — see [`Network::engine_state`] /
+/// `Metrics` travel alongside (plain `Clone` data with public
+/// mutators) — see [`Network::engine_state`] /
 /// [`Network::restore_engine_state`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineState {
@@ -258,7 +245,6 @@ pub struct Network<M, A = Box<dyn Agent<M>>> {
     current_p: f64,
     dynamic: bool,
     metrics: Metrics,
-    oplog: OpLog,
     config: NetworkConfig,
     loss_rng: Option<DetRng>,
     round: usize,
@@ -314,7 +300,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             current_p: 0.0,
             dynamic: false,
             metrics: Metrics::new(),
-            oplog: OpLog::new(),
             config: NetworkConfig::default(),
             loss_rng: None,
             round: 0,
@@ -332,8 +317,8 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// Re-arm this network for a fresh trial **in place**, reusing every
     /// reusable allocation: the agent storage (`fill` pushes the new
     /// agents into the cleared, capacity-retaining vector), the op/reply
-    /// scratch buffers, the metrics' phase table, and the op log's event
-    /// buffer. This is the trial-arena primitive: a Monte-Carlo worker
+    /// scratch buffers and the metrics' phase table. This is the
+    /// trial-arena primitive: a Monte-Carlo worker
     /// keeps one `Network` alive and calls `reset_into` per trial instead
     /// of rebuilding the world.
     ///
@@ -359,7 +344,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// Check `faults` and `config` against the agents and topology in
     /// place, then set every piece of per-trial state from them: fault
     /// plan and live flags, scenario cursor, loss stream,
-    /// round counter, metrics, op log, scratch buffers and stage clocks.
+    /// round counter, metrics, scratch buffers and stage clocks.
     /// The worker pool outlives trials (that is its whole point); its
     /// next use re-sizes it if the new config wants a different thread
     /// count.
@@ -378,7 +363,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         self.config = config;
         self.round = 0;
         self.metrics.reset();
-        self.oplog.clear();
         self.ops.clear();
         self.replies.clear();
         self.multi_buf.clear();
@@ -534,8 +518,8 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// resolved against reachability, loss and the pullee's fault state;
     /// a metered query that does not reach a live handler is counted
     /// `undelivered` and no reply exists. Otherwise the pullee's
-    /// [`Agent::on_pull`] answers, any produced reply is metered at send
-    /// time and draws its own transit loss, and the op is logged.
+    /// [`Agent::on_pull`] answers, and any produced reply is metered at
+    /// send time and draws its own transit loss.
     fn answer_pull(
         &mut self,
         puller: AgentId,
@@ -553,7 +537,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             // The query never reached a live handler (off-edge, cross-cut,
             // lost, or a faulty/crashed pullee): no reply exists.
             self.metrics.record_undelivered();
-            self.record_pull_op(round, puller, pullee, false);
             return None;
         }
         let reply = {
@@ -572,26 +555,11 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
             self.metrics.record_message(msg.size_bits(&self.env));
         }
         // A produced reply can itself be lost in transit.
-        let reply = if reply.is_some() && self.dropped() {
+        if reply.is_some() && self.dropped() {
             self.metrics.record_undelivered();
-            None
-        } else {
-            reply
-        };
-        self.record_pull_op(round, puller, pullee, reply.is_some());
-        reply
-    }
-
-    /// Op-log record for a completed pull attempt (answered or not).
-    fn record_pull_op(&mut self, round: usize, puller: AgentId, pullee: AgentId, answered: bool) {
-        if self.config.record_ops {
-            let kind = if answered {
-                OpKind::Pull
-            } else {
-                OpKind::PullUnanswered
-            };
-            self.oplog.record(round as u32, kind, puller, pullee);
+            return None;
         }
+        reply
     }
 
     /// Put one push through the wire. Metering contract: a push is
@@ -603,9 +571,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     /// bits_sent even though it is never delivered.
     fn deliver_push(&mut self, from: AgentId, to: AgentId, msg: &M, round: usize) {
         self.metrics.record_message(msg.size_bits(&self.env));
-        if self.config.record_ops {
-            self.oplog.record(round as u32, OpKind::Push, from, to);
-        }
         if !self.reachable(from, to) || self.fault_state.is_down(to) || self.dropped() {
             // No such edge / cross-cut, quiescent receiver, or lost.
             self.metrics.record_undelivered();
@@ -709,11 +674,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         &self.metrics
     }
 
-    /// The operation log (empty unless `record_ops` was set).
-    pub fn oplog(&self) -> &OpLog {
-        &self.oplog
-    }
-
     /// The size environment used for metering.
     pub fn env(&self) -> &SizeEnv {
         &self.env
@@ -750,7 +710,7 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
     }
 
     /// Re-install a captured [`EngineState`] (plus the checkpointed
-    /// metrics and op log) into a freshly built network — the inverse of
+    /// metrics) into a freshly built network — the inverse of
     /// [`Network::engine_state`]. The network must have been constructed
     /// with the *same* config and ingredients the state was captured
     /// under; this only swaps the mutable layer, it cannot retarget a
@@ -766,7 +726,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         &mut self,
         state: EngineState,
         metrics: Metrics,
-        oplog: OpLog,
     ) -> Result<(), &'static str> {
         let n = self.agents.len();
         if state.next_event > self.config.scenario.events().len() {
@@ -788,7 +747,6 @@ impl<M: MsgSize, A: Agent<M>> Network<M, A> {
         // derived from the (identical) config at construction, and the
         // next `begin_round` sets `current_p` unconditionally.
         self.metrics = metrics;
-        self.oplog = oplog;
         Ok(())
     }
 }
@@ -978,38 +936,18 @@ mod tests {
     }
 
     #[test]
-    fn oplog_records_pull_outcomes() {
+    fn pullers_hear_silence_from_faulty_pullees() {
         let n = 3;
         let faults = FaultPlan::place(n, 1, Placement::HighIds);
-        let agents: Vec<Box<dyn Agent<Num>>> = vec![
-            Box::new(FixedPuller {
-                target: 2,
-                answers: vec![],
-            }),
-            Box::new(FixedPuller {
-                target: 0,
-                answers: vec![],
-            }),
-            Box::new(FixedPuller {
-                target: 0,
-                answers: vec![],
-            }),
-        ];
-        let mut net = Network::with_config(
-            Topology::complete(n),
-            SizeEnv::for_n(n),
-            agents,
-            faults,
-            NetworkConfig {
-                record_ops: true,
-                ..NetworkConfig::default()
-            },
-        );
+        let agents: Vec<FixedPuller> = [2, 0, 0]
+            .into_iter()
+            .map(|target| FixedPuller { target, answers: vec![] })
+            .collect();
+        let mut net = Network::new(Topology::complete(n), SizeEnv::for_n(n), agents, faults);
         net.run(1);
-        let events = net.oplog().events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, OpKind::PullUnanswered); // 0 pulled faulty 2
-        assert_eq!(events[1].kind, OpKind::Pull); // 1 pulled live 0
+        assert_eq!(net.agent(0).answers, [None], "0 pulled faulty 2");
+        assert_eq!(net.agent(1).answers, [Some(77)], "1 pulled live 0");
+        assert!(net.agent(2).answers.is_empty(), "faulty 2 never acts");
     }
 
     #[test]
@@ -1471,7 +1409,6 @@ mod tests {
     fn reset_into_matches_fresh_network_bit_for_bit() {
         let n = 8;
         let mk_cfg = || NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.25),
             loss_seed: 13,
             ..NetworkConfig::default()
@@ -1481,7 +1418,7 @@ mod tests {
             net.run(10);
             net.enter_phase("b");
             net.run(10);
-            (net.metrics().clone(), net.oplog().len(), net.round())
+            (net.metrics().clone(), net.round())
         };
         let mut fresh = Network::with_config(
             Topology::complete(n),
@@ -1535,14 +1472,17 @@ mod tests {
     }
 
     /// Logs every handler call in arrival order: `(tick, kind, peer)`,
-    /// kind 0 = pull answered, 1 = push, 2 = empty reply, 3 = reply.
+    /// kind 0 = pull answered, 1 = push, 2 = empty reply, 3 = reply;
+    /// `ops` counts the operations it performed.
     struct OrderLog {
         id: AgentId,
         n: usize,
         log: Vec<(usize, u8, AgentId)>,
+        ops: u64,
     }
     impl Agent<Num> for OrderLog {
         fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Num>> {
+            self.ops += 1;
             let r = ctx.round;
             let to = ((self.id as usize + 7 * r + 1) % self.n) as AgentId;
             if (self.id as usize + r).is_multiple_of(2) {
@@ -1582,10 +1522,9 @@ mod tests {
         let mut net = Network::with_config(
             Topology::complete(n),
             SizeEnv::for_n(n),
-            (0..n as AgentId).map(|id| OrderLog { id, n, log: vec![] }).collect(),
+            (0..n as AgentId).map(|id| OrderLog { id, n, log: vec![], ops: 0 }).collect(),
             FaultPlan::none(n),
             NetworkConfig {
-                record_ops: true,
                 loss: LossSchedule::constant(0.2),
                 loss_seed: 5,
                 scenario: ScenarioScript::new().crash(100, vec![2]).recover(200, vec![2]),
@@ -1600,7 +1539,8 @@ mod tests {
             }
         }
         let m = net.metrics();
-        for v in [m.messages_sent, m.bits_sent, m.undelivered, net.oplog().len() as u64] {
+        let ops = net.agents().iter().map(|a| a.ops).sum();
+        for v in [m.messages_sent, m.bits_sent, m.undelivered, ops] {
             eat(v);
         }
         assert_eq!(digest, 0xceb4_1af0_ab5f_747e, "delivery order changed: {digest:#018x}");

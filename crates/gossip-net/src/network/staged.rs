@@ -39,11 +39,8 @@
 //! scatter into the flat op list at offsets prefix-summed in shard
 //! order (= id order), ledger scatter positions come from a global
 //! counting sort, send-time meters and per-shard reply meters are
-//! exact [`Tally`]s merged in shard order (sums and maxes commute),
-//! op-log events scatter into a pre-sized buffer at positions
-//! prefix-summed from per-shard event counts (reproducing the
-//! sequential all-pulls-then-all-pushes round shape exactly), and every
-//! loss draw comes from a stream whose identity is independent of
+//! exact [`Tally`]s merged in shard order (sums and maxes commute), and
+//! every loss draw comes from a stream whose identity is independent of
 //! sharding. No per-round pass over the op list remains serial.
 //! `threads` is a pure throughput knob — pinned by the
 //! thread-invariance suite (`tests/sharded_engine.rs`) and the sharded
@@ -94,7 +91,6 @@
 use super::*;
 use crate::bits::{atomic_set, BitSet};
 use crate::metrics::Tally;
-use crate::oplog::OpEvent;
 use crate::rng::loss_streams;
 use std::mem::MaybeUninit;
 
@@ -369,11 +365,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         self.apply_pulls(round, threads);
         if let Some(t) = tp {
             self.stage_times.pull_us += t.elapsed().as_micros() as u64;
-        }
-        let tl = timed.then(std::time::Instant::now);
-        self.log_round_ops(round, threads);
-        if let Some(t) = tl {
-            self.stage_times.log_us += t.elapsed().as_micros() as u64;
         }
         if let Some(t) = t1 {
             self.stage_times.exchange_us += t.elapsed().as_micros() as u64;
@@ -920,85 +911,6 @@ impl<M: MsgSize + Send + Sync, A: Agent<M> + Send> Network<M, A> {
         }
     }
 
-    /// Op-log pass: pull outcomes in op order, then pushes in op order —
-    /// the same per-round shape the monolithic engine writes (its stage
-    /// 2 then stage 3). Runs after the pull barrier, when outcomes are
-    /// known.
-    ///
-    /// The round's events scatter in parallel into a pre-sized tail of
-    /// the log ([`OpLog::scatter_tail`]): every op is a pull or a push,
-    /// so the tail holds exactly `n_ops` events — `[pulls in op
-    /// order][pushes in op order]` — and the per-shard pull counts from
-    /// the ledger build's stage A prefix-sum into each shard's disjoint
-    /// pull and push cursor ranges. The scattered log is byte-identical
-    /// to a sequential op-order append.
-    fn log_round_ops(&mut self, round: usize, threads: usize) {
-        if !self.config.record_ops {
-            return;
-        }
-        let n_ops = self.ops.len();
-        let chunk = n_ops.div_ceil(threads).max(1); // = the ledger build's op chunking
-        let Network { pool, staged: st, ops, oplog, .. } = self;
-        let ops: &[(AgentId, Op<M>)] = ops;
-        let pulls: &[PullRec] = &st.pulls;
-        let replies: &[Option<M>] = &st.replies;
-        let pulls_total: usize = st.shard_pulls.iter().map(|&c| c as usize).sum();
-        let w = SharedWriter::new(oplog.scatter_tail(n_ops));
-        let pool = ensure_pool(pool, threads);
-        pool.scope(|scope| {
-            let mut pulls_before = 0usize;
-            for (s, &np) in st.shard_pulls[..threads].iter().enumerate() {
-                let lo = s * chunk;
-                let hi = (lo + chunk).min(n_ops);
-                let q_base = pulls_before;
-                pulls_before += np as usize;
-                if lo >= hi {
-                    continue;
-                }
-                let ops_range = &ops[lo..hi];
-                scope.spawn(move || {
-                    // This shard's cursor ranges: pulls `q_base..q_base
-                    // + np`, pushes `pulls_total + (lo - q_base) ..` —
-                    // contiguous across shards, pairwise disjoint, and
-                    // together exactly `0..n_ops`.
-                    let mut q = q_base;
-                    let mut p = pulls_total + lo - q_base;
-                    for (from, op) in ops_range {
-                        match op {
-                            Op::Pull { from: target, .. } => {
-                                // `q` is this pull's global op-order
-                                // index, which is how `pulls` is
-                                // aligned.
-                                let kind = if replies[pulls[q].qpos as usize].is_some() {
-                                    OpKind::Pull
-                                } else {
-                                    OpKind::PullUnanswered
-                                };
-                                let ev =
-                                    OpEvent { round: round as u32, kind, from: *from, to: *target };
-                                // SAFETY: disjoint cursor ranges, in
-                                // bounds by the prefix sum.
-                                unsafe { w.write(q, ev) };
-                                q += 1;
-                            }
-                            Op::Push { to, .. } => {
-                                let ev = OpEvent {
-                                    round: round as u32,
-                                    kind: OpKind::Push,
-                                    from: *from,
-                                    to: *to,
-                                };
-                                // SAFETY: as above.
-                                unsafe { w.write(p, ev) };
-                                p += 1;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
     /// Apply, final leg: deliver gated pushes to
     /// `on_push` and each pull's reply slot to `on_reply`, sharded over
     /// receivers. Pushes of one receiver arrive in ledger (sender-id)
@@ -1266,13 +1178,14 @@ mod tests {
 
     /// Mixed workload: even agents push to `(id + 1) % n`, odd agents
     /// pull `(id + 3) % n`; everyone answers pulls with its own id and
-    /// remembers everything it hears (pushes, produced pulls, replies).
+    /// remembers everything it hears (pushes, produced pulls, and each
+    /// reply with the pullee it came from).
     struct Mixer {
         id: AgentId,
         n: usize,
         heard: Vec<(AgentId, u64)>,
         answered: u64,
-        replies: Vec<Option<u64>>,
+        replies: Vec<(AgentId, Option<u64>)>,
     }
     impl Mixer {
         fn new(id: AgentId, n: usize) -> Self {
@@ -1294,8 +1207,8 @@ mod tests {
         fn on_push(&mut self, from: AgentId, msg: &Num, _ctx: &RoundCtx) {
             self.heard.push((from, msg.0));
         }
-        fn on_reply(&mut self, _from: AgentId, reply: Option<Num>, _ctx: &RoundCtx) {
-            self.replies.push(reply.map(|m| m.0));
+        fn on_reply(&mut self, from: AgentId, reply: Option<Num>, _ctx: &RoundCtx) {
+            self.replies.push((from, reply.map(|m| m.0)));
         }
     }
 
@@ -1310,21 +1223,20 @@ mod tests {
         )
     }
 
-    /// Every observable a test can compare: metrics, op log, and each
-    /// agent's full observation history.
-    fn observe(net: &Network<Num, Mixer>) -> (Metrics, Vec<crate::oplog::OpEvent>, Vec<String>) {
+    /// Every observable a test can compare: metrics and each agent's
+    /// full observation history.
+    fn observe(net: &Network<Num, Mixer>) -> (Metrics, Vec<String>) {
         let agents = net
             .agents()
             .iter()
             .map(|a| format!("{:?}|{}|{:?}", a.heard, a.answered, a.replies))
             .collect();
-        (net.metrics().clone(), net.oplog().events().to_vec(), agents)
+        (net.metrics().clone(), agents)
     }
 
     #[test]
     fn per_agent_discipline_is_thread_invariant() {
         let cfg = NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.25),
             loss_seed: 7,
             rng_discipline: RngDiscipline::PerAgent,
@@ -1355,10 +1267,7 @@ mod tests {
             },
         );
         per.run_staged(8);
-        let (m_seq, _, a_seq) = observe(&seq);
-        let (m_per, _, a_per) = observe(&per);
-        assert_eq!(m_seq, m_per);
-        assert_eq!(a_seq, a_per);
+        assert_eq!(observe(&seq), observe(&per));
     }
 
     #[test]
@@ -1380,7 +1289,7 @@ mod tests {
             .agents()
             .iter()
             .flat_map(|a| &a.replies)
-            .filter(|r| r.is_some())
+            .filter(|(_, r)| r.is_some())
             .count() as u64;
         assert_eq!(
             m.messages_sent - m.undelivered,

@@ -32,11 +32,16 @@ impl MsgSize for Blob {
 /// single shared RNG would couple future actions to whether a query was
 /// delivered, making message counts legitimately non-monotone under loss
 /// (a proptest run found exactly that).
+///
+/// Its tallies are what the tests below read: `acts` counts `act` calls,
+/// `ops` the operations it performed, `pulls_answered` the pulls that
+/// reached it, `received` the pushes and `replies_seen` the replies.
 struct ChaoticAgent {
     id: AgentId,
     rng: DetRng,
     pulls_answered: u32,
     acts: u32,
+    ops: u32,
     received: u32,
     replies_seen: u32,
 }
@@ -48,6 +53,7 @@ impl ChaoticAgent {
             rng: DetRng::seeded(seed, id as u64),
             pulls_answered: 0,
             acts: 0,
+            ops: 0,
             received: 0,
             replies_seen: 0,
         }
@@ -58,11 +64,13 @@ impl Agent<Blob> for ChaoticAgent {
     fn act(&mut self, ctx: &RoundCtx) -> Option<Op<Blob>> {
         self.acts += 1;
         let peer = ctx.topology.sample_peer(self.id, &mut self.rng);
-        match self.rng.below(3) {
+        let op = match self.rng.below(3) {
             0 => Some(Op::push(peer, Blob(self.rng.below(32) as u8))),
             1 => Some(Op::pull(peer, Blob(0))),
             _ => None,
-        }
+        };
+        self.ops += op.is_some() as u32;
+        op
     }
     fn on_pull(&mut self, _from: AgentId, _q: &Blob, _ctx: &RoundCtx) -> Option<Blob> {
         // Answer every second pull, deterministically in arrival count.
@@ -104,7 +112,6 @@ fn run_chaos(
         agents,
         faults,
         NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(loss),
             loss_seed: seed,
             ..NetworkConfig::default()
@@ -131,8 +138,8 @@ proptest! {
         prop_assert_eq!(net.metrics().rounds, rounds as u64);
     }
 
-    /// Faulty agents never act: every logged op originates from an
-    /// active agent, and faulty agents never answer pulls.
+    /// Faulty agents never act, never answer a pull and never hear a
+    /// push, and no puller hears a reply from one.
     #[test]
     fn faulty_agents_are_quiescent(
         n in 3usize..40,
@@ -141,28 +148,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let net = run_chaos(n, rounds, fault_frac, 0.0, seed);
-        for ev in net.oplog().events() {
-            prop_assert!(
-                !net.faults().is_faulty(ev.from),
-                "faulty agent {} issued an op",
-                ev.from
-            );
-            if net.faults().is_faulty(ev.to) {
-                prop_assert_ne!(
-                    ev.kind,
-                    gossip_net::OpKind::Pull,
-                    "faulty agent {} answered a pull",
-                    ev.to
-                );
-            }
-        }
-        // Faulty agents received nothing.
         for id in 0..n as AgentId {
             if net.faults().is_faulty(id) {
-                prop_assert_eq!(net.agent(id).acts, 0);
-                prop_assert_eq!(net.agent(id).received, 0);
+                let a = net.agent(id);
+                prop_assert_eq!(a.acts, 0, "faulty agent {} was asked to act", id);
+                prop_assert_eq!(a.pulls_answered, 0, "faulty agent {} was pulled", id);
+                prop_assert_eq!(a.received, 0, "faulty agent {} heard a push", id);
             }
         }
+        // Every reply a puller heard was produced by an active pullee.
+        let heard: u32 = net.agents().iter().map(|a| a.replies_seen).sum();
+        let produced: u32 = net.agents().iter().map(|a| a.pulls_answered.div_ceil(2)).sum();
+        prop_assert_eq!(heard, produced);
     }
 
     /// Determinism: the whole run is a pure function of the seed — even
@@ -178,8 +175,8 @@ proptest! {
         let b = run_chaos(n, rounds, 0.2, loss, seed);
         prop_assert_eq!(a.metrics().messages_sent, b.metrics().messages_sent);
         prop_assert_eq!(a.metrics().bits_sent, b.metrics().bits_sent);
-        prop_assert_eq!(a.oplog().len(), b.oplog().len());
         for id in 0..n as AgentId {
+            prop_assert_eq!(a.agent(id).ops, b.agent(id).ops);
             prop_assert_eq!(a.agent(id).received, b.agent(id).received);
             prop_assert_eq!(a.agent(id).replies_seen, b.agent(id).replies_seen);
         }
@@ -218,8 +215,10 @@ proptest! {
         let lossless = run_chaos(n, rounds, 0.0, 0.0, seed);
         let lossy = run_chaos(n, rounds, 0.0, 0.7, seed);
         // Pushes + queries are identical; replies bounded by arrivals.
-        let ops_floor = lossless.oplog().len() as u64; // pushes + pulls issued
-        prop_assert_eq!(lossy.oplog().len() as u64, ops_floor,
+        let ops = |net: &Network<Blob, ChaoticAgent>| -> Vec<u32> {
+            net.agents().iter().map(|a| a.ops).collect()
+        };
+        prop_assert_eq!(ops(&lossy), ops(&lossless),
             "active operations must be identical across loss settings");
         prop_assert!(lossy.metrics().messages_sent <= lossless.metrics().messages_sent);
         prop_assert!(lossy.metrics().messages_sent > 0 || rounds == 0);
@@ -248,23 +247,18 @@ fn async_scheduler_is_deterministic_and_bounded() {
 // Arena resets across topology shape changes
 // ---------------------------------------------------------------------
 
-/// Fingerprint of everything a recycled arena could leak: metrics, op
-/// log length, per-agent observation counters, and the current round.
-type Fingerprint = (String, usize, Vec<(u32, u32, u32, u32)>, usize);
+/// Fingerprint of everything a recycled arena could leak: metrics,
+/// per-agent operation and observation counters, and the current round.
+type Fingerprint = (String, Vec<(u32, u32, u32, u32, u32)>, usize);
 
 /// The [`Fingerprint`] of `net`.
 fn chaos_fingerprint(net: &Network<Blob, ChaoticAgent>) -> Fingerprint {
     let agents = net
         .agents()
         .iter()
-        .map(|a| (a.acts, a.pulls_answered, a.received, a.replies_seen))
+        .map(|a| (a.acts, a.ops, a.pulls_answered, a.received, a.replies_seen))
         .collect();
-    (
-        format!("{:?}", net.metrics()),
-        net.oplog().len(),
-        agents,
-        net.round(),
-    )
+    (format!("{:?}", net.metrics()), agents, net.round())
 }
 
 /// Run a fresh network over `topology` and return its fingerprint.
@@ -279,7 +273,6 @@ fn fresh_run(topology: Topology, seed: u64, rounds: usize) -> Fingerprint {
         agents,
         FaultPlan::none(n),
         NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.2),
             loss_seed: seed,
             ..NetworkConfig::default()
@@ -302,7 +295,6 @@ fn reset_run(
         SizeEnv::for_n(n),
         FaultPlan::none(n),
         NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.2),
             loss_seed: seed,
             ..NetworkConfig::default()
@@ -344,7 +336,6 @@ fn reset_into_survives_topology_size_and_shape_changes() {
         agents,
         FaultPlan::none(first.0.n()),
         NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.2),
             loss_seed: first.1,
             ..NetworkConfig::default()
@@ -385,7 +376,6 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
             agents,
             FaultPlan::none(n),
             NetworkConfig {
-                record_ops: true,
                 loss: LossSchedule::constant(0.3),
                 loss_seed: seed,
                 rng_discipline: RngDiscipline::PerAgent,
@@ -412,7 +402,6 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
         agents,
         FaultPlan::none(first.0.n()),
         NetworkConfig {
-            record_ops: true,
             loss: LossSchedule::constant(0.3),
             loss_seed: first.1,
             rng_discipline: RngDiscipline::PerAgent,
@@ -429,7 +418,6 @@ fn reset_into_recycles_staged_scratch_across_shapes() {
             SizeEnv::for_n(n),
             FaultPlan::none(n),
             NetworkConfig {
-                record_ops: true,
                 loss: LossSchedule::constant(0.3),
                 loss_seed: *seed,
                 rng_discipline: RngDiscipline::PerAgent,

@@ -2,8 +2,8 @@
 //!
 //! The staged engine's exchange stage compiles each round's op list into
 //! a CSR delivery ledger. Loss-free, that ledger must *replay the
-//! monolithic engine exactly*: same op log event for event, same
-//! metrics, same agent observations — for any topology, any fault plan,
+//! monolithic engine exactly*: same metrics, same operations and same
+//! observations in every agent — for any topology, any fault plan,
 //! and any shard count (the two disciplines differ only in their loss
 //! streams, and a `p = 0` round draws none). This suite pins that with
 //! one property test quantified over `topology × fault plan`, the CSR
@@ -14,7 +14,6 @@ use gossip_net::dynamics::LossSchedule;
 use gossip_net::fault::{FaultPlan, Placement};
 use gossip_net::metrics::Metrics;
 use gossip_net::network::{Network, NetworkConfig};
-use gossip_net::oplog::OpEvent;
 use gossip_net::rng::RngDiscipline;
 use gossip_net::size::{MsgSize, SizeEnv};
 use gossip_net::topology::Topology;
@@ -32,10 +31,12 @@ impl MsgSize for Num {
 /// A deterministic mixed-traffic agent: its op each round is a pure
 /// function of `(id, round)` — pushes, pulls, and silence all occur, and
 /// targets sweep the whole id space so off-edge sends, faulty targets,
-/// and self-delivery all happen. Records every observation.
+/// and self-delivery all happen. Records every push it makes and every
+/// observation; each pull it makes shows as its reply, answered or not.
 struct Weaver {
     id: AgentId,
     n: usize,
+    pushed: Vec<(usize, AgentId)>,
     heard: Vec<(usize, AgentId, u64)>,
     answered: Vec<(usize, AgentId)>,
     replies: Vec<(usize, AgentId, Option<u64>)>,
@@ -43,10 +44,10 @@ struct Weaver {
 
 impl Weaver {
     fn new(id: AgentId, n: usize) -> Self {
-        Weaver { id, n, heard: vec![], answered: vec![], replies: vec![] }
+        Weaver { id, n, pushed: vec![], heard: vec![], answered: vec![], replies: vec![] }
     }
     fn observations(&self) -> String {
-        format!("{:?}|{:?}|{:?}", self.heard, self.answered, self.replies)
+        format!("{:?}|{:?}|{:?}|{:?}", self.pushed, self.heard, self.answered, self.replies)
     }
 }
 
@@ -55,14 +56,17 @@ impl Agent<Num> for Weaver {
         let r = ctx.round;
         let target = ((self.id as usize + r * 7 + 3) % self.n) as AgentId;
         match (self.id as usize + r) % 3 {
-            0 => Some(Op::push(target, Num(self.id as u64 * 1000 + r as u64))),
+            0 => {
+                self.pushed.push((r, target));
+                Some(Op::push(target, Num(self.id as u64 * 1000 + r as u64)))
+            }
             1 => Some(Op::pull(target, Num(r as u64))),
             _ => None,
         }
     }
     fn on_pull(&mut self, from: AgentId, _q: &Num, ctx: &RoundCtx) -> Option<Num> {
         self.answered.push((ctx.round, from));
-        // Decline every third answer so PullUnanswered also arises from
+        // Decline every third answer so unanswered pulls also arise from
         // *choice*, not just masks.
         if (self.id as usize + ctx.round).is_multiple_of(3) {
             None
@@ -107,7 +111,7 @@ fn build_faults(n: usize, frac: f64, placement: u8, seed: u64) -> FaultPlan {
     FaultPlan::fraction(n, frac, placement)
 }
 
-type Observation = (Metrics, Vec<OpEvent>, Vec<String>, usize);
+type Observation = (Metrics, Vec<String>, usize);
 
 /// A loss-free run: `None` = the monolithic `step()`, `Some(t)` = the
 /// staged `PerAgent` pipeline on `t` shards.
@@ -120,7 +124,6 @@ fn run_engine(
     let n = topology.n();
     let agents: Vec<Weaver> = (0..n as AgentId).map(|id| Weaver::new(id, n)).collect();
     let config = NetworkConfig {
-        record_ops: true,
         rng_discipline: match engine_threads {
             None => RngDiscipline::Sequential,
             Some(_) => RngDiscipline::PerAgent,
@@ -140,7 +143,7 @@ fn run_engine(
         Some(_) => net.run_staged(rounds),
     }
     let obs = net.agents().iter().map(|a| a.observations()).collect();
-    (net.metrics().clone(), net.oplog().events().to_vec(), obs, net.round())
+    (net.metrics().clone(), obs, net.round())
 }
 
 proptest! {
@@ -148,7 +151,7 @@ proptest! {
 
     /// THE replay property: for any topology family and fault plan, the
     /// loss-free staged `PerAgent` pipeline produces the monolithic
-    /// engine's *exact* op log (event for event), metrics, and agent
+    /// engine's *exact* metrics and every agent's exact operations and
     /// observations — at 1, 2, and 5 shards.
     #[test]
     fn csr_ledger_replays_legacy_delivery_order(
@@ -166,18 +169,14 @@ proptest! {
         for threads in [1usize, 2, 5] {
             let staged = run_engine(Some(threads), &topology, &faults, rounds);
             prop_assert_eq!(
-                &staged.1, &legacy.1,
-                "op log diverged (threads={}, topo={}, n={})", threads, topo_kind, n
-            );
-            prop_assert_eq!(
                 &staged.0, &legacy.0,
-                "metrics diverged (threads={})", threads
+                "metrics diverged (threads={}, topo={}, n={})", threads, topo_kind, n
             );
             prop_assert_eq!(
-                &staged.2, &legacy.2,
-                "agent observations diverged (threads={})", threads
+                &staged.1, &legacy.1,
+                "agent operations or observations diverged (threads={})", threads
             );
-            prop_assert_eq!(staged.3, legacy.3);
+            prop_assert_eq!(staged.2, legacy.2);
         }
     }
 
@@ -206,7 +205,6 @@ proptest! {
                 agents,
                 faults.clone(),
                 NetworkConfig {
-                    record_ops: true,
                     loss: LossSchedule::constant(loss_p),
                     loss_seed,
                     rng_discipline: RngDiscipline::PerAgent,
@@ -216,7 +214,7 @@ proptest! {
             );
             net.run_staged(8);
             let obs: Vec<String> = net.agents().iter().map(|a| a.observations()).collect();
-            (net.metrics().clone(), net.oplog().events().to_vec(), obs)
+            (net.metrics().clone(), obs)
         };
         let one = run(1);
         for threads in [2usize, 7] {

@@ -49,7 +49,7 @@ use rfc_core::msg::Msg;
 use rfc_core::outcome::{combine_decisions, Decision, Outcome};
 use rfc_core::params::Params;
 use rfc_core::payload::PayloadPool;
-use rfc_core::runner::{build_network_in, drive_phases, RunConfig};
+use rfc_core::runner::{build_network_in, drive_phases, run_windows, RunConfig};
 use std::io::{self, Read, Write};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -372,7 +372,7 @@ pub fn run_session<S: Read + Write + Send>(
     let mut scheduler = DetRng::seeded(np.seed, SCHEDULER_STREAM);
     drive_phases(
         &mut net,
-        schedule.windows(),
+        run_windows(&cfg, schedule),
         |net| net.run_async(1, &mut scheduler),
         |_| lock(&link).error.take().map_or(Ok(()), Err),
     )?;

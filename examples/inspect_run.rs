@@ -4,13 +4,12 @@
 //! cargo run --release --example inspect_run
 //! ```
 //!
-//! Uses the network's operation log and the good-execution audit to show
-//! what actually happened on the wire: per-phase operation counts, the
-//! vote-count distribution, the k-lottery outcome, and the verification
-//! verdicts. Useful both as a debugging aid and as a worked tour of the
-//! protocol's mechanics.
+//! Uses the run's per-phase meters, the agents' own state and the
+//! good-execution audit to show what actually happened on the wire:
+//! per-phase traffic, the vote-count distribution, the k-lottery
+//! outcome, and the verification verdicts. Useful both as a debugging
+//! aid and as a worked tour of the protocol's mechanics.
 
-use rational_fair_consensus::gossip_net::OpKind;
 use rational_fair_consensus::prelude::*;
 use rational_fair_consensus::rfc_core::engine::ConsensusAgent;
 use rational_fair_consensus::rfc_core::runner::{
@@ -26,29 +25,17 @@ fn main() {
         .record_ops(true)
         .build();
     let params = cfg.params();
-    let q = params.q;
 
     let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
     drive_network(&mut net, &cfg);
+    let report = collect_report(&net, &cfg);
 
-    println!("protocol P on K_{n}, seed {seed}: q = {q}, m = n³ = {}\n", params.m);
+    println!("protocol P on K_{n}, seed {seed}: q = {}, m = n³ = {}\n", params.q, params.m);
 
-    // Phase-by-phase wire activity from the op log.
-    println!("{:<12} {:>8} {:>8} {:>10}", "phase", "pushes", "pulls", "unanswered");
-    for (name, lo, hi) in [
-        ("commitment", 0, q),
-        ("voting", q, 2 * q),
-        ("find-min", 2 * q, 3 * q),
-        ("coherence", 3 * q, 4 * q),
-    ] {
-        let ops: Vec<_> = net.oplog().in_rounds(lo as u32, hi as u32).collect();
-        let pushes = ops.iter().filter(|e| e.kind == OpKind::Push).count();
-        let pulls = ops.iter().filter(|e| e.kind == OpKind::Pull).count();
-        let silent = ops
-            .iter()
-            .filter(|e| e.kind == OpKind::PullUnanswered)
-            .count();
-        println!("{name:<12} {pushes:>8} {pulls:>8} {silent:>10}");
+    // Phase-by-phase wire activity from the run's per-phase meters.
+    println!("{:<12} {:>8} {:>10} {:>13}", "phase", "messages", "bits", "largest bits");
+    for (name, t) in &report.metrics.phases {
+        println!("{name:<12} {:>8} {:>10} {:>13}", t.messages, t.bits, t.max_message_bits);
     }
 
     // The k-lottery: every agent's accumulated value, the winner starred.
@@ -59,7 +46,7 @@ fn main() {
             (
                 id,
                 core.own_cert_data().map(|c| c.k).unwrap_or(0),
-                core.votes.len(),
+                core.votes_received(),
             )
         })
         .collect();
@@ -71,7 +58,6 @@ fn main() {
     println!("  … ({} agents total)", n);
 
     // Verification verdicts and the outcome.
-    let report = collect_report(&net, &cfg);
     let audit = report.audit.as_ref().unwrap();
     println!("\naudit: votes/agent min {} mean {:.1} max {};  k distinct: {};  minima agree: {}",
         audit.votes_min, audit.votes_mean, audit.votes_max,

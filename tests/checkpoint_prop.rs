@@ -74,10 +74,13 @@ proptest! {
         ckpt_frac in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
+        // `record_ops` builds the good-execution audit, which resume
+        // must reproduce too.
         let mut builder = RunConfig::builder(n)
             .gamma(3.0)
             .colors(vec![n - n / 2, n / 2])
-            .topology(topo);
+            .topology(topo)
+            .record_ops(true);
         if fault_frac > 0.0 {
             builder = builder.faults(fault_frac, placement);
         }
@@ -131,7 +134,6 @@ proptest! {
             }
         }).expect("straight run");
         let straight = collect_report(&net, &cfg);
-        let straight_ops = net.oplog().events().to_vec();
         let bytes = snapshot.expect("checkpoint round visited");
 
         // Restore and finish.
@@ -148,6 +150,6 @@ proptest! {
             ckpt_round, total, cfg
         );
         prop_assert_eq!(&resumed.metrics, &straight.metrics);
-        prop_assert_eq!(net2.oplog().events(), &straight_ops[..]);
+        prop_assert_eq!(&resumed.audit, &straight.audit);
     }
 }

@@ -1,7 +1,7 @@
 //! Resume-equivalence corpus (tier-2): checkpoint-at-r + restore +
 //! run-to-completion must be **bit-identical** to the straight-through
 //! run — same `report_digest`, same `Metrics` (full `PartialEq`,
-//! including the current-phase pointer), same op-log event for event.
+//! including the current-phase pointer), same good-execution audit.
 //!
 //! The corpus mirrors the golden matrices exactly: every static row of
 //! `golden_runs.rs` (sequential engine), every sharded row of
@@ -22,7 +22,6 @@ mod common;
 
 use common::{report_digest, Digest};
 use gossip_net::fault::Placement;
-use gossip_net::oplog::OpEvent;
 use rfc_core::checkpoint::{
     self, config_fingerprint, drive_with_checkpoints, peek_header, restore_network, CheckpointError,
 };
@@ -270,11 +269,10 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Everything a straight-through run produces that resume must
-/// reproduce: the report (compared via digest + full `Metrics`
-/// equality) and the op-log, event for event.
+/// reproduce: the report (compared via digest, full `Metrics` equality
+/// and the audit of `record_ops` rows), plus its snapshots.
 struct Baseline {
     report: RunReport,
-    oplog: Vec<OpEvent>,
     snapshots: Vec<(usize, Vec<u8>)>,
 }
 
@@ -288,19 +286,17 @@ fn straight_with_snapshots(cfg: &RunConfig, seed: u64, every: usize) -> Baseline
     .expect("straight run with snapshots");
     Baseline {
         report: collect_report(&net, cfg),
-        oplog: net.oplog().events().to_vec(),
         snapshots,
     }
 }
 
-/// Restore `bytes` under `cfg` and run to completion; return the report
-/// and op-log.
-fn finish_from(cfg: &RunConfig, bytes: &[u8]) -> (RunReport, Vec<OpEvent>) {
+/// Restore `bytes` under `cfg` and run to completion; return the report.
+fn finish_from(cfg: &RunConfig, bytes: &[u8]) -> RunReport {
     let restored = restore_network(cfg, bytes).expect("restore");
     let mut net = restored.net;
     drive_with_checkpoints(&mut net, cfg, restored.seed, None, &mut |_, _| {})
         .expect("finish restored run");
-    (collect_report(&net, cfg), net.oplog().events().to_vec())
+    collect_report(&net, cfg)
 }
 
 /// Resume cadence: about five snapshots per run (plus the final
@@ -341,7 +337,7 @@ fn assert_resume_equivalent(label: &str, cfg: &RunConfig, seed: u64) {
         assert_eq!(header.round, *round, "{label}: header round");
         assert_eq!(header.n, cfg.n, "{label}: header n");
         assert_eq!(header.seed, seed, "{label}: header seed");
-        let (report, oplog) = finish_from(cfg, bytes);
+        let report = finish_from(cfg, bytes);
         assert_eq!(
             report_digest(&report),
             report_digest(&base.report),
@@ -352,8 +348,8 @@ fn assert_resume_equivalent(label: &str, cfg: &RunConfig, seed: u64) {
             "{label}: resume at round {round} diverged in metrics"
         );
         assert_eq!(
-            oplog, base.oplog,
-            "{label}: resume at round {round} diverged in the op-log"
+            report.audit, base.report.audit,
+            "{label}: resume at round {round} diverged in the audit"
         );
     }
 }
@@ -397,14 +393,14 @@ fn resume_is_thread_count_portable() {
         let (mid_round, mid_bytes) = &base.snapshots[base.snapshots.len() / 2];
         for &to in &counts[1..] {
             let to_cfg = spell(to);
-            let (report, oplog) = finish_from(&to_cfg, mid_bytes);
+            let report = finish_from(&to_cfg, mid_bytes);
             assert_eq!(
                 report_digest(&report),
                 report_digest(&base.report),
                 "{label}: snapshot@t{} round {mid_round} resumed@t{to} diverged",
                 counts[0]
             );
-            assert_eq!(oplog, base.oplog, "{label}: cross-thread op-log diverged");
+            assert_eq!(report.audit, base.report.audit, "{label}: cross-thread audit diverged");
         }
     }
 }
@@ -456,17 +452,15 @@ fn loss_schedule_edges_resume_at_their_boundaries() {
         })
         .expect("straight run");
         let straight = collect_report(&net, &cfg);
-        let straight_ops = net.oplog().events().to_vec();
         assert_eq!(wanted.len(), boundaries.len(), "{label}: missed a boundary");
         for (round, bytes) in &wanted {
-            let (report, oplog) = finish_from(&cfg, bytes);
+            let report = finish_from(&cfg, bytes);
             assert_eq!(
                 report_digest(&report),
                 report_digest(&straight),
                 "{label}: resume on boundary round {round} diverged"
             );
             assert_eq!(report.metrics, straight.metrics, "{label}@{round}");
-            assert_eq!(oplog, straight_ops, "{label}@{round}");
         }
     }
 }
@@ -493,13 +487,13 @@ fn resumed_runs_stay_resumable() {
     );
     assert!(!gen2.is_empty(), "resumed run emitted no snapshots");
     let (round, bytes) = gen2.last().unwrap();
-    let (report, oplog) = finish_from(cfg, bytes);
+    let report = finish_from(cfg, bytes);
     assert_eq!(
         report_digest(&report),
         report_digest(&base.report),
         "{label}: gen-2 resume at round {round} diverged"
     );
-    assert_eq!(oplog, base.oplog);
+    assert_eq!(report.metrics, base.report.metrics);
 }
 
 #[test]
@@ -765,6 +759,24 @@ fn garbage_bodies_error_cleanly() {
     assert!(checkpoint::peek_header(&noise).is_err());
 }
 
+/// Offset of agent 0's intent list in a snapshot of `(cfg, seed)`: the
+/// first entry of the intent pool, which follows the metrics, the
+/// reserved op-log byte and the pool's list count.
+fn own_list_at(cfg: &RunConfig, seed: u64, bytes: &[u8]) -> usize {
+    let net = build_network_slots(cfg, seed, &mut honest_slot_factory);
+    let own = net.agent(0).core().intent_list();
+    let mut list = Vec::new();
+    put_varint(&mut list, own.len() as u64);
+    for e in own.iter() {
+        put_varint(&mut list, e.value);
+        put_varint(&mut list, e.target as u64);
+    }
+    bytes
+        .windows(list.len())
+        .position(|w| w == list.as_slice())
+        .expect("agent 0's intent list is pooled")
+}
+
 /// Offset of a checkpoint's engine section. It follows the header:
 /// magic, version, checksum, seed, fingerprint, varint n, varint round.
 fn engine_offset(bytes: &[u8]) -> usize {
@@ -833,23 +845,35 @@ fn engine_states_the_config_cannot_hold_are_corrupt() {
     expect_corrupt("plan fault up", &faulty, &b);
 
     // An agent's own intent target outside the network (its vote push
-    // would address no agent). Agent 0's list is the first pool entry.
+    // would address no agent).
     let net = build_network_slots(&cfg, 1, &mut honest_slot_factory);
     let own = net.agent(0).core().intent_list();
-    let mut list = Vec::new();
-    put_varint(&mut list, own.len() as u64);
-    for e in own.iter() {
-        put_varint(&mut list, e.value);
-        put_varint(&mut list, e.target as u64);
-    }
-    let at = bytes
-        .windows(list.len())
-        .position(|w| w == list.as_slice())
-        .expect("agent 0's intent list is pooled");
+    let at = own_list_at(&cfg, 1, &bytes);
     let first = own.iter().next().expect("non-empty list");
     let target = at + varint_len(own.len() as u64) + varint_len(first.value);
     assert_eq!(bytes[target] as u32, first.target, "one-byte target varint");
     let mut b = bytes.clone();
     b[target] = 100;
     expect_corrupt("intent target outside", &cfg, &b);
+}
+
+#[test]
+fn a_nonzero_op_log_count_is_corrupt() {
+    // Format 2 reserves a byte after the metrics for an op-log count.
+    // The engine keeps no op log, so the byte is written as 0, and a
+    // re-sealed snapshot with any other value there is refused.
+    let (cfg, bytes) = some_checkpoint();
+    let count = own_list_at(&cfg, 1, &bytes) - 2;
+    assert_eq!(bytes[count + 1] as usize, cfg.n, "one pooled list per agent");
+    assert_eq!(bytes[count], 0, "the op-log count is written as 0");
+    for v in [1u8, 0x7f] {
+        let mut b = bytes.clone();
+        b[count] = v;
+        reseal(&mut b);
+        match restore_network(&cfg, &b) {
+            Err(CheckpointError::Corrupt("op-log section is not empty")) => {}
+            Err(other) => panic!("op-log count {v}: expected Corrupt, got {other}"),
+            Ok(_) => panic!("op-log count {v}: accepted"),
+        }
+    }
 }

@@ -19,23 +19,25 @@
 //! change why the digests moved.
 //!
 //! The contract tests after the pins rebuild runs the way
-//! `run_protocol_async` does and read their op logs: only the woken agent
-//! acts in a tick, down agents stay silent, and the meters are exactly
-//! what the op log implies — one message per push and per pull query,
-//! one more per answered pull, and one undelivered per send to a down,
-//! cut-off or lost addressee.
+//! `run_protocol_async` does, with every agent recording the operations
+//! it performs (`common::Recorded`): only the woken agent acts in a tick,
+//! down agents stay silent, and the meters are exactly what the agents'
+//! records imply — one message per push and per pull query, one more
+//! per answered pull, and one undelivered per send to a down, cut-off or
+//! lost addressee.
 
 mod common;
 
-use common::report_digest;
+use common::{
+    implied_meters, meters, recorded_ops, recording, report_digest, OpRecord, Recorded,
+};
 use gossip_net::fault::Placement;
 use gossip_net::ids::AgentId;
-use gossip_net::oplog::{OpEvent, OpKind};
 use gossip_net::rng::DetRng;
 use gossip_net::topology::Topology;
 use gossip_net::Network;
 use proptest::prelude::*;
-use rfc_core::runner::{build_network_slots, collect_report, drive_phases, RunConfig};
+use rfc_core::runner::{build_network_slots, collect_report, drive_phases, run_windows, RunConfig};
 use rfc_core::{
     run_protocol_async, AgentSlot, LossSchedule, Msg, Params, PartitionCut, ProtocolCore,
     RngDiscipline, ScenarioScript, SCHEDULER_STREAM,
@@ -167,28 +169,29 @@ fn pinned(label: &str) -> (u64, u64) {
     (*digest, *undelivered)
 }
 
-/// The network, scheduler and phase windows `run_protocol_async` builds
-/// for `(cfg, seed, slack)`, before the first tick.
+/// The network `run_protocol_async` builds for `(cfg, seed, slack)`,
+/// each agent wrapped in a recorder, with its scheduler and the phase
+/// windows it walks, before the first tick.
 fn async_network(
     cfg: &RunConfig,
     seed: u64,
     slack: usize,
-) -> (Network<Msg, AgentSlot>, DetRng, [(&'static str, usize); 4]) {
+) -> (Network<Msg, Recorded>, DetRng, Vec<(&'static str, usize)>) {
     let schedule = cfg.params().async_schedule(slack);
-    let mut factory = |id: AgentId, params: Params, color, rng, topo: &Topology| {
+    let mut factory = recording(|id: AgentId, params: Params, color, rng, topo: &Topology| {
         AgentSlot::honest(ProtocolCore::new_on(topo, id, params, schedule, color, rng))
-    };
+    });
     let net = build_network_slots(cfg, seed, &mut factory);
     (
         net,
         DetRng::seeded(seed, SCHEDULER_STREAM),
-        schedule.windows(),
+        run_windows(cfg, schedule).collect(),
     )
 }
 
 /// `run_protocol_async`'s run, one tick per clock unit, returning the
-/// finished network (its op log is filled when `cfg.record_ops` is set).
-fn run_async_net(cfg: &RunConfig, seed: u64, slack: usize) -> Network<Msg, AgentSlot> {
+/// finished network.
+fn run_async_net(cfg: &RunConfig, seed: u64, slack: usize) -> Network<Msg, Recorded> {
     let (mut net, mut scheduler, windows) = async_network(cfg, seed, slack);
     let Ok(()) = drive_phases(
         &mut net,
@@ -199,33 +202,15 @@ fn run_async_net(cfg: &RunConfig, seed: u64, slack: usize) -> Network<Msg, Agent
     net
 }
 
-fn with_ops(mut cfg: RunConfig) -> RunConfig {
-    cfg.record_ops = true;
-    cfg
-}
-
-/// The `(messages_sent, undelivered)` meters an op log implies for a run
-/// that loses no reply in transit: one message per push and per pull
-/// query, one more per answered pull, and one undelivered per operation
-/// whose addressee `blocked` says could not take it.
-fn implied_meters(events: &[OpEvent], blocked: impl Fn(&OpEvent) -> bool) -> (u64, u64) {
-    let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count();
-    let undelivered = events.iter().filter(|ev| blocked(ev)).count();
-    ((events.len() + answered) as u64, undelivered as u64)
-}
-
-fn meters(net: &Network<Msg, AgentSlot>) -> (u64, u64) {
-    (net.metrics().messages_sent, net.metrics().undelivered)
-}
-
 #[test]
 fn async_runs_meter_every_tick_and_phase() {
     for (label, c, seed, slack) in async_corpus() {
         let r = run_protocol_async(&c, seed, slack);
         let m = &r.metrics;
-        let windows = c.params().async_schedule(slack).windows();
+        let windows: Vec<_> = run_windows(&c, c.params().async_schedule(slack)).collect();
         assert_eq!(
-            m.ticks as usize, windows[3].1,
+            Some(m.ticks as usize),
+            windows.last().map(|&(_, end)| end),
             "{label}: one tick per budgeted unit"
         );
         assert_eq!(m.rounds, m.ticks, "{label}: every tick records one round");
@@ -238,11 +223,8 @@ fn async_runs_meter_every_tick_and_phase() {
             "{label}: undelivered exceeds sent"
         );
         let labels: Vec<&str> = m.phases.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(
-            labels,
-            windows.map(|(name, _)| name),
-            "{label}: phase labels"
-        );
+        let names: Vec<&str> = windows.iter().map(|&(name, _)| name).collect();
+        assert_eq!(labels, names, "{label}: phase labels");
         let messages: u64 = m.phases.iter().map(|(_, t)| t.messages).sum();
         let bits: u64 = m.phases.iter().map(|(_, t)| t.bits).sum();
         assert_eq!(messages, m.messages_sent, "{label}: phases miss messages");
@@ -274,20 +256,20 @@ fn whole_phase_windows_match_tick_by_tick_runs() {
 #[test]
 fn each_tick_runs_only_the_woken_agent() {
     for (label, c, seed, slack) in async_corpus() {
-        let net = run_async_net(&with_ops(c), seed, slack);
+        let net = run_async_net(&c, seed, slack);
         let mut scheduler = DetRng::seeded(seed, SCHEDULER_STREAM);
         let woken: Vec<usize> = (0..net.round()).map(|_| scheduler.index(net.n())).collect();
-        let events = net.oplog().events();
-        assert!(!events.is_empty(), "{label}: empty op log");
+        let ops = recorded_ops(&net);
+        assert!(!ops.is_empty(), "{label}: no agent acted");
         assert!(
-            events.windows(2).all(|w| w[0].round < w[1].round),
+            ops.windows(2).all(|w| w[0].round < w[1].round),
             "{label}: a tick performed two operations"
         );
-        for ev in events {
+        for op in &ops {
             assert_eq!(
-                ev.from as usize, woken[ev.round as usize],
+                op.from as usize, woken[op.round],
                 "{label}: tick {} acted for an agent it did not wake",
-                ev.round
+                op.round
             );
         }
     }
@@ -296,64 +278,60 @@ fn each_tick_runs_only_the_woken_agent() {
 #[test]
 fn down_agents_never_act() {
     // Plan faults stay silent for the whole run.
-    let net = run_async_net(&with_ops(faulty(48)), 1234, 3);
+    let net = run_async_net(&faulty(48), 1234, 3);
     assert!(net.faults().n_faulty() > 0);
-    for ev in net.oplog().events() {
+    for op in recorded_ops(&net) {
         assert!(
-            !net.faults().is_faulty(ev.from),
+            !net.faults().is_faulty(op.from),
             "faulty agent {} acted at tick {}",
-            ev.from,
-            ev.round
+            op.from,
+            op.round
         );
     }
     // A scripted crash silences an agent from its crash tick on, until
     // it recovers.
     let (n, slack) = (24, 3);
     let (crash_at, recover_at) = churn_ticks(n, slack);
-    let net = run_async_net(&with_ops(churn(n, slack)), 8, slack);
-    let events = net.oplog().events();
-    for ev in events.iter().filter(|ev| CRASHED.contains(&ev.from)) {
-        let tick = ev.round as usize;
+    let net = run_async_net(&churn(n, slack), 8, slack);
+    let ops = recorded_ops(&net);
+    for op in ops.iter().filter(|op| CRASHED.contains(&op.from)) {
+        let tick = op.round;
         assert!(
-            tick < crash_at || (ev.from == RECOVERED && tick >= recover_at),
+            tick < crash_at || (op.from == RECOVERED && tick >= recover_at),
             "agent {} acted at tick {tick} while crashed",
-            ev.from
+            op.from
         );
     }
     assert!(
-        events
-            .iter()
-            .any(|ev| ev.from == RECOVERED && ev.round as usize >= recover_at),
+        ops.iter()
+            .any(|op| op.from == RECOVERED && op.round >= recover_at),
         "the recovered agent never acted again"
     );
 }
 
 #[test]
 fn sends_to_down_agents_are_metered_undelivered() {
-    let net = run_async_net(&with_ops(faulty(48)), 1234, 3);
+    let net = run_async_net(&faulty(48), 1234, 3);
     let plan = net.faults();
     assert_eq!(
         meters(&net),
-        implied_meters(net.oplog().events(), |ev| plan.is_faulty(ev.to)),
+        implied_meters(&recorded_ops(&net), |op| plan.is_faulty(op.to)),
         "n48/faults-0.1"
     );
     // The churn row without its loss: sends to an agent while it is
     // crashed are the only undelivered ones.
     let (n, slack) = (24, 3);
     let (crash_at, recover_at) = churn_ticks(n, slack);
-    let mut c = with_ops(churn(n, slack));
+    let mut c = churn(n, slack);
     c.loss = LossSchedule::constant(0.0);
     let net = run_async_net(&c, 8, slack);
-    let down = |ev: &OpEvent| {
-        let tick = ev.round as usize;
-        CRASHED.contains(&ev.to) && tick >= crash_at && !(ev.to == RECOVERED && tick >= recover_at)
+    let down = |op: &OpRecord| {
+        let tick = op.round;
+        CRASHED.contains(&op.to) && tick >= crash_at && !(op.to == RECOVERED && tick >= recover_at)
     };
-    assert!(net.oplog().events().iter().any(down));
-    assert_eq!(
-        meters(&net),
-        implied_meters(net.oplog().events(), down),
-        "n24/churn"
-    );
+    let ops = recorded_ops(&net);
+    assert!(ops.iter().any(down));
+    assert_eq!(meters(&net), implied_meters(&ops, down), "n24/churn");
 }
 
 #[test]
@@ -362,16 +340,16 @@ fn partition_cut_sends_are_metered_undelivered() {
     let phase_len = slack * n * cfg(n).params().q;
     let (cut_at, heal_at) = (phase_len / 2, 2 * phase_len);
     let cut = PartitionCut::split_at(n, n / 2);
-    let mut c = with_ops(cfg(n));
+    let mut c = cfg(n);
     c.scenario = ScenarioScript::new()
         .partition(cut_at, cut.clone())
         .heal(heal_at);
     let net = run_async_net(&c, 13, slack);
-    let across = |ev: &OpEvent| {
-        (cut_at..heal_at).contains(&(ev.round as usize)) && cut.blocks(ev.from, ev.to)
-    };
-    assert!(net.oplog().events().iter().any(across));
-    assert_eq!(meters(&net), implied_meters(net.oplog().events(), across));
+    let across =
+        |op: &OpRecord| (cut_at..heal_at).contains(&op.round) && cut.blocks(op.from, op.to);
+    let ops = recorded_ops(&net);
+    assert!(ops.iter().any(across));
+    assert_eq!(meters(&net), implied_meters(&ops, across));
 }
 
 #[test]
@@ -382,12 +360,13 @@ fn loss_schedule_applies_tick_by_tick() {
     let (n, slack) = (24, 3);
     let phase_len = slack * n * cfg(n).params().q;
     let (from, until) = (phase_len, phase_len + phase_len / 4);
-    let mut c = with_ops(cfg(n));
+    let mut c = cfg(n);
     c.loss = LossSchedule::burst(0.0, 1.0, from, until);
     let net = run_async_net(&c, 5, slack);
-    let in_burst = |ev: &OpEvent| (from..until).contains(&(ev.round as usize));
-    assert!(net.oplog().events().iter().any(in_burst));
-    assert_eq!(meters(&net), implied_meters(net.oplog().events(), in_burst));
+    let in_burst = |op: &OpRecord| (from..until).contains(&op.round);
+    let ops = recorded_ops(&net);
+    assert!(ops.iter().any(in_burst));
+    assert_eq!(meters(&net), implied_meters(&ops, in_burst));
 }
 
 #[test]
@@ -430,19 +409,15 @@ proptest! {
         placement_seed in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        let c = with_ops(
-            RunConfig::builder(n)
-                .gamma(3.0)
-                .colors(vec![n - n / 2, n / 2])
-                .faults(alpha, Placement::Random { seed: placement_seed })
-                .build(),
-        );
+        let c = RunConfig::builder(n)
+            .gamma(3.0)
+            .colors(vec![n - n / 2, n / 2])
+            .faults(alpha, Placement::Random { seed: placement_seed })
+            .build();
         let net = run_async_net(&c, seed, 2);
         let plan = net.faults();
-        prop_assert!(net.oplog().events().iter().all(|ev| !plan.is_faulty(ev.from)));
-        prop_assert_eq!(
-            meters(&net),
-            implied_meters(net.oplog().events(), |ev| plan.is_faulty(ev.to))
-        );
+        let ops = recorded_ops(&net);
+        prop_assert!(ops.iter().all(|op| !plan.is_faulty(op.from)));
+        prop_assert_eq!(meters(&net), implied_meters(&ops, |op| plan.is_faulty(op.to)));
     }
 }

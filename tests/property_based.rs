@@ -1,6 +1,9 @@
 //! Property-based tests (proptest) on the protocol's core invariants:
 //! randomized configurations, certificates, ledgers, and tampering.
 
+mod common;
+
+use common::{implied_meters, meters, recorded_ops, recording};
 use proptest::prelude::*;
 use rational_fair_consensus::gossip_net::rng::DetRng;
 use rational_fair_consensus::prelude::*;
@@ -141,10 +144,12 @@ proptest! {
         // verifiers would meet it.
         let pool = PayloadPool::for_network(params);
         let a = PayloadPool::building(&pool, || {
-            rational_fair_consensus::rfc_core::ProtocolCore::new(
+            rational_fair_consensus::rfc_core::ProtocolCore::new_on(
+                &Topology::complete(params.n),
                 id_a.min(n as u32 - 1), params, params.sync_schedule(), 0, DetRng::seeded(seed, 1))
         });
-        let b = rational_fair_consensus::rfc_core::ProtocolCore::new(
+        let b = rational_fair_consensus::rfc_core::ProtocolCore::new_on(
+            &Topology::complete(params.n),
             id_b.min(n as u32 - 1), params, params.sync_schedule(), 0, DetRng::seeded(seed, 2));
         prop_assert!(b.pool().plausible(b.pool().intern_list(a.intent_list().to_vec())));
         prop_assert!(a.pool().plausible(a.pool().intern_list(b.intent_list().to_vec())));
@@ -279,7 +284,7 @@ proptest! {
     /// Any static fault plan, on either synchronous engine: faulty agents
     /// never act, every push and pull query is metered plus one reply per
     /// answered pull, and exactly the sends to faulty agents go
-    /// undelivered.
+    /// undelivered — checked against what the agents record they did.
     #[test]
     fn sync_metering_is_exact_for_any_fault_plan(
         n in 8usize..64,
@@ -289,27 +294,22 @@ proptest! {
         staged in any::<bool>(),
     ) {
         use rational_fair_consensus::gossip_net::fault::Placement;
-        use rational_fair_consensus::gossip_net::oplog::OpKind;
         use rational_fair_consensus::rfc_core::runner::{
             build_network_slots, drive_network, honest_slot_factory,
         };
         let mut builder = RunConfig::builder(n)
             .gamma(3.0)
             .colors(vec![n - n / 2, n / 2])
-            .faults(alpha, Placement::Random { seed: placement_seed })
-            .record_ops(true);
+            .faults(alpha, Placement::Random { seed: placement_seed });
         if staged {
             builder = builder.sharded(2).shard_floor(0);
         }
         let cfg = builder.build();
-        let mut net = build_network_slots(&cfg, seed, &mut honest_slot_factory);
+        let mut net = build_network_slots(&cfg, seed, &mut recording(honest_slot_factory));
         drive_network(&mut net, &cfg);
         let plan = net.faults();
-        let events = net.oplog().events();
-        prop_assert!(events.iter().all(|ev| !plan.is_faulty(ev.from)));
-        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count() as u64;
-        let to_faulty = events.iter().filter(|ev| plan.is_faulty(ev.to)).count() as u64;
-        prop_assert_eq!(net.metrics().messages_sent, events.len() as u64 + answered);
-        prop_assert_eq!(net.metrics().undelivered, to_faulty);
+        let ops = recorded_ops(&net);
+        prop_assert!(ops.iter().all(|op| !plan.is_faulty(op.from)));
+        prop_assert_eq!(meters(&net), implied_meters(&ops, |op| plan.is_faulty(op.to)));
     }
 }

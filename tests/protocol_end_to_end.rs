@@ -2,6 +2,9 @@
 //! termination, agreement, validity, fairness, determinism, and the
 //! communication bounds of Theorem 4.
 
+mod common;
+
+use common::{implied_meters, meters, recorded_ops, recording, OpRecord};
 use rational_fair_consensus::prelude::*;
 use rational_fair_consensus::rfc_core::Decision;
 use rational_fair_consensus::rfc_stats::{chi_square_gof, wilson95};
@@ -182,8 +185,8 @@ fn crashed_agents_stay_silent_until_they_recover() {
     // Scripted churn on either synchronous engine: agents 3, 4 and 5
     // crash early in Voting and agent 4 recovers halfway through
     // Find-Min. A crashed agent performs no operation, a send to it is
-    // metered but undelivered, and the recovered agent acts again.
-    use rational_fair_consensus::gossip_net::oplog::{OpEvent, OpKind};
+    // metered but undelivered, and the recovered agent acts again; the
+    // agents record what they did.
     use rational_fair_consensus::rfc_core::runner::{
         build_network_slots, drive_network, honest_slot_factory,
     };
@@ -194,40 +197,32 @@ fn crashed_agents_stay_silent_until_they_recover() {
     let script = ScenarioScript::new()
         .crash(crash_at, vec![3, 4, 5])
         .recover(recover_at, vec![4]);
-    let down = |u: AgentId, round: u32| {
-        let round = round as usize;
+    let down = |u: AgentId, round: usize| {
         (3..=5).contains(&u) && round >= crash_at && !(u == 4 && round >= recover_at)
     };
     for staged in [false, true] {
-        let mut builder = base.clone().scenario(script.clone()).record_ops(true);
+        let mut builder = base.clone().scenario(script.clone());
         if staged {
             builder = builder.sharded(2).shard_floor(0);
         }
         let cfg = builder.build();
-        let mut net = build_network_slots(&cfg, 7, &mut honest_slot_factory);
+        let mut net = build_network_slots(&cfg, 7, &mut recording(honest_slot_factory));
         drive_network(&mut net, &cfg);
-        let events: &[OpEvent] = net.oplog().events();
+        let ops = recorded_ops(&net);
         assert!(
-            events.iter().all(|ev| !down(ev.from, ev.round)),
+            ops.iter().all(|op| !down(op.from, op.round)),
             "staged={staged}: a crashed agent acted"
         );
         assert!(
-            events
-                .iter()
-                .any(|ev| ev.from == 4 && ev.round as usize >= recover_at),
+            ops.iter().any(|op| op.from == 4 && op.round >= recover_at),
             "staged={staged}: the recovered agent never acted again"
         );
-        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count();
-        let to_down = events.iter().filter(|ev| down(ev.to, ev.round)).count();
+        let to_down = |op: &OpRecord| down(op.to, op.round);
         assert!(
-            to_down > 0,
+            ops.iter().any(to_down),
             "staged={staged}: nothing was sent to a crashed agent"
         );
-        assert_eq!(
-            net.metrics().messages_sent,
-            (events.len() + answered) as u64
-        );
-        assert_eq!(net.metrics().undelivered, to_down as u64, "staged={staged}");
+        assert_eq!(meters(&net), implied_meters(&ops, to_down), "staged={staged}");
     }
 }
 
@@ -236,7 +231,6 @@ fn sends_across_a_partition_cut_are_metered_undelivered() {
     // A cut splits the agents in half from mid-Commitment to the end of
     // Voting, on either synchronous engine: only sends across it while
     // it stands go undelivered, and every one of them is still metered.
-    use rational_fair_consensus::gossip_net::oplog::OpKind;
     use rational_fair_consensus::rfc_core::runner::{
         build_network_slots, drive_network, honest_slot_factory,
     };
@@ -248,30 +242,21 @@ fn sends_across_a_partition_cut_are_metered_undelivered() {
     let script = ScenarioScript::new()
         .partition(cut_at, cut.clone())
         .heal(heal_at);
+    let across =
+        |op: &OpRecord| (cut_at..heal_at).contains(&op.round) && cut.blocks(op.from, op.to);
     for staged in [false, true] {
-        let mut builder = base.clone().scenario(script.clone()).record_ops(true);
+        let mut builder = base.clone().scenario(script.clone());
         if staged {
             builder = builder.sharded(2).shard_floor(0);
         }
         let cfg = builder.build();
-        let mut net = build_network_slots(&cfg, 11, &mut honest_slot_factory);
+        let mut net = build_network_slots(&cfg, 11, &mut recording(honest_slot_factory));
         drive_network(&mut net, &cfg);
-        let events = net.oplog().events();
-        let answered = events.iter().filter(|ev| ev.kind == OpKind::Pull).count();
-        let across = events
-            .iter()
-            .filter(|ev| {
-                (cut_at..heal_at).contains(&(ev.round as usize)) && cut.blocks(ev.from, ev.to)
-            })
-            .count();
+        let ops = recorded_ops(&net);
         assert!(
-            across > 0,
+            ops.iter().any(across),
             "staged={staged}: nothing was sent across the cut"
         );
-        assert_eq!(
-            net.metrics().messages_sent,
-            (events.len() + answered) as u64
-        );
-        assert_eq!(net.metrics().undelivered, across as u64, "staged={staged}");
+        assert_eq!(meters(&net), implied_meters(&ops, across), "staged={staged}");
     }
 }

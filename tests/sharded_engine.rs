@@ -114,9 +114,9 @@ fn corpus() -> Vec<(&'static str, RunConfig, u64)> {
             RunConfig::builder(40).gamma(3.0).leader_election().build(),
             7,
         ),
-        // Larger record-ops row: at 8 threads the op-log scatter runs with
-        // several non-trivial shards per round, exercising the prefix-summed
-        // pull/push cursor split (tiny rows collapse to 1–2 live shards).
+        // Larger record-ops row: at 8 threads it runs several non-trivial
+        // shards per round (tiny rows collapse to 1–2 live shards), and the
+        // audit reads every agent's state after them.
         (
             "sharded/complete/n64/record-ops+loss",
             RunConfig::builder(64)
@@ -204,7 +204,8 @@ fn oplog_toggle_changes_audit_only() {
     // `record_ops` is pure observability: switching it off must leave the
     // digest (audit stripped — `report_digest` hashes `r.audit`) and the
     // full `Metrics` bit-identical, dropping only the good-execution audit.
-    // This is what lets production-scale rows (E16) skip the op log.
+    // The audit reads agent state after the run; the engine records
+    // nothing for it.
     for (label, cfg, seed) in corpus() {
         let mut on = cfg.clone();
         on.rng_discipline = RngDiscipline::PerAgent;
@@ -219,13 +220,13 @@ fn oplog_toggle_changes_audit_only() {
         assert!(r_off.audit.is_none(), "{label}: record_ops=false must not");
         assert_eq!(
             r_on.metrics, r_off.metrics,
-            "{label}: op-log toggle changed Metrics"
+            "{label}: audit toggle changed Metrics"
         );
         r_on.audit = None;
         assert_eq!(
             report_digest(&r_on),
             report_digest(&r_off),
-            "{label}: op-log toggle changed the digest beyond the audit"
+            "{label}: audit toggle changed the digest beyond the audit"
         );
     }
 }
